@@ -131,7 +131,7 @@ struct SweepResult {
   std::vector<std::array<std::uint64_t, kQosClassCount>> per_shard;
 };
 
-/// One epoch-mode run: `pairs` disjoint pairs, three QoS clients per pair
+/// One sharded run: `pairs` disjoint pairs, three QoS clients per pair
 /// each requesting at 100 Hz, shards executing on min(shards, cores)
 /// worker lanes. The per-client grant sequences are identical for every
 /// shard count (that is the tier-1 contract); only the wall clock moves.
@@ -294,7 +294,7 @@ void bm_kms_fleet_run(benchmark::State& state) {
 BENCHMARK(bm_kms_fleet_run)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void bm_kms_sharded_sweep(benchmark::State& state) {
-  // The scaling sweep behind the E19 table: one epoch-mode fleet run at
+  // The scaling sweep behind the E19 table: one sharded fleet run at
   // `range(0)` shards. Items processed = keys granted, so items/s is
   // grants per wall second — compare across Args for the scaling curve
   // (tools/compare_bench.py --series bm_kms_sharded_sweep).

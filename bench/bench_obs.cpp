@@ -3,7 +3,7 @@
 //
 // The instrumentation lives permanently inside the grant and pipeline hot
 // paths, which is only tenable if its quiescent cost is noise. The E21
-// headline table runs the same epoch-mode KMS fleet day three ways — no
+// headline table runs the same sharded KMS fleet day three ways — no
 // tracer attached, tracer attached but disabled, tracer enabled and
 // recording — and reports the wall-clock overhead of each against the
 // uninstrumented run (the disabled column is the one E21 pins: < 2%).
@@ -75,7 +75,7 @@ struct TracedRun {
   double export_s = 0.0;
 };
 
-/// One epoch-mode fleet run (the E19 workload at reduced scale) with the
+/// One sharded fleet run (the E19 workload at reduced scale) with the
 /// observability layer in the given mode. Identical scheduling in all
 /// three modes — only the instrumentation differs.
 TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
@@ -134,7 +134,7 @@ TracedRun run_traced_fleet(TraceMode mode, std::size_t pairs,
   return result;
 }
 
-/// One epoch-mode fleet run (same scale as E21) with metrics bound to a
+/// One sharded fleet run (same scale as E21) with metrics bound to a
 /// registry and, when `engine_on`, the built-in rule pack evaluating once
 /// per sim second on the scheduler (the attach_alerts default) — the
 /// always-on alerting posture E22 prices. Both modes pay for the bound registry; the delta is the
@@ -231,7 +231,7 @@ void print_tables() {
     }
   }
 
-  qkd::bench::row("epoch-mode fleet: %zu pairs, %zu clients, %.0f simulated "
+  qkd::bench::row("sharded fleet: %zu pairs, %zu clients, %.0f simulated "
                   "seconds, %llu grants per run, best of %d",
                   kPairs, 3 * kPairs, kSimSeconds,
                   static_cast<unsigned long long>(grants), kReps);

@@ -84,9 +84,18 @@ void WorkerPool::parallel_for(std::size_t count,
   jobs_.fetch_add(1, std::memory_order_relaxed);
   // Single lane, a single index, or a nested call from inside a task: run
   // inline, in ascending index order (the deterministic sequential path).
+  // A throw skips no other index here either.
   if (threads_.empty() || count == 1 || t_inside_task) {
     lane_tasks_[0].v.fetch_add(count, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) task(i);
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < count; ++i) {
+      try {
+        task(i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
     return;
   }
   {

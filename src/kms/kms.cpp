@@ -40,13 +40,13 @@ void KeyManagementService::init_shards(std::size_t count) {
       throw std::invalid_argument(
           "KeyManagementService: every class weight must be >= 1 "
           "(a zero-weight class would starve)");
-  if (count == 0)
-    throw std::invalid_argument("KeyManagementService: shards == 0");
   shards_.reserve(count);
   for (std::size_t s = 0; s < count; ++s)
     shards_.push_back(std::make_unique<KmsShard>(
-        *this, s, sharded_ != nullptr ? sharded_->shard_stream(s) : scheduler_,
-        sharded_ != nullptr));
+        *this, s,
+        sharded_ != nullptr ? sharded_->shard_stream(s) : scheduler_));
+  for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
+    grant_latency_.emplace_back(count);
   if (sharded_ != nullptr)
     sharded_->add_barrier_task(
         [this](qkd::SimTime now) { flush_frames(now); });
@@ -70,7 +70,7 @@ KeyManagementService::KeyManagementService(network::MeshSimulation& mesh,
                                            sim::EventScheduler& scheduler,
                                            Config config)
     : mesh_(mesh), scheduler_(scheduler), config_(config) {
-  init_shards(config_.shards);
+  init_shards(1);
 }
 
 KeyManagementService::KeyManagementService(network::MeshSimulation& mesh,
@@ -117,6 +117,12 @@ sim::EventScheduler& KeyManagementService::stream_for_pair(
   return shards_[shard_of(src, dst)]->stream();
 }
 
+void KeyManagementService::plan_frame(FrameJob& job) {
+  job.plan = mesh_.plan_key_batch(job.pair->src, job.pair->dst,
+                                  job.payload_bits, &job.pair->route_cache,
+                                  job.trace);
+}
+
 void KeyManagementService::flush_frames(qkd::SimTime now) {
   std::vector<FrameJob*> jobs;
   for (const auto& shard : shards_) shard->collect_jobs(jobs);
@@ -131,10 +137,7 @@ void KeyManagementService::flush_frames(qkd::SimTime now) {
                      return std::make_pair(a->pair->src, a->pair->dst) <
                             std::make_pair(b->pair->src, b->pair->dst);
                    });
-  for (FrameJob* job : jobs)
-    job->plan = mesh_.plan_key_batch(job->pair->src, job->pair->dst,
-                                     job->payload_bits,
-                                     &job->pair->route_cache, job->trace);
+  for (FrameJob* job : jobs) plan_frame(*job);
   // Fan the settlement back out: grants, requeues and re-arms are all
   // shard-local, so every shard finalizes on its own lane.
   sharded_->pool().parallel_for(
@@ -344,17 +347,17 @@ std::size_t KeyManagementService::queue_depth(QosClass qos) const {
 }
 
 double KeyManagementService::p99_grant_latency_s(QosClass qos) const {
-  const auto index = static_cast<std::size_t>(qos);
-  LatencyHistogram merged;
-  for (const auto& shard : shards_) merged.merge(shard->latency().at(index));
-  return merged.quantile_s(0.99);
+  return grant_latency_.at(static_cast<std::size_t>(qos)).quantile(0.99) /
+         1e9;
 }
 
 double KeyManagementService::mean_grant_latency_s(QosClass qos) const {
-  const auto index = static_cast<std::size_t>(qos);
-  LatencyHistogram merged;
-  for (const auto& shard : shards_) merged.merge(shard->latency().at(index));
-  return merged.mean_s();
+  const obs::Histogram& latency =
+      grant_latency_.at(static_cast<std::size_t>(qos));
+  const std::uint64_t count = latency.count();
+  if (count == 0) return 0.0;
+  return sim_to_seconds(static_cast<qkd::SimTime>(latency.sum())) /
+         static_cast<double>(count);
 }
 
 bool KeyManagementService::shedding() const {

@@ -31,29 +31,31 @@
 //    bulk request can never block a realtime one (no priority inversion —
 //    the classes spend separate credit).
 //  * Batching. All requests a round selects for one destination ride ONE
-//    MeshSimulation relay frame (transport_key_batch), paying the per-hop
-//    header+tag overhead once — the hop-pad amortization that makes
-//    thousands of small grants affordable.
+//    MeshSimulation relay frame (planned by plan_key_batch, materialized by
+//    finalize_frame), paying the per-hop header+tag overhead once — the
+//    hop-pad amortization that makes thousands of small grants affordable.
 //  * Supply-event-driven reaction. On a link supply's kReplenished the KMS
 //    immediately serves queues that stalled on dry pools (no waiting out
 //    the retry backoff); sustained exhaustion (consecutive starved rounds)
 //    sheds load, lowest-priority class first (kShed), so realtime clients
 //    survive an eavesdropping-induced drought.
+//  * One grant path. Every service round selects, plans one relay frame,
+//    then settles: a starved plan requeues (shedding, backing off), a
+//    successful one is finalized from the pair's own seeded rng and granted.
 //  * Sharding. The service itself is a thin router over N KmsShards:
 //    endpoint pairs hash (by unordered endpoint ids, so a pair and its
 //    reverse co-locate) to shards, and each shard owns the COMPLETE grant
 //    path of its pairs — mirrored pools, bounded queues, DRR state, claim
-//    TTL ledger, stats, latency histograms. Shards share no mutable state;
-//    the router crosses the boundary only at registration, stats
-//    aggregation and the epoch-mode frame barrier. Constructed on a plain
-//    EventScheduler the shards all service on that one stream (the
-//    deterministic single-thread path tier-1 pins down); constructed on a
-//    sim::ShardedScheduler each shard services on its own stream, in
-//    parallel on the scheduler's worker pool, and relay frames are planned
-//    sequentially at the window barrier in global (src, dst) order then
-//    finalized shard-locally from per-pair deterministic rngs — so the
-//    per-client grant sequence for a fixed seed is identical for ANY shard
-//    and lane count.
+//    TTL ledger, counters. Shards share no mutable state; the router
+//    crosses the boundary only at registration, stats aggregation and the
+//    frame barrier. Constructed on a plain EventScheduler the service is
+//    ONE shard that plans and settles each round inline (the deterministic
+//    single-thread path); constructed on a sim::ShardedScheduler it has one
+//    shard per scheduler shard, each servicing on its own stream in
+//    parallel on the scheduler's worker pool, with rounds parked until the
+//    window barrier plans them sequentially in global (src, dst) order and
+//    fans settlement back out — so the per-client grant sequence for a
+//    fixed seed is identical for ANY shard and lane count.
 //
 // The KMS is the topmost layer (src/kms links qkd_sim): it schedules onto
 // the same EventScheduler the scenario engine scripts, implements
@@ -90,7 +92,7 @@ namespace qkd::kms {
 
 class KmsShard;       // internal: src/kms/shard.hpp
 struct PairState;     // internal: one endpoint pair's shard-owned state
-struct FrameJob;      // internal: a parked epoch-mode service round
+struct FrameJob;      // internal: a selected service round and its plan
 
 // ---- QoS vocabulary --------------------------------------------------------
 
@@ -138,12 +140,14 @@ struct Grant {
   qkd::SimTime granted_at = 0;
 };
 
-/// Invoked exactly once per get_key() call, from inside a scheduler event
-/// (or synchronously for admission rejections). In sharded-scheduler mode
-/// the callback runs on the owning shard's lane: it may touch the
-/// requesting client's own KMS surface (get_key / get_key_with_id on the
-/// same pair) and any state partitioned the same way the KMS is, but no
-/// cross-shard or global state.
+/// Invoked exactly once per get_key() call unless a callback throws, from
+/// inside a scheduler event (or synchronously for admission rejections). In sharded-scheduler mode the
+/// callback runs on the owning shard's lane: it may touch the requesting
+/// client's own KMS surface (get_key / get_key_with_id on the same pair)
+/// and any state partitioned the same way the KMS is, but no cross-shard
+/// or global state. A throw aborts the run: it leaves run_until, and the
+/// rounds its shard had not yet settled are dropped undelivered — no
+/// request is ever granted twice.
 using GrantCallback = std::function<void(const Grant&)>;
 
 // ---- The service -----------------------------------------------------------
@@ -189,15 +193,9 @@ class KeyManagementService final : public sim::ServiceSampler {
     /// disables replenish wakeups).
     std::size_t link_low_water_bits = 4 * keystore::KeySupply::kQblockBits;
 
-    /// Shard count for the plain-EventScheduler constructors (all shards
-    /// service on that one stream — pure partitioning, no parallelism).
-    /// The ShardedScheduler constructors ignore this and use the
-    /// scheduler's shard count, one stream per shard.
-    std::size_t shards = 1;
-
-    /// Seeds the per-pair frame rngs that generate key material in
-    /// sharded-scheduler mode (each pair's stream derives from
-    /// (seed, src, dst), so grant bits do not depend on shard count).
+    /// Seeds the per-pair frame rngs that generate all granted key
+    /// material (each pair's stream derives from (seed, src, dst), so
+    /// grant bits depend neither on the scheduler nor on the shard count).
     std::uint64_t seed = 19;
 
     /// Grant-latency service-level objective: a grant delivered within
@@ -248,8 +246,8 @@ class KeyManagementService final : public sim::ServiceSampler {
     std::array<std::size_t, kQosClassCount> queue_depths{};
   };
 
-  /// Single-stream service: every shard (Config::shards of them) runs its
-  /// service rounds on `scheduler` — the deterministic path. The mesh and
+  /// Single-stream service: one shard runs every service round on
+  /// `scheduler`, planning and settling each inline. The mesh and
   /// scheduler must outlive the service. Engine-backed meshes must be
   /// driven single-threaded (scheduler-dispatched run_link_batch, as
   /// ScenarioRunner does): the KMS subscribes to the link supplies and its
@@ -332,7 +330,8 @@ class KeyManagementService final : public sim::ServiceSampler {
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- Introspection (aggregated across shards) ---------------------------
-  // Counter/latency accessors aggregate the shards' relaxed-atomic stats:
+  // Counter/latency accessors aggregate the shards' relaxed-atomic stats
+  // and the per-shard cells of the latency histograms:
   // callable from ONE monitoring thread concurrently with shard-lane
   // grants. queue_depth / inspect_pairs still walk shard pair state and
   // require lanes parked.
@@ -390,6 +389,9 @@ class KeyManagementService final : public sim::ServiceSampler {
   };
 
   void init_shards(std::size_t count);
+  /// The grant path's only mesh access: inline on a plain scheduler, at
+  /// the window barrier on a ShardedScheduler.
+  void plan_frame(FrameJob& job);
   ClientRecord& live_client(ClientId id, const char* op);
   void on_supply_replenished(qkd::SimTime now);
   /// Barrier task (sharded-scheduler mode): plans every shard's parked
@@ -411,6 +413,9 @@ class KeyManagementService final : public sim::ServiceSampler {
   Stats router_stats_;
   mutable Stats agg_stats_;
   mutable std::array<ClassStats, kQosClassCount> agg_class_stats_{};
+  /// Request-to-grant latency in ns, one histogram per QoS class with one
+  /// cell per shard (each shard records into its own cell).
+  std::vector<obs::Histogram> grant_latency_;
   GrantCallback grant_observer_;
   obs::Tracer* tracer_ = nullptr;
   std::vector<std::uint64_t> supply_subscriptions_;  // engine mode only

@@ -1,78 +1,17 @@
 #include "src/kms/shard.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace qkd::kms {
-
-// ---- LatencyHistogram ------------------------------------------------------
-
-void LatencyHistogram::record(qkd::SimTime latency) {
-  if (latency < 0) latency = 0;
-  std::size_t index = std::bit_width(static_cast<std::uint64_t>(latency));
-  if (index >= kBuckets) index = kBuckets - 1;
-  ++buckets_[index];
-  ++count_;
-  total_ += latency;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  total_ += other.total_;
-}
-
-double LatencyHistogram::quantile_s(double q) const {
-  if (count_ == 0) return 0.0;
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(q * static_cast<double>(count_)));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    cumulative += buckets_[i];
-    if (cumulative >= rank) {
-      // Bucket i holds latencies in [2^(i-1), 2^i) ns; report the upper
-      // bound — a conservative percentile.
-      return static_cast<double>(1ULL << i) / 1e9;
-    }
-  }
-  return 0.0;
-}
-
-double LatencyHistogram::mean_s() const {
-  if (count_ == 0) return 0.0;
-  return sim_to_seconds(total_) / static_cast<double>(count_);
-}
-
-// ---- AtomicLatencyHistogram ------------------------------------------------
-
-void AtomicLatencyHistogram::record(qkd::SimTime latency) {
-  if (latency < 0) latency = 0;
-  std::size_t index = std::bit_width(static_cast<std::uint64_t>(latency));
-  if (index >= kBuckets) index = kBuckets - 1;
-  buckets_[index].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  total_.fetch_add(latency, std::memory_order_relaxed);
-}
-
-LatencyHistogram AtomicLatencyHistogram::snapshot() const {
-  LatencyHistogram out;
-  for (std::size_t i = 0; i < kBuckets; ++i)
-    out.buckets_[i] = buckets_[i].load(std::memory_order_relaxed);
-  out.count_ = count_.load(std::memory_order_relaxed);
-  out.total_ = total_.load(std::memory_order_relaxed);
-  return out;
-}
 
 // ---- Construction ----------------------------------------------------------
 
 KmsShard::KmsShard(KeyManagementService& service, std::size_t index,
-                   sim::EventScheduler& stream, bool epoch_mode)
-    : service_(service),
-      index_(index),
-      stream_(stream),
-      epoch_mode_(epoch_mode) {}
+                   sim::EventScheduler& stream)
+    : service_(service), index_(index), stream_(stream) {}
 
 KmsShard::~KmsShard() {
   for (auto& pair : pairs_)
@@ -109,9 +48,9 @@ PairState& KmsShard::pair_for(network::NodeId src, network::NodeId dst) {
   const std::string tag = std::to_string(src) + "->" + std::to_string(dst);
   pair->src_store.set_label("kms:" + tag + ":src");
   pair->dst_store.set_label("kms:" + tag + ":dst");
-  // The pair's key-material stream (epoch mode): derived from the service
-  // seed and the ordered pair alone, so it is the same no matter which
-  // shard — of however many — the pair lands on.
+  // The pair's key-material stream: derived from the service seed and the
+  // ordered pair alone, so it is the same no matter which shard — of
+  // however many — the pair lands on.
   std::uint64_t state = service_.config_.seed;
   qkd::splitmix64(state);
   state ^= (static_cast<std::uint64_t>(src) << 32) ^ dst;
@@ -305,17 +244,6 @@ std::vector<std::pair<unsigned, Request>> KmsShard::select_round(
   return round;
 }
 
-void KmsShard::requeue_round(PairState& pair,
-                             std::vector<std::pair<unsigned, Request>>& round) {
-  // Reverse order keeps each class queue's FIFO order; the spent deficit is
-  // handed back so the retry round can select the same set immediately.
-  for (auto it = round.rbegin(); it != round.rend(); ++it) {
-    pair.deficit_bits[it->first] += it->second.bits;
-    pair.queues[it->first].push_front(std::move(it->second));
-  }
-  round.clear();
-}
-
 void KmsShard::shed_lowest_class(PairState& pair, qkd::SimTime now) {
   // Lowest-priority backlog goes first; realtime (class 0) is never shed.
   for (unsigned qos = kQosClassCount; qos-- > 1;) {
@@ -366,7 +294,8 @@ void KmsShard::grant_round(
     stats.granted.fetch_add(1, std::memory_order_relaxed);
     stats.bits_granted.fetch_add(request.bits, std::memory_order_relaxed);
     const qkd::SimTime latency = now - request.requested_at;
-    latency_[qos].record(latency);
+    service_.grant_latency_[qos].record(static_cast<std::uint64_t>(latency),
+                                        index_);
     if (latency <= service_.config_.slo_grant_latency)
       stats.granted_within_slo.fetch_add(1, std::memory_order_relaxed);
 
@@ -416,80 +345,73 @@ void KmsShard::service_round(PairState& pair, qkd::SimTime now) {
     drr_span.attr("selected", std::to_string(round.size()));
   }
 
-  if (epoch_mode_) {
-    // Park the selection; the window barrier plans the transport and
-    // finalize_outbox() settles the outcome (including the re-arm, which
-    // depends on it). The round's context rides along so the barrier plan
-    // and the finalize spans stay in this trace.
-    FrameJob job;
-    job.pair = &pair;
-    for (const auto& [qos, request] : round) job.payload_bits += request.bits;
-    job.round = std::move(round);
-    job.trace = round_span.context();
+  FrameJob job;
+  job.pair = &pair;
+  for (const auto& [qos, request] : round) job.payload_bits += request.bits;
+  job.round = std::move(round);
+  job.trace = round_span.context();
+  if (service_.sharded_ != nullptr) {
+    // Park the selection: the window barrier plans the transport in global
+    // (src, dst) order and finalize_outbox() settles it. The round's
+    // context rides along so the barrier plan and the finalize spans stay
+    // in this trace.
     outbox_.push_back(std::move(job));
     return;
   }
+  // One stream, one shard: nothing else can plan in between, so plan and
+  // settle now.
+  service_.plan_frame(job);
+  settle(job, now);
+}
 
-  // Batch: every request this round selected rides one relay frame.
-  std::vector<std::size_t> sizes;
-  sizes.reserve(round.size());
-  for (const auto& [qos, request] : round) sizes.push_back(request.bits);
-  const auto frame = service_.mesh_.transport_key_batch(
-      pair.src, pair.dst, sizes, round_span.context());
-  if (!frame.success) {
+void KmsShard::settle(FrameJob& job, qkd::SimTime now) {
+  PairState& pair = *job.pair;
+  const KeyManagementService::Config& config = service_.config_;
+  obs::ScopedSpan finalize_span(tracer(), "kms.finalize", job.trace, index_);
+  if (!job.plan.success) {
     stats_.starved_rounds.fetch_add(1, std::memory_order_relaxed);
     ++pair.consecutive_starved;
-    if (round_span.recording()) round_span.attr("result", "starved");
-    requeue_round(pair, round);
-    if (pair.consecutive_starved >= service_.config_.shed_after_starved_rounds)
+    if (finalize_span.recording()) finalize_span.attr("result", "starved");
+    // Requeue in reverse so each class queue keeps its FIFO order; the
+    // spent deficit is handed back so the retry round can select the same
+    // set immediately.
+    for (auto it = job.round.rbegin(); it != job.round.rend(); ++it) {
+      pair.deficit_bits[it->first] += it->second.bits;
+      pair.queues[it->first].push_front(std::move(it->second));
+    }
+    job.round.clear();
+    if (pair.consecutive_starved >= config.shed_after_starved_rounds)
       shed_lowest_class(pair, now);
-    if (backlogged(pair)) arm_service(pair, now + service_.config_.retry_backoff);
+    if (backlogged(pair)) arm_service(pair, now + config.retry_backoff);
     return;
   }
   stats_.transports.fetch_add(1, std::memory_order_relaxed);
   pair.consecutive_starved = 0;
   shedding_.store(false, std::memory_order_relaxed);
-  grant_round(pair, round, frame, now, round_span.context());
-  if (backlogged(pair)) arm_service(pair, now + service_.config_.batch_window);
+  if (finalize_span.recording())
+    finalize_span.attr("hops", std::to_string(job.plan.route.links.size()));
+  // Materialize the frame from the pair's own deterministic stream — no
+  // shared rng, no mesh state, so every shard finalizes concurrently.
+  const auto frame =
+      network::MeshSimulation::finalize_frame(job.plan, pair.frame_rng);
+  grant_round(pair, job.round, frame, now, finalize_span.context());
+  if (backlogged(pair)) arm_service(pair, now + config.batch_window);
 }
 
-// ---- Epoch barrier ---------------------------------------------------------
+// ---- Frame barrier ---------------------------------------------------------
 
 void KmsShard::collect_jobs(std::vector<FrameJob*>& out) {
   for (FrameJob& job : outbox_) out.push_back(&job);
 }
 
 void KmsShard::finalize_outbox(qkd::SimTime now) {
-  for (FrameJob& job : outbox_) {
-    PairState& pair = *job.pair;
-    if (!job.plan.success) {
-      stats_.starved_rounds.fetch_add(1, std::memory_order_relaxed);
-      ++pair.consecutive_starved;
-      requeue_round(pair, job.round);
-      if (pair.consecutive_starved >=
-          service_.config_.shed_after_starved_rounds)
-        shed_lowest_class(pair, now);
-      if (backlogged(pair))
-        arm_service(pair, now + service_.config_.retry_backoff);
-      continue;
-    }
-    stats_.transports.fetch_add(1, std::memory_order_relaxed);
-    pair.consecutive_starved = 0;
-    shedding_.store(false, std::memory_order_relaxed);
-    // The finalize leg runs on a worker lane under the parked round's
-    // context — the trace reconnects across the barrier.
-    obs::ScopedSpan finalize_span(tracer(), "kms.finalize", job.trace, index_);
-    if (finalize_span.recording())
-      finalize_span.attr("hops", std::to_string(job.plan.route.links.size()));
-    // Materialize the frame from the pair's own deterministic stream — no
-    // shared rng, no mesh state, so every shard finalizes concurrently.
-    const auto frame =
-        network::MeshSimulation::finalize_frame(job.plan, pair.frame_rng);
-    grant_round(pair, job.round, frame, now, finalize_span.context());
-    if (backlogged(pair))
-      arm_service(pair, now + service_.config_.batch_window);
-  }
-  outbox_.clear();
+  // Take the jobs before settling any: if a grant callback throws, the
+  // outbox is already empty and the next barrier cannot re-plan (and
+  // re-grant) rounds that were settled before the throw.
+  std::vector<FrameJob> jobs = std::exchange(outbox_, {});
+  for (FrameJob& job : jobs) settle(job, now);
+  jobs.clear();
+  outbox_ = std::move(jobs);  // keep the capacity for the next window
 }
 
 // ---- Aggregation -----------------------------------------------------------
@@ -510,12 +432,6 @@ const std::array<KmsShard::ClassStats, kQosClassCount>& KmsShard::class_stats()
     out.bits_granted = in.bits_granted.load(std::memory_order_relaxed);
   }
   return class_stats_cache_;
-}
-
-const std::array<LatencyHistogram, kQosClassCount>& KmsShard::latency() const {
-  for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
-    latency_cache_[qos] = latency_[qos].snapshot();
-  return latency_cache_;
 }
 
 const KmsShard::Stats& KmsShard::stats() const {

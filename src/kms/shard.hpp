@@ -6,26 +6,28 @@
 // co-locate and get_key_with_id claims stay shard-local). EVERYTHING on the
 // grant path lives here — the mirrored per-pair KeyPools, the bounded
 // per-(pair, class) queues, the DRR deficit state, the TTL claim ledger,
-// the per-class stats and latency histograms — so shards share no mutable
-// state and need no locks: each one services its pairs on its own event
-// stream (a ShardedScheduler shard stream in epoch mode, the single global
-// scheduler otherwise), and the router only crosses the boundary at
-// registration and stats aggregation, with every shard lane parked.
+// the per-class counters — so shards share no mutable state and need no
+// locks: each one services its pairs on its own event stream (a
+// ShardedScheduler shard stream, or the single global scheduler of a
+// one-shard service), and the router only crosses the boundary at
+// registration, stats aggregation and the frame barrier.
 //
-// Two execution modes, selected by the service's constructor:
+// One grant path. service_round() SELECTS (DRR) a round and packages it
+// as a FrameJob; the mesh plans the job's relay frame
+// (MeshSimulation::plan_key_batch, with the pair's route cache); settle()
+// then either requeues a starved round (shedding and backing off) or
+// finalizes the frame from the pair's own deterministic rng and grants.
+// Only the moment of planning depends on the scheduler:
 //
-//  * legacy (single-stream): service_round() transports synchronously via
-//    mesh.transport_key_batch — bit-for-bit the pre-sharding behavior the
-//    tier-1 suite pins down.
-//  * epoch (ShardedScheduler): service_round() only SELECTS (DRR) and
-//    parks the round in the shard's outbox as a FrameJob. At the window
-//    barrier the router plans every job's transport against the shared
+//  * plain EventScheduler (one shard): the job is planned and settled
+//    inline, inside the service event.
+//  * ShardedScheduler: the job is parked in the shard's outbox; at the
+//    window barrier the router plans every parked job against the shared
 //    mesh sequentially in global (src, dst) order, then fans
-//    finalize_outbox() back out across shards: key material is generated
-//    from the pair's own deterministic rng and granted entirely
-//    shard-locally. Grant content therefore depends only on pair-local
-//    history plus the globally-ordered plan sequence — identical for any
-//    shard count and any worker-lane count.
+//    finalize_outbox() -> settle() back out across shard lanes. Grant
+//    content therefore depends only on pair-local history plus the
+//    globally-ordered plan sequence — identical for any shard count and
+//    any worker-lane count.
 //
 // This header is internal to src/kms (kms.hpp only forward-declares the
 // types here); clients program against kms.hpp.
@@ -41,44 +43,6 @@
 #include "src/kms/kms.hpp"
 
 namespace qkd::kms {
-
-class AtomicLatencyHistogram;
-
-/// O(1)-memory latency histogram (power-of-two nanosecond buckets) for the
-/// per-class p99 over million-grant runs. Shards record locally (into the
-/// atomic variant below); the router merges per-shard histograms on read.
-class LatencyHistogram {
- public:
-  void record(qkd::SimTime latency);
-  void merge(const LatencyHistogram& other);
-  double quantile_s(double q) const;
-  double mean_s() const;
-  std::uint64_t count() const { return count_; }
-
- private:
-  friend class AtomicLatencyHistogram;
-  static constexpr std::size_t kBuckets = 64;
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  qkd::SimTime total_ = 0;
-};
-
-/// The shard-side recording form of LatencyHistogram: the same power-of-two
-/// buckets held in relaxed atomics, so a monitoring thread can snapshot
-/// latency quantiles while shard lanes are mid-grant (the counters are
-/// statistically consistent, never torn).
-class AtomicLatencyHistogram {
- public:
-  void record(qkd::SimTime latency);
-  /// The current contents as a plain histogram (relaxed loads per bucket).
-  LatencyHistogram snapshot() const;
-
- private:
-  static constexpr std::size_t kBuckets = LatencyHistogram::kBuckets;
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<qkd::SimTime> total_{0};
-};
 
 struct Request {
   ClientId client = 0;
@@ -121,9 +85,9 @@ struct PairState {
   /// Route memo for the planning phase (owned here so the mesh carries no
   /// per-pair state).
   network::MeshSimulation::RouteCache route_cache;
-  /// Epoch mode: the pair's own key-material stream, seeded from
-  /// (Config::seed, src, dst) — advanced only by this pair's frames, so
-  /// grant bits are independent of shard count and finalize order.
+  /// The pair's own key-material stream, seeded from (Config::seed, src,
+  /// dst) — advanced only by this pair's frames, so grant bits are
+  /// independent of shard count, scheduler and finalize order.
   qkd::Rng frame_rng{0};
   sim::EventScheduler::Handle service_event;
   qkd::SimTime armed_for = -1;  // due time of service_event, -1 when idle
@@ -134,8 +98,9 @@ struct PairState {
   std::atomic<std::size_t>* pool_gauge = nullptr;
 };
 
-/// A selected-but-not-yet-transported service round, parked between the
-/// shard's service event and the window barrier (epoch mode only).
+/// A selected service round and its relay-frame plan. On a ShardedScheduler
+/// it is parked between the shard's service event and the window barrier;
+/// on a plain scheduler it lives only inside the service event.
 struct FrameJob {
   PairState* pair = nullptr;
   std::vector<std::pair<unsigned, Request>> round;
@@ -153,9 +118,9 @@ class KmsShard {
   using Stats = KeyManagementService::Stats;
 
   /// `stream` is where this shard's service events run: a ShardedScheduler
-  /// shard stream in epoch mode, the service's global scheduler otherwise.
+  /// shard stream, or the service's global scheduler when it has one shard.
   KmsShard(KeyManagementService& service, std::size_t index,
-           sim::EventScheduler& stream, bool epoch_mode);
+           sim::EventScheduler& stream);
   ~KmsShard();
   KmsShard(const KmsShard&) = delete;
   KmsShard& operator=(const KmsShard&) = delete;
@@ -186,22 +151,22 @@ class KmsShard {
   /// Returns true if anything was armed.
   bool wake_backlogged(qkd::SimTime now);
 
-  /// Epoch mode: appends the shard's parked jobs to `out` (barrier phase;
-  /// the router plans them in global pair order; job addresses are stable
-  /// until finalize_outbox).
+  /// ShardedScheduler: appends the shard's parked jobs to `out` (barrier
+  /// phase; the router plans them in global pair order; job addresses are
+  /// stable until finalize_outbox).
   void collect_jobs(std::vector<FrameJob*>& out);
-  /// Epoch mode: grants / requeues every planned job shard-locally and
-  /// clears the outbox. Runs on a worker lane; touches only shard state.
+  /// ShardedScheduler: takes the outbox, then settles every planned job
+  /// shard-locally on a worker lane. Jobs a throwing callback abandons are
+  /// never re-collected, so no request is granted twice.
   void finalize_outbox(qkd::SimTime now);
 
   // ---- Aggregation surface -------------------------------------------------
-  // Counter and latency accessors read relaxed atomics into mutable caches
-  // and return references into them: safe to call from ONE monitoring
+  // Counter accessors read relaxed atomics into mutable caches and return
+  // references into them: safe to call from ONE monitoring
   // thread concurrently with shard-lane grants (the cross-shard stats
   // regression test pins this under TSan). queue_depth / inspect_into
   // still walk pair state and require shard lanes parked.
   const std::array<ClassStats, kQosClassCount>& class_stats() const;
-  const std::array<LatencyHistogram, kQosClassCount>& latency() const;
   const Stats& stats() const;
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
   std::size_t queue_depth(std::size_t qos) const;
@@ -233,12 +198,13 @@ class KmsShard {
   void arm_service(PairState& pair, qkd::SimTime when);
   void service_round(PairState& pair, qkd::SimTime now);
   std::vector<std::pair<unsigned, Request>> select_round(PairState& pair);
+  /// A starved plan requeues, sheds and backs off; a successful one
+  /// finalizes the frame and grants. Re-arms the pair while backlogged.
+  void settle(FrameJob& job, qkd::SimTime now);
   void grant_round(PairState& pair,
                    std::vector<std::pair<unsigned, Request>>& round,
                    const network::MeshSimulation::TransportResult& frame,
                    qkd::SimTime now, obs::TraceContext trace);
-  void requeue_round(PairState& pair,
-                     std::vector<std::pair<unsigned, Request>>& round);
   void shed_lowest_class(PairState& pair, qkd::SimTime now);
   void purge_expired_claims(PairState& pair, qkd::SimTime now);
   void finish(Request& request, GrantStatus status, qkd::SimTime now,
@@ -249,7 +215,6 @@ class KmsShard {
   KeyManagementService& service_;
   std::size_t index_ = 0;
   sim::EventScheduler& stream_;
-  bool epoch_mode_ = false;
 
   /// Sorted by (src, dst); unique_ptr keeps PairState addresses stable
   /// across insertions (registration only — never on the grant path).
@@ -257,14 +222,12 @@ class KmsShard {
   std::vector<FrameJob> outbox_;
 
   std::array<AtomicClassStats, kQosClassCount> class_stats_{};
-  std::array<AtomicLatencyHistogram, kQosClassCount> latency_{};
   AtomicStats stats_;
   std::atomic<bool> shedding_{false};
 
   /// Snapshot caches the const accessors refresh and hand out references
   /// into (written only by the reading thread).
   mutable std::array<ClassStats, kQosClassCount> class_stats_cache_{};
-  mutable std::array<LatencyHistogram, kQosClassCount> latency_cache_{};
   mutable Stats stats_cache_;
 };
 

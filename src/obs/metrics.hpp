@@ -89,10 +89,13 @@ class Gauge {
 /// Fixed-bucket latency/size histogram: power-of-two buckets (value v
 /// lands in bucket bit_width(v)), O(1) memory over million-sample runs,
 /// sharded per cell like Counter. Quantiles report the bucket's upper
-/// bound — conservative, same convention as the KMS latency histograms.
+/// bound — conservative (0 for the zero-value bucket). Usable standalone
+/// (the KMS keeps one per QoS class, one cell per shard) or registered.
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
+
+  explicit Histogram(std::size_t cells);
 
   void record(std::uint64_t value, std::size_t cell = 0);
   std::uint64_t count() const;
@@ -104,9 +107,6 @@ class Histogram {
   std::size_t cells() const { return cells_.size(); }
 
  private:
-  friend class MetricsRegistry;
-  explicit Histogram(std::size_t cells);
-
   struct Slot {
     alignas(64) std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> sum{0};

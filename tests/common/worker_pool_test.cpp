@@ -69,6 +69,21 @@ TEST(WorkerPool, FirstExceptionIsRethrownAfterAllIndicesSettle) {
   EXPECT_EQ(again.load(), 16);
 }
 
+TEST(WorkerPool, SingleLaneRethrowsAfterEveryIndexRan) {
+  WorkerPool pool(1);
+  std::vector<std::size_t> order;
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](std::size_t i) {
+                                   order.push_back(i);
+                                   if (i == 2) throw std::runtime_error("boom");
+                                 }),
+               std::runtime_error);
+  // The inline path keeps the multi-lane contract: still in order, and the
+  // throw skips none of the later indices.
+  ASSERT_EQ(order.size(), 8u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
 TEST(WorkerPool, NestedParallelForRunsInline) {
   WorkerPool pool(4);
   std::atomic<int> inner_total{0};

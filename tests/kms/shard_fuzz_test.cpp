@@ -1,6 +1,6 @@
 // Randomized shard-boundary invariants: generated scenario scripts (the
-// same ScenarioFuzzer corpus the scenarios suite replays) run through an
-// EPOCH-MODE sharded KMS, checking after every scenario action and at the
+// same ScenarioFuzzer corpus the scenarios suite replays) run through a
+// sharded-scheduler KMS, checking after every scenario action and at the
 // horizon that
 //
 //   * lockstep      — each pair's mirrored pools agree on every counter no
@@ -50,7 +50,7 @@ struct ShardedFuzzResult {
 };
 
 /// The sharded twin of testing::run_fuzz_case: same generated script, same
-/// fleet, same invariants — but the KMS runs in epoch mode on a
+/// fleet, same invariants — but the KMS runs on a
 /// ShardedScheduler with the given shard/lane counts.
 ShardedFuzzResult run_sharded_case(const sim::FuzzCase& fuzz_case,
                                    std::size_t shards, std::size_t lanes) {

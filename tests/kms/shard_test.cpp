@@ -1,15 +1,17 @@
 // The sharded KMS: pair-to-shard routing (reversed pairs co-locate),
-// stats aggregation across shards, end-to-end epoch-mode grants on a
-// ShardedScheduler — and the headline contract, that a fixed seed yields
-// IDENTICAL per-client grant sequences for any shard count and any worker
-// lane count.
+// stats aggregation across shards, end-to-end grants on a ShardedScheduler
+// — and the headline contracts: a fixed seed yields IDENTICAL per-client
+// grant sequences for any shard count, any worker lane count and either
+// scheduler, and a throwing grant callback never causes a second grant.
 #include "src/kms/kms.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "src/network/key_service.hpp"
@@ -45,10 +47,9 @@ Topology hot_fan(std::size_t pairs) {
 TEST(KmsSharded, ReversedPairsHashToTheSameShard) {
   qkd::SimClock clock;
   sim::EventScheduler scheduler(clock);
+  sim::ShardedScheduler sharded(scheduler, 5, nullptr);  // one lane
   MeshSimulation mesh(hot_fan(1), 7);
-  KeyManagementService::Config config;
-  config.shards = 5;
-  KeyManagementService kms(mesh, scheduler, config);
+  KeyManagementService kms(mesh, sharded);
   ASSERT_EQ(kms.shard_count(), 5u);
   QKD_SEEDED_RNG(rng, 23);
   std::set<std::size_t> seen;
@@ -64,28 +65,17 @@ TEST(KmsSharded, ReversedPairsHashToTheSameShard) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(KmsSharded, RejectsZeroShards) {
-  qkd::SimClock clock;
-  sim::EventScheduler scheduler(clock);
-  MeshSimulation mesh(hot_fan(1), 7);
-  KeyManagementService::Config config;
-  config.shards = 0;
-  EXPECT_THROW(KeyManagementService(mesh, scheduler, config),
-               std::invalid_argument);
-}
-
-/// Sharding on a plain EventScheduler is pure partitioning: grants still
-/// flow, per-shard stats sum to the aggregate, and inspect_pairs stays
-/// globally ordered.
+/// Sharding on a one-lane ShardedScheduler is pure partitioning: grants
+/// still flow, per-shard stats sum to the aggregate, and inspect_pairs
+/// stays globally ordered.
 TEST(KmsSharded, SingleStreamShardsPartitionAndAggregate) {
   constexpr std::size_t kPairs = 8;
   qkd::SimClock clock;
   sim::EventScheduler scheduler(clock);
+  sim::ShardedScheduler sharded(scheduler, 4, nullptr);  // one lane
   MeshSimulation mesh(hot_fan(kPairs), 7);
   mesh.step(20.0);
-  KeyManagementService::Config config;
-  config.shards = 4;
-  KeyManagementService kms(mesh, scheduler, config);
+  KeyManagementService kms(mesh, sharded);
 
   std::size_t granted = 0;
   for (std::size_t p = 0; p < kPairs; ++p) {
@@ -97,7 +87,7 @@ TEST(KmsSharded, SingleStreamShardsPartitionAndAggregate) {
       if (grant.status == GrantStatus::kGranted) ++granted;
     });
   }
-  scheduler.run_for(kSecond);
+  sharded.run_until(kSecond);
   EXPECT_EQ(granted, kPairs);
 
   // The shards partition the pairs (this topology/hash spreads them);
@@ -178,21 +168,33 @@ struct GrantEvent {
   }
 };
 
-/// Drives a fixed multi-pair, multi-class workload through an epoch-mode
-/// KMS and returns every client's full grant sequence.
-std::vector<std::vector<GrantEvent>> run_epoch_workload(std::size_t shards,
-                                                        std::size_t lanes,
-                                                        std::uint64_t seed) {
+/// The `shards` value of run_workload that builds no ShardedScheduler: the
+/// KMS runs on the plain EventScheduler.
+constexpr std::size_t kPlainScheduler = 0;
+
+/// Drives a fixed multi-pair, multi-class workload through a KMS on a
+/// ShardedScheduler (`shards` shards on `lanes` lanes) or on the plain
+/// scheduler, and returns every client's full grant sequence.
+std::vector<std::vector<GrantEvent>> run_workload(std::size_t shards,
+                                                  std::size_t lanes,
+                                                  std::uint64_t seed) {
   constexpr std::size_t kPairs = 4;
   qkd::SimClock clock;
   sim::EventScheduler scheduler(clock);
-  auto pool = std::make_shared<common::WorkerPool>(lanes);
-  sim::ShardedScheduler sharded(scheduler, shards, pool);
+  std::optional<sim::ShardedScheduler> sharded;
+  if (shards != kPlainScheduler)
+    sharded.emplace(scheduler, shards,
+                    std::make_shared<common::WorkerPool>(lanes));
   MeshSimulation mesh(hot_fan(kPairs), 7);
   mesh.step(30.0);
   KeyManagementService::Config config;
   config.seed = seed;
-  KeyManagementService kms(mesh, sharded, config);
+  std::optional<KeyManagementService> service;
+  if (sharded)
+    service.emplace(mesh, *sharded, config);
+  else
+    service.emplace(mesh, scheduler, config);
+  KeyManagementService& kms = *service;
 
   struct Driven {
     ClientId id;
@@ -226,7 +228,10 @@ std::vector<std::vector<GrantEvent>> run_epoch_workload(std::size_t shards,
                  });
                });
   }
-  sharded.run_until(2 * kSecond);
+  if (sharded)
+    sharded->run_until(2 * kSecond);
+  else
+    scheduler.run_until(2 * kSecond);
   return logs;
 }
 
@@ -237,9 +242,9 @@ std::vector<std::vector<GrantEvent>> run_epoch_workload(std::size_t shards,
 TEST(KmsSharded, GrantSequencesIdenticalForAnyShardAndLaneCount) {
   QKD_SEEDED_RNG(rng, 31);
   const std::uint64_t seed = rng.next_u64();
-  const auto one_shard = run_epoch_workload(1, 1, seed);
-  const auto four_shards = run_epoch_workload(4, 1, seed);
-  const auto four_shards_threaded = run_epoch_workload(4, 2, seed);
+  const auto one_shard = run_workload(1, 1, seed);
+  const auto four_shards = run_workload(4, 1, seed);
+  const auto four_shards_threaded = run_workload(4, 2, seed);
 
   ASSERT_EQ(one_shard.size(), four_shards.size());
   std::size_t grants = 0;
@@ -251,9 +256,38 @@ TEST(KmsSharded, GrantSequencesIdenticalForAnyShardAndLaneCount) {
   EXPECT_GT(grants, 100u) << "the workload must actually exercise grants";
 }
 
+/// The plain-scheduler KMS runs the same grant path as the sharded one and
+/// only plans earlier (inline, not at the window barrier): on an unstarved
+/// mesh both give every client the same (status, key_id, bits) sequence.
+/// Grant times differ — a parked round settles at the barrier — so they
+/// are not compared.
+TEST(KmsSharded, PlainAndShardedSchedulersGrantTheSameSequence) {
+  QKD_SEEDED_RNG(rng, 37);
+  const std::uint64_t seed = rng.next_u64();
+  const auto plain = run_workload(kPlainScheduler, 1, seed);
+  const auto sharded = run_workload(1, 1, seed);
+
+  ASSERT_EQ(plain.size(), sharded.size());
+  std::size_t grants = 0;
+  for (std::size_t c = 0; c < plain.size(); ++c) {
+    ASSERT_EQ(plain[c].size(), sharded[c].size()) << "client " << c;
+    for (std::size_t g = 0; g < plain[c].size(); ++g) {
+      // First divergence only: one mismatch shifts everything after it.
+      ASSERT_EQ(plain[c][g].status, sharded[c][g].status)
+          << "client " << c << " grant " << g;
+      ASSERT_EQ(plain[c][g].key_id, sharded[c][g].key_id)
+          << "client " << c << " grant " << g;
+      ASSERT_TRUE(plain[c][g].bits == sharded[c][g].bits)
+          << "client " << c << " grant " << g;
+    }
+    grants += plain[c].size();
+  }
+  EXPECT_GT(grants, 100u) << "the workload must actually exercise grants";
+}
+
 TEST(KmsSharded, DifferentSeedsProduceDifferentKeyMaterial) {
-  const auto a = run_epoch_workload(2, 1, 1);
-  const auto b = run_epoch_workload(2, 1, 2);
+  const auto a = run_workload(2, 1, 1);
+  const auto b = run_workload(2, 1, 2);
   ASSERT_EQ(a.size(), b.size());
   bool any_difference = false;
   for (std::size_t c = 0; c < a.size(); ++c) {
@@ -263,7 +297,75 @@ TEST(KmsSharded, DifferentSeedsProduceDifferentKeyMaterial) {
   EXPECT_TRUE(any_difference);
 }
 
-/// Epoch mode against the REAL protocol engine: the mesh's LinkKeyService
+// ---- Failure paths ---------------------------------------------------------
+
+/// A grant callback that throws aborts the run — the exception leaves
+/// run_until — but leaves no settled round parked for the next barrier to
+/// plan and grant again. After running on, every request was delivered at
+/// most once, the granted counter equals the distinct requests granted,
+/// and every pair's mirrored pools still agree.
+TEST(KmsSharded, ThrowingGrantCallbackNeverGrantsTwice) {
+  constexpr std::size_t kPairs = 4;
+  constexpr std::size_t kThrowAtGrant = 20;
+  qkd::SimClock clock;
+  sim::EventScheduler scheduler(clock);
+  sim::ShardedScheduler sharded(scheduler, 2, nullptr);  // one lane
+  MeshSimulation mesh(hot_fan(kPairs), 7);
+  mesh.step(30.0);
+  KeyManagementService kms(mesh, sharded);
+
+  // One lane runs every stream and callback, so plain containers do.
+  std::vector<std::size_t> deliveries;  // by request serial
+  std::set<std::size_t> granted_requests;
+  std::set<std::pair<ClientId, std::uint64_t>> granted_keys;
+  std::size_t duplicate_keys = 0;
+  bool thrown = false;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    const auto src = static_cast<NodeId>(1 + 2 * p);
+    const auto dst = static_cast<NodeId>(2 + 2 * p);
+    for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
+      const ClientId id = kms.register_client(
+          {"c" + std::to_string(p) + "-" + std::to_string(qos), src, dst,
+           static_cast<QosClass>(qos)});
+      kms.stream_for_pair(src, dst).every(
+          (p + 1) * kMillisecond, 20 * kMillisecond, [&, id](qkd::SimTime) {
+            const std::size_t serial = deliveries.size();
+            deliveries.push_back(0);
+            kms.get_key(id, 256, [&, id, serial](const Grant& grant) {
+              ++deliveries[serial];
+              if (grant.status != GrantStatus::kGranted) return;
+              granted_requests.insert(serial);
+              if (!granted_keys.insert({id, grant.key_id}).second)
+                ++duplicate_keys;
+              if (!thrown && granted_keys.size() == kThrowAtGrant) {
+                thrown = true;
+                throw std::runtime_error("grant consumer failed");
+              }
+            });
+          });
+    }
+  }
+
+  EXPECT_THROW(sharded.run_until(kSecond), std::runtime_error);
+  ASSERT_TRUE(thrown);
+  sharded.run_until(2 * kSecond);
+
+  for (std::size_t serial = 0; serial < deliveries.size(); ++serial)
+    EXPECT_LE(deliveries[serial], 1u) << "request " << serial;
+  EXPECT_EQ(duplicate_keys, 0u);
+  std::uint64_t granted = 0;
+  for (unsigned qos = 0; qos < kQosClassCount; ++qos)
+    granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
+  EXPECT_EQ(granted, granted_requests.size());
+  EXPECT_EQ(granted, granted_keys.size());
+  EXPECT_GT(granted, 10 * kThrowAtGrant) << "the run must go on granting";
+  for (const auto& pair : kms.inspect_pairs()) {
+    EXPECT_EQ(pair.src_next_key_id, pair.dst_next_key_id);
+    EXPECT_EQ(pair.src_available_bits, pair.dst_available_bits);
+  }
+}
+
+/// Against the REAL protocol engine: the mesh's LinkKeyService
 /// distills on the same shared worker pool the shards run on, frames
 /// withdraw true hop pads at the barrier, and replenish wakeups cross from
 /// the supply layer into shard streams.
