@@ -172,6 +172,176 @@ TEST(WeakCoherentLink, FrameDurationFollowsTriggerRate) {
   EXPECT_DOUBLE_EQ(link.frame_duration_s(500000), 0.5);
 }
 
+// ---- Edge parameters: no division by zero, no endless loop ---------------
+
+/// Bits past size() in the last word are zero, as BitVector requires.
+bool tail_is_clean(const qkd::BitVector& bits) {
+  if (bits.size() % 64 == 0) return true;
+  return (bits.words().back() >> (bits.size() % 64)) == 0;
+}
+
+TEST(WeakCoherentLinkEdges, ZeroMeanPhotonNumberLeavesOnlyDarkCounts) {
+  LinkParams params;
+  params.mean_photon_number = 0.0;
+  params.dark_count_prob = 1e-3;
+  WeakCoherentLink link(params, 41);
+  const FrameResult frame = link.run_frame(100000);
+  for (std::uint8_t n : frame.alice.photon_counts) ASSERT_EQ(n, 0u);
+  EXPECT_EQ(link.stats().signal_clicks, 0u);
+  EXPECT_GT(link.stats().dark_only_clicks, 0u);
+}
+
+TEST(WeakCoherentLinkEdges, NoLightAndNoDarkCountsNeverClick) {
+  LinkParams params;
+  params.mean_photon_number = 0.0;
+  params.dark_count_prob = 0.0;
+  WeakCoherentLink link(params, 43);
+  const FrameResult frame = link.run_frame(100000);
+  EXPECT_EQ(frame.bob.detected.popcount(), 0u);
+  EXPECT_EQ(link.stats().double_clicks, 0u);
+}
+
+TEST(WeakCoherentLinkEdges, ZeroDarkCountProbabilityMeansNoDarkClicks) {
+  LinkParams params;
+  params.dark_count_prob = 0.0;
+  params.fiber_km = 0.0;
+  WeakCoherentLink link(params, 45);
+  link.run_frame(200000);
+  EXPECT_GT(link.stats().signal_clicks, 0u);
+  EXPECT_EQ(link.stats().dark_only_clicks, 0u);
+}
+
+TEST(WeakCoherentLinkEdges, EverySlotMisframedLosesEverySlot) {
+  LinkParams params;
+  params.misframe_prob = 1.0;
+  params.dark_count_prob = 0.5;
+  WeakCoherentLink link(params, 47);
+  const FrameResult frame = link.run_frame(50000);
+  EXPECT_EQ(link.stats().misframed_slots, 50000u);
+  EXPECT_EQ(frame.bob.detected.popcount(), 0u);
+  EXPECT_EQ(link.stats().double_clicks, 0u);
+  // Alice's transmitter does not depend on Bob's framing.
+  std::size_t emitted = 0;
+  for (std::uint8_t n : frame.alice.photon_counts) emitted += n;
+  EXPECT_GT(emitted, 0u);
+}
+
+TEST(WeakCoherentLinkEdges, CertainDarkCountsAndSaturatedSourceTerminate) {
+  // Every rate at 1: each gap is zero, no log(0), no infinite skip.
+  LinkParams params;
+  params.mean_photon_number = 50.0;  // 1 - e^-50 rounds to 1
+  params.dark_count_prob = 1.0;
+  params.afterpulse_prob = 1.0;
+  WeakCoherentLink link(params, 49);
+  const FrameResult frame = link.run_frame(5000);
+  double photons = 0.0;
+  for (std::uint8_t n : frame.alice.photon_counts) {
+    ASSERT_GT(n, 0u);
+    photons += n;
+  }
+  EXPECT_NEAR(photons / 5000.0, 50.0, 0.5);  // sd of the mean: 0.1
+  // A certain dark count fires at least one APD in every gate.
+  EXPECT_EQ(link.stats().detections + link.stats().double_clicks, 5000u);
+}
+
+TEST(WeakCoherentLinkEdges, ZeroVisibilityErasesTheKey) {
+  LinkParams params;
+  params.interferometer_visibility = 0.0;
+  params.fiber_km = 0.0;
+  WeakCoherentLink link(params, 51);
+  SiftCount total;
+  for (int i = 0; i < 4; ++i) {
+    const SiftCount c = reference_sift(link.run_frame(1 << 18));
+    total.sifted += c.sifted;
+    total.errors += c.errors;
+  }
+  ASSERT_GT(total.sifted, 2000u);
+  EXPECT_NEAR(total.qber(), 0.5, 0.06);  // > 5 sigma at ~3,900 sifted bits
+}
+
+TEST(WeakCoherentLinkEdges, FullVisibilityWithoutDarkCountsIsErrorFree) {
+  LinkParams params;
+  params.interferometer_visibility = 1.0;
+  params.dark_count_prob = 0.0;
+  params.fiber_km = 0.0;
+  WeakCoherentLink link(params, 53);
+  const SiftCount c = reference_sift(link.run_frame(1 << 18));
+  ASSERT_GT(c.sifted, 500u);
+  EXPECT_EQ(c.errors, 0u);
+}
+
+TEST(WeakCoherentLinkEdges, FrameSizesOffTheWordGridKeepCleanTails) {
+  LinkParams params;
+  params.fiber_km = 0.0;
+  params.dark_count_prob = 0.05;  // dense enough to reach the last word
+  WeakCoherentLink link(params, 55);
+  for (std::size_t n : {0u, 1u, 63u, 65u, 1000u, 4097u}) {
+    SCOPED_TRACE("slots=" + std::to_string(n));
+    const FrameResult frame = link.run_frame(n);
+    EXPECT_EQ(frame.alice.size(), n);
+    EXPECT_EQ(frame.alice.values.size(), n);
+    EXPECT_EQ(frame.alice.photon_counts.size(), n);
+    EXPECT_EQ(frame.bob.size(), n);
+    EXPECT_EQ(frame.bob.bases.size(), n);
+    EXPECT_EQ(frame.bob.bits.size(), n);
+    EXPECT_EQ(frame.eve.known.size(), n);
+    for (const qkd::BitVector* bits :
+         {&frame.alice.bases, &frame.alice.values, &frame.bob.detected,
+          &frame.bob.bases, &frame.bob.bits})
+      EXPECT_TRUE(tail_is_clean(*bits));
+    // Bob's value bit is only ever set on a detected slot.
+    for (std::size_t w = 0; w < frame.bob.bits.words().size(); ++w)
+      EXPECT_EQ(frame.bob.bits.words()[w] & ~frame.bob.detected.words()[w],
+                0u);
+  }
+  EXPECT_EQ(link.stats().pulses, 0u + 1 + 63 + 65 + 1000 + 4097);
+}
+
+TEST(WeakCoherentLinkEdges, AfterpulseChainsRunAcrossEmptySlotsAndFrames) {
+  // With certain afterpulsing, the first dark click re-fires its APD in
+  // every later gate — including gates with no other event and the first
+  // gate of the next frame.
+  LinkParams params;
+  params.mean_photon_number = 0.0;
+  params.dark_count_prob = 1e-4;
+  params.afterpulse_prob = 1.0;
+  WeakCoherentLink link(params, 57);
+  const FrameResult first = link.run_frame(200000);
+  std::size_t start = 0;
+  while (start < first.bob.size() && !first.bob.detected.get(start)) ++start;
+  // The first dark click is ~5,000 gates in; none by gate 100,000 has
+  // probability (1 - 2e-4)^1e5 ~ e^-20.
+  ASSERT_LT(start, 100000u);
+  const auto& stats = link.stats();
+  EXPECT_EQ(stats.detections + stats.double_clicks, 200000u - start);
+  link.run_frame(1000);
+  EXPECT_EQ(link.stats().detections + link.stats().double_clicks,
+            201000u - start);
+}
+
+TEST(WeakCoherentLinkEdges, MisframesCutAfterpulseChains) {
+  // A misframed gate clears any pending afterpulse. With certain
+  // afterpulsing a chain starts on a dark click (2e-3 per gate) and ends
+  // at a misframe (1e-2 per gate), so the stationary share of clicking
+  // gates is (0.99 * 2e-3) / (0.99 * 2e-3 + 1e-2) ~ 0.165. Chains average
+  // 100 gates, so 2^20 gates hold ~1,700 of them: relative sd ~5 %, and
+  // the [0.10, 0.25] window is > 7 sd wide on each side. Without the
+  // reset the share would approach 1.
+  LinkParams params;
+  params.mean_photon_number = 0.0;
+  params.dark_count_prob = 1e-3;
+  params.afterpulse_prob = 1.0;
+  params.misframe_prob = 1e-2;
+  WeakCoherentLink link(params, 59);
+  link.run_frame(1 << 20);
+  const auto& stats = link.stats();
+  const double clicking =
+      static_cast<double>(stats.detections + stats.double_clicks) /
+      static_cast<double>(1 << 20);
+  EXPECT_GT(clicking, 0.10);
+  EXPECT_LT(clicking, 0.25);
+}
+
 TEST(LinkModel, MaxRangeNearSeventyKm) {
   // Sec. 1: "distances up to about 70 km through fiber". The default
   // calibration must collapse (QBER > 11 %) in the 55-90 km window.

@@ -82,5 +82,60 @@ TEST(Rle, RejectsMalformedInput) {
   EXPECT_THROW(rle_decode(trailing), std::invalid_argument);
 }
 
+/// The run walk the encoder is defined by, one bit at a time.
+Bytes reference_rle_encode(const qkd::BitVector& bits) {
+  Bytes out;
+  put_varint(out, bits.size());
+  if (bits.empty()) return out;
+  bool current = false;
+  std::uint64_t run = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits.get(i) == current) {
+      ++run;
+    } else {
+      put_varint(out, run);
+      current = !current;
+      run = 1;
+    }
+  }
+  put_varint(out, run);
+  return out;
+}
+
+TEST(Rle, EncodingMatchesTheBitwiseRunWalk) {
+  QKD_SEEDED_RNG(rng, 4);
+  for (std::size_t n : {1u, 2u, 63u, 64u, 65u, 128u, 200u, 4097u, 70000u}) {
+    for (double density : {0.0, 0.003, 0.3, 0.5, 0.9, 1.0}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " density=" + std::to_string(density));
+      qkd::BitVector bits(n);
+      for (std::size_t i = 0; i < n; ++i)
+        if (rng.next_bool(density)) bits.set(i, true);
+      const Bytes encoded = rle_encode(bits);
+      EXPECT_EQ(encoded, reference_rle_encode(bits));
+      EXPECT_EQ(rle_decode(encoded), bits);
+    }
+  }
+  // Runs that end exactly on, and just past, word boundaries.
+  for (const char* pattern :
+       {"1", "0", "10", "01", "110", "001"}) {
+    for (std::size_t shift : {62u, 63u, 64u, 65u, 127u, 128u}) {
+      qkd::BitVector bits(shift);
+      for (std::size_t i = 0; i < shift; ++i) bits.set(i, i % 2 == 0);
+      bits.append(qkd::BitVector::from_string(pattern));
+      EXPECT_EQ(rle_encode(bits), reference_rle_encode(bits)) << shift;
+      EXPECT_EQ(rle_decode(rle_encode(bits)), bits) << shift;
+    }
+  }
+}
+
+TEST(Rle, DecodesZeroLengthRunsAnywhere) {
+  // The decoder accepts empty runs mid-stream (the encoder only emits a
+  // leading one): "0-run 2, 1-run 0, 0-run 1, 1-run 3" is 000111.
+  Bytes encoded;
+  for (std::uint64_t v : {6u, 2u, 0u, 1u, 3u}) put_varint(encoded, v);
+  EXPECT_EQ(rle_decode(encoded), qkd::BitVector::from_string("000111"));
+}
+
 }  // namespace
 }  // namespace qkd::proto
