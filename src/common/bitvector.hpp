@@ -6,6 +6,7 @@
 // words; bit i lives in word i/64 at position i%64.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -81,6 +82,15 @@ class BitVector {
 
   /// '0'/'1' rendering, bit 0 first.
   std::string to_string() const;
+
+  /// Calls `visit(i)` for every set bit i, in increasing order, a word at a
+  /// time: sparse bitmaps cost one step per word plus one per set bit.
+  template <typename Visit>
+  void for_each_set_bit(Visit&& visit) const {
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
 
   /// Direct word access for bulk algorithms (e.g. GF(2^n) multiplication).
   std::span<const std::uint64_t> words() const { return words_; }

@@ -1,6 +1,5 @@
 #include "src/common/rng.hpp"
 
-#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -22,23 +21,6 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = std::rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::next_double() {
-  // 53 random mantissa bits.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   if (bound == 0) throw std::invalid_argument("Rng::next_below: bound == 0");
   // Lemire's nearly-divisionless method with rejection for exact uniformity.
@@ -54,12 +36,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 unsigned Rng::next_poisson(double mu) {

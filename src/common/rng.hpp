@@ -10,6 +10,7 @@
 // per-pulse Monte-Carlo loops (millions of draws per simulated second).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -29,7 +30,18 @@ class Rng {
   /// Derives an independent child generator (for per-component seeding).
   Rng fork();
 
-  std::uint64_t next_u64();
+  // The per-draw primitives are inline: event loops call them per photon.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
   std::uint32_t next_u32() { return static_cast<std::uint32_t>(next_u64() >> 32); }
 
   /// UniformRandomBitGenerator interface (usable with <random> distributions).
@@ -37,14 +49,20 @@ class Rng {
   static constexpr result_type max() { return std::numeric_limits<result_type>::max(); }
   result_type operator()() { return next_u64(); }
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool next_bool(double p = 0.5);
+  bool next_bool(double p = 0.5) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Poisson-distributed count with mean `mu` (exact inversion for small mu,
   /// PTRS rejection for large mu). QKD sources use mu ~ 0.1.

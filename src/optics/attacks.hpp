@@ -32,8 +32,10 @@ class Attack {
  public:
   virtual ~Attack() = default;
 
-  /// Called once per slot. `slot` indexes the frame; `eve` collects ground
-  /// truth. Implementations may mutate the pulse arbitrarily.
+  /// Called once per photon-bearing slot (a pulse with no photons has
+  /// nothing to tap, so attacks never see one). `slot` indexes the frame;
+  /// `eve` collects ground truth. Implementations may mutate the pulse
+  /// arbitrarily.
   virtual void apply(std::size_t slot, InFlightPulse& pulse, EveRecord& eve,
                      qkd::Rng& rng) = 0;
 

@@ -1,11 +1,80 @@
 #include "src/optics/link.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "src/optics/interference.hpp"
 
 namespace qkd::optics {
+namespace {
+
+constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+/// The slots of a Bernoulli(p) process, visited by geometric gaps instead
+/// of one draw per slot.
+class EventStream {
+ public:
+  explicit EventStream(double p)
+      : p_(p),
+        inv_log_miss_(p > 0.0 && p < 1.0 ? 1.0 / std::log1p(-p) : 0.0) {}
+
+  /// The first event slot in [from, limit), or kNever if there is none.
+  /// p = 0 and p = 1 draw nothing.
+  std::size_t next(qkd::Rng& rng, std::size_t from, std::size_t limit) const {
+    if (p_ <= 0.0 || from >= limit) return kNever;
+    if (p_ >= 1.0) return from;
+    // Misses before the first hit: floor(ln U / ln(1 - p)), U in (0, 1].
+    const double gap =
+        std::floor(std::log(1.0 - rng.next_double()) * inv_log_miss_);
+    // Compared as doubles: a huge (even infinite) gap never reaches a cast.
+    if (!(gap < static_cast<double>(limit - from))) return kNever;
+    return from + static_cast<std::size_t>(gap);
+  }
+
+ private:
+  double p_;
+  double inv_log_miss_;  // 1 / ln(1 - p)
+};
+
+/// Photon number of a pulse known to carry at least one photon:
+/// N ~ Poisson(mu) conditioned on N >= 1, by inversion for the weak pulses
+/// QKD uses, by rejection where N = 0 is negligible.
+class ZeroTruncatedPoisson {
+ public:
+  explicit ZeroTruncatedPoisson(double mu)
+      : mu_(mu), p_emit_(-std::expm1(-mu)), p_one_(mu * std::exp(-mu)) {}
+
+  /// P(N >= 1): the rate of photon-bearing slots.
+  double p_emit() const { return p_emit_; }
+
+  unsigned operator()(qkd::Rng& rng) const {
+    if (mu_ >= 30.0) {
+      unsigned n;
+      do n = rng.next_poisson(mu_);
+      while (n == 0);
+      return n;
+    }
+    // Walk P(N = k) from k = 1 until it covers u * P(N >= 1).
+    double u = rng.next_double() * p_emit_;
+    double pmf = p_one_;
+    unsigned n = 1;
+    while (u >= pmf && pmf > 0.0) {
+      u -= pmf;
+      ++n;
+      pmf *= mu_ / n;
+    }
+    return n;
+  }
+
+ private:
+  double mu_;
+  double p_emit_;
+  double p_one_;
+};
+
+}  // namespace
 
 double LinkParams::transmittance() const {
   const double total_db = attenuation_db_per_km * fiber_km + insertion_loss_db;
@@ -25,84 +94,101 @@ WeakCoherentLink::WeakCoherentLink(LinkParams params, std::uint64_t seed)
 
 FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
   FrameResult frame;
-  frame.alice.bases.resize(n_slots);
-  frame.alice.values.resize(n_slots);
-  frame.alice.photon_counts.resize(n_slots);
+  // --- Modulator settings: one RNG word covers 64 slots.
+  frame.alice.bases = rng_.next_bits(n_slots);
+  frame.alice.values = rng_.next_bits(n_slots);
+  frame.bob.bases = rng_.next_bits(n_slots);
+  frame.alice.photon_counts.assign(n_slots, 0);
   frame.bob.detected.resize(n_slots);
-  frame.bob.bases.resize(n_slots);
   frame.bob.bits.resize(n_slots);
   frame.eve.resize(n_slots);
+  stats_.pulses += n_slots;
 
+  const ZeroTruncatedPoisson photon_number(params_.mean_photon_number);
   const double transmittance = params_.transmittance();
-  const double capture = params_.central_peak_fraction * params_.detector_efficiency;
+  const double capture =
+      params_.central_peak_fraction * params_.detector_efficiency;
   const double dark = params_.dark_count_prob;
+  const double afterpulse = params_.afterpulse_prob;
+  // A gate with no signal fires at most one APD on a dark count.
+  const double p_dark_gate = std::min(1.0, 2.0 * dark);
+  const EventStream emissions(photon_number.p_emit());
+  const EventStream dark_gates(p_dark_gate);
+  const EventStream misframes(params_.misframe_prob);
 
-  for (std::size_t slot = 0; slot < n_slots; ++slot) {
-    ++stats_.pulses;
+  std::size_t next_emission = emissions.next(rng_, 0, n_slots);
+  std::size_t next_dark = dark_gates.next(rng_, 0, n_slots);
+  std::size_t next_misframe = misframes.next(rng_, 0, n_slots);
+  // While an afterpulse is pending, the following gate is an event too.
+  std::size_t next_afterpulse =
+      afterpulse_pending_[0] || afterpulse_pending_[1] ? 0 : kNever;
 
-    // --- Transmitter suite: random (basis, value), Poisson photon number.
-    const bool alice_basis_bit = rng_.next_bool();
-    const bool alice_value = rng_.next_bool();
-    const unsigned emitted = rng_.next_poisson(params_.mean_photon_number);
-    frame.alice.bases.set(slot, alice_basis_bit);
-    frame.alice.values.set(slot, alice_value);
-    frame.alice.photon_counts[slot] =
-        static_cast<std::uint8_t>(emitted > 255 ? 255 : emitted);
+  for (;;) {
+    const std::size_t slot =
+        std::min({next_emission, next_dark, next_misframe, next_afterpulse});
+    if (slot >= n_slots) break;
 
-    InFlightPulse pulse{basis_from_bit(alice_basis_bit), alice_value, emitted,
+    // --- Transmitter: the slot's pulse, empty unless the emission stream
+    // is here; Eve taps only photon-bearing pulses.
+    InFlightPulse pulse{basis_from_bit(frame.alice.bases.get(slot)),
+                        frame.alice.values.get(slot), 0,
                         /*lossless_delivery=*/false};
-    if (attack != nullptr) attack->apply(slot, pulse, frame.eve, rng_);
-
-    // --- Receiver: Bob modulates his interferometer every gate.
-    const bool bob_basis_bit = rng_.next_bool();
-    frame.bob.bases.set(slot, bob_basis_bit);
-
-    // Bright-pulse framing failure: the gate never opens for this slot.
-    if (params_.misframe_prob > 0.0 && rng_.next_bool(params_.misframe_prob)) {
-      ++stats_.misframed_slots;
-      afterpulse_pending_[0] = afterpulse_pending_[1] = false;
-      continue;
+    const bool emitted = slot == next_emission;
+    if (emitted) {
+      pulse.photons = photon_number(rng_);
+      frame.alice.photon_counts[slot] =
+          static_cast<std::uint8_t>(std::min(pulse.photons, 255u));
+      if (attack != nullptr) attack->apply(slot, pulse, frame.eve, rng_);
     }
-
-    // --- Fiber + receiver optics, photon by photon.
-    const double survive = pulse.lossless_delivery ? 1.0 : transmittance;
-    const unsigned alice_q =
-        alice_phase_quarter(pulse.basis, pulse.value);
-    const unsigned bob_q =
-        bob_phase_quarter(basis_from_bit(bob_basis_bit));
-    const double p_d1 =
-        p_route_to_d1(alice_q, bob_q, params_.interferometer_visibility);
 
     bool click[2] = {false, false};
     bool any_signal = false;
-    for (unsigned photon = 0; photon < pulse.photons; ++photon) {
-      if (!rng_.next_bool(survive * capture)) continue;
-      const bool to_d1 = rng_.next_bool(p_d1);
-      click[to_d1 ? 1 : 0] = true;
-      any_signal = true;
-    }
-
-    // --- Dark counts: one uniform draw covers the common no-signal case.
-    if (!click[0] && !click[1]) {
-      const double u = rng_.next_double();
-      if (u < dark)
-        click[0] = true;
-      else if (u < 2 * dark)
-        click[1] = true;
+    if (slot == next_misframe) {
+      // Bright-pulse framing failure: the gate never opens for this slot.
+      ++stats_.misframed_slots;
     } else {
-      if (rng_.next_bool(dark)) click[0] = true;
-      if (rng_.next_bool(dark)) click[1] = true;
-    }
-
-    // --- Afterpulsing from the previous gate.
-    if (params_.afterpulse_prob > 0.0) {
-      for (int d = 0; d < 2; ++d) {
-        if (afterpulse_pending_[d] && rng_.next_bool(params_.afterpulse_prob))
-          click[d] = true;
+      // --- Fiber + receiver optics: each photon survives loss and the
+      // detector independently; the survivors route by interference.
+      const double survive =
+          (pulse.lossless_delivery ? 1.0 : transmittance) * capture;
+      unsigned detected_photons = 0;
+      for (unsigned photon = 0; photon < pulse.photons; ++photon)
+        detected_photons += rng_.next_bool(survive);
+      if (detected_photons > 0) {
+        const double p_d1 = p_route_to_d1(
+            alice_phase_quarter(pulse.basis, pulse.value),
+            bob_phase_quarter(basis_from_bit(frame.bob.bases.get(slot))),
+            params_.interferometer_visibility);
+        for (unsigned photon = 0; photon < detected_photons; ++photon)
+          click[rng_.next_bool(p_d1) ? 1 : 0] = true;
+        any_signal = true;
       }
+
+      // --- Dark counts: the gate stream covers every gate without signal;
+      // a gate with signal draws each APD independently.
+      if (!any_signal) {
+        if (slot == next_dark)
+          click[rng_.next_bool(dark / p_dark_gate) ? 0 : 1] = true;
+      } else {
+        if (rng_.next_bool(dark)) click[0] = true;
+        if (rng_.next_bool(dark)) click[1] = true;
+      }
+
+      // --- Afterpulsing from the previous gate.
+      for (int d = 0; d < 2; ++d)
+        if (afterpulse_pending_[d] && rng_.next_bool(afterpulse))
+          click[d] = true;
     }
-    afterpulse_pending_[0] = click[0];
-    afterpulse_pending_[1] = click[1];
+    // A misframe or a quiet gate clears the pending afterpulses.
+    afterpulse_pending_[0] = afterpulse > 0.0 && click[0];
+    afterpulse_pending_[1] = afterpulse > 0.0 && click[1];
+    next_afterpulse =
+        afterpulse_pending_[0] || afterpulse_pending_[1] ? slot + 1 : kNever;
+
+    if (emitted) next_emission = emissions.next(rng_, slot + 1, n_slots);
+    if (slot == next_dark) next_dark = dark_gates.next(rng_, slot + 1, n_slots);
+    if (slot == next_misframe)
+      next_misframe = misframes.next(rng_, slot + 1, n_slots);
 
     // --- Click resolution: exactly one APD firing yields a usable bit.
     if (click[0] && click[1]) {

@@ -6,8 +6,12 @@
 // gated APD detection with dark counts and optional afterpulsing, and the
 // 1300 nm bright-pulse framing. An optional Attack taps the channel.
 //
-// The simulation is slot-synchronous: each trigger from the OPC produces one
-// slot; the frame is the unit handed to the QKD protocol stack ("Qframes").
+// Each trigger from the OPC produces one slot; the frame is the unit handed
+// to the QKD protocol stack ("Qframes"). The generator is driven by the
+// events that happen: the modulator settings are filled one RNG word per 64
+// slots, and the loop visits only the slots where a photon is emitted, a
+// dark count fires in an otherwise quiet gate, the framing misses, or an
+// afterpulse is pending (DESIGN.md, "The Qframe generator").
 #pragma once
 
 #include <cstdint>
@@ -33,8 +37,8 @@ class WeakCoherentLink {
   WeakCoherentLink(LinkParams params, std::uint64_t seed);
 
   /// Simulates `n_slots` consecutive trigger slots. If `attack` is non-null
-  /// it is applied to every pulse and resolved against the (eventually
-  /// public) basis string.
+  /// it is applied to every photon-bearing pulse (attacks are no-ops on
+  /// empty ones) and resolved against the (eventually public) basis string.
   FrameResult run_frame(std::size_t n_slots, Attack* attack = nullptr);
 
   const LinkParams& params() const { return params_; }

@@ -104,12 +104,29 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
   BatchResult result;
   ++totals_.batches;
 
+  // The batch span roots its own trace (one per Qframe); the frame and each
+  // stage are children. A null/disabled tracer costs one branch per batch
+  // plus one per stage — the span construction is skipped entirely.
+  obs::ScopedSpan batch_span(tracer_, "qkd.batch", {}, trace_cell_);
+
   // ---- Physical layer: one Qframe of raw symbols. -------------------------
+  std::optional<obs::ScopedSpan> frame_span;
+  if (batch_span.recording())
+    frame_span.emplace(tracer_, "qkd.frame", batch_span.context(),
+                       trace_cell_);
+  const auto frame_start = std::chrono::steady_clock::now();
   const auto frame = link_.run_frame(config_.frame_slots, attack);
+  result.frame_wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - frame_start)
+                            .count();
   result.pulses = config_.frame_slots;
   result.detections = frame.bob.detected.popcount();
   result.duration_s = link_.frame_duration_s(config_.frame_slots);
   totals_.pulses += result.pulses;
+  if (frame_span.has_value()) {
+    frame_span->attr("detections", std::to_string(result.detections));
+    frame_span->finish();
+  }
 
   // ---- Protocol stack: the stage pipeline over one shared context. --------
   BatchContext ctx{.config = config_,
@@ -128,10 +145,6 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
                    .result = result};
   AbortReason reason = AbortReason::kNone;
   result.stages.reserve(pipeline_.size());
-  // The batch span roots its own trace (one per Qframe); each stage is a
-  // child. A null/disabled tracer costs one branch per batch plus one per
-  // stage — the span construction is skipped entirely.
-  obs::ScopedSpan batch_span(tracer_, "qkd.batch", {}, trace_cell_);
   for (std::size_t s = 0; s < pipeline_.size(); ++s) {
     const auto& stage = pipeline_[s];
     const std::size_t messages_before = result.control_messages;

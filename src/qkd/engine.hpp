@@ -177,6 +177,9 @@ struct BatchResult {
   AbortReason reason = AbortReason::kNone;
   qkd::BitVector key;                // the distilled block (both sides equal)
   double duration_s = 0.0;           // wall-clock at the configured trigger rate
+  // Host wall-clock spent generating the Qframe (the physical layer), which
+  // runs before the first stage.
+  double frame_wall_s = 0.0;
   // Per-stage decomposition, in execution order; an aborted batch records
   // only the stages that ran (the last entry is the one that aborted).
   std::vector<StageStats> stages;
@@ -274,8 +277,9 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   const qkd::net::PublicChannel& channel() const { return channel_; }
 
   /// Installs (or, with nullptr, removes) a tracer: every run_batch then
-  /// records a "qkd.batch" span with one "qkd.<stage>" child per pipeline
-  /// stage, into `cell` (the session's lane in a LinkKeyService pool).
+  /// records a "qkd.batch" span with a "qkd.frame" child for the physical
+  /// layer and one "qkd.<stage>" child per pipeline stage, into `cell` (the
+  /// session's lane in a LinkKeyService pool).
   void set_tracer(obs::Tracer* tracer, std::size_t cell = 0) {
     tracer_ = tracer;
     trace_cell_ = cell;

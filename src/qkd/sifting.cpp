@@ -77,9 +77,8 @@ SiftMessage make_sift_message(std::uint64_t frame_id,
   SiftMessage msg;
   msg.frame_id = frame_id;
   msg.detected = bob.detected;
-  for (std::size_t i = 0; i < bob.size(); ++i) {
-    if (bob.detected.get(i)) msg.bob_bases.push_back(bob.bases.get(i));
-  }
+  bob.detected.for_each_set_bit(
+      [&](std::size_t slot) { msg.bob_bases.push_back(bob.bases.get(slot)); });
   return msg;
 }
 
@@ -90,17 +89,15 @@ AliceSiftResult alice_sift(const qkd::optics::PulseTrainRecord& alice,
   AliceSiftResult result;
   result.response.frame_id = msg.frame_id;
   std::size_t det_index = 0;
-  for (std::size_t slot = 0; slot < alice.size(); ++slot) {
-    if (!msg.detected.get(slot)) continue;
+  msg.detected.for_each_set_bit([&](std::size_t slot) {
     const bool match =
-        msg.bob_bases.get(det_index) == alice.bases.get(slot);
+        msg.bob_bases.get(det_index++) == alice.bases.get(slot);
     result.response.keep.push_back(match);
     if (match) {
       result.outcome.bits.push_back(alice.values.get(slot));
       result.outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
     }
-    ++det_index;
-  }
+  });
   return result;
 }
 
@@ -113,14 +110,11 @@ SiftOutcome bob_apply_response(const qkd::optics::DetectionRecord& bob,
     throw std::invalid_argument("bob_apply_response: frame id mismatch");
   SiftOutcome outcome;
   std::size_t det_index = 0;
-  for (std::size_t slot = 0; slot < bob.size(); ++slot) {
-    if (!bob.detected.get(slot)) continue;
-    if (response.keep.get(det_index)) {
-      outcome.bits.push_back(bob.bits.get(slot));
-      outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
-    }
-    ++det_index;
-  }
+  bob.detected.for_each_set_bit([&](std::size_t slot) {
+    if (!response.keep.get(det_index++)) return;
+    outcome.bits.push_back(bob.bits.get(slot));
+    outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
+  });
   return outcome;
 }
 

@@ -53,14 +53,13 @@ qkd::BitVector get_bits_dense(ByteReader& reader) {
 void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
   put_varint(out, bits.size());
   put_varint(out, bits.popcount());
-  std::uint64_t previous = 0;
-  bool first = true;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (!bits.get(i)) continue;
-    put_varint(out, first ? i : i - previous - 1);
-    previous = i;
-    first = false;
-  }
+  // Each position is sent as its gap past the previous one (+1), so the
+  // first goes out absolute.
+  std::size_t next_free = 0;
+  bits.for_each_set_bit([&](std::size_t i) {
+    put_varint(out, i - next_free);
+    next_free = i + 1;
+  });
 }
 
 qkd::BitVector get_bits_sparse(ByteReader& reader) {

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <bit>
 #include <cmath>
 
 #include "src/optics/attacks.hpp"
@@ -60,12 +59,8 @@ struct SiftTally {
   std::size_t clean_errors = 0;  // errors on slots Eve left alone
 
   void add(const FrameResult& frame) {
-    const auto detected = frame.bob.detected.words();
-    for (std::size_t w = 0; w < detected.size(); ++w) {
-      for (std::uint64_t bits = detected[w]; bits != 0; bits &= bits - 1)
-        add_slot(frame, w * 64 + static_cast<std::size_t>(
-                                     std::countr_zero(bits)));
-    }
+    frame.bob.detected.for_each_set_bit(
+        [&](std::size_t i) { add_slot(frame, i); });
   }
 
   void add_slot(const FrameResult& frame, std::size_t i) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 namespace qkd::proto {
@@ -50,6 +51,58 @@ TEST(Pipeline, StageStatsCoverTheWholeBatch) {
   EXPECT_GT(batch.stages[0].control_messages, 0u);  // sifting: 2 messages
   EXPECT_GT(batch.stages[2].control_bytes, 0u);     // EC parity traffic
   EXPECT_EQ(batch.stages[4].control_bytes, 0u);     // entropy: local math only
+}
+
+TEST(Pipeline, FrameTimeIsRecordedBesideTheStages) {
+  // The physical layer runs before the first stage; its wall time is the
+  // batch's frame_wall_s, not part of any stage.
+  QkdLinkSession session(fast_config(), 2);
+  const BatchResult batch = session.run_batch();
+  EXPECT_GT(batch.frame_wall_s, 0.0);
+  EXPECT_EQ(batch.stages.front().name, "sifting");
+}
+
+TEST(Pipeline, TracedBatchHasAFrameSpanBeforeItsStages) {
+  obs::Tracer tracer;
+  tracer.set_enabled(true);
+  QkdLinkSession session(fast_config(), 2);
+  session.set_tracer(&tracer);
+  const BatchResult batch = session.run_batch();
+  ASSERT_TRUE(batch.accepted) << abort_reason_name(batch.reason);
+
+  const std::vector<obs::Span> spans = tracer.spans();
+  const obs::Span* root = nullptr;
+  const obs::Span* frame = nullptr;
+  for (const obs::Span& span : spans) {
+    if (span.name == "qkd.batch") root = &span;
+    if (span.name == "qkd.frame") frame = &span;
+  }
+  ASSERT_NE(root, nullptr);
+  ASSERT_NE(frame, nullptr);
+  EXPECT_EQ(frame->parent_span, root->span_id);
+  EXPECT_GE(frame->wall_start_ns, root->wall_start_ns);
+  // One frame span plus one span per stage, all children of the batch, the
+  // frame first.
+  std::size_t children = 0;
+  for (const obs::Span& span : spans) {
+    if (span.parent_span != root->span_id) continue;
+    ++children;
+    if (&span != frame) {
+      EXPECT_GE(span.wall_start_ns, frame->wall_end_ns);
+    }
+  }
+  EXPECT_EQ(children, 1 + batch.stages.size());
+  const auto detections = std::find_if(
+      frame->attributes.begin(), frame->attributes.end(),
+      [](const auto& kv) { return kv.first == "detections"; });
+  ASSERT_NE(detections, frame->attributes.end());
+  EXPECT_EQ(detections->second, std::to_string(batch.detections));
+
+  // Untraced, the same session records nothing.
+  session.set_tracer(nullptr);
+  tracer.clear();
+  session.run_batch();
+  EXPECT_TRUE(tracer.spans().empty());
 }
 
 TEST(Pipeline, AbortRecordsOnlyExecutedStages) {
