@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "src/network/key_service.hpp"
 #include "src/qkd/engine.hpp"
@@ -27,10 +28,15 @@ TEST(DistillFraction, AgreesWithEngineBackedServiceAtTwoOperatingPoints) {
   // pa_margin_bits) that push the engine below it — increasingly so at
   // 20 km where batches are smaller — and it does not model auth
   // replenishment at all, so the engine runs with replenishment off here.
-  // Over four batches one aborted batch costs a quarter of the rate, so at
-  // 20 km about one seed in six lands under the 0.4 floor; the seed pins
-  // one that does not.
-  for (const double fiber_km : {10.0, 20.0}) {
+  // Over seeds 1-1,000 one batch distills 0.64x (sd 0.15x) of the
+  // analytic rate at 10 km and 0.52x (sd 0.20x) at 20 km, where an aborted
+  // batch distills nothing. Averaging over 16 batches at 10 km and 96 at
+  // 20 km puts the 0.4 floor 6.6 and 5.7 sigma of the mean below those
+  // means: a false-failure rate < 1e-8 under the normal approximation. The
+  // 2.0 ceiling is further still. Without replenishment a service's pads
+  // last ~32 batches, so the 96 run as six independent 16-batch services.
+  for (const auto& [fiber_km, services] :
+       {std::pair{10.0, 1}, std::pair{20.0, 6}}) {
     qkd::optics::LinkParams params;
     params.fiber_km = fiber_km;
     const qkd::optics::LinkModel model(params);
@@ -42,14 +48,16 @@ TEST(DistillFraction, AgreesWithEngineBackedServiceAtTwoOperatingPoints) {
     const NodeId a = topo.add_node("a", NodeKind::kEndpoint);
     const NodeId b = topo.add_node("b", NodeKind::kEndpoint);
     topo.add_link(a, b, params);
-    LinkKeyService::Config config;
-    config.proto.frame_slots = 1 << 20;
-    config.proto.auth_replenish_bits = 0;
-    config.seed = 44;
-    LinkKeyService service(topo, config);
-    service.run_batches(4);
-    const double engine_bps =
-        service.session(0).totals().distilled_rate_bps();
+    double engine_bps = 0.0;
+    for (int k = 0; k < services; ++k) {
+      LinkKeyService::Config config;
+      config.proto.frame_slots = 1 << 20;
+      config.proto.auth_replenish_bits = 0;
+      config.seed = 44 + static_cast<std::uint64_t>(k);
+      LinkKeyService service(topo, config);
+      service.run_batches(16);
+      engine_bps += service.session(0).totals().distilled_rate_bps() / services;
+    }
 
     EXPECT_GT(engine_bps, 0.4 * analytic_bps) << fiber_km << " km";
     EXPECT_LT(engine_bps, 2.0 * analytic_bps) << fiber_km << " km";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/optics/link_model.hpp"
 
 namespace qkd::optics {
@@ -117,15 +119,24 @@ TEST(WeakCoherentLink, BasisChoicesAreBalanced) {
 }
 
 TEST(WeakCoherentLink, DarkCountsDominateAtExtremeRange) {
+  // Far beyond the ~70 km limit a click is a dark count ~81 % of the time:
+  // a slot clicks dark-only with probability e^-lambda * 2 * dark (at most
+  // one APD fires in a gate with no signal), out of p_single_click. Over
+  // 2^24 slots (~420 clicks, sd of the share ~0.019) the observed share
+  // must meet that law within 5 sigma: false-failure rate ~5.7e-7.
   LinkParams params;
-  params.fiber_km = 150.0;  // far beyond the ~70 km limit
+  params.fiber_km = 150.0;
+  const LinkModel model(params);
+  const double dark_share = std::exp(-model.detected_mean()) * 2.0 *
+                            params.dark_count_prob / model.p_single_click();
+  ASSERT_GT(dark_share, 0.8);
   WeakCoherentLink link(params, 13);
-  link.run_frame(2000000);
+  for (int f = 0; f < 16; ++f) link.run_frame(1 << 20);
   const auto& stats = link.stats();
   ASSERT_GT(stats.detections, 0u);
-  EXPECT_GT(static_cast<double>(stats.dark_only_clicks) /
-                static_cast<double>(stats.detections),
-            0.8);
+  const double n = static_cast<double>(stats.detections);
+  EXPECT_NEAR(static_cast<double>(stats.dark_only_clicks) / n, dark_share,
+              5.0 * std::sqrt(dark_share * (1.0 - dark_share) / n));
 }
 
 TEST(WeakCoherentLink, MisframingLosesSlots) {

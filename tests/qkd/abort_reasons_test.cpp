@@ -46,16 +46,23 @@ TEST(AbortReasons, QberTooHighUnderInterceptResend) {
 
 TEST(AbortReasons, EntropyExhaustedOnHighLossLink) {
   // 50 km of fiber: the handful of surviving sifted bits cannot out-distill
-  // the deductions (defense + multi-photon + confidence margin). About half
-  // of such batches end here; most others fail verify first, when Cascade
-  // leaves a residual error in ~250 bits. The seed picks one of the former.
+  // the deductions (defense + multi-photon + confidence margin). About
+  // 53 % of such batches end here (532 of 1,000 over seeds 1-250); most
+  // others fail verify first, when Cascade leaves a residual error in ~250
+  // bits. Asserted as a law over 48 batches: at least 6 exhaust entropy,
+  // and the histogram and the legacy counter both count each of them. With
+  // p = 0.53, P(X <= 5) ~ 6e-10 is the false-failure rate.
   QkdLinkConfig config = base_config();
   config.link.fiber_km = 50.0;
   QkdLinkSession session(config, 6);
-  const BatchResult batch = session.run_batch();
-  EXPECT_EQ(batch.reason, AbortReason::kEntropyExhausted);
-  EXPECT_EQ(session.totals().aborted(AbortReason::kEntropyExhausted), 1u);
-  EXPECT_EQ(session.totals().aborted_entropy(), 1u);
+  std::size_t exhausted = 0;
+  for (int i = 0; i < 48; ++i)
+    exhausted +=
+        session.run_batch().reason == AbortReason::kEntropyExhausted;
+  EXPECT_GE(exhausted, 6u);
+  EXPECT_EQ(session.totals().aborted(AbortReason::kEntropyExhausted),
+            exhausted);
+  EXPECT_EQ(session.totals().aborted_entropy(), exhausted);
 }
 
 TEST(AbortReasons, NoSiftedBitsOnDeadQuietCutChannel) {

@@ -158,15 +158,20 @@ TEST(QkdLinkSession, BbnVariantExhaustsEntropyAtHighQber) {
   // The reproduction's headline negative result: the paper's own
   // error-correction variant at the paper's own 6-8 % QBER operating point
   // discloses about as much as the batch holds. At 2^20 slots (~1,500
-  // sifted bits) about half of the batches exhaust the entropy estimate
-  // outright and the rest squeeze out a small key; the seed pins one of
-  // the former.
+  // sifted bits) about 46 % of batches exhaust the entropy estimate
+  // outright (461 of 1,000 over seeds 1-250) and the rest squeeze out a
+  // small key. Asserted as a law over 48 batches: at least 6 exhaust. With
+  // p = 0.46, P(X <= 5) ~ 1.3e-7 is the false-failure rate.
   QkdLinkConfig config = fast_config();
   config.ec_strategy = EcStrategy::kBbnCascade;
   QkdLinkSession session(config, 18);
-  const BatchResult batch = session.run_batch();
-  EXPECT_FALSE(batch.accepted);
-  EXPECT_EQ(batch.reason, AbortReason::kEntropyExhausted);
+  std::size_t exhausted = 0;
+  for (int i = 0; i < 48; ++i)
+    exhausted +=
+        session.run_batch().reason == AbortReason::kEntropyExhausted;
+  EXPECT_GE(exhausted, 6u);
+  EXPECT_EQ(session.totals().aborted(AbortReason::kEntropyExhausted),
+            exhausted);
 }
 
 TEST(QkdLinkSession, NaiveParityResidualsAreCaughtByVerify) {
