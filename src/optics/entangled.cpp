@@ -22,7 +22,6 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
   FrameResult frame;
   frame.alice.bases.resize(n_slots);
   frame.alice.values.resize(n_slots);
-  frame.alice.photon_counts.resize(n_slots);
   frame.bob.detected.resize(n_slots);
   frame.bob.bases.resize(n_slots);
   frame.bob.bits.resize(n_slots);
@@ -42,8 +41,6 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
     const bool double_pair =
         pair && rng_.next_bool(params_.double_pair_probability /
                                params_.pair_probability);
-    frame.alice.photon_counts[slot] =
-        static_cast<std::uint8_t>(pair ? (double_pair ? 2 : 1) : 0);
     if (double_pair) {
       ++stats_.double_pairs;
       // Eve can split off the spare pair without disturbing the first: the

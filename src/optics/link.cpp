@@ -98,16 +98,20 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
   frame.alice.bases = rng_.next_bits(n_slots);
   frame.alice.values = rng_.next_bits(n_slots);
   frame.bob.bases = rng_.next_bits(n_slots);
-  frame.alice.photon_counts.assign(n_slots, 0);
   frame.bob.detected.resize(n_slots);
   frame.bob.bits.resize(n_slots);
   frame.eve.resize(n_slots);
   stats_.pulses += n_slots;
 
-  const ZeroTruncatedPoisson photon_number(params_.mean_photon_number);
-  const double transmittance = params_.transmittance();
   const double capture =
       params_.central_peak_fraction * params_.detector_efficiency;
+  const double reach = params_.transmittance() * capture;
+  // With no attack, Poisson thinning is exact: emit only the photons that
+  // reach an APD, Poisson(mu * reach) per slot. An attack must see every
+  // pulse as emitted, so it keeps mu and per-photon survival.
+  const bool tapped = attack != nullptr;
+  const ZeroTruncatedPoisson photon_number(params_.mean_photon_number *
+                                           (tapped ? 1.0 : reach));
   const double dark = params_.dark_count_prob;
   const double afterpulse = params_.afterpulse_prob;
   // A gate with no signal fires at most one APD on a dark count.
@@ -136,9 +140,7 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
     const bool emitted = slot == next_emission;
     if (emitted) {
       pulse.photons = photon_number(rng_);
-      frame.alice.photon_counts[slot] =
-          static_cast<std::uint8_t>(std::min(pulse.photons, 255u));
-      if (attack != nullptr) attack->apply(slot, pulse, frame.eve, rng_);
+      if (tapped) attack->apply(slot, pulse, frame.eve, rng_);
     }
 
     bool click[2] = {false, false};
@@ -150,7 +152,7 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
       // --- Fiber + receiver optics: each photon survives loss and the
       // detector independently; the survivors route by interference.
       const double survive =
-          (pulse.lossless_delivery ? 1.0 : transmittance) * capture;
+          pulse.lossless_delivery ? capture : (tapped ? reach : 1.0);
       unsigned detected_photons = 0;
       for (unsigned photon = 0; photon < pulse.photons; ++photon)
         detected_photons += rng_.next_bool(survive);
@@ -209,7 +211,7 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
       ++frame.bob.dark_only_clicks;
     }
   }
-  if (attack != nullptr) attack->resolve_bases(frame.alice.bases, frame.eve);
+  if (tapped) attack->resolve_bases(frame.alice.bases, frame.eve);
   return frame;
 }
 

@@ -9,9 +9,10 @@
 // Each trigger from the OPC produces one slot; the frame is the unit handed
 // to the QKD protocol stack ("Qframes"). The generator is driven by the
 // events that happen: the modulator settings are filled one RNG word per 64
-// slots, and the loop visits only the slots where a photon is emitted, a
-// dark count fires in an otherwise quiet gate, the framing misses, or an
-// afterpulse is pending (DESIGN.md, "The Qframe generator").
+// slots, and the loop visits only the slots where a photon reaches an APD
+// (under attack: is emitted), a dark count fires in a quiet gate, the
+// framing misses, or an afterpulse is pending (DESIGN.md, "The Qframe
+// generator").
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/bitvector.hpp"
 
@@ -32,14 +31,11 @@ inline unsigned bob_phase_quarter(Basis basis) {
   return basis == Basis::kDiagonal ? 1u : 0u;
 }
 
-/// Ground-truth record of what Alice's transmitter suite emitted in a frame
-/// (one entry per trigger slot). The QKD protocol stack sees only bases and
-/// values; photon counts are simulator ground truth used for attack
-/// accounting and diagnostics.
+/// Alice's modulator settings in a frame, one bit per trigger slot (an
+/// Attack sees each pulse's photon number as it is emitted).
 struct PulseTrainRecord {
   qkd::BitVector bases;   // bit i: Alice's basis in slot i (1 = diagonal)
   qkd::BitVector values;  // bit i: Alice's key bit in slot i
-  std::vector<std::uint8_t> photon_counts;  // emitted photons (saturates @255)
 
   std::size_t size() const { return bases.size(); }
 };

@@ -90,6 +90,8 @@ void QkdLinkSession::bind_metrics(obs::MetricsRegistry& registry,
     // itself abandoned for excessive QBER.
     out.counter(prefix + "_aborted_qber", totals_.aborted_qber());
     out.gauge(prefix + "_link_seconds", totals_.duration_s);
+    out.counter(prefix + "_frame_wall_us",
+                static_cast<std::uint64_t>(frame_wall_s_ * 1e6));
     for (std::size_t i = 0; i < pipeline_.size() && i < stage_wall_s_.size();
          ++i) {
       const std::string stage = prefix + "_stage_" + pipeline_[i]->name();
@@ -119,6 +121,7 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
   result.frame_wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - frame_start)
                             .count();
+  frame_wall_s_ += result.frame_wall_s;
   result.pulses = config_.frame_slots;
   result.detections = frame.bob.detected.popcount();
   result.duration_s = link_.frame_duration_s(config_.frame_slots);

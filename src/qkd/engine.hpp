@@ -285,9 +285,9 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
     trace_cell_ = cell;
   }
 
-  /// Registers a collector exposing SessionTotals plus cumulative
-  /// per-stage wall time under `prefix`; totals()/BatchResult::stages keep
-  /// working unchanged. The session must outlive the registry's snapshots.
+  /// Registers a collector exposing SessionTotals plus cumulative Qframe
+  /// and per-stage wall time under `prefix`. The session must outlive the
+  /// registry's snapshots.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- keystore::KeyProducer ----------------------------------------------
@@ -329,9 +329,10 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   qkd::net::ChannelTransport bob_wire_;
   std::vector<std::unique_ptr<PipelineStage>> pipeline_;
   SessionTotals totals_;
-  /// Cumulative per-stage wall seconds / control bytes, indexed like
-  /// pipeline_ (reset by set_pipeline): the registry's view of the stage
-  /// table without touching BatchResult.
+  /// Cumulative Qframe wall seconds, and per-stage wall seconds / control
+  /// bytes indexed like pipeline_ (reset by set_pipeline): the registry's
+  /// view of the stage table without touching BatchResult.
+  double frame_wall_s_ = 0.0;
   std::vector<double> stage_wall_s_;
   std::vector<std::size_t> stage_bytes_;
   obs::Tracer* tracer_ = nullptr;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/optics/link.hpp"
+#include "tests/testing/photon_tap.hpp"
 
 namespace qkd::optics {
 namespace {
@@ -119,9 +120,10 @@ TEST(Pns, CapturesEveryMultiPhotonPulse) {
   params.mean_photon_number = 0.5;  // plenty of multi-photon pulses
   WeakCoherentLink link(params, 31);
   PhotonNumberSplittingAttack attack;
-  const FrameResult frame = link.run_frame(100000, &attack);
+  qkd::testing::PhotonTap tap(&attack);
+  const FrameResult frame = tap.run(link, 100000);
   std::size_t multi = 0;
-  for (auto c : frame.alice.photon_counts) multi += c >= 2;
+  for (unsigned c : tap.photons()) multi += c >= 2;
   EXPECT_EQ(frame.eve.photons_captured, multi);
   EXPECT_EQ(frame.eve.known.popcount(), multi);
 }

@@ -21,10 +21,13 @@
 #include "src/optics/interference.hpp"
 #include "src/optics/link.hpp"
 #include "src/optics/link_model.hpp"
+#include "tests/testing/photon_tap.hpp"
 #include "tests/testing/seeded_rng.hpp"
 
 namespace qkd::optics {
 namespace {
+
+using qkd::testing::PhotonTap;
 
 constexpr double kZ = 5.0;  // two-sided false-failure 5.7e-7 per assertion
 
@@ -58,17 +61,20 @@ struct SiftTally {
   std::size_t attacked_errors = 0;
   std::size_t clean_errors = 0;  // errors on slots Eve left alone
 
-  void add(const FrameResult& frame) {
+  /// `tap`, if given, ran the frame; its photon numbers feed the
+  /// zero-photon counts.
+  void add(const FrameResult& frame, const PhotonTap* tap = nullptr) {
     frame.bob.detected.for_each_set_bit(
-        [&](std::size_t i) { add_slot(frame, i); });
+        [&](std::size_t i) { add_slot(frame, tap, i); });
   }
 
-  void add_slot(const FrameResult& frame, std::size_t i) {
+  void add_slot(const FrameResult& frame, const PhotonTap* tap,
+                std::size_t i) {
     if (frame.alice.bases.get(i) != frame.bob.bases.get(i)) return;
     const bool error = frame.alice.values.get(i) != frame.bob.bits.get(i);
     ++sifted;
     errors += error;
-    if (frame.alice.photon_counts[i] == 0) {
+    if (tap != nullptr && tap->photons()[i] == 0) {
       ++zero_photon_sifted;
       zero_photon_errors += error;
     }
@@ -179,27 +185,18 @@ TEST(QberDecomposition, SignalErrorsSitOnTheVisibilityFloor) {
                   LinkModel(params).expected_qber(), "signal QBER");
 }
 
-TEST(QberDecomposition, DarkOnlyClicksSplitFiftyFiftyAndAddUp) {
-  // Paper point with a warm detector (dark 1e-4 per gate) so dark-only
-  // clicks are ~6 % of detections. Checked: the dark-only and signal click
-  // rates against their analytic laws, the 50 % error rate on slots where
-  // Alice emitted nothing (dark-only by construction), and the total QBER
-  // against the link model's weighted sum. Four assertions: ~2.3e-6.
-  QKD_SEEDED_RNG(seeds, 109);
-  LinkParams params;
-  params.dark_count_prob = 1e-4;
-  WeakCoherentLink link(params, seeds.next_u64());
-  SiftTally tally;
-  const std::size_t frames = 4;
-  for (std::size_t f = 0; f < frames; ++f) tally.add(link.run_frame(1 << 20));
-  const std::size_t slots = frames << 20;
+/// E2's split of single clicks per slot: dark-only (no detected photon,
+/// one dark APD) and signal (>= 1 detected photon, exactly one APD).
+struct ClickSplit {
+  double dark_only;
+  double signal;
+};
 
-  const LinkModel model(params);
-  const double lambda = model.detected_mean();
+ClickSplit e2_split(const LinkParams& params) {
+  const double lambda = LinkModel(params).detected_mean();
   const double dark = params.dark_count_prob;
   // A slot with no detected photon clicks on at most one dark APD.
-  const double p_dark_only = std::exp(-lambda) * 2.0 * dark;
-  double p_signal = 0.0;
+  ClickSplit split{std::exp(-lambda) * 2.0 * dark, 0.0};
   for (unsigned aq = 0; aq < 4; ++aq) {
     for (unsigned bq = 0; bq < 2; ++bq) {
       const double p1 =
@@ -208,17 +205,63 @@ TEST(QberDecomposition, DarkOnlyClicksSplitFiftyFiftyAndAddUp) {
           (1.0 - std::exp(-lambda * p1)) * std::exp(-lambda * (1.0 - p1));
       const double only0 =
           (1.0 - std::exp(-lambda * (1.0 - p1))) * std::exp(-lambda * p1);
-      p_signal += (only1 + only0) * (1.0 - dark) / 8.0;
+      split.signal += (only1 + only0) * (1.0 - dark) / 8.0;
     }
   }
-  expect_fraction(link.stats().dark_only_clicks, slots, p_dark_only,
+  return split;
+}
+
+/// Paper point with a warm detector (dark 1e-4 per gate), so dark-only
+/// clicks are ~6 % of detections.
+LinkParams warm_detector() {
+  LinkParams params;
+  params.dark_count_prob = 1e-4;
+  return params;
+}
+
+TEST(QberDecomposition, DarkOnlyClicksSplitFiftyFiftyAndAddUp) {
+  // Checked with a photon tap on the line, so the emitted photon numbers
+  // are visible: the dark-only and signal click rates against their
+  // analytic laws, the 50 % error rate on slots where Alice emitted
+  // nothing (dark-only by construction), and the total QBER against the
+  // link model's weighted sum. Four assertions: ~2.3e-6.
+  QKD_SEEDED_RNG(seeds, 109);
+  const LinkParams params = warm_detector();
+  WeakCoherentLink link(params, seeds.next_u64());
+  PhotonTap tap;
+  SiftTally tally;
+  const std::size_t frames = 4;
+  for (std::size_t f = 0; f < frames; ++f)
+    tally.add(tap.run(link, 1 << 20), &tap);
+  const std::size_t slots = frames << 20;
+
+  const ClickSplit split = e2_split(params);
+  expect_fraction(link.stats().dark_only_clicks, slots, split.dark_only,
                   "dark-only clicks per slot");
-  expect_fraction(link.stats().signal_clicks, slots, p_signal,
+  expect_fraction(link.stats().signal_clicks, slots, split.signal,
                   "signal clicks per slot");
   expect_fraction(tally.zero_photon_errors, tally.zero_photon_sifted, 0.5,
                   "QBER of dark-only sifted bits");
-  expect_fraction(tally.errors, tally.sifted, model.expected_qber(),
-                  "total QBER");
+  expect_fraction(tally.errors, tally.sifted,
+                  LinkModel(params).expected_qber(), "total QBER");
+}
+
+TEST(QberDecomposition, SignalAndDarkOnlySplitHoldsWithNoEveOnTheLine) {
+  // The same split on the thinned path, read from Stats: with no attack
+  // the generator emits only photons that reach an APD, and the click
+  // rates must still meet E2's laws. Two assertions: ~1.1e-6.
+  QKD_SEEDED_RNG(seeds, 149);
+  const LinkParams params = warm_detector();
+  WeakCoherentLink link(params, seeds.next_u64());
+  const std::size_t frames = 4;
+  for (std::size_t f = 0; f < frames; ++f) link.run_frame(1 << 20);
+  const std::size_t slots = frames << 20;
+
+  const ClickSplit split = e2_split(params);
+  expect_fraction(link.stats().dark_only_clicks, slots, split.dark_only,
+                  "dark-only clicks per slot");
+  expect_fraction(link.stats().signal_clicks, slots, split.signal,
+                  "signal clicks per slot");
 }
 
 // ---- E4: the QBER crosses 11 % near 70 km --------------------------------
@@ -266,14 +309,15 @@ TEST(PhotonNumberLaw, SlotsFollowPoissonStatistics) {
   for (double mu : {0.1, 0.5, 2.0}) {
     SCOPED_TRACE("mu=" + std::to_string(mu));
     WeakCoherentLink link(lossless(mu), seeds.next_u64());
-    const FrameResult frame = link.run_frame(1 << 20);
+    PhotonTap tap;
+    tap.run(link, 1 << 20);
     std::size_t zero = 0, one = 0, multi = 0;
-    for (std::uint8_t n : frame.alice.photon_counts) {
+    for (unsigned n : tap.photons()) {
       zero += n == 0;
       one += n == 1;
       multi += n >= 2;
     }
-    const std::size_t slots = frame.alice.size();
+    const std::size_t slots = tap.photons().size();
     const double p0 = std::exp(-mu);
     expect_fraction(zero, slots, p0, "P(N=0)");
     expect_fraction(one, slots, mu * p0, "P(N=1)");
@@ -316,9 +360,10 @@ TEST(AttackLaw, PnsAddsNoErrorsAndLearnsTheMultiPhotonFraction) {
   const LinkParams params = noiseless_lossless(0.5);
   WeakCoherentLink link(params, seeds.next_u64());
   PhotonNumberSplittingAttack attack;
-  const FrameResult frame = link.run_frame(1 << 20, &attack);
+  PhotonTap tap(&attack);
+  const FrameResult frame = tap.run(link, 1 << 20);
   std::size_t multi = 0;
-  for (std::uint8_t n : frame.alice.photon_counts) multi += n >= 2;
+  for (unsigned n : tap.photons()) multi += n >= 2;
   EXPECT_EQ(frame.eve.known.popcount(), multi);
   EXPECT_EQ(frame.eve.photons_captured, multi);
   expect_fraction(multi, frame.alice.size(),
@@ -346,6 +391,90 @@ TEST(AttackLaw, ChannelCutLeavesOnlyDarkCounts) {
   SiftTally tally;
   tally.add(frame);
   expect_fraction(tally.errors, tally.sifted, 0.5, "QBER under a cut");
+}
+
+// ---- Thinning: the no-Eve path against full visitation ------------------
+
+/// Click outcomes of one link over `frames` frames of 2^20 slots, with no
+/// attack (the thinned stream) or a pass-through tap on the line (every
+/// emitted pulse visited, each photon surviving loss on its own).
+struct Outcomes {
+  std::size_t slots = 0;
+  WeakCoherentLink::Stats stats;
+  SiftTally tally;
+};
+
+Outcomes run_outcomes(const LinkParams& params, std::uint64_t seed,
+                      std::size_t frames, bool tapped) {
+  WeakCoherentLink link(params, seed);
+  PhotonTap tap;
+  Outcomes out;
+  for (std::size_t f = 0; f < frames; ++f)
+    out.tally.add(tapped ? tap.run(link, 1 << 20) : link.run_frame(1 << 20));
+  out.slots = frames << 20;
+  out.stats = link.stats();
+  return out;
+}
+
+/// Two-sample z-bound: `a / na` and `b / nb` estimate one rate. The pooled
+/// binomial variance is scaled by `inflation` where clicks cluster.
+void expect_same_fraction(std::size_t a, std::size_t na, std::size_t b,
+                          std::size_t nb, double inflation, const char* what) {
+  ASSERT_GT(na, 0u) << what;
+  ASSERT_GT(nb, 0u) << what;
+  const double pa = static_cast<double>(a) / static_cast<double>(na);
+  const double pb = static_cast<double>(b) / static_cast<double>(nb);
+  const double pooled =
+      static_cast<double>(a + b) / static_cast<double>(na + nb);
+  const double sigma = std::sqrt(
+      inflation * pooled * (1.0 - pooled) *
+      (1.0 / static_cast<double>(na) + 1.0 / static_cast<double>(nb)));
+  EXPECT_LE(std::abs(pa - pb), kZ * sigma)
+      << what << ": " << a << " of " << na << " vs " << b << " of " << nb;
+}
+
+TEST(ThinningEquivalence, NoEvePathMatchesFullVisitation) {
+  // With no attack the generator emits only the photons that reach an APD
+  // (Poisson thinning); a pass-through tap forces the full stream. Both
+  // must give the same detection, signal, dark-only and double-click rates
+  // per slot and the same QBER at the paper point, at a bright lossless
+  // point and with afterpulses and misframes. An afterpulse extends a
+  // click into a chain of mean length 1 / (1 - a), which scales the count
+  // variance by at most (1 + a) / (1 - a); the bound widens by that.
+  // Fifteen 5-sigma assertions: false-failure rate ~8.6e-6.
+  QKD_SEEDED_RNG(seeds, 151);
+  LinkParams noisy;
+  noisy.dark_count_prob = 1e-4;
+  noisy.afterpulse_prob = 0.1;
+  noisy.misframe_prob = 0.05;
+  struct Point {
+    const char* name;
+    LinkParams params;
+    std::size_t frames;
+  };
+  for (const Point& point : {Point{"paper point, 10 km", LinkParams{}, 8},
+                             Point{"bright, lossless", lossless(1.0), 1},
+                             Point{"afterpulses and misframes", noisy, 8}}) {
+    SCOPED_TRACE(point.name);
+    const Outcomes thinned =
+        run_outcomes(point.params, seeds.next_u64(), point.frames, false);
+    const Outcomes full =
+        run_outcomes(point.params, seeds.next_u64(), point.frames, true);
+    const double a = point.params.afterpulse_prob;
+    const double inflation = (1.0 + a) / (1.0 - a);
+    const auto same_rate = [&](std::uint64_t WeakCoherentLink::Stats::*count,
+                               const char* what) {
+      expect_same_fraction(thinned.stats.*count, thinned.slots,
+                           full.stats.*count, full.slots, inflation, what);
+    };
+    same_rate(&WeakCoherentLink::Stats::detections, "detections per slot");
+    same_rate(&WeakCoherentLink::Stats::signal_clicks, "signal clicks");
+    same_rate(&WeakCoherentLink::Stats::dark_only_clicks, "dark-only clicks");
+    same_rate(&WeakCoherentLink::Stats::double_clicks, "double clicks");
+    expect_same_fraction(thinned.tally.errors, thinned.tally.sifted,
+                         full.tally.errors, full.tally.sifted, inflation,
+                         "QBER");
+  }
 }
 
 }  // namespace

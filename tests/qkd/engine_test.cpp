@@ -249,5 +249,24 @@ TEST(QkdLinkSession, TotalsAggregateAcrossBatches) {
   EXPECT_GT(totals.distilled_bits, 0u);
 }
 
+TEST(QkdLinkSession, BoundMetricsExportFrameWallTimeBesideTheStages) {
+  // The Qframe runs before the stage loop; the registry shows its wall
+  // time next to each stage's, so the physical layer is not missing from
+  // a scrape.
+  obs::MetricsRegistry registry;
+  QkdLinkSession session(fast_config(), 16);
+  session.bind_metrics(registry, "qkd_link");
+  const BatchResult batch = session.run_batch();
+  const std::string dump = registry.to_prometheus();
+  EXPECT_NE(dump.find("qkd_link_frame_wall_us "), std::string::npos) << dump;
+  EXPECT_NE(dump.find("qkd_link_stage_sifting_wall_us "), std::string::npos)
+      << dump;
+  std::uint64_t frame_us = 0;
+  for (const obs::MetricSample& sample : registry.snapshot())
+    if (sample.name == "qkd_link_frame_wall_us")
+      frame_us = static_cast<std::uint64_t>(sample.value);
+  EXPECT_EQ(frame_us, static_cast<std::uint64_t>(batch.frame_wall_s * 1e6));
+}
+
 }  // namespace
 }  // namespace qkd::proto

@@ -211,7 +211,6 @@ qkd::optics::FrameResult random_frame(qkd::Rng& rng, std::size_t slots,
   qkd::optics::FrameResult frame;
   frame.alice.bases = rng.next_bits(slots);
   frame.alice.values = rng.next_bits(slots);
-  frame.alice.photon_counts.assign(slots, 0);
   frame.bob.bases = rng.next_bits(slots);
   frame.bob.detected = qkd::BitVector(slots);
   frame.bob.bits = qkd::BitVector(slots);
