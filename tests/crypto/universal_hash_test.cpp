@@ -55,6 +55,42 @@ TEST(ToeplitzHash, CollisionRateNearTwoToMinusTag) {
   EXPECT_LT(collisions, 25);  // mean ~7.8, generous ceiling
 }
 
+/// The Toeplitz hash by its definition, one bit at a time:
+/// tag_i = XOR over j of m_j * k_{i+j}.
+qkd::BitVector toeplitz_by_definition(const qkd::BitVector& key,
+                                      const qkd::BitVector& message,
+                                      unsigned tag_bits) {
+  qkd::BitVector tag(tag_bits);
+  for (unsigned i = 0; i < tag_bits; ++i) {
+    bool acc = false;
+    for (std::size_t j = 0; j < message.size(); ++j)
+      acc ^= message.get(j) && key.get(i + j);
+    tag.set(i, acc);
+  }
+  return tag;
+}
+
+TEST(ToeplitzHash, MatchesTheBitwiseDefinition) {
+  // Message lengths on both sides of the 64-bit word edge plus a sift
+  // announce's worth; tag widths on both sides of 32 and 64; keys of
+  // exactly tag_bits + msg_bits - 1 bits and longer ones whose extra bits
+  // must not leak into the tag.
+  QKD_SEEDED_RNG(rng, 6);
+  for (std::size_t msg_bits : {1u, 63u, 64u, 65u, 45603u}) {
+    for (unsigned tag_bits : {1u, 31u, 32u, 33u, 63u, 64u, 65u, 100u}) {
+      for (std::size_t extra : {0u, 1u, 70u}) {
+        SCOPED_TRACE("msg_bits=" + std::to_string(msg_bits) +
+                     " tag_bits=" + std::to_string(tag_bits) +
+                     " extra=" + std::to_string(extra));
+        const auto key = rng.next_bits(tag_bits + msg_bits - 1 + extra);
+        const auto message = rng.next_bits(msg_bits);
+        EXPECT_EQ(toeplitz_hash(key, message, tag_bits),
+                  toeplitz_by_definition(key, message, tag_bits));
+      }
+    }
+  }
+}
+
 TEST(PolyHash64, DeterministicAndKeySensitive) {
   const Bytes msg = {1, 2, 3, 4, 5};
   EXPECT_EQ(poly_hash64(42, msg), poly_hash64(42, msg));

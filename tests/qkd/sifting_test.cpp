@@ -310,5 +310,86 @@ TEST(SiftingEquivalence, SimulatedQframeMatches) {
   expect_sift_matches_reference(small_frame(73, 1 << 20), 5);
 }
 
+// ---- Sift wire-byte pin ---------------------------------------------------
+//
+// The SiftAnnounce payload is fixed by its definition: the frame id, Bob's
+// detection bitmap walked slot by slot through the sparse gap codec, then
+// his basis for each click, packed LSB first. Whatever Bob's announce is
+// built from, these are its bytes.
+
+Bytes pinned_announce_bytes(std::uint64_t frame_id,
+                            const qkd::optics::DetectionRecord& bob) {
+  qkd::BitVector bases;
+  for (std::size_t i = 0; i < bob.size(); ++i)
+    if (bob.detected.get(i)) bases.push_back(bob.bases.get(i));
+  Bytes out;
+  put_varint(out, frame_id);
+  reference::put_bits_sparse(out, bob.detected);
+  reference::put_bits_dense(out, bases);
+  return out;
+}
+
+wire::SiftAnnounce announce_for(std::uint64_t frame_id,
+                                const qkd::optics::DetectionRecord& bob) {
+  const SiftMessage msg = make_sift_message(frame_id, bob);
+  wire::SiftAnnounce announce;
+  announce.frame_id = msg.frame_id;
+  announce.detected = msg.detected;
+  announce.bob_bases = msg.bob_bases;
+  return announce;
+}
+
+void expect_pinned_announce(const qkd::optics::DetectionRecord& bob,
+                            std::uint64_t frame_id) {
+  const wire::SiftAnnounce announce = announce_for(frame_id, bob);
+  const Bytes bytes = announce.encode();
+  EXPECT_EQ(bytes, pinned_announce_bytes(frame_id, bob));
+  const auto back = wire::SiftAnnounce::decode(bytes);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value, announce);
+}
+
+TEST(SiftWirePin, SeededFramesAtFiveAndTwentyKm) {
+  for (double km : {5.0, 20.0}) {
+    SCOPED_TRACE("fiber_km=" + std::to_string(km));
+    qkd::optics::LinkParams params;
+    params.fiber_km = km;
+    qkd::optics::WeakCoherentLink link(params, 79);
+    for (std::uint64_t frame_id = 0; frame_id < 3; ++frame_id)
+      expect_pinned_announce(link.run_frame(1 << 20).bob, frame_id);
+  }
+}
+
+TEST(SiftWirePin, EmptyFrames) {
+  QKD_SEEDED_RNG(rng, 83);
+  for (std::size_t slots : {0u, 1u, 64u, 1000u, 1u << 20}) {
+    SCOPED_TRACE("slots=" + std::to_string(slots));
+    expect_pinned_announce(random_frame(rng, slots, 0.0).bob, slots);
+  }
+}
+
+TEST(SiftWirePin, ClicksInTheFirstAndLastSlot) {
+  QKD_SEEDED_RNG(rng, 89);
+  for (std::size_t slots : {1u, 2u, 64u, 65u, 4096u, 1u << 20}) {
+    SCOPED_TRACE("slots=" + std::to_string(slots));
+    qkd::optics::FrameResult frame = random_frame(rng, slots, 0.003);
+    frame.bob.detected.set(0, true);
+    frame.bob.detected.set(slots - 1, true);
+    frame.bob.bases.set(slots - 1, true);
+    expect_pinned_announce(frame.bob, 1u << 31);
+  }
+}
+
+TEST(SiftWirePin, FrameSizesOffTheWordGrid) {
+  QKD_SEEDED_RNG(rng, 97);
+  for (std::size_t slots : {3u, 63u, 65u, 127u, 129u, 1000003u}) {
+    for (double density : {0.003, 0.3, 1.0}) {
+      SCOPED_TRACE("slots=" + std::to_string(slots) +
+                   " density=" + std::to_string(density));
+      expect_pinned_announce(random_frame(rng, slots, density).bob, 7);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qkd::proto
