@@ -13,6 +13,7 @@
 
 #include "bench/bench_util.hpp"
 #include "src/optics/link.hpp"
+#include "src/qkd/rle.hpp"
 #include "src/qkd/sifting.hpp"
 
 namespace {
@@ -43,8 +44,8 @@ void print_table() {
     WeakCoherentLink link(params, 5);
     const std::size_t pulses = 1000000;
     const FrameResult frame = link.run_frame(pulses);
-    const SiftMessage msg = make_sift_message(0, frame.bob);
-    const AliceSiftResult sift = alice_sift(frame.alice, msg);
+    const AliceSiftResult sift =
+        alice_sift(frame.alice, make_sift_announce(0, frame.bob));
     qkd::bench::row("%12.3f %12zu %14zu %14zu %18.2f", p_detect, pulses,
                     frame.bob.detected.popcount(), sift.outcome.bits.size(),
                     1000.0 * static_cast<double>(sift.outcome.bits.size()) /
@@ -59,13 +60,15 @@ void print_table() {
   const LinkParams op;  // defaults
   WeakCoherentLink link(op, 9);
   const FrameResult frame = link.run_frame(1 << 20);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
-  const AliceSiftResult sift = alice_sift(frame.alice, msg);
+  const qkd::wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  const AliceSiftResult sift = alice_sift(frame.alice, announce);
   qkd::bench::row("  SIFT message: %zu bytes for %zu slots (%zu detections)",
-                  msg.serialize().size(), frame.bob.size(),
-                  frame.bob.detected.popcount());
+                  announce.encode().size(), frame.bob.size(),
+                  announce.clicks.size());
+  qkd::bench::row("  (run-length coded detection bitmap alone: %zu bytes)",
+                  qkd::proto::rle_encode(frame.bob.detected).size());
   qkd::bench::row("  SIFT RESPONSE: %zu bytes; sifted bits: %zu",
-                  sift.response.serialize().size(), sift.outcome.bits.size());
+                  sift.decision.encode().size(), sift.outcome.bits.size());
 }
 
 void bm_sift_round(benchmark::State& state) {
@@ -73,10 +76,10 @@ void bm_sift_round(benchmark::State& state) {
   WeakCoherentLink link(params, 13);
   const FrameResult frame = link.run_frame(1 << 18);
   for (auto _ : state) {
-    const SiftMessage msg = make_sift_message(0, frame.bob);
-    const AliceSiftResult alice = alice_sift(frame.alice, msg);
+    const qkd::wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+    const AliceSiftResult alice = alice_sift(frame.alice, announce);
     benchmark::DoNotOptimize(
-        bob_apply_response(frame.bob, msg, alice.response));
+        bob_apply_response(frame.bob, announce, alice.decision));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(frame.bob.size()) *
                           state.iterations());

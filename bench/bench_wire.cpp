@@ -45,10 +45,10 @@ template <> SiftAnnounce representative() {
   Rng rng(21);
   SiftAnnounce p;
   p.frame_id = 7;
-  p.detected = BitVector(1 << 20);
-  for (std::size_t i = 0; i < p.detected.size(); i += 683)
-    p.detected.set(i, true);  // ~0.15 % click density
-  p.bob_bases = rng.next_bits(p.detected.popcount());
+  p.slots = 1 << 20;
+  for (std::uint32_t i = 0; i < p.slots; i += 683)
+    p.clicks.push_back(i);  // ~0.15 % click density
+  p.bob_bases = rng.next_bits(p.clicks.size());
   return p;
 }
 template <> SiftDecision representative() {

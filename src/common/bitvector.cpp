@@ -38,29 +38,9 @@ BitVector BitVector::from_bytes(std::span<const std::uint8_t> bytes) {
   return v;
 }
 
-bool BitVector::get(std::size_t i) const {
-  if (i >= size_) throw std::out_of_range("BitVector::get");
-  return (words_[i >> 6] >> (i & 63)) & 1;
-}
-
-void BitVector::set(std::size_t i, bool v) {
-  if (i >= size_) throw std::out_of_range("BitVector::set");
-  const std::uint64_t mask = std::uint64_t{1} << (i & 63);
-  if (v)
-    words_[i >> 6] |= mask;
-  else
-    words_[i >> 6] &= ~mask;
-}
-
 void BitVector::flip(std::size_t i) {
   if (i >= size_) throw std::out_of_range("BitVector::flip");
   words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
-}
-
-void BitVector::push_back(bool v) {
-  if (words_.size() * 64 == size_) words_.push_back(0);
-  if (v) words_[size_ >> 6] |= std::uint64_t{1} << (size_ & 63);
-  ++size_;
 }
 
 void BitVector::clear() {

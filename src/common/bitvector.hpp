@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,8 @@ class BitVector {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
+  // get/set/push_back are defined inline below: sifting, sampling and the
+  // correctors call them once per bit.
   bool get(std::size_t i) const;
   void set(std::size_t i, bool v);
   void flip(std::size_t i);
@@ -105,5 +108,25 @@ class BitVector {
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+inline bool BitVector::get(std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("BitVector::get");
+  return (words_[i >> 6] >> (i & 63)) & 1;
+}
+
+inline void BitVector::set(std::size_t i, bool v) {
+  if (i >= size_) throw std::out_of_range("BitVector::set");
+  const std::uint64_t mask = std::uint64_t{1} << (i & 63);
+  if (v)
+    words_[i >> 6] |= mask;
+  else
+    words_[i >> 6] &= ~mask;
+}
+
+inline void BitVector::push_back(bool v) {
+  if (words_.size() * 64 == size_) words_.push_back(0);
+  if (v) words_[size_ >> 6] |= std::uint64_t{1} << (size_ & 63);
+  ++size_;
+}
 
 }  // namespace qkd

@@ -1,5 +1,6 @@
 #include "src/crypto/universal_hash.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "src/crypto/gf2n.hpp"
@@ -13,11 +14,32 @@ qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
   if (key.size() < tag_bits + message.size() - 1)
     throw std::invalid_argument("toeplitz_hash: key too short");
   // Row i of the Toeplitz matrix is key[i .. i+msg_len); equivalently the
-  // tag is the windowed inner product of key and message.
+  // tag is the windowed inner product of key and message. Each row ANDs
+  // the message words against the key shifted right by i, built a word at
+  // a time; key bits past the row's window meet the message's zero tail.
+  const auto m = message.words();
+  const auto k = key.words();
   qkd::BitVector tag(tag_bits);
   for (unsigned i = 0; i < tag_bits; ++i) {
-    const qkd::BitVector row = key.slice(i, message.size());
-    tag.set(i, row.masked_parity(message));
+    const std::size_t base = i >> 6;
+    const unsigned shift = i & 63;
+    std::uint64_t acc = 0;
+    if (shift == 0) {
+      for (std::size_t w = 0; w < m.size(); ++w) acc ^= m[w] & k[base + w];
+    } else {
+      // Every word but the last has a successor in the key; the last
+      // word's successor may lie past the key's end, and then only bits the
+      // message's zero tail masks would come from it.
+      const std::size_t last = m.size() - 1;
+      for (std::size_t w = 0; w < last; ++w)
+        acc ^= m[w] & ((k[base + w] >> shift) |
+                       (k[base + w + 1] << (64 - shift)));
+      std::uint64_t tail = k[base + last] >> shift;
+      if (base + last + 1 < k.size())
+        tail |= k[base + last + 1] << (64 - shift);
+      acc ^= m[last] & tail;
+    }
+    if (std::popcount(acc) & 1) tag.set(i, true);
   }
   return tag;
 }

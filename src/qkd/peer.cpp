@@ -1,9 +1,9 @@
 #include "src/qkd/peer.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "src/crypto/sha1.hpp"
+#include "src/qkd/pipeline.hpp"
 #include "src/qkd/privacy.hpp"
 #include "src/qkd/randomness.hpp"
 #include "src/qkd/sifting.hpp"
@@ -103,39 +103,6 @@ PeerOutcome bob_abort(PeerIo& p, AbortReason reason) {
 PeerOutcome local_abort(PeerIo& p, AbortReason reason) {
   p.out.reason = reason;
   return p.out;
-}
-
-/// The sample-position draw both sides make from their DRBG lockstep —
-/// byte-for-byte the SamplingStage draw.
-qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,
-                                qkd::crypto::Drbg& drbg) {
-  std::vector<std::uint32_t> positions(n);
-  std::iota(positions.begin(), positions.end(), 0u);
-  for (std::size_t i = 0; i < sample_target; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(drbg.next_u64() % (n - i));
-    std::swap(positions[i], positions[j]);
-  }
-  qkd::BitVector mask(n);
-  for (std::size_t i = 0; i < sample_target; ++i)
-    mask.set(positions[i], true);
-  return mask;
-}
-
-std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
-  return static_cast<std::size_t>(config.sample_fraction *
-                                  static_cast<double>(n));
-}
-
-void split_by_mask(const qkd::BitVector& bits, const qkd::BitVector& mask,
-                   qkd::BitVector& sampled, qkd::BitVector& kept) {
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (mask.get(i)) {
-      sampled.push_back(bits.get(i));
-    } else {
-      kept.push_back(bits.get(i));
-    }
-  }
 }
 
 double entropy_usable_bits(const QkdLinkConfig& config,
@@ -262,15 +229,8 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
   AbortReason peer_reason = AbortReason::kChannelLost;
   const auto announce = recv_auth<wire::SiftAnnounce>(p, peer_reason);
   if (!announce.has_value()) return local_abort(p, peer_reason);
-  SiftMessage sift_msg;
-  sift_msg.frame_id = announce->frame_id;
-  sift_msg.detected = announce->detected;
-  sift_msg.bob_bases = announce->bob_bases;
-  AliceSiftResult sifted = alice_sift(frame.alice, sift_msg);
-  wire::SiftDecision decision;
-  decision.frame_id = sifted.response.frame_id;
-  decision.keep = sifted.response.keep;
-  if (!send_auth(p, decision))
+  AliceSiftResult sifted = alice_sift(frame.alice, *announce);
+  if (!send_auth(p, sifted.decision))
     return local_abort(p, AbortReason::kAuthExhausted);
   qkd::BitVector bits = std::move(sifted.outcome.bits);
   out.sifted_bits = bits.size();
@@ -393,20 +353,14 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
   detections.bits = feed.value.bits;
 
   // ---- Sifting. -----------------------------------------------------------
-  const SiftMessage sift_msg = make_sift_message(out.frame_id, detections);
-  wire::SiftAnnounce announce;
-  announce.frame_id = sift_msg.frame_id;
-  announce.detected = sift_msg.detected;
-  announce.bob_bases = sift_msg.bob_bases;
+  const wire::SiftAnnounce announce =
+      make_sift_announce(out.frame_id, detections);
   if (!send_auth(p, announce))
     return local_abort(p, AbortReason::kAuthExhausted);
   AbortReason peer_reason = AbortReason::kChannelLost;
   const auto decision = recv_auth<wire::SiftDecision>(p, peer_reason);
   if (!decision.has_value()) return local_abort(p, peer_reason);
-  SiftResponse response;
-  response.frame_id = decision->frame_id;
-  response.keep = decision->keep;
-  SiftOutcome outcome = bob_apply_response(detections, sift_msg, response);
+  SiftOutcome outcome = bob_apply_response(detections, announce, *decision);
   qkd::BitVector bits = std::move(outcome.bits);
   out.sifted_bits = bits.size();
   if (bits.empty()) return bob_abort(p, AbortReason::kNoSiftedBits);

@@ -76,24 +76,18 @@ ShipStatus BatchContext::ship_frame(bool from_alice, wire::PacketType type,
 
 AbortReason SiftingStage::run(BatchContext& ctx) {
   // Bob announces detections; Alice replies with the basis matches.
-  const SiftMessage sift_msg = make_sift_message(ctx.frame_id, ctx.frame.bob);
-  wire::SiftAnnounce announce;
-  announce.frame_id = sift_msg.frame_id;
-  announce.detected = sift_msg.detected;
-  announce.bob_bases = sift_msg.bob_bases;
+  const wire::SiftAnnounce announce =
+      make_sift_announce(ctx.frame_id, ctx.frame.bob);
   if (const auto s = ctx.ship(/*from_alice=*/false, announce);
       s != ShipStatus::kOk)
     return to_abort(s);
 
-  AliceSiftResult alice_sifted = alice_sift(ctx.frame.alice, sift_msg);
-  wire::SiftDecision decision;
-  decision.frame_id = alice_sifted.response.frame_id;
-  decision.keep = alice_sifted.response.keep;
-  if (const auto s = ctx.ship(/*from_alice=*/true, decision);
+  AliceSiftResult alice_sifted = alice_sift(ctx.frame.alice, announce);
+  if (const auto s = ctx.ship(/*from_alice=*/true, alice_sifted.decision);
       s != ShipStatus::kOk)
     return to_abort(s);
   SiftOutcome bob_sifted =
-      bob_apply_response(ctx.frame.bob, sift_msg, alice_sifted.response);
+      bob_apply_response(ctx.frame.bob, announce, alice_sifted.decision);
 
   ctx.alice_bits = std::move(alice_sifted.outcome.bits);
   ctx.bob_bits = std::move(bob_sifted.bits);
@@ -109,42 +103,55 @@ AbortReason SiftingStage::run(BatchContext& ctx) {
   return AbortReason::kNone;
 }
 
+std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
+  return static_cast<std::size_t>(config.sample_fraction *
+                                  static_cast<double>(n));
+}
+
+qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,
+                                qkd::crypto::Drbg& drbg) {
+  // After `sample_target` swap steps the prefix holds a uniform
+  // without-replacement draw of the positions.
+  std::vector<std::uint32_t> positions(n);
+  std::iota(positions.begin(), positions.end(), 0u);
+  for (std::size_t i = 0; i < sample_target; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(drbg.next_u64() % (n - i));
+    std::swap(positions[i], positions[j]);
+  }
+  qkd::BitVector mask(n);
+  for (std::size_t i = 0; i < sample_target; ++i)
+    mask.set(positions[i], true);
+  return mask;
+}
+
+void split_by_mask(const qkd::BitVector& bits, const qkd::BitVector& mask,
+                   qkd::BitVector& sampled, qkd::BitVector& kept) {
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (mask.get(i)) {
+      sampled.push_back(bits.get(i));
+    } else {
+      kept.push_back(bits.get(i));
+    }
+  }
+}
+
 AbortReason SamplingStage::run(BatchContext& ctx) {
   // The sample positions derive from the shared DRBG (both sides hold the
   // same stream, so the positions are never transmitted); each side then
   // reveals its OWN bits at those positions in the clear and drops them.
   const std::size_t n = ctx.alice_bits.size();
-  const std::size_t sample_target = static_cast<std::size_t>(
-      ctx.config.sample_fraction * static_cast<double>(n));
+  const std::size_t sample_target = sample_target_for(ctx.config, n);
   if (sample_target > 0) {
-    // Partial Fisher-Yates: after `sample_target` swap steps the prefix
-    // holds a uniform without-replacement draw of the positions.
-    std::vector<std::uint32_t> positions(n);
-    std::iota(positions.begin(), positions.end(), 0u);
-    for (std::size_t i = 0; i < sample_target; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(ctx.drbg.next_u64() % (n - i));
-      std::swap(positions[i], positions[j]);
-    }
-    qkd::BitVector sample_mask(n);
-    for (std::size_t i = 0; i < sample_target; ++i)
-      sample_mask.set(positions[i], true);
-
-    std::size_t sample_errors = 0;
+    const qkd::BitVector mask = draw_sample_mask(n, sample_target, ctx.drbg);
     qkd::BitVector alice_keep, bob_keep;
     wire::SampleReveal alice_reveal, bob_reveal;
     alice_reveal.frame_id = ctx.frame_id;
     bob_reveal.frame_id = ctx.frame_id;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sample_mask.get(i)) {
-        sample_errors += ctx.alice_bits.get(i) != ctx.bob_bits.get(i);
-        alice_reveal.bits.push_back(ctx.alice_bits.get(i));
-        bob_reveal.bits.push_back(ctx.bob_bits.get(i));
-      } else {
-        alice_keep.push_back(ctx.alice_bits.get(i));
-        bob_keep.push_back(ctx.bob_bits.get(i));
-      }
-    }
+    split_by_mask(ctx.alice_bits, mask, alice_reveal.bits, alice_keep);
+    split_by_mask(ctx.bob_bits, mask, bob_reveal.bits, bob_keep);
+    const std::size_t sample_errors =
+        alice_reveal.bits.hamming_distance(bob_reveal.bits);
     ctx.result.sampled_bits = sample_target;
     ctx.result.qber_sampled = static_cast<double>(sample_errors) /
                               static_cast<double>(sample_target);

@@ -105,12 +105,24 @@ class SiftingStage final : public PipelineStage {
   AbortReason run(BatchContext& ctx) override;
 };
 
+/// How many of `n` sifted bits the error-rate sample sacrifices.
+std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n);
+
+/// The error-rate sample positions among `n` sifted bits, as a mask with
+/// `sample_target` bits set. Both sides draw it from their DRBG lockstep,
+/// so the positions never cross the wire; the in-process stage and the
+/// two-process peers call this one draw. It is a partial Fisher-Yates
+/// shuffle over indices — O(n) regardless of the fraction.
+qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,
+                                qkd::crypto::Drbg& drbg);
+
+/// Appends the bits of `bits` under `mask` to `sampled` and the rest to
+/// `kept`, each in position order.
+void split_by_mask(const qkd::BitVector& bits, const qkd::BitVector& mask,
+                   qkd::BitVector& sampled, qkd::BitVector& kept);
+
 /// Sacrifices a random `sample_fraction` of the sifted bits to estimate the
 /// error rate in the clear; early-aborts at intercept-resend QBER levels.
-/// The sample positions are drawn with a partial Fisher-Yates shuffle over
-/// indices — O(n) regardless of the fraction (the previous
-/// rejection-sampling loop was O(n*target) expected and degenerated as the
-/// fraction grew).
 class SamplingStage final : public PipelineStage {
  public:
   const char* name() const override { return "sampling"; }

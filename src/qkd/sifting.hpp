@@ -1,41 +1,25 @@
 // Sifting: winnowing the failed qubits (Section 5).
 //
 // After a frame, Bob tells Alice which slots produced a usable detection and
-// which basis he measured each in (the SIFT message, run-length encoded).
+// which basis he measured each in (the SIFT message, wire::SiftAnnounce).
 // Alice replies with the subset of those detections where her transmission
-// basis matched (the SIFT RESPONSE). Both sides then discard everything
-// else, keeping only the sifted bits. "A transmitted stream of 1,000 bits
-// therefore would boil down to about 5 sifted bits."
+// basis matched (the SIFT RESPONSE, wire::SiftDecision). Both sides then
+// discard everything else, keeping only the sifted bits. "A transmitted
+// stream of 1,000 bits therefore would boil down to about 5 sifted bits."
+//
+// Bob walks his detection bitmap once, to list his clicks; from then on
+// both sides work from that list, so sifting costs one step per click
+// after that walk, not one per slot.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "src/common/bitvector.hpp"
-#include "src/common/bytes.hpp"
 #include "src/optics/types.hpp"
+#include "src/wire/packets.hpp"
 
 namespace qkd::proto {
-
-/// Bob -> Alice: which slots registered a single click, and Bob's basis for
-/// each detected slot (in detection order).
-struct SiftMessage {
-  std::uint64_t frame_id = 0;
-  qkd::BitVector detected;    // one bit per slot
-  qkd::BitVector bob_bases;   // one bit per *detected* slot, detection order
-
-  Bytes serialize() const;
-  static SiftMessage deserialize(const Bytes& wire);
-};
-
-/// Alice -> Bob: which detections survive the basis comparison (one bit per
-/// detected slot, detection order).
-struct SiftResponse {
-  std::uint64_t frame_id = 0;
-  qkd::BitVector keep;
-
-  Bytes serialize() const;
-  static SiftResponse deserialize(const Bytes& wire);
-};
 
 /// Outcome on either side: the sifted key bits plus, for ground-truth joins
 /// (attack accounting, diagnostics), the original slot index of each bit.
@@ -44,21 +28,22 @@ struct SiftOutcome {
   std::vector<std::uint32_t> slot_indices;
 };
 
-/// Bob's half: builds the SIFT message from his detection record.
-SiftMessage make_sift_message(std::uint64_t frame_id,
-                              const qkd::optics::DetectionRecord& bob);
+/// Bob's half: the SIFT announce from his detection record — his clicks in
+/// slot order and his basis for each.
+wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
+                                      const qkd::optics::DetectionRecord& bob);
 
-/// Alice's half: compares bases, produces the response and her sifted bits.
+/// Alice's half: compares bases, produces the decision and her sifted bits.
 struct AliceSiftResult {
-  SiftResponse response;
+  wire::SiftDecision decision;
   SiftOutcome outcome;
 };
 AliceSiftResult alice_sift(const qkd::optics::PulseTrainRecord& alice,
-                           const SiftMessage& msg);
+                           const wire::SiftAnnounce& announce);
 
-/// Bob's completion: applies Alice's response to his detections.
+/// Bob's completion: keeps his bits at the clicks Alice's decision keeps.
 SiftOutcome bob_apply_response(const qkd::optics::DetectionRecord& bob,
-                               const SiftMessage& msg,
-                               const SiftResponse& response);
+                               const wire::SiftAnnounce& announce,
+                               const wire::SiftDecision& decision);
 
 }  // namespace qkd::proto

@@ -28,6 +28,31 @@ Result<Packet> parse_payload(const Bytes& payload, const Parse& parse) {
   }
 }
 
+/// Writes one set position of a sparse field as its gap past the previous
+/// one (+1), so the first goes out absolute.
+void put_gap(Bytes& out, std::uint64_t& next_free, std::uint64_t position) {
+  put_varint(out, position - next_free);
+  next_free = position + 1;
+}
+
+/// Reads the set-count and gaps of a sparse field over `n` positions and
+/// calls `visit(position)` for each, in increasing order. A gap is checked
+/// against the room left before it is added, so no gap can wrap the
+/// position back below an earlier one.
+template <typename Visit>
+void read_gaps(ByteReader& reader, std::uint64_t n, Visit&& visit) {
+  const std::uint64_t set_count = reader.varint();
+  if (set_count > n) throw std::invalid_argument("wire: popcount > size");
+  std::uint64_t next_free = 0;
+  for (std::uint64_t i = 0; i < set_count; ++i) {
+    const std::uint64_t gap = reader.varint();
+    if (gap >= n - next_free)
+      throw std::invalid_argument("wire: set position out of range");
+    visit(next_free + gap);
+    next_free += gap + 1;
+  }
+}
+
 }  // namespace
 
 void put_bits_dense(Bytes& out, const qkd::BitVector& bits) {
@@ -53,29 +78,17 @@ qkd::BitVector get_bits_dense(ByteReader& reader) {
 void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
   put_varint(out, bits.size());
   put_varint(out, bits.popcount());
-  // Each position is sent as its gap past the previous one (+1), so the
-  // first goes out absolute.
-  std::size_t next_free = 0;
-  bits.for_each_set_bit([&](std::size_t i) {
-    put_varint(out, i - next_free);
-    next_free = i + 1;
-  });
+  std::uint64_t next_free = 0;
+  bits.for_each_set_bit([&](std::size_t i) { put_gap(out, next_free, i); });
 }
 
 qkd::BitVector get_bits_sparse(ByteReader& reader) {
   const std::uint64_t n = reader.varint();
   check_bit_count(n);
-  const std::uint64_t set_count = reader.varint();
-  if (set_count > n) throw std::invalid_argument("wire: popcount > size");
   qkd::BitVector bits(static_cast<std::size_t>(n));
-  std::uint64_t position = 0;
-  for (std::uint64_t i = 0; i < set_count; ++i) {
-    const std::uint64_t delta = reader.varint();
-    position = (i == 0) ? delta : position + delta + 1;
-    if (position >= n)
-      throw std::invalid_argument("wire: set position out of range");
+  read_gaps(reader, n, [&](std::uint64_t position) {
     bits.set(static_cast<std::size_t>(position), true);
-  }
+  });
   return bits;
 }
 
@@ -109,7 +122,10 @@ Result<QframeFeed> QframeFeed::decode(const Bytes& payload) {
 Bytes SiftAnnounce::encode() const {
   Bytes out;
   put_varint(out, frame_id);
-  put_bits_sparse(out, detected);
+  put_varint(out, slots);
+  put_varint(out, clicks.size());
+  std::uint64_t next_free = 0;
+  for (std::uint32_t slot : clicks) put_gap(out, next_free, slot);
   put_bits_dense(out, bob_bases);
   return out;
 }
@@ -118,10 +134,14 @@ Result<SiftAnnounce> SiftAnnounce::decode(const Bytes& payload) {
   return parse_payload<SiftAnnounce>(payload, [](ByteReader& reader) {
     SiftAnnounce packet;
     packet.frame_id = reader.varint();
-    packet.detected = get_bits_sparse(reader);
+    packet.slots = reader.varint();
+    check_bit_count(packet.slots);
+    read_gaps(reader, packet.slots, [&](std::uint64_t slot) {
+      packet.clicks.push_back(static_cast<std::uint32_t>(slot));
+    });
     packet.bob_bases = get_bits_dense(reader);
-    if (packet.bob_bases.size() != packet.detected.popcount())
-      throw std::invalid_argument("SiftAnnounce: one basis per detection");
+    if (packet.bob_bases.size() != packet.clicks.size())
+      throw std::invalid_argument("SiftAnnounce: one basis per click");
     return packet;
   });
 }

@@ -7,14 +7,16 @@
 // Codec conventions (shared with src/wire/etsi.hpp):
 //  * integers big-endian via put_u*/ByteReader; counts as LEB128 varints;
 //  * dense bit strings as varint bit-count + packed bytes (LSB first);
-//  * sparse bit strings (a Qframe's detected-slot mask at ~1% density) as
-//    varint bit-count + varint set-count + delta-encoded set positions;
+//  * sparse slot sets (a Qframe's clicks at ~0.3% density) as varint
+//    slot-count + varint set-count + delta-encoded set positions, whether
+//    held as a bitmap (QframeFeed) or as a sorted slot list (SiftAnnounce);
 //  * decode is strict: short payloads, impossible counts, nonzero padding
 //    bits and trailing bytes all return WireError::kMalformedPayload.
 #pragma once
 
 #include <cstdint>
 #include <variant>
+#include <vector>
 
 #include "src/common/bitvector.hpp"
 #include "src/common/bytes.hpp"
@@ -31,6 +33,7 @@ qkd::BitVector get_bits_dense(ByteReader& reader);  // throws on malformed
 
 /// varint bit-count + varint popcount + varint position deltas (first
 /// absolute, then gaps-1). Compact for sparse masks like detected slots.
+/// Decode rejects any delta that would land at or past the bit-count.
 void put_bits_sparse(Bytes& out, const qkd::BitVector& bits);
 qkd::BitVector get_bits_sparse(ByteReader& reader);  // throws on malformed
 
@@ -52,24 +55,27 @@ struct QframeFeed {
   bool operator==(const QframeFeed&) const = default;
 };
 
-/// Bob -> Alice: slots that produced a usable click, plus Bob's basis for
-/// each detected slot (detection order).
+/// Bob -> Alice: the slots that produced a usable click, in increasing
+/// order, plus Bob's basis for each click. The clicks go out as the sparse
+/// field above (slot-count, click-count, gaps), so the bytes are those of
+/// the frame's detection bitmap.
 struct SiftAnnounce {
   static constexpr PacketType kType = PacketType::kSiftAnnounce;
   std::uint64_t frame_id = 0;
-  qkd::BitVector detected;   // per slot (sparse on the wire)
-  qkd::BitVector bob_bases;  // per detection
+  std::uint64_t slots = 0;            // frame size
+  std::vector<std::uint32_t> clicks;  // sorted, each < slots
+  qkd::BitVector bob_bases;           // per click
 
   Bytes encode() const;
   static Result<SiftAnnounce> decode(const Bytes& payload);
   bool operator==(const SiftAnnounce&) const = default;
 };
 
-/// Alice -> Bob: which detections survive the basis comparison.
+/// Alice -> Bob: which clicks survive the basis comparison.
 struct SiftDecision {
   static constexpr PacketType kType = PacketType::kSiftDecision;
   std::uint64_t frame_id = 0;
-  qkd::BitVector keep;  // per detection
+  qkd::BitVector keep;  // per click, in SiftAnnounce::clicks order
 
   Bytes encode() const;
   static Result<SiftDecision> decode(const Bytes& payload);

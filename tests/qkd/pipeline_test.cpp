@@ -149,6 +149,24 @@ TEST(Pipeline, SamplingDrawsExactlyTheConfiguredFraction) {
                                                batch.sifted_bits)));
 }
 
+TEST(Pipeline, SampleDrawIsOneLockstepMaskAndTheSplitKeepsOrder) {
+  // Two DRBGs on one seed stand for the two sides: they draw the same
+  // mask, with exactly the target set, and leave their streams in step.
+  qkd::crypto::Drbg alice(11u), bob(11u);
+  const qkd::BitVector mask = draw_sample_mask(1000, 50, alice);
+  EXPECT_EQ(mask, draw_sample_mask(1000, 50, bob));
+  EXPECT_EQ(mask.size(), 1000u);
+  EXPECT_EQ(mask.popcount(), 50u);
+  EXPECT_EQ(alice.next_u64(), bob.next_u64());
+
+  const qkd::BitVector bits = qkd::BitVector::from_string("10110");
+  const qkd::BitVector sample = qkd::BitVector::from_string("01100");
+  qkd::BitVector sampled, kept;
+  split_by_mask(bits, sample, sampled, kept);
+  EXPECT_EQ(sampled, qkd::BitVector::from_string("01"));
+  EXPECT_EQ(kept, qkd::BitVector::from_string("110"));
+}
+
 /// A do-nothing observer stage, to prove the pipeline is composable.
 class TapStage final : public PipelineStage {
  public:

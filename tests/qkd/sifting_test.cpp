@@ -17,41 +17,44 @@ qkd::optics::FrameResult small_frame(std::uint64_t seed,
 
 TEST(Sifting, MessageSerializationRoundTrips) {
   const auto frame = small_frame(1);
-  const SiftMessage msg = make_sift_message(42, frame.bob);
-  const SiftMessage back = SiftMessage::deserialize(msg.serialize());
-  EXPECT_EQ(back.frame_id, 42u);
-  EXPECT_EQ(back.detected, msg.detected);
-  EXPECT_EQ(back.bob_bases, msg.bob_bases);
+  const wire::SiftAnnounce announce = make_sift_announce(42, frame.bob);
+  const auto back = wire::SiftAnnounce::decode(announce.encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value.frame_id, 42u);
+  EXPECT_EQ(back.value.slots, frame.bob.size());
+  EXPECT_EQ(back.value.clicks, announce.clicks);
+  EXPECT_EQ(back.value.bob_bases, announce.bob_bases);
 }
 
 TEST(Sifting, ResponseSerializationRoundTrips) {
-  SiftResponse r;
-  r.frame_id = 7;
-  r.keep = qkd::BitVector::from_string("1011001");
-  const SiftResponse back = SiftResponse::deserialize(r.serialize());
-  EXPECT_EQ(back.frame_id, 7u);
-  EXPECT_EQ(back.keep, r.keep);
+  wire::SiftDecision decision;
+  decision.frame_id = 7;
+  decision.keep = qkd::BitVector::from_string("1011001");
+  const auto back = wire::SiftDecision::decode(decision.encode());
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value.frame_id, 7u);
+  EXPECT_EQ(back.value.keep, decision.keep);
 }
 
 TEST(Sifting, DeserializeRejectsGarbage) {
-  EXPECT_THROW(SiftMessage::deserialize(Bytes{1, 2, 3}),
-               std::invalid_argument);
-  EXPECT_THROW(SiftResponse::deserialize(Bytes{}), std::invalid_argument);
+  EXPECT_FALSE(wire::SiftAnnounce::decode(Bytes{1, 2, 3}).ok());
+  EXPECT_FALSE(wire::SiftDecision::decode(Bytes{}).ok());
 }
 
 TEST(Sifting, BothSidesAgreeOnSlotIndices) {
   const auto frame = small_frame(2);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, msg);
-  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.response);
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const SiftOutcome bob =
+      bob_apply_response(frame.bob, announce, alice.decision);
   EXPECT_EQ(alice.outcome.slot_indices, bob.slot_indices);
   EXPECT_EQ(alice.outcome.bits.size(), bob.bits.size());
 }
 
 TEST(Sifting, KeepsOnlyMatchingBasisDetections) {
   const auto frame = small_frame(3);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, msg);
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  const AliceSiftResult alice = alice_sift(frame.alice, announce);
   for (std::uint32_t slot : alice.outcome.slot_indices) {
     EXPECT_TRUE(frame.bob.detected.get(slot));
     EXPECT_EQ(frame.alice.bases.get(slot), frame.bob.bases.get(slot));
@@ -60,8 +63,8 @@ TEST(Sifting, KeepsOnlyMatchingBasisDetections) {
 
 TEST(Sifting, SiftedFractionIsHalfOfDetections) {
   const auto frame = small_frame(4, 500000);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, msg);
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  const AliceSiftResult alice = alice_sift(frame.alice, announce);
   const double detections =
       static_cast<double>(frame.bob.detected.popcount());
   ASSERT_GT(detections, 100);
@@ -73,9 +76,10 @@ TEST(Sifting, SiftedBitsMostlyAgree) {
   // At the paper's operating point the sifted strings differ only by the
   // 6-8 % QBER.
   const auto frame = small_frame(5, 500000);
-  const SiftMessage msg = make_sift_message(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, msg);
-  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.response);
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const SiftOutcome bob =
+      bob_apply_response(frame.bob, announce, alice.decision);
   ASSERT_GT(alice.outcome.bits.size(), 100u);
   const double qber =
       static_cast<double>(alice.outcome.bits.hamming_distance(bob.bits)) /
@@ -86,31 +90,34 @@ TEST(Sifting, SiftedBitsMostlyAgree) {
 
 TEST(Sifting, AliceRejectsWrongFrameSize) {
   const auto frame = small_frame(6, 10000);
-  SiftMessage msg = make_sift_message(0, frame.bob);
-  msg.detected.resize(5000);
-  EXPECT_THROW(alice_sift(frame.alice, msg), std::invalid_argument);
+  wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  announce.slots = 5000;
+  EXPECT_THROW(alice_sift(frame.alice, announce), std::invalid_argument);
+  announce.slots = frame.bob.size();
+  announce.bob_bases.push_back(false);  // one basis more than clicks
+  EXPECT_THROW(alice_sift(frame.alice, announce), std::invalid_argument);
 }
 
 TEST(Sifting, BobRejectsMismatchedResponse) {
   const auto frame = small_frame(7, 10000);
-  const SiftMessage msg = make_sift_message(3, frame.bob);
-  SiftResponse bad;
+  const wire::SiftAnnounce announce = make_sift_announce(3, frame.bob);
+  wire::SiftDecision bad;
   bad.frame_id = 3;
-  bad.keep = qkd::BitVector(msg.bob_bases.size() + 1);
-  EXPECT_THROW(bob_apply_response(frame.bob, msg, bad), std::invalid_argument);
-  SiftResponse wrong_frame;
+  bad.keep = qkd::BitVector(announce.clicks.size() + 1);
+  EXPECT_THROW(bob_apply_response(frame.bob, announce, bad),
+               std::invalid_argument);
+  wire::SiftDecision wrong_frame;
   wrong_frame.frame_id = 4;
-  wrong_frame.keep = qkd::BitVector(msg.bob_bases.size());
-  EXPECT_THROW(bob_apply_response(frame.bob, msg, wrong_frame),
+  wrong_frame.keep = qkd::BitVector(announce.clicks.size());
+  EXPECT_THROW(bob_apply_response(frame.bob, announce, wrong_frame),
                std::invalid_argument);
 }
 
 TEST(Sifting, DeserializeRejectsInconsistentBasisCount) {
   const auto frame = small_frame(8, 10000);
-  SiftMessage msg = make_sift_message(0, frame.bob);
-  msg.bob_bases.push_back(true);  // one basis too many
-  EXPECT_THROW(SiftMessage::deserialize(msg.serialize()),
-               std::invalid_argument);
+  wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  announce.bob_bases.push_back(true);  // one basis too many
+  EXPECT_FALSE(wire::SiftAnnounce::decode(announce.encode()).ok());
 }
 
 // ---- Word-level sifting equals the bit-by-bit definition ------------------
@@ -121,25 +128,38 @@ TEST(Sifting, DeserializeRejectsInconsistentBasisCount) {
 
 namespace reference {
 
-SiftMessage make_sift_message(std::uint64_t frame_id,
-                              const qkd::optics::DetectionRecord& bob) {
-  SiftMessage msg;
-  msg.frame_id = frame_id;
-  msg.detected = bob.detected;
-  for (std::size_t i = 0; i < bob.size(); ++i)
-    if (bob.detected.get(i)) msg.bob_bases.push_back(bob.bases.get(i));
-  return msg;
+/// Bob's clicks in slot order and his basis for each.
+struct Announce {
+  std::vector<std::uint32_t> clicks;
+  qkd::BitVector bob_bases;
+};
+
+Announce announce(const qkd::optics::DetectionRecord& bob) {
+  Announce out;
+  for (std::size_t slot = 0; slot < bob.size(); ++slot) {
+    if (!bob.detected.get(slot)) continue;
+    out.clicks.push_back(static_cast<std::uint32_t>(slot));
+    out.bob_bases.push_back(bob.bases.get(slot));
+  }
+  return out;
 }
 
-AliceSiftResult alice_sift(const qkd::optics::PulseTrainRecord& alice,
-                           const SiftMessage& msg) {
-  AliceSiftResult result;
-  result.response.frame_id = msg.frame_id;
+/// Alice's keep bit per click and her sifted bits, walking every slot of
+/// Bob's detection bitmap.
+struct AliceSide {
+  qkd::BitVector keep;
+  SiftOutcome outcome;
+};
+
+AliceSide alice_sift(const qkd::optics::PulseTrainRecord& alice,
+                     const qkd::BitVector& detected,
+                     const qkd::BitVector& bob_bases) {
+  AliceSide result;
   std::size_t det_index = 0;
   for (std::size_t slot = 0; slot < alice.size(); ++slot) {
-    if (!msg.detected.get(slot)) continue;
-    const bool match = msg.bob_bases.get(det_index) == alice.bases.get(slot);
-    result.response.keep.push_back(match);
+    if (!detected.get(slot)) continue;
+    const bool match = bob_bases.get(det_index) == alice.bases.get(slot);
+    result.keep.push_back(match);
     if (match) {
       result.outcome.bits.push_back(alice.values.get(slot));
       result.outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
@@ -150,12 +170,12 @@ AliceSiftResult alice_sift(const qkd::optics::PulseTrainRecord& alice,
 }
 
 SiftOutcome bob_apply_response(const qkd::optics::DetectionRecord& bob,
-                               const SiftResponse& response) {
+                               const qkd::BitVector& keep) {
   SiftOutcome outcome;
   std::size_t det_index = 0;
   for (std::size_t slot = 0; slot < bob.size(); ++slot) {
     if (!bob.detected.get(slot)) continue;
-    if (response.keep.get(det_index)) {
+    if (keep.get(det_index)) {
       outcome.bits.push_back(bob.bits.get(slot));
       outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
     }
@@ -187,18 +207,22 @@ void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
   }
 }
 
-Bytes encode_announce(const SiftMessage& msg) {
+/// The SiftAnnounce payload by its definition: the frame id, Bob's
+/// detection bitmap walked slot by slot through the sparse gap codec, then
+/// his basis for each click, packed LSB first.
+Bytes encode_announce(std::uint64_t frame_id,
+                      const qkd::optics::DetectionRecord& bob) {
   Bytes out;
-  put_varint(out, msg.frame_id);
-  put_bits_sparse(out, msg.detected);
-  put_bits_dense(out, msg.bob_bases);
+  put_varint(out, frame_id);
+  put_bits_sparse(out, bob.detected);
+  put_bits_dense(out, announce(bob).bob_bases);
   return out;
 }
 
-Bytes encode_decision(const SiftResponse& response) {
+Bytes encode_decision(std::uint64_t frame_id, const qkd::BitVector& keep) {
   Bytes out;
-  put_varint(out, response.frame_id);
-  put_bits_dense(out, response.keep);
+  put_varint(out, frame_id);
+  put_bits_dense(out, keep);
   return out;
 }
 
@@ -224,49 +248,41 @@ qkd::optics::FrameResult random_frame(qkd::Rng& rng, std::size_t slots,
 
 void expect_sift_matches_reference(const qkd::optics::FrameResult& frame,
                                    std::uint64_t frame_id) {
-  const SiftMessage msg = make_sift_message(frame_id, frame.bob);
-  const SiftMessage ref_msg = reference::make_sift_message(frame_id, frame.bob);
-  EXPECT_EQ(msg.frame_id, ref_msg.frame_id);
-  EXPECT_EQ(msg.detected, ref_msg.detected);
-  EXPECT_EQ(msg.bob_bases, ref_msg.bob_bases);
+  const wire::SiftAnnounce announce = make_sift_announce(frame_id, frame.bob);
+  const reference::Announce ref = reference::announce(frame.bob);
+  EXPECT_EQ(announce.frame_id, frame_id);
+  EXPECT_EQ(announce.slots, frame.bob.size());
+  EXPECT_EQ(announce.clicks, ref.clicks);
+  EXPECT_EQ(announce.bob_bases, ref.bob_bases);
 
-  const AliceSiftResult alice = alice_sift(frame.alice, msg);
-  const AliceSiftResult ref_alice = reference::alice_sift(frame.alice, msg);
-  EXPECT_EQ(alice.response.frame_id, ref_alice.response.frame_id);
-  EXPECT_EQ(alice.response.keep, ref_alice.response.keep);
+  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const reference::AliceSide ref_alice =
+      reference::alice_sift(frame.alice, frame.bob.detected, ref.bob_bases);
+  EXPECT_EQ(alice.decision.frame_id, frame_id);
+  EXPECT_EQ(alice.decision.keep, ref_alice.keep);
   EXPECT_EQ(alice.outcome.bits, ref_alice.outcome.bits);
   EXPECT_EQ(alice.outcome.slot_indices, ref_alice.outcome.slot_indices);
 
-  const SiftOutcome bob = bob_apply_response(frame.bob, msg, alice.response);
+  const SiftOutcome bob =
+      bob_apply_response(frame.bob, announce, alice.decision);
   const SiftOutcome ref_bob =
-      reference::bob_apply_response(frame.bob, alice.response);
+      reference::bob_apply_response(frame.bob, ref_alice.keep);
   EXPECT_EQ(bob.bits, ref_bob.bits);
   EXPECT_EQ(bob.slot_indices, ref_bob.slot_indices);
 
   // The wire bytes of both sifting packets, and their decodings.
-  wire::SiftAnnounce announce;
-  announce.frame_id = msg.frame_id;
-  announce.detected = msg.detected;
-  announce.bob_bases = msg.bob_bases;
   const Bytes announce_bytes = announce.encode();
-  EXPECT_EQ(announce_bytes, reference::encode_announce(ref_msg));
+  EXPECT_EQ(announce_bytes, reference::encode_announce(frame_id, frame.bob));
   const auto announce_back = wire::SiftAnnounce::decode(announce_bytes);
   ASSERT_TRUE(announce_back.ok());
   EXPECT_EQ(announce_back.value, announce);
 
-  wire::SiftDecision decision;
-  decision.frame_id = alice.response.frame_id;
-  decision.keep = alice.response.keep;
-  const Bytes decision_bytes = decision.encode();
-  EXPECT_EQ(decision_bytes, reference::encode_decision(ref_alice.response));
+  const Bytes decision_bytes = alice.decision.encode();
+  EXPECT_EQ(decision_bytes,
+            reference::encode_decision(frame_id, ref_alice.keep));
   const auto decision_back = wire::SiftDecision::decode(decision_bytes);
   ASSERT_TRUE(decision_back.ok());
-  EXPECT_EQ(decision_back.value, decision);
-
-  // The legacy SiftMessage serialisation (run-length coded) round-trips.
-  const SiftMessage round = SiftMessage::deserialize(msg.serialize());
-  EXPECT_EQ(round.detected, msg.detected);
-  EXPECT_EQ(round.bob_bases, msg.bob_bases);
+  EXPECT_EQ(decision_back.value, alice.decision);
 }
 
 TEST(SiftingEquivalence, SeededRandomFramesMatchTheBitwiseWalk) {
@@ -312,38 +328,15 @@ TEST(SiftingEquivalence, SimulatedQframeMatches) {
 
 // ---- Sift wire-byte pin ---------------------------------------------------
 //
-// The SiftAnnounce payload is fixed by its definition: the frame id, Bob's
-// detection bitmap walked slot by slot through the sparse gap codec, then
-// his basis for each click, packed LSB first. Whatever Bob's announce is
-// built from, these are its bytes.
-
-Bytes pinned_announce_bytes(std::uint64_t frame_id,
-                            const qkd::optics::DetectionRecord& bob) {
-  qkd::BitVector bases;
-  for (std::size_t i = 0; i < bob.size(); ++i)
-    if (bob.detected.get(i)) bases.push_back(bob.bases.get(i));
-  Bytes out;
-  put_varint(out, frame_id);
-  reference::put_bits_sparse(out, bob.detected);
-  reference::put_bits_dense(out, bases);
-  return out;
-}
-
-wire::SiftAnnounce announce_for(std::uint64_t frame_id,
-                                const qkd::optics::DetectionRecord& bob) {
-  const SiftMessage msg = make_sift_message(frame_id, bob);
-  wire::SiftAnnounce announce;
-  announce.frame_id = msg.frame_id;
-  announce.detected = msg.detected;
-  announce.bob_bases = msg.bob_bases;
-  return announce;
-}
+// The SiftAnnounce payload is fixed by its definition (see
+// reference::encode_announce): whatever Bob's announce is built from, the
+// bytes are those of his detection bitmap walked slot by slot.
 
 void expect_pinned_announce(const qkd::optics::DetectionRecord& bob,
                             std::uint64_t frame_id) {
-  const wire::SiftAnnounce announce = announce_for(frame_id, bob);
+  const wire::SiftAnnounce announce = make_sift_announce(frame_id, bob);
   const Bytes bytes = announce.encode();
-  EXPECT_EQ(bytes, pinned_announce_bytes(frame_id, bob));
+  EXPECT_EQ(bytes, reference::encode_announce(frame_id, bob));
   const auto back = wire::SiftAnnounce::decode(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value, announce);

@@ -36,11 +36,11 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
     case 1: {
       SiftAnnounce p;
       p.frame_id = rng.next_u64();
-      // Sparse-ish mask: set ~1/64 of the slots.
-      p.detected = qkd::BitVector(rng.next_below(4096) + 1);
-      for (std::size_t i = 0; i < p.detected.size(); ++i)
-        if (rng.next_below(64) == 0) p.detected.set(i, true);
-      p.bob_bases = rng.next_bits(p.detected.popcount());
+      // Sparse-ish clicks: ~1/64 of the slots.
+      p.slots = rng.next_below(4096) + 1;
+      for (std::uint32_t i = 0; i < p.slots; ++i)
+        if (rng.next_below(64) == 0) p.clicks.push_back(i);
+      p.bob_bases = rng.next_bits(p.clicks.size());
       return to_frame(p);
     }
     case 2: {

@@ -32,18 +32,27 @@ TEST(Packets, QframeFeedRoundTrips) {
 TEST(Packets, SiftAnnounceRoundTripsSparseMask) {
   // ~1% detection density: the sparse codec's home turf.
   BitVector detected(4096);
-  for (std::size_t i = 0; i < detected.size(); i += 97) detected.set(i, true);
   SiftAnnounce packet;
   packet.frame_id = 42;
-  packet.detected = detected;
-  packet.bob_bases = BitVector(detected.popcount());  // one basis per click
+  packet.slots = detected.size();
+  for (std::uint32_t i = 0; i < detected.size(); i += 97) {
+    detected.set(i, true);
+    packet.clicks.push_back(i);
+  }
+  packet.bob_bases = BitVector(packet.clicks.size());  // one basis per click
   for (std::size_t i = 0; i < packet.bob_bases.size(); i += 2)
     packet.bob_bases.set(i, true);
   EXPECT_EQ(round_trip(packet), packet);
 
-  // The sparse encoding must beat dense packing at this density.
+  // The click list goes out as the sparse field of the detection bitmap,
+  // which must beat dense packing at this density.
   Bytes sparse;
   put_bits_sparse(sparse, detected);
+  Bytes expected;
+  put_varint(expected, packet.frame_id);
+  expected.insert(expected.end(), sparse.begin(), sparse.end());
+  put_bits_dense(expected, packet.bob_bases);
+  EXPECT_EQ(packet.encode(), expected);
   Bytes dense;
   put_bits_dense(dense, detected);
   EXPECT_LT(sparse.size(), dense.size());
@@ -130,8 +139,10 @@ TEST(Packets, TruncatedPayloadIsMalformed) {
   QKD_SEEDED_RNG(rng, 3);
   SiftAnnounce packet;
   packet.frame_id = 1;
-  packet.detected = rng.next_bits(256);
-  packet.bob_bases = rng.next_bits(100);
+  packet.slots = 256;
+  for (std::uint32_t i = 0; i < packet.slots; ++i)
+    if (rng.next_bool()) packet.clicks.push_back(i);
+  packet.bob_bases = rng.next_bits(packet.clicks.size());
   Bytes payload = packet.encode();
   payload.pop_back();
   EXPECT_EQ(SiftAnnounce::decode(payload).error, WireError::kMalformedPayload);
@@ -162,9 +173,80 @@ TEST(Packets, SemanticallyInvalidFieldsAreMalformed) {
 
   // One basis bit per detection, enforced on decode.
   SiftAnnounce lopsided;
-  lopsided.detected = BitVector{1, 0, 1};
+  lopsided.slots = 3;
+  lopsided.clicks = {0, 2};
   lopsided.bob_bases = BitVector{1};  // two detections, one basis
   EXPECT_EQ(SiftAnnounce::decode(lopsided.encode()).error,
+            WireError::kMalformedPayload);
+}
+
+/// A sparse slot field written by hand: `n` slots, the gap count, then
+/// the gaps (first absolute, then distance past the previous slot minus 1).
+Bytes sparse_field(std::uint64_t n, std::initializer_list<std::uint64_t> gaps) {
+  Bytes out;
+  put_varint(out, n);
+  put_varint(out, gaps.size());
+  for (std::uint64_t gap : gaps) put_varint(out, gap);
+  return out;
+}
+
+/// A SiftAnnounce payload (frame 0) around a hand-written sparse field.
+Bytes announce_payload(const Bytes& sparse, std::size_t clicks) {
+  Bytes out;
+  put_varint(out, 0);
+  out.insert(out.end(), sparse.begin(), sparse.end());
+  put_bits_dense(out, BitVector(clicks));
+  return out;
+}
+
+/// A QframeFeed payload (frame 0) around a hand-written sparse field.
+Bytes feed_payload(const Bytes& sparse, std::size_t slots) {
+  Bytes out;
+  put_varint(out, 0);
+  out.insert(out.end(), sparse.begin(), sparse.end());
+  put_bits_dense(out, BitVector(slots));
+  put_bits_dense(out, BitVector(slots));
+  return out;
+}
+
+TEST(Packets, SparseGapThatWrapsThePositionIsMalformed) {
+  // Gaps 5 then 2^64 - 3 wrap a 64-bit position back to slot 3: an
+  // out-of-order mask with a second, non-canonical encoding.
+  const Bytes wrapping = sparse_field(100, {5, ~std::uint64_t{0} - 2});
+  EXPECT_EQ(SiftAnnounce::decode(announce_payload(wrapping, 2)).error,
+            WireError::kMalformedPayload);
+  EXPECT_EQ(QframeFeed::decode(feed_payload(wrapping, 100)).error,
+            WireError::kMalformedPayload);
+  // The same wrap in the first, absolute position.
+  const Bytes huge_first = sparse_field(100, {~std::uint64_t{0}});
+  EXPECT_EQ(SiftAnnounce::decode(announce_payload(huge_first, 1)).error,
+            WireError::kMalformedPayload);
+  EXPECT_EQ(QframeFeed::decode(feed_payload(huge_first, 100)).error,
+            WireError::kMalformedPayload);
+}
+
+TEST(Packets, SparseGapMayReachTheLastSlotButNotPastIt) {
+  // n = 100: slot 98 then gap 0 lands on slot 99, the last one; gap 1
+  // would land on slot 100.
+  const Bytes last = sparse_field(100, {98, 0});
+  const auto announce = SiftAnnounce::decode(announce_payload(last, 2));
+  ASSERT_TRUE(announce.ok());
+  EXPECT_EQ(announce.value.encode(), announce_payload(last, 2));
+  const auto feed = QframeFeed::decode(feed_payload(last, 100));
+  ASSERT_TRUE(feed.ok());
+  EXPECT_TRUE(feed.value.detected.get(98));
+  EXPECT_TRUE(feed.value.detected.get(99));
+  EXPECT_EQ(feed.value.encode(), feed_payload(last, 100));
+
+  const Bytes past = sparse_field(100, {98, 1});
+  EXPECT_EQ(SiftAnnounce::decode(announce_payload(past, 2)).error,
+            WireError::kMalformedPayload);
+  EXPECT_EQ(QframeFeed::decode(feed_payload(past, 100)).error,
+            WireError::kMalformedPayload);
+  const Bytes first_past = sparse_field(100, {100});
+  EXPECT_EQ(SiftAnnounce::decode(announce_payload(first_past, 1)).error,
+            WireError::kMalformedPayload);
+  EXPECT_EQ(QframeFeed::decode(feed_payload(first_past, 100)).error,
             WireError::kMalformedPayload);
 }
 
