@@ -394,23 +394,32 @@ std::size_t ScenarioRunner::run_with(
       // a ClassicalImpairment's latency stall (folded into the batch's
       // duration_s) stretches the cadence, so a degraded classical channel
       // lowers the distilled rate on the timeline, not just on paper.
-      for (const network::Link& link : mesh_->topology().links()) {
-        const SimTime frame =
-            seconds_to_sim(service->link_frame_duration_s(link.id));
-        const network::LinkId id = link.id;
-        auto fire = std::make_shared<std::function<void(SimTime)>>();
-        *fire = [this, service, id, frame, fire](SimTime now) {
+      //
+      // Each event holds its own copy of the chain and schedules a fresh
+      // copy for the next batch, so nothing owns itself: a chain left
+      // pending at the horizon is freed with the scheduler.
+      struct BatchChain {
+        ScenarioRunner* runner;
+        network::LinkKeyService* service;
+        network::LinkId id;
+        SimTime frame;
+
+        void operator()(SimTime now) const {
           SimTime next = frame;
-          if (mesh_->topology().link(id).usable()) {
+          if (runner->mesh_->topology().link(id).usable()) {
             const double before = service->session(id).totals().duration_s;
             service->run_link_batch(id);
             const double took =
                 service->session(id).totals().duration_s - before;
             if (took > 0.0) next = seconds_to_sim(took);
           }
-          scheduler_->at(now + next, *fire);
-        };
-        scheduler_->at(frame, *fire);
+          runner->scheduler_->at(now + next, *this);
+        }
+      };
+      for (const network::Link& link : mesh_->topology().links()) {
+        const SimTime frame =
+            seconds_to_sim(service->link_frame_duration_s(link.id));
+        scheduler_->at(frame, BatchChain{this, service, link.id, frame});
       }
     } else {
       // Accrual cadence between observations (keeps long idle stretches
