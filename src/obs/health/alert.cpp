@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/common/logging.hpp"
 
@@ -161,6 +162,23 @@ std::pair<bool, double> AlertEngine::evaluate_condition(
   return std::visit(Visitor{*this, now}, condition);
 }
 
+bool AlertEngine::bound(const AlertCondition& condition) const {
+  const auto present = [this](const std::string& metric) {
+    return snapshot_.count(metric) != 0;
+  };
+  return std::visit(
+      [&present](const auto& c) {
+        using Condition = std::decay_t<decltype(c)>;
+        if constexpr (std::is_same_v<Condition, Absence>)
+          return true;
+        else if constexpr (std::is_same_v<Condition, SloBurnRate>)
+          return present(c.good_metric) && present(c.total_metric);
+        else
+          return present(c.metric);
+      },
+      condition);
+}
+
 void AlertEngine::transition(RuleState& rs, AlertState to, qkd::SimTime now) {
   Transition t;
   t.at = now;
@@ -210,7 +228,9 @@ void AlertEngine::evaluate(qkd::SimTime now) {
       history.points.pop_front();
   }
 
+  unbound_rules_ = 0;
   for (RuleState& rs : rules_) {
+    if (!bound(rs.rule.condition)) ++unbound_rules_;
     const auto [active, value] =
         evaluate_condition(rs.rule.condition, now);
     ++stats_.conditions_evaluated;
@@ -350,6 +370,7 @@ void AlertEngine::bind_alerts(MetricsRegistry& registry) {
     }
     out.counter("ALERTS_firing_total", firing);
     out.counter("ALERTS_resolved_total", resolved);
+    out.gauge("alerts_unbound_rules", static_cast<double>(unbound_rules_));
     for (const RuleState& rs : rules_) {
       if (rs.state != AlertState::kPending && rs.state != AlertState::kFiring)
         continue;

@@ -212,9 +212,15 @@ class AlertEngine {
   /// samples for every rule: a gauge
   ///   ALERTS{alertname="<rule>",alertstate="<pending|firing>"} = 1
   /// per active alert, plus ALERTS_firing_total / ALERTS_resolved_total
-  /// counters. Usually the same registry the rules read; any registry
-  /// works. The engine must outlive the binding.
+  /// counters and the alerts_unbound_rules gauge. Usually the same
+  /// registry the rules read; any registry works. The engine must outlive
+  /// the binding.
   void bind_alerts(MetricsRegistry& registry);
+
+  /// Rules whose metric was absent from the last evaluation's snapshot
+  /// (any condition but Absence, whose job that is): such a rule can never
+  /// fire, so a nonzero count is a misnamed metric or a missing binding.
+  std::size_t unbound_rules() const { return unbound_rules_; }
 
   const Stats& stats() const { return stats_; }
   qkd::SimTime last_evaluated() const { return last_evaluated_; }
@@ -249,6 +255,8 @@ class AlertEngine {
                                      qkd::SimTime now) const;
   double burn_rate(const SloBurnRate& slo, qkd::SimTime window,
                    qkd::SimTime now) const;
+  /// Every metric the condition reads is in the current snapshot.
+  bool bound(const AlertCondition& condition) const;
   void track(const std::string& metric, qkd::SimTime window);
   void transition(RuleState& rs, AlertState to, qkd::SimTime now);
 
@@ -261,6 +269,7 @@ class AlertEngine {
   std::vector<Transition> transitions_;
   TransitionObserver observer_;
   Stats stats_;
+  std::size_t unbound_rules_ = 0;
   qkd::SimTime last_evaluated_ = -1;
 };
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -322,6 +323,48 @@ TEST(AlertEngine, TransitionObserverSeesEveryStateChange) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], "obs:firing");
   EXPECT_EQ(seen[1], "obs:resolved");
+}
+
+/// The value of `name` in a registry snapshot; NaN when it is absent.
+double sample_value(const MetricsRegistry& registry, const std::string& name) {
+  for (const MetricSample& sample : registry.snapshot())
+    if (sample.name == name) return sample.value;
+  return std::nan("");
+}
+
+TEST(AlertEngine, RulesOverMissingMetricsAreCountedUnbound) {
+  // A rule over a metric the registry never emits can never fire, so it
+  // must not stay silent: the engine counts it in alerts_unbound_rules at
+  // every evaluation, one per rule, for every condition kind that reads a
+  // value (Absence watches for a missing metric by design).
+  MetricsRegistry registry;
+  registry.gauge("v").set(5);
+  registry.histogram("h").record(3);
+  AlertEngine engine(registry);
+  engine.add_rule(threshold_rule("bound", "v", 1.0));
+  engine.add_rule(threshold_rule("typo", "v_typo", 1.0));
+  AlertRule rate;
+  rate.name = "rate";
+  rate.condition =
+      RateOfChange{"r_typo", qkd::kSecond, Comparison::kGreater, 1.0};
+  engine.add_rule(rate);
+  AlertRule quantile;
+  quantile.name = "quantile";
+  quantile.condition = QuantileAbove{"h", 0.99, 10.0};
+  engine.add_rule(quantile);
+  engine.add_rule(rules::grant_slo_burn("v", "total_typo", "slo"));
+  engine.add_rule(rules::distillation_stalled("absent"));
+  engine.bind_alerts(registry);
+
+  engine.evaluate(qkd::kSecond);
+  EXPECT_DOUBLE_EQ(sample_value(registry, "alerts_unbound_rules"), 3.0);
+
+  // Once the metrics appear, the rules bind.
+  registry.gauge("v_typo").set(0);
+  registry.counter("r_typo").add(1);
+  registry.counter("total_typo").add(1);
+  engine.evaluate(2 * qkd::kSecond);
+  EXPECT_DOUBLE_EQ(sample_value(registry, "alerts_unbound_rules"), 0.0);
 }
 
 TEST(AlertEngine, BindAlertsExportsPrometheusStyleSamples) {

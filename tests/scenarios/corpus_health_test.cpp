@@ -8,6 +8,8 @@
 
 #include "src/kms/client_fleet.hpp"
 #include "src/kms/kms.hpp"
+#include "src/kms/wire_service.hpp"
+#include "src/net/channel_transport.hpp"
 #include "src/obs/health/expect.hpp"
 #include "src/obs/health/rules.hpp"
 #include "src/obs/metrics.hpp"
@@ -154,6 +156,46 @@ TEST(ScenarioHealth, CleanDayRaisesNoAlarms) {
   // Determinism: the engine ticked once per second plus the horizon tick.
   EXPECT_EQ(h.alerts.stats().evaluations, 30u);
   EXPECT_EQ(h.alerts.last_evaluated(), 30 * kSecond);
+}
+
+TEST(ScenarioHealth, TheRulePackWatchesOnlyMetricsThatExist) {
+  // Every rule factory of the pack, each on the metric the stack exports
+  // for it, over the eavesdrop day: a rule whose metric is never emitted
+  // could never fire, and the engine's alerts_unbound_rules gauge would
+  // count it.
+  Scenario day = loaded_day();
+  day.at(15 * kSecond, StartEavesdrop{6, 1.0});
+  day.at(35 * kSecond, StopEavesdrop{6});
+  HealthHarness h(49, std::move(day), drought_config());
+  net::PublicChannel channel;
+  net::ChannelTransport io(channel, net::ChannelTransport::Side::kA);
+  KmsWireClient wire_client(io);
+  wire_client.bind_metrics(h.registry, "wire");
+  h.alerts.add_rule(health::rules::grant_slo_burn(
+      "kms_interactive_granted_within_slo", "kms_interactive_granted",
+      "interactive"));
+  h.alerts.add_rule(health::rules::retransmission_storm("wire_retransmits"));
+  h.alerts.add_rule(health::rules::distillation_stalled("kms_transports"));
+  h.alerts.bind_alerts(h.registry);
+  ASSERT_EQ(h.alerts.rule_count(), 7u);
+
+  // Read the gauge between evaluations (each value stands until the next
+  // one), so every evaluation's count is seen.
+  double most_unbound = 0.0;
+  std::size_t reads = 0;
+  h.runner.scheduler().every(
+      kSecond / 2, kSecond, [&h, &most_unbound, &reads](SimTime) {
+        for (const qkd::obs::MetricSample& sample : h.registry.snapshot()) {
+          if (sample.name != "alerts_unbound_rules") continue;
+          most_unbound = std::max(most_unbound, sample.value);
+          ++reads;
+        }
+      });
+  h.runner.run(60 * kSecond);
+  EXPECT_GE(reads, 59u);
+  EXPECT_EQ(most_unbound, 0.0);
+  EXPECT_EQ(h.alerts.unbound_rules(), 0u);
+  EXPECT_GE(h.alerts.stats().evaluations, 60u);
 }
 
 TEST(ScenarioHealth, AttachAlertsRejectsANonPositiveInterval) {
