@@ -37,16 +37,13 @@ void print_table() {
       const double law = p_route_to_d1(alice_q, bob_q, 1.0);
       // Harvest MC fraction for the matching modulator settings.
       std::size_t d1 = 0, total = 0;
-      for (std::size_t slot = 0; slot < frame.bob.size(); ++slot) {
-        if (!frame.bob.detected.get(slot)) continue;
-        const unsigned aq = alice_phase_quarter(
-            basis_from_bit(frame.alice.bases.get(slot)),
-            frame.alice.values.get(slot));
-        const unsigned bq = bob_phase_quarter(
-            basis_from_bit(frame.bob.bases.get(slot)));
-        if (aq != alice_q || bq != bob_q) continue;
+      for (const Click& click : frame.clicks) {
+        if (alice_phase_quarter(click.alice_basis, click.alice_value) !=
+                alice_q ||
+            bob_phase_quarter(click.bob_basis) != bob_q)
+          continue;
         ++total;
-        d1 += frame.bob.bits.get(slot);
+        d1 += click.bob_bit;
       }
       const double mc = total ? static_cast<double>(d1) / total : 0.0;
       const unsigned delta = (alice_q + 4 - bob_q) % 4;
@@ -72,11 +69,10 @@ void print_table() {
     WeakCoherentLink vlink(vis, 7);
     const FrameResult vframe = vlink.run_frame(1000000);
     std::size_t errors = 0, sifted = 0;
-    for (std::size_t slot = 0; slot < vframe.bob.size(); ++slot) {
-      if (!vframe.bob.detected.get(slot)) continue;
-      if (vframe.alice.bases.get(slot) != vframe.bob.bases.get(slot)) continue;
+    for (const Click& click : vframe.clicks) {
+      if (click.alice_basis != click.bob_basis) continue;
       ++sifted;
-      errors += vframe.alice.values.get(slot) != vframe.bob.bits.get(slot);
+      errors += click.alice_value != click.bob_bit;
     }
     qkd::bench::row("%12.3f %14.4f %14.4f", v, (1.0 - v) / 2.0,
                     sifted ? static_cast<double>(errors) / sifted : 0.0);
@@ -98,6 +94,7 @@ BENCHMARK(bm_frame_simulation)->Arg(1 << 16)->Arg(1 << 20);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

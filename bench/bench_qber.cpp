@@ -29,11 +29,10 @@ MeasuredQber measure(const LinkParams& params, std::uint64_t seed,
   WeakCoherentLink link(params, seed);
   std::size_t sifted = 0, errors = 0;
   const FrameResult frame = link.run_frame(slots);
-  for (std::size_t slot = 0; slot < frame.bob.size(); ++slot) {
-    if (!frame.bob.detected.get(slot)) continue;
-    if (frame.alice.bases.get(slot) != frame.bob.bases.get(slot)) continue;
+  for (const Click& click : frame.clicks) {
+    if (click.alice_basis != click.bob_basis) continue;
     ++sifted;
-    errors += frame.alice.values.get(slot) != frame.bob.bits.get(slot);
+    errors += click.alice_value != click.bob_bit;
   }
   MeasuredQber out;
   out.qber = sifted ? static_cast<double>(errors) / sifted : 0.0;
@@ -99,6 +98,7 @@ BENCHMARK(bm_qber_measurement);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -45,9 +45,9 @@ void print_table() {
     const std::size_t pulses = 1000000;
     const FrameResult frame = link.run_frame(pulses);
     const AliceSiftResult sift =
-        alice_sift(frame.alice, make_sift_announce(0, frame.bob));
+        alice_sift(frame, make_sift_announce(0, frame));
     qkd::bench::row("%12.3f %12zu %14zu %14zu %18.2f", p_detect, pulses,
-                    frame.bob.detected.popcount(), sift.outcome.bits.size(),
+                    frame.clicks.size(), sift.outcome.bits.size(),
                     1000.0 * static_cast<double>(sift.outcome.bits.size()) /
                         pulses);
   }
@@ -60,13 +60,14 @@ void print_table() {
   const LinkParams op;  // defaults
   WeakCoherentLink link(op, 9);
   const FrameResult frame = link.run_frame(1 << 20);
-  const qkd::wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
-  const AliceSiftResult sift = alice_sift(frame.alice, announce);
+  const qkd::wire::SiftAnnounce announce = make_sift_announce(0, frame);
+  const AliceSiftResult sift = alice_sift(frame, announce);
   qkd::bench::row("  SIFT message: %zu bytes for %zu slots (%zu detections)",
-                  announce.encode().size(), frame.bob.size(),
+                  announce.encode().size(), frame.slots,
                   announce.clicks.size());
-  qkd::bench::row("  (run-length coded detection bitmap alone: %zu bytes)",
-                  qkd::proto::rle_encode(frame.bob.detected).size());
+  qkd::bench::row(
+      "  (run-length coded detection bitmap alone: %zu bytes)",
+      qkd::proto::rle_encode(qkd::bench::detection_bitmap(frame)).size());
   qkd::bench::row("  SIFT RESPONSE: %zu bytes; sifted bits: %zu",
                   sift.decision.encode().size(), sift.outcome.bits.size());
 }
@@ -76,12 +77,12 @@ void bm_sift_round(benchmark::State& state) {
   WeakCoherentLink link(params, 13);
   const FrameResult frame = link.run_frame(1 << 18);
   for (auto _ : state) {
-    const qkd::wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
-    const AliceSiftResult alice = alice_sift(frame.alice, announce);
+    const qkd::wire::SiftAnnounce announce = make_sift_announce(0, frame);
+    const AliceSiftResult alice = alice_sift(frame, announce);
     benchmark::DoNotOptimize(
-        bob_apply_response(frame.bob, announce, alice.decision));
+        bob_apply_response(frame, announce, alice.decision));
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(frame.bob.size()) *
+  state.SetItemsProcessed(static_cast<std::int64_t>(frame.slots) *
                           state.iterations());
 }
 BENCHMARK(bm_sift_round);
@@ -89,6 +90,7 @@ BENCHMARK(bm_sift_round);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -36,9 +36,11 @@ template <> QframeFeed representative() {
   Rng rng(20);
   QframeFeed p;
   p.frame_id = 7;
-  p.detected = rng.next_bits(1 << 20);
-  p.bases = rng.next_bits(1 << 20);
-  p.bits = rng.next_bits(1 << 20);
+  p.slots = 1 << 20;
+  for (std::uint32_t i = 0; i < p.slots; i += 683)
+    p.clicks.push_back(i);  // ~0.15 % click density
+  p.bases = rng.next_bits(p.clicks.size());
+  p.bits = rng.next_bits(p.clicks.size());
   return p;
 }
 template <> SiftAnnounce representative() {
@@ -297,6 +299,7 @@ BENCHMARK(bm_socket_round_trip)
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_tables();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

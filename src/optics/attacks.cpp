@@ -4,8 +4,6 @@
 
 namespace qkd::optics {
 
-void Attack::resolve_bases(const qkd::BitVector&, EveRecord&) {}
-
 InterceptResendAttack::InterceptResendAttack(double fraction)
     : fraction_(fraction) {
   if (fraction < 0.0 || fraction > 1.0)
@@ -17,33 +15,24 @@ void InterceptResendAttack::apply(std::size_t slot, InFlightPulse& pulse,
   if (pulse.photons == 0) return;
   if (!rng.next_bool(fraction_)) return;
 
-  eve.attacked.set(slot, true);
+  eve.mark_attacked(slot);
   const Basis eve_basis = basis_from_bit(rng.next_bool());
   bool eve_result;
   if (eve_basis == pulse.basis) {
-    // Compatible measurement: deterministic outcome.
+    // Compatible measurement: deterministic outcome, and the pulse still
+    // carries Alice's basis, so Eve knows her bit exactly.
     eve_result = pulse.value;
+    eve.mark_known(slot);
   } else {
     // Incompatible: the outcome is uniformly random and the state collapses
     // into Eve's basis.
     eve_result = rng.next_bool();
   }
-  measured_slots_.emplace_back(slot, eve_basis);
   // Resend a fresh single-photon-equivalent pulse prepared in Eve's basis
   // with her measured value. (Eve's source is ideal; she resends the same
   // photon number so the attack does not show up as loss.)
   pulse.basis = eve_basis;
   pulse.value = eve_result;
-}
-
-void InterceptResendAttack::resolve_bases(const qkd::BitVector& alice_bases,
-                                          EveRecord& eve) {
-  for (const auto& [slot, eve_basis] : measured_slots_) {
-    if (slot >= alice_bases.size()) continue;
-    const Basis alice_basis = basis_from_bit(alice_bases.get(slot));
-    if (alice_basis == eve_basis) eve.known.set(slot, true);
-  }
-  measured_slots_.clear();
 }
 
 BeamsplitAttack::BeamsplitAttack(double tap_ratio) : tap_ratio_(tap_ratio) {
@@ -59,10 +48,10 @@ void BeamsplitAttack::apply(std::size_t slot, InFlightPulse& pulse,
   if (captured == 0) return;
   pulse.photons -= captured;
   eve.photons_captured += captured;
-  eve.attacked.set(slot, true);
+  eve.mark_attacked(slot);
   // Eve stores the photon and measures after the sifting announcement, so a
   // single captured photon yields the full bit.
-  eve.known.set(slot, true);
+  eve.mark_known(slot);
 }
 
 void PhotonNumberSplittingAttack::apply(std::size_t slot, InFlightPulse& pulse,
@@ -71,13 +60,13 @@ void PhotonNumberSplittingAttack::apply(std::size_t slot, InFlightPulse& pulse,
   pulse.photons -= 1;
   pulse.lossless_delivery = true;  // Eve compensates the loss she'd cause
   eve.photons_captured += 1;
-  eve.attacked.set(slot, true);
-  eve.known.set(slot, true);
+  eve.mark_attacked(slot);
+  eve.mark_known(slot);
 }
 
 void ChannelCutAttack::apply(std::size_t slot, InFlightPulse& pulse,
                              EveRecord& eve, qkd::Rng&) {
-  if (pulse.photons > 0) eve.attacked.set(slot, true);
+  if (pulse.photons > 0) eve.mark_attacked(slot);
   pulse.photons = 0;
 }
 
@@ -88,11 +77,6 @@ void CompositeAttack::add(std::unique_ptr<Attack> attack) {
 void CompositeAttack::apply(std::size_t slot, InFlightPulse& pulse,
                             EveRecord& eve, qkd::Rng& rng) {
   for (auto& attack : attacks_) attack->apply(slot, pulse, eve, rng);
-}
-
-void CompositeAttack::resolve_bases(const qkd::BitVector& alice_bases,
-                                    EveRecord& eve) {
-  for (auto& attack : attacks_) attack->resolve_bases(alice_bases, eve);
 }
 
 }  // namespace qkd::optics

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/optics/types.hpp"
@@ -32,17 +33,12 @@ class Attack {
  public:
   virtual ~Attack() = default;
 
-  /// Called once per photon-bearing slot (a pulse with no photons has
-  /// nothing to tap, so attacks never see one). `slot` indexes the frame;
-  /// `eve` collects ground truth. Implementations may mutate the pulse
-  /// arbitrarily.
+  /// Called once per photon-bearing slot, in increasing slot order (a
+  /// pulse with no photons has nothing to tap, so attacks never see one).
+  /// `slot` indexes the frame; `eve` collects ground truth through its
+  /// mark_* appends. Implementations may mutate the pulse arbitrarily.
   virtual void apply(std::size_t slot, InFlightPulse& pulse, EveRecord& eve,
                      qkd::Rng& rng) = 0;
-
-  /// Called after the sifting bases become public; lets attacks that stored
-  /// photons (beamsplit / PNS) resolve which stored bits they now know.
-  /// `alice_bases` is the public basis string. Default: nothing to resolve.
-  virtual void resolve_bases(const qkd::BitVector& alice_bases, EveRecord& eve);
 };
 
 /// Intercept-resend: Eve measures a fraction of pulses in a random basis and
@@ -56,15 +52,11 @@ class InterceptResendAttack final : public Attack {
 
   void apply(std::size_t slot, InFlightPulse& pulse, EveRecord& eve,
              qkd::Rng& rng) override;
-  void resolve_bases(const qkd::BitVector& alice_bases, EveRecord& eve) override;
 
   double fraction() const { return fraction_; }
 
  private:
   double fraction_;
-  // Per-slot records for post-sifting resolution: Eve knows the bit exactly
-  // only when her basis matched Alice's.
-  std::vector<std::pair<std::size_t, Basis>> measured_slots_;
 };
 
 /// Passive beamsplitting: a tap diverts each photon to Eve with probability
@@ -113,7 +105,6 @@ class CompositeAttack final : public Attack {
 
   void apply(std::size_t slot, InFlightPulse& pulse, EveRecord& eve,
              qkd::Rng& rng) override;
-  void resolve_bases(const qkd::BitVector& alice_bases, EveRecord& eve) override;
 
  private:
   std::vector<std::unique_ptr<Attack>> attacks_;

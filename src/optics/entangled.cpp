@@ -19,13 +19,10 @@ EntangledLink::EntangledLink(EntangledParams params, std::uint64_t seed)
 }
 
 FrameResult EntangledLink::run_frame(std::size_t n_slots) {
+  if (n_slots > (std::size_t{1} << 32))
+    throw std::invalid_argument("EntangledLink: frame exceeds 2^32 slots");
   FrameResult frame;
-  frame.alice.bases.resize(n_slots);
-  frame.alice.values.resize(n_slots);
-  frame.bob.detected.resize(n_slots);
-  frame.bob.bases.resize(n_slots);
-  frame.bob.bits.resize(n_slots);
-  frame.eve.resize(n_slots);
+  frame.slots = n_slots;
 
   const double transmittance = params_.transmittance();
 
@@ -34,8 +31,6 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
     // Both sides pick random bases every gate, pair or not.
     const bool alice_basis = rng_.next_bool();
     const bool bob_basis = rng_.next_bool();
-    frame.alice.bases.set(slot, alice_basis);
-    frame.bob.bases.set(slot, bob_basis);
 
     const bool pair = rng_.next_bool(params_.pair_probability);
     const bool double_pair =
@@ -46,8 +41,8 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
       // Eve can split off the spare pair without disturbing the first: the
       // entangled analogue of the multi-photon leak — but it is per
       // *received* pair, the Sec. 6 distinction.
-      frame.eve.attacked.set(slot, true);
-      frame.eve.known.set(slot, true);
+      frame.eve.mark_attacked(slot);
+      frame.eve.mark_known(slot);
       ++frame.eve.photons_captured;
     }
     if (pair) ++stats_.pairs_emitted;
@@ -57,10 +52,9 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
         pair && rng_.next_bool(params_.alice_efficiency);
     // Her outcome is intrinsically random.
     const bool alice_value = rng_.next_bool();
-    frame.alice.values.set(slot, alice_value);
 
     // Bob's photon crosses the fiber.
-    bool bob_signal =
+    const bool bob_signal =
         pair && rng_.next_bool(transmittance * params_.bob_efficiency);
     bool bob_value;
     if (bob_signal && alice_detects) {
@@ -78,8 +72,7 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
       // Bob caught a photon but Alice missed hers: uncorrelated click.
       bob_value = rng_.next_bool();
     } else if (rng_.next_bool(2.0 * params_.dark_count_prob)) {
-      bob_signal = true;  // dark count masquerades as a detection
-      bob_value = rng_.next_bool();
+      bob_value = rng_.next_bool();  // dark count masquerades as a detection
     } else {
       continue;
     }
@@ -88,8 +81,9 @@ FrameResult EntangledLink::run_frame(std::size_t n_slots) {
     // announces her detection slots during sifting, so Bob-only clicks are
     // discarded there. We model the coincidence test here.
     if (!alice_detects) continue;
-    frame.bob.detected.set(slot, true);
-    frame.bob.bits.set(slot, bob_value);
+    frame.clicks.push_back({static_cast<std::uint32_t>(slot),
+                            basis_from_bit(alice_basis), alice_value,
+                            basis_from_bit(bob_basis), bob_value, bob_signal});
     ++stats_.coincidences;
   }
   return frame;

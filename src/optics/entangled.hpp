@@ -58,10 +58,11 @@ class EntangledLink {
 
   EntangledLink(EntangledParams params, std::uint64_t seed);
 
-  /// One frame of trigger slots. Alice's record holds her measured values
-  /// (entanglement means neither side chooses the bit); `detected` on Bob's
-  /// side marks coincidence slots. Eve's record flags double-pair slots as
-  /// known (she can capture the spare pair undetectably).
+  /// One frame of trigger slots (at most 2^32). Its clicks are the
+  /// coincidence slots, with Alice's measured value as her bit
+  /// (entanglement means neither side chooses it). Eve's record lists the
+  /// double-pair slots as known (she can capture the spare pair
+  /// undetectably).
   FrameResult run_frame(std::size_t n_slots);
 
   const EntangledParams& params() const { return params_; }

@@ -11,6 +11,8 @@ namespace qkd::optics {
 namespace {
 
 constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+// Clicks name their slot in 32 bits.
+constexpr std::size_t kMaxFrameSlots = std::size_t{1} << 32;
 
 /// The slots of a Bernoulli(p) process, visited by geometric gaps instead
 /// of one draw per slot.
@@ -93,14 +95,10 @@ WeakCoherentLink::WeakCoherentLink(LinkParams params, std::uint64_t seed)
 }
 
 FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
+  if (n_slots > kMaxFrameSlots)
+    throw std::invalid_argument("WeakCoherentLink: frame exceeds 2^32 slots");
   FrameResult frame;
-  // --- Modulator settings: one RNG word covers 64 slots.
-  frame.alice.bases = rng_.next_bits(n_slots);
-  frame.alice.values = rng_.next_bits(n_slots);
-  frame.bob.bases = rng_.next_bits(n_slots);
-  frame.bob.detected.resize(n_slots);
-  frame.bob.bits.resize(n_slots);
-  frame.eve.resize(n_slots);
+  frame.slots = n_slots;
   stats_.pulses += n_slots;
 
   const double capture =
@@ -132,10 +130,17 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
         std::min({next_emission, next_dark, next_misframe, next_afterpulse});
     if (slot >= n_slots) break;
 
+    // --- Modulator settings, drawn only where something happens: the top
+    // three bits of one RNG word give Alice's basis and value and Bob's
+    // basis.
+    const std::uint64_t settings = rng_.next_u64() >> 61;
+    const Basis alice_basis = basis_from_bit(settings & 1);
+    const bool alice_value = (settings & 2) != 0;
+    const Basis bob_basis = basis_from_bit(settings & 4);
+
     // --- Transmitter: the slot's pulse, empty unless the emission stream
     // is here; Eve taps only photon-bearing pulses.
-    InFlightPulse pulse{basis_from_bit(frame.alice.bases.get(slot)),
-                        frame.alice.values.get(slot), 0,
+    InFlightPulse pulse{alice_basis, alice_value, 0,
                         /*lossless_delivery=*/false};
     const bool emitted = slot == next_emission;
     if (emitted) {
@@ -159,7 +164,7 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
       if (detected_photons > 0) {
         const double p_d1 = p_route_to_d1(
             alice_phase_quarter(pulse.basis, pulse.value),
-            bob_phase_quarter(basis_from_bit(frame.bob.bases.get(slot))),
+            bob_phase_quarter(bob_basis),
             params_.interferometer_visibility);
         for (unsigned photon = 0; photon < detected_photons; ++photon)
           click[rng_.next_bool(p_d1) ? 1 : 0] = true;
@@ -195,23 +200,16 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
     // --- Click resolution: exactly one APD firing yields a usable bit.
     if (click[0] && click[1]) {
       ++stats_.double_clicks;
-      ++frame.bob.double_clicks;
+      ++frame.double_clicks;
       continue;
     }
     if (!click[0] && !click[1]) continue;
 
-    frame.bob.detected.set(slot, true);
-    frame.bob.bits.set(slot, click[1]);
+    frame.clicks.push_back({static_cast<std::uint32_t>(slot), alice_basis,
+                            alice_value, bob_basis, click[1], any_signal});
     ++stats_.detections;
-    if (any_signal) {
-      ++stats_.signal_clicks;
-      ++frame.bob.signal_clicks;
-    } else {
-      ++stats_.dark_only_clicks;
-      ++frame.bob.dark_only_clicks;
-    }
+    ++(any_signal ? stats_.signal_clicks : stats_.dark_only_clicks);
   }
-  if (tapped) attack->resolve_bases(frame.alice.bases, frame.eve);
   return frame;
 }
 

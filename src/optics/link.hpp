@@ -8,11 +8,11 @@
 //
 // Each trigger from the OPC produces one slot; the frame is the unit handed
 // to the QKD protocol stack ("Qframes"). The generator is driven by the
-// events that happen: the modulator settings are filled one RNG word per 64
-// slots, and the loop visits only the slots where a photon reaches an APD
-// (under attack: is emitted), a dark count fires in a quiet gate, the
-// framing misses, or an afterpulse is pending (DESIGN.md, "The Qframe
-// generator").
+// events that happen: the loop visits only the slots where a photon
+// reaches an APD (under attack: is emitted), a dark count fires in a quiet
+// gate, the framing misses, or an afterpulse is pending, draws the
+// modulator settings there, and returns the frame as its sorted click list
+// (DESIGN.md, "The Qframe generator").
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,9 @@ class WeakCoherentLink {
 
   WeakCoherentLink(LinkParams params, std::uint64_t seed);
 
-  /// Simulates `n_slots` consecutive trigger slots. If `attack` is non-null
-  /// it is applied to every photon-bearing pulse (attacks are no-ops on
-  /// empty ones) and resolved against the (eventually public) basis string.
+  /// Simulates `n_slots` (at most 2^32) consecutive trigger slots. If
+  /// `attack` is non-null it is applied to every photon-bearing pulse
+  /// (attacks are no-ops on empty ones).
   FrameResult run_frame(std::size_t n_slots, Attack* attack = nullptr);
 
   const LinkParams& params() const { return params_; }

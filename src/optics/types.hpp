@@ -6,9 +6,9 @@
 // (basis, value) pair; Bob applies 0 or pi/2 to choose a measurement basis.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-
-#include "src/common/bitvector.hpp"
+#include <vector>
 
 namespace qkd::optics {
 
@@ -31,46 +31,52 @@ inline unsigned bob_phase_quarter(Basis basis) {
   return basis == Basis::kDiagonal ? 1u : 0u;
 }
 
-/// Alice's modulator settings in a frame, one bit per trigger slot (an
-/// Attack sees each pulse's photon number as it is emitted).
-struct PulseTrainRecord {
-  qkd::BitVector bases;   // bit i: Alice's basis in slot i (1 = diagonal)
-  qkd::BitVector values;  // bit i: Alice's key bit in slot i
+/// One usable single click, with both sides' settings in its slot. The
+/// generator draws the settings only at the slots it visits, so a frame
+/// holds nothing per slot.
+///
+/// Bob's half (slot, bob_basis, bob_bit) stands alone: it is all Bob's
+/// side of sifting reads and all the two-process QframeFeed carries.
+struct Click {
+  std::uint32_t slot = 0;
+  Basis alice_basis = Basis::kRectilinear;
+  bool alice_value = false;
+  Basis bob_basis = Basis::kRectilinear;
+  bool bob_bit = false;  // the APD that fired (1 = D1)
+  // Ground truth, not visible to the protocols: >=1 photon reached an APD
+  // (else a dark count or an afterpulse fired alone).
+  bool signal = false;
 
-  std::size_t size() const { return bases.size(); }
+  bool operator==(const Click&) const = default;
 };
 
-/// Bob's receiver-side record for a frame.
-struct DetectionRecord {
-  qkd::BitVector detected;  // bit i: slot produced a usable single click
-  qkd::BitVector bases;     // bit i: Bob's basis choice in slot i
-  qkd::BitVector bits;      // bit i: measured value (meaningful iff detected)
-
-  // Diagnostics (ground truth, not visible to the protocols):
-  std::size_t double_clicks = 0;     // both APDs fired; slot discarded
-  std::size_t dark_only_clicks = 0;  // click caused by dark count alone
-  std::size_t signal_clicks = 0;     // click caused by >=1 real photon
-
-  std::size_t size() const { return detected.size(); }
-};
-
-/// Ground truth about the eavesdropper's take for a frame.
+/// Ground truth about the eavesdropper's take for a frame, as two sorted
+/// slot lists. Attacks see slots in increasing order, so appending keeps
+/// each list sorted; a repeat of the last slot (several attacks in one
+/// CompositeAttack) is dropped, so each stays unique.
 struct EveRecord {
-  qkd::BitVector attacked;  // bit i: Eve touched slot i
-  qkd::BitVector known;     // bit i: Eve knows Alice's bit in slot i exactly
+  std::vector<std::uint32_t> attacked;  // slots Eve touched
+  std::vector<std::uint32_t> known;     // slots where she knows Alice's bit
   std::size_t photons_captured = 0;
 
-  void resize(std::size_t n) {
-    attacked.resize(n);
-    known.resize(n);
+  void mark_attacked(std::size_t slot) { append(attacked, slot); }
+  void mark_known(std::size_t slot) { append(known, slot); }
+
+ private:
+  static void append(std::vector<std::uint32_t>& slots, std::size_t slot) {
+    const auto s = static_cast<std::uint32_t>(slot);
+    if (slots.empty() || slots.back() != s) slots.push_back(s);
   }
 };
 
-/// Result of simulating one frame over the link.
+/// Result of simulating one frame over the link: its size and its usable
+/// clicks in slot order.
 struct FrameResult {
-  PulseTrainRecord alice;
-  DetectionRecord bob;
+  std::size_t slots = 0;
+  std::vector<Click> clicks;  // sorted by slot
   EveRecord eve;
+  // Diagnostic: slots where both APDs fired and the click was discarded.
+  std::size_t double_clicks = 0;
 };
 
 }  // namespace qkd::optics

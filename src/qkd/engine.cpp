@@ -123,7 +123,7 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
                             .count();
   frame_wall_s_ += result.frame_wall_s;
   result.pulses = config_.frame_slots;
-  result.detections = frame.bob.detected.popcount();
+  result.detections = frame.clicks.size();
   result.duration_s = link_.frame_duration_s(config_.frame_slots);
   totals_.pulses += result.pulses;
   if (frame_span.has_value()) {

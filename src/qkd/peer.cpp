@@ -219,9 +219,15 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
   const auto frame = link_.run_frame(config_.frame_slots, nullptr);
   wire::QframeFeed feed;
   feed.frame_id = out.frame_id;
-  feed.detected = frame.bob.detected;
-  feed.bases = frame.bob.bases;
-  feed.bits = frame.bob.bits;
+  feed.slots = frame.slots;
+  feed.bases = qkd::BitVector(frame.clicks.size());
+  feed.bits = qkd::BitVector(frame.clicks.size());
+  for (std::size_t i = 0; i < frame.clicks.size(); ++i) {
+    const qkd::optics::Click& click = frame.clicks[i];
+    feed.clicks.push_back(click.slot);
+    feed.bases.set(i, click.bob_basis == qkd::optics::Basis::kDiagonal);
+    feed.bits.set(i, click.bob_bit);
+  }
   if (!io.send_frame(wire::to_frame(feed)))
     return local_abort(p, AbortReason::kChannelLost);
 
@@ -229,7 +235,7 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
   AbortReason peer_reason = AbortReason::kChannelLost;
   const auto announce = recv_auth<wire::SiftAnnounce>(p, peer_reason);
   if (!announce.has_value()) return local_abort(p, peer_reason);
-  AliceSiftResult sifted = alice_sift(frame.alice, *announce);
+  AliceSiftResult sifted = alice_sift(frame, *announce);
   if (!send_auth(p, sifted.decision))
     return local_abort(p, AbortReason::kAuthExhausted);
   qkd::BitVector bits = std::move(sifted.outcome.bits);
@@ -347,10 +353,16 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
     return local_abort(p, AbortReason::kChannelLost);
   const auto feed = wire::QframeFeed::decode(feed_frame->payload);
   if (!feed.ok()) return local_abort(p, AbortReason::kChannelLost);
-  qkd::optics::DetectionRecord detections;
-  detections.detected = feed.value.detected;
-  detections.bases = feed.value.bases;
-  detections.bits = feed.value.bits;
+  // Bob's half of each click is all the feed carries and all he reads.
+  qkd::optics::FrameResult detections;
+  detections.slots = feed.value.slots;
+  detections.clicks.resize(feed.value.clicks.size());
+  for (std::size_t i = 0; i < detections.clicks.size(); ++i) {
+    qkd::optics::Click& click = detections.clicks[i];
+    click.slot = feed.value.clicks[i];
+    click.bob_basis = qkd::optics::basis_from_bit(feed.value.bases.get(i));
+    click.bob_bit = feed.value.bits.get(i);
+  }
 
   // ---- Sifting. -----------------------------------------------------------
   const wire::SiftAnnounce announce =

@@ -77,29 +77,34 @@ ShipStatus BatchContext::ship_frame(bool from_alice, wire::PacketType type,
 AbortReason SiftingStage::run(BatchContext& ctx) {
   // Bob announces detections; Alice replies with the basis matches.
   const wire::SiftAnnounce announce =
-      make_sift_announce(ctx.frame_id, ctx.frame.bob);
+      make_sift_announce(ctx.frame_id, ctx.frame);
   if (const auto s = ctx.ship(/*from_alice=*/false, announce);
       s != ShipStatus::kOk)
     return to_abort(s);
 
-  AliceSiftResult alice_sifted = alice_sift(ctx.frame.alice, announce);
+  AliceSiftResult alice_sifted = alice_sift(ctx.frame, announce);
   if (const auto s = ctx.ship(/*from_alice=*/true, alice_sifted.decision);
       s != ShipStatus::kOk)
     return to_abort(s);
   SiftOutcome bob_sifted =
-      bob_apply_response(ctx.frame.bob, announce, alice_sifted.decision);
+      bob_apply_response(ctx.frame, announce, alice_sifted.decision);
 
   ctx.alice_bits = std::move(alice_sifted.outcome.bits);
   ctx.bob_bits = std::move(bob_sifted.bits);
   ctx.result.sifted_bits = ctx.alice_bits.size();
   if (ctx.alice_bits.empty()) return AbortReason::kNoSiftedBits;
 
-  // Ground truth for attack accounting: sifted-slot join with Eve's record.
+  // Ground truth for attack accounting: a merge of the sorted sifted slots
+  // with Eve's sorted known slots.
   ctx.result.qber_actual =
       static_cast<double>(ctx.alice_bits.hamming_distance(ctx.bob_bits)) /
       static_cast<double>(ctx.alice_bits.size());
-  for (std::uint32_t slot : alice_sifted.outcome.slot_indices)
-    if (ctx.frame.eve.known.get(slot)) ++ctx.result.eve_known_sifted;
+  const std::vector<std::uint32_t>& known = ctx.frame.eve.known;
+  auto k = known.begin();
+  for (std::uint32_t slot : alice_sifted.outcome.slot_indices) {
+    while (k != known.end() && *k < slot) ++k;
+    if (k != known.end() && *k == slot) ++ctx.result.eve_known_sifted;
+  }
   return AbortReason::kNone;
 }
 

@@ -7,9 +7,9 @@
 // discard everything else, keeping only the sifted bits. "A transmitted
 // stream of 1,000 bits therefore would boil down to about 5 sifted bits."
 //
-// Bob walks his detection bitmap once, to list his clicks; from then on
-// both sides work from that list, so sifting costs one step per click
-// after that walk, not one per slot.
+// A frame is its click list, so sifting costs one step per click, never
+// one per slot: Bob's announce copies his half of the list, and Alice walks
+// the announce and her own clicks in lockstep.
 #pragma once
 
 #include <cstdint>
@@ -28,21 +28,25 @@ struct SiftOutcome {
   std::vector<std::uint32_t> slot_indices;
 };
 
-/// Bob's half: the SIFT announce from his detection record — his clicks in
-/// slot order and his basis for each.
+/// Bob's half: the SIFT announce from his clicks — their slots in order
+/// and his basis for each. Reads only Bob's half of each click.
 wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
-                                      const qkd::optics::DetectionRecord& bob);
+                                      const qkd::optics::FrameResult& frame);
 
 /// Alice's half: compares bases, produces the decision and her sifted bits.
+/// Throws std::invalid_argument when the announce does not fit her frame:
+/// another frame size, a basis count unequal to the click count, or an
+/// announced slot that is not one of her clicks.
 struct AliceSiftResult {
   wire::SiftDecision decision;
   SiftOutcome outcome;
 };
-AliceSiftResult alice_sift(const qkd::optics::PulseTrainRecord& alice,
+AliceSiftResult alice_sift(const qkd::optics::FrameResult& frame,
                            const wire::SiftAnnounce& announce);
 
 /// Bob's completion: keeps his bits at the clicks Alice's decision keeps.
-SiftOutcome bob_apply_response(const qkd::optics::DetectionRecord& bob,
+/// `announce` is the one he made from `frame`; reads only his half.
+SiftOutcome bob_apply_response(const qkd::optics::FrameResult& frame,
                                const wire::SiftAnnounce& announce,
                                const wire::SiftDecision& decision);
 

@@ -28,27 +28,34 @@ Result<Packet> parse_payload(const Bytes& payload, const Parse& parse) {
   }
 }
 
-/// Writes one set position of a sparse field as its gap past the previous
-/// one (+1), so the first goes out absolute.
-void put_gap(Bytes& out, std::uint64_t& next_free, std::uint64_t position) {
-  put_varint(out, position - next_free);
-  next_free = position + 1;
+/// Writes a sorted slot list: the slot-count, the click-count, then each
+/// click's gap past the previous one (+1), so the first goes out absolute.
+void put_gaps(Bytes& out, std::uint64_t slots,
+              const std::vector<std::uint32_t>& clicks) {
+  put_varint(out, slots);
+  put_varint(out, clicks.size());
+  std::uint64_t next_free = 0;
+  for (std::uint32_t slot : clicks) {
+    put_varint(out, slot - next_free);
+    next_free = std::uint64_t{slot} + 1;
+  }
 }
 
-/// Reads the set-count and gaps of a sparse field over `n` positions and
-/// calls `visit(position)` for each, in increasing order. A gap is checked
-/// against the room left before it is added, so no gap can wrap the
-/// position back below an earlier one.
-template <typename Visit>
-void read_gaps(ByteReader& reader, std::uint64_t n, Visit&& visit) {
-  const std::uint64_t set_count = reader.varint();
-  if (set_count > n) throw std::invalid_argument("wire: popcount > size");
+/// Reads a slot list written by put_gaps into `slots` and `clicks`. A gap
+/// is checked against the room left before it is added, so no gap can
+/// wrap the position back below an earlier one.
+void read_gaps(ByteReader& reader, std::uint64_t& slots,
+               std::vector<std::uint32_t>& clicks) {
+  slots = reader.varint();
+  check_bit_count(slots);
+  const std::uint64_t count = reader.varint();
+  if (count > slots) throw std::invalid_argument("wire: popcount > size");
   std::uint64_t next_free = 0;
-  for (std::uint64_t i = 0; i < set_count; ++i) {
+  for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t gap = reader.varint();
-    if (gap >= n - next_free)
+    if (gap >= slots - next_free)
       throw std::invalid_argument("wire: set position out of range");
-    visit(next_free + gap);
+    clicks.push_back(static_cast<std::uint32_t>(next_free + gap));
     next_free += gap + 1;
   }
 }
@@ -75,29 +82,12 @@ qkd::BitVector get_bits_dense(ByteReader& reader) {
   return bits;
 }
 
-void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
-  put_varint(out, bits.size());
-  put_varint(out, bits.popcount());
-  std::uint64_t next_free = 0;
-  bits.for_each_set_bit([&](std::size_t i) { put_gap(out, next_free, i); });
-}
-
-qkd::BitVector get_bits_sparse(ByteReader& reader) {
-  const std::uint64_t n = reader.varint();
-  check_bit_count(n);
-  qkd::BitVector bits(static_cast<std::size_t>(n));
-  read_gaps(reader, n, [&](std::uint64_t position) {
-    bits.set(static_cast<std::size_t>(position), true);
-  });
-  return bits;
-}
-
 // ---- QframeFeed ------------------------------------------------------------
 
 Bytes QframeFeed::encode() const {
   Bytes out;
   put_varint(out, frame_id);
-  put_bits_sparse(out, detected);
+  put_gaps(out, slots, clicks);
   put_bits_dense(out, bases);
   put_bits_dense(out, bits);
   return out;
@@ -107,12 +97,12 @@ Result<QframeFeed> QframeFeed::decode(const Bytes& payload) {
   return parse_payload<QframeFeed>(payload, [](ByteReader& reader) {
     QframeFeed packet;
     packet.frame_id = reader.varint();
-    packet.detected = get_bits_sparse(reader);
+    read_gaps(reader, packet.slots, packet.clicks);
     packet.bases = get_bits_dense(reader);
     packet.bits = get_bits_dense(reader);
-    if (packet.bases.size() != packet.detected.size() ||
-        packet.bits.size() != packet.detected.size())
-      throw std::invalid_argument("QframeFeed: field sizes disagree");
+    if (packet.bases.size() != packet.clicks.size() ||
+        packet.bits.size() != packet.clicks.size())
+      throw std::invalid_argument("QframeFeed: one basis and bit per click");
     return packet;
   });
 }
@@ -122,10 +112,7 @@ Result<QframeFeed> QframeFeed::decode(const Bytes& payload) {
 Bytes SiftAnnounce::encode() const {
   Bytes out;
   put_varint(out, frame_id);
-  put_varint(out, slots);
-  put_varint(out, clicks.size());
-  std::uint64_t next_free = 0;
-  for (std::uint32_t slot : clicks) put_gap(out, next_free, slot);
+  put_gaps(out, slots, clicks);
   put_bits_dense(out, bob_bases);
   return out;
 }
@@ -134,11 +121,7 @@ Result<SiftAnnounce> SiftAnnounce::decode(const Bytes& payload) {
   return parse_payload<SiftAnnounce>(payload, [](ByteReader& reader) {
     SiftAnnounce packet;
     packet.frame_id = reader.varint();
-    packet.slots = reader.varint();
-    check_bit_count(packet.slots);
-    read_gaps(reader, packet.slots, [&](std::uint64_t slot) {
-      packet.clicks.push_back(static_cast<std::uint32_t>(slot));
-    });
+    read_gaps(reader, packet.slots, packet.clicks);
     packet.bob_bases = get_bits_dense(reader);
     if (packet.bob_bases.size() != packet.clicks.size())
       throw std::invalid_argument("SiftAnnounce: one basis per click");

@@ -7,9 +7,9 @@
 // Codec conventions (shared with src/wire/etsi.hpp):
 //  * integers big-endian via put_u*/ByteReader; counts as LEB128 varints;
 //  * dense bit strings as varint bit-count + packed bytes (LSB first);
-//  * sparse slot sets (a Qframe's clicks at ~0.3% density) as varint
-//    slot-count + varint set-count + delta-encoded set positions, whether
-//    held as a bitmap (QframeFeed) or as a sorted slot list (SiftAnnounce);
+//  * sorted slot lists (a Qframe's clicks at ~0.3% density) as varint
+//    slot-count + varint click-count + delta-encoded slots (QframeFeed,
+//    SiftAnnounce) — the bytes of a sparse detection bitmap;
 //  * decode is strict: short payloads, impossible counts, nonzero padding
 //    bits and trailing bytes all return WireError::kMalformedPayload.
 #pragma once
@@ -31,24 +31,19 @@ namespace qkd::wire {
 void put_bits_dense(Bytes& out, const qkd::BitVector& bits);
 qkd::BitVector get_bits_dense(ByteReader& reader);  // throws on malformed
 
-/// varint bit-count + varint popcount + varint position deltas (first
-/// absolute, then gaps-1). Compact for sparse masks like detected slots.
-/// Decode rejects any delta that would land at or past the bit-count.
-void put_bits_sparse(Bytes& out, const qkd::BitVector& bits);
-qkd::BitVector get_bits_sparse(ByteReader& reader);  // throws on malformed
-
 // ---- Packets ---------------------------------------------------------------
 
 /// Simulation bootstrap (two-process runs only): the side simulating the
-/// optics feeds the peer its half of the Qframe. This models the QUANTUM
-/// channel, not the classical wire, and is excluded from control-traffic
-/// accounting.
+/// optics feeds the peer Bob's half of the Qframe — his clicks, and his
+/// basis and bit at each. This models the QUANTUM channel, not the
+/// classical wire, and is excluded from control-traffic accounting.
 struct QframeFeed {
   static constexpr PacketType kType = PacketType::kQframeFeed;
   std::uint64_t frame_id = 0;
-  qkd::BitVector detected;  // per slot
-  qkd::BitVector bases;     // per slot
-  qkd::BitVector bits;      // per slot (meaningful iff detected)
+  std::uint64_t slots = 0;            // frame size
+  std::vector<std::uint32_t> clicks;  // sorted, each < slots
+  qkd::BitVector bases;               // per click
+  qkd::BitVector bits;                // per click
 
   Bytes encode() const;
   static Result<QframeFeed> decode(const Bytes& payload);
@@ -56,9 +51,8 @@ struct QframeFeed {
 };
 
 /// Bob -> Alice: the slots that produced a usable click, in increasing
-/// order, plus Bob's basis for each click. The clicks go out as the sparse
-/// field above (slot-count, click-count, gaps), so the bytes are those of
-/// the frame's detection bitmap.
+/// order, plus Bob's basis for each click. The clicks go out as the sorted
+/// slot list above (slot-count, click-count, gaps).
 struct SiftAnnounce {
   static constexpr PacketType kType = PacketType::kSiftAnnounce;
   std::uint64_t frame_id = 0;

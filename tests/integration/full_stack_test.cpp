@@ -116,10 +116,10 @@ TEST(FullStack, EntangledFramesFlowThroughTheSameSifting) {
   // compatible with the protocol stack's sifting stage.
   qkd::optics::EntangledLink link(qkd::optics::EntangledParams{}, 6);
   const auto frame = link.run_frame(500000);
-  const qkd::wire::SiftAnnounce announce = make_sift_announce(1, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const qkd::wire::SiftAnnounce announce = make_sift_announce(1, frame);
+  const AliceSiftResult alice = alice_sift(frame, announce);
   const SiftOutcome bob =
-      bob_apply_response(frame.bob, announce, alice.decision);
+      bob_apply_response(frame, announce, alice.decision);
   ASSERT_GT(alice.outcome.bits.size(), 100u);
   EXPECT_EQ(alice.outcome.bits.size(), bob.bits.size());
   const double qber =
@@ -133,10 +133,10 @@ TEST(FullStack, EntangledErrorsCorrectAndDistill) {
   // + privacy amplification: the full distillation path for link type #2.
   qkd::optics::EntangledLink link(qkd::optics::EntangledParams{}, 7);
   const auto frame = link.run_frame(1 << 20);
-  const qkd::wire::SiftAnnounce announce = make_sift_announce(1, frame.bob);
-  const AliceSiftResult alice_sifted = alice_sift(frame.alice, announce);
+  const qkd::wire::SiftAnnounce announce = make_sift_announce(1, frame);
+  const AliceSiftResult alice_sifted = alice_sift(frame, announce);
   SiftOutcome bob_sifted =
-      bob_apply_response(frame.bob, announce, alice_sifted.decision);
+      bob_apply_response(frame, announce, alice_sifted.decision);
 
   qkd::BitVector alice_bits = alice_sifted.outcome.bits;
   qkd::BitVector bob_bits = bob_sifted.bits;

@@ -15,11 +15,10 @@ struct SiftCount {
 
 SiftCount reference_sift(const FrameResult& frame) {
   SiftCount out;
-  for (std::size_t i = 0; i < frame.bob.size(); ++i) {
-    if (!frame.bob.detected.get(i)) continue;
-    if (frame.alice.bases.get(i) != frame.bob.bases.get(i)) continue;
+  for (const Click& click : frame.clicks) {
+    if (click.alice_basis != click.bob_basis) continue;
     ++out.sifted;
-    if (frame.alice.values.get(i) != frame.bob.bits.get(i)) ++out.errors;
+    if (click.alice_value != click.bob_bit) ++out.errors;
   }
   return out;
 }
@@ -27,17 +26,20 @@ SiftCount reference_sift(const FrameResult& frame) {
 TEST(EntangledLink, ProducesCompatibleFrames) {
   EntangledLink link(EntangledParams{}, 1);
   const FrameResult frame = link.run_frame(100000);
-  EXPECT_EQ(frame.alice.size(), 100000u);
-  EXPECT_EQ(frame.bob.size(), 100000u);
-  EXPECT_GT(frame.bob.detected.popcount(), 0u);
+  EXPECT_EQ(frame.slots, 100000u);
+  ASSERT_GT(frame.clicks.size(), 0u);
+  // The same shape as the weak-coherent link's: clicks sorted, in range.
+  for (std::size_t i = 1; i < frame.clicks.size(); ++i)
+    EXPECT_LT(frame.clicks[i - 1].slot, frame.clicks[i].slot);
+  EXPECT_LT(frame.clicks.back().slot, frame.slots);
 }
 
 TEST(EntangledLink, DeterministicForSeed) {
   EntangledLink a(EntangledParams{}, 9), b(EntangledParams{}, 9);
   const FrameResult fa = a.run_frame(50000);
   const FrameResult fb = b.run_frame(50000);
-  EXPECT_EQ(fa.bob.detected, fb.bob.detected);
-  EXPECT_EQ(fa.bob.bits, fb.bob.bits);
+  EXPECT_EQ(fa.clicks, fb.clicks);
+  EXPECT_EQ(fa.eve.known, fb.eve.known);
 }
 
 TEST(EntangledLink, MatchedBasesAreCorrelated) {
@@ -97,10 +99,10 @@ TEST(EntangledLink, DoublePairsAreTheOnlyEveLeak) {
   params.double_pair_probability = 0.01;
   EntangledLink link(params, 13);
   const FrameResult frame = link.run_frame(500000);
-  EXPECT_EQ(frame.eve.known.popcount(), link.stats().double_pairs);
+  EXPECT_EQ(frame.eve.known.size(), link.stats().double_pairs);
   // Leakage scale: per EMITTED double pair (which is ~ received-bit scaled),
   // not per transmitted slot — the Sec. 6 distinction favoring this link.
-  EXPECT_LT(frame.eve.known.popcount(), frame.alice.size() / 50);
+  EXPECT_LT(frame.eve.known.size(), frame.slots / 50);
 }
 
 TEST(EntangledLink, RejectsBadParams) {

@@ -14,6 +14,7 @@
 // seeds (QKD_TEST_SEED replays or explores them).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -64,21 +65,21 @@ struct SiftTally {
   /// `tap`, if given, ran the frame; its photon numbers feed the
   /// zero-photon counts.
   void add(const FrameResult& frame, const PhotonTap* tap = nullptr) {
-    frame.bob.detected.for_each_set_bit(
-        [&](std::size_t i) { add_slot(frame, tap, i); });
+    for (const Click& click : frame.clicks) add_click(frame, tap, click);
   }
 
-  void add_slot(const FrameResult& frame, const PhotonTap* tap,
-                std::size_t i) {
-    if (frame.alice.bases.get(i) != frame.bob.bases.get(i)) return;
-    const bool error = frame.alice.values.get(i) != frame.bob.bits.get(i);
+  void add_click(const FrameResult& frame, const PhotonTap* tap,
+                 const Click& click) {
+    if (click.alice_basis != click.bob_basis) return;
+    const bool error = click.alice_value != click.bob_bit;
     ++sifted;
     errors += error;
-    if (tap != nullptr && tap->photons()[i] == 0) {
+    if (tap != nullptr && tap->photons()[click.slot] == 0) {
       ++zero_photon_sifted;
       zero_photon_errors += error;
     }
-    if (frame.eve.attacked.get(i)) {
+    if (std::binary_search(frame.eve.attacked.begin(), frame.eve.attacked.end(),
+                           click.slot)) {
       ++attacked_sifted;
       attacked_errors += error;
     } else {
@@ -107,33 +108,30 @@ ClickLaw click_law(const LinkParams& params, unsigned alice_q, unsigned bob_q) {
   return {fires1 * (1.0 - fires0), fires0 * (1.0 - fires1)};
 }
 
-/// 16 setting assertions plus one marginal: per-test false-failure
-/// rate <= 1e-5.
+/// Each setting holds 1/8 of the slots, so its single clicks per slot
+/// follow the law / 8. 16 setting assertions plus one marginal: per-test
+/// false-failure rate <= 1e-5.
 void check_click_law(const LinkParams& params, std::size_t frames,
                      std::uint64_t seed) {
   struct Setting {
-    std::size_t slots = 0, d1 = 0, d0 = 0;
+    std::size_t d1 = 0, d0 = 0;
   };
   std::array<Setting, 8> settings{};
   WeakCoherentLink link(params, seed);
   std::size_t slots = 0, singles = 0;
   for (std::size_t f = 0; f < frames; ++f) {
     const FrameResult frame = link.run_frame(1 << 20);
-    for (std::size_t i = 0; i < frame.bob.size(); ++i) {
+    for (const Click& click : frame.clicks) {
       const unsigned aq =
-          alice_phase_quarter(basis_from_bit(frame.alice.bases.get(i)),
-                              frame.alice.values.get(i));
-      const unsigned bq = frame.bob.bases.get(i) ? 1u : 0u;
-      Setting& s = settings[aq * 2 + bq];
-      ++s.slots;
-      if (!frame.bob.detected.get(i)) continue;
+          alice_phase_quarter(click.alice_basis, click.alice_value);
+      Setting& s = settings[aq * 2 + bob_phase_quarter(click.bob_basis)];
       ++singles;
-      if (frame.bob.bits.get(i))
+      if (click.bob_bit)
         ++s.d1;
       else
         ++s.d0;
     }
-    slots += frame.bob.size();
+    slots += frame.slots;
   }
   double mean_single = 0.0;
   for (unsigned aq = 0; aq < 4; ++aq) {
@@ -142,8 +140,8 @@ void check_click_law(const LinkParams& params, std::size_t frames,
                    " bob_q=" + std::to_string(bq));
       const ClickLaw law = click_law(params, aq, bq);
       const Setting& s = settings[aq * 2 + bq];
-      expect_fraction(s.d1, s.slots, law.d1_alone, "D1 alone");
-      expect_fraction(s.d0, s.slots, law.d0_alone, "D0 alone");
+      expect_fraction(s.d1, slots, law.d1_alone / 8.0, "D1 alone");
+      expect_fraction(s.d0, slots, law.d0_alone / 8.0, "D0 alone");
       mean_single += (law.d1_alone + law.d0_alone) / 8.0;
     }
   }
@@ -364,9 +362,9 @@ TEST(AttackLaw, PnsAddsNoErrorsAndLearnsTheMultiPhotonFraction) {
   const FrameResult frame = tap.run(link, 1 << 20);
   std::size_t multi = 0;
   for (unsigned n : tap.photons()) multi += n >= 2;
-  EXPECT_EQ(frame.eve.known.popcount(), multi);
+  EXPECT_EQ(frame.eve.known.size(), multi);
   EXPECT_EQ(frame.eve.photons_captured, multi);
-  expect_fraction(multi, frame.alice.size(),
+  expect_fraction(multi, frame.slots,
                   LinkModel(params).multi_photon_prob(), "PNS-known slots");
   SiftTally tally;
   tally.add(frame);
@@ -386,7 +384,7 @@ TEST(AttackLaw, ChannelCutLeavesOnlyDarkCounts) {
   const FrameResult frame = link.run_frame(1 << 20, &attack);
   EXPECT_EQ(link.stats().signal_clicks, 0u);
   EXPECT_EQ(link.stats().double_clicks, 0u);
-  expect_fraction(link.stats().dark_only_clicks, frame.bob.size(),
+  expect_fraction(link.stats().dark_only_clicks, frame.slots,
                   2.0 * params.dark_count_prob, "dark clicks per slot");
   SiftTally tally;
   tally.add(frame);

@@ -174,7 +174,7 @@ class TapStage final : public PipelineStage {
   const char* name() const override { return "tap"; }
   AbortReason run(BatchContext& ctx) override {
     ++counter_;
-    EXPECT_GT(ctx.frame.bob.detected.size(), 0u);
+    EXPECT_GT(ctx.frame.slots, 0u);
     return AbortReason::kNone;
   }
 

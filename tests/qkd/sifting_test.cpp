@@ -17,11 +17,11 @@ qkd::optics::FrameResult small_frame(std::uint64_t seed,
 
 TEST(Sifting, MessageSerializationRoundTrips) {
   const auto frame = small_frame(1);
-  const wire::SiftAnnounce announce = make_sift_announce(42, frame.bob);
+  const wire::SiftAnnounce announce = make_sift_announce(42, frame);
   const auto back = wire::SiftAnnounce::decode(announce.encode());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value.frame_id, 42u);
-  EXPECT_EQ(back.value.slots, frame.bob.size());
+  EXPECT_EQ(back.value.slots, frame.slots);
   EXPECT_EQ(back.value.clicks, announce.clicks);
   EXPECT_EQ(back.value.bob_bases, announce.bob_bases);
 }
@@ -43,30 +43,32 @@ TEST(Sifting, DeserializeRejectsGarbage) {
 
 TEST(Sifting, BothSidesAgreeOnSlotIndices) {
   const auto frame = small_frame(2);
-  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame);
+  const AliceSiftResult alice = alice_sift(frame, announce);
   const SiftOutcome bob =
-      bob_apply_response(frame.bob, announce, alice.decision);
+      bob_apply_response(frame, announce, alice.decision);
   EXPECT_EQ(alice.outcome.slot_indices, bob.slot_indices);
   EXPECT_EQ(alice.outcome.bits.size(), bob.bits.size());
 }
 
 TEST(Sifting, KeepsOnlyMatchingBasisDetections) {
   const auto frame = small_frame(3);
-  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, announce);
-  for (std::uint32_t slot : alice.outcome.slot_indices) {
-    EXPECT_TRUE(frame.bob.detected.get(slot));
-    EXPECT_EQ(frame.alice.bases.get(slot), frame.bob.bases.get(slot));
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame);
+  const AliceSiftResult alice = alice_sift(frame, announce);
+  std::size_t matched = 0;
+  for (const qkd::optics::Click& click : frame.clicks) {
+    if (click.alice_basis != click.bob_basis) continue;
+    ASSERT_LT(matched, alice.outcome.slot_indices.size());
+    EXPECT_EQ(alice.outcome.slot_indices[matched++], click.slot);
   }
+  EXPECT_EQ(matched, alice.outcome.slot_indices.size());
 }
 
 TEST(Sifting, SiftedFractionIsHalfOfDetections) {
   const auto frame = small_frame(4, 500000);
-  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, announce);
-  const double detections =
-      static_cast<double>(frame.bob.detected.popcount());
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame);
+  const AliceSiftResult alice = alice_sift(frame, announce);
+  const double detections = static_cast<double>(frame.clicks.size());
   ASSERT_GT(detections, 100);
   EXPECT_NEAR(static_cast<double>(alice.outcome.bits.size()) / detections,
               0.5, 0.08);
@@ -76,10 +78,10 @@ TEST(Sifting, SiftedBitsMostlyAgree) {
   // At the paper's operating point the sifted strings differ only by the
   // 6-8 % QBER.
   const auto frame = small_frame(5, 500000);
-  const wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
-  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const wire::SiftAnnounce announce = make_sift_announce(0, frame);
+  const AliceSiftResult alice = alice_sift(frame, announce);
   const SiftOutcome bob =
-      bob_apply_response(frame.bob, announce, alice.decision);
+      bob_apply_response(frame, announce, alice.decision);
   ASSERT_GT(alice.outcome.bits.size(), 100u);
   const double qber =
       static_cast<double>(alice.outcome.bits.hamming_distance(bob.bits)) /
@@ -90,43 +92,94 @@ TEST(Sifting, SiftedBitsMostlyAgree) {
 
 TEST(Sifting, AliceRejectsWrongFrameSize) {
   const auto frame = small_frame(6, 10000);
-  wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  wire::SiftAnnounce announce = make_sift_announce(0, frame);
   announce.slots = 5000;
-  EXPECT_THROW(alice_sift(frame.alice, announce), std::invalid_argument);
-  announce.slots = frame.bob.size();
+  EXPECT_THROW(alice_sift(frame, announce), std::invalid_argument);
+  announce.slots = frame.slots;
   announce.bob_bases.push_back(false);  // one basis more than clicks
-  EXPECT_THROW(alice_sift(frame.alice, announce), std::invalid_argument);
+  EXPECT_THROW(alice_sift(frame, announce), std::invalid_argument);
+}
+
+TEST(Sifting, AliceRejectsAnnouncedSlotThatDidNotClick) {
+  // Alice holds her settings only at the frame's clicks, so an announced
+  // slot that did not click has nothing to compare against: a loud
+  // failure, not a silent read of the wrong click.
+  const auto frame = small_frame(10, 20000);
+  ASSERT_GE(frame.clicks.size(), 2u);
+  const std::uint32_t first = frame.clicks[0].slot;
+  ASSERT_LT(first + 1, frame.clicks[1].slot);
+
+  wire::SiftAnnounce between = make_sift_announce(0, frame);
+  between.clicks[0] = first + 1;  // still sorted, but no click there
+  EXPECT_THROW(alice_sift(frame, between), std::invalid_argument);
+
+  wire::SiftAnnounce before = make_sift_announce(0, frame);
+  ASSERT_GT(first, 0u);
+  before.clicks.insert(before.clicks.begin(), 0);
+  before.bob_bases.push_back(false);
+  EXPECT_THROW(alice_sift(frame, before), std::invalid_argument);
+
+  wire::SiftAnnounce past = make_sift_announce(0, frame);
+  ASSERT_LT(frame.clicks.back().slot + 1, frame.slots);
+  past.clicks.push_back(static_cast<std::uint32_t>(frame.slots - 1));
+  past.bob_bases.push_back(false);
+  EXPECT_THROW(alice_sift(frame, past), std::invalid_argument);
 }
 
 TEST(Sifting, BobRejectsMismatchedResponse) {
   const auto frame = small_frame(7, 10000);
-  const wire::SiftAnnounce announce = make_sift_announce(3, frame.bob);
+  const wire::SiftAnnounce announce = make_sift_announce(3, frame);
   wire::SiftDecision bad;
   bad.frame_id = 3;
   bad.keep = qkd::BitVector(announce.clicks.size() + 1);
-  EXPECT_THROW(bob_apply_response(frame.bob, announce, bad),
+  EXPECT_THROW(bob_apply_response(frame, announce, bad),
                std::invalid_argument);
   wire::SiftDecision wrong_frame;
   wrong_frame.frame_id = 4;
   wrong_frame.keep = qkd::BitVector(announce.clicks.size());
-  EXPECT_THROW(bob_apply_response(frame.bob, announce, wrong_frame),
+  EXPECT_THROW(bob_apply_response(frame, announce, wrong_frame),
                std::invalid_argument);
 }
 
 TEST(Sifting, DeserializeRejectsInconsistentBasisCount) {
   const auto frame = small_frame(8, 10000);
-  wire::SiftAnnounce announce = make_sift_announce(0, frame.bob);
+  wire::SiftAnnounce announce = make_sift_announce(0, frame);
   announce.bob_bases.push_back(true);  // one basis too many
   EXPECT_FALSE(wire::SiftAnnounce::decode(announce.encode()).ok());
 }
 
-// ---- Word-level sifting equals the bit-by-bit definition ------------------
+// ---- Click-list sifting equals the bit-by-bit definition ------------------
 //
-// Sifting is a pure function of the frame, so the word-level implementation
-// must reproduce, bit for bit, what a slot-by-slot walk computes. The walk
-// below is that definition, kept here as the oracle.
+// Sifting is a pure function of the frame, so the click-list implementation
+// must reproduce, bit for bit, what a slot-by-slot walk over the frame's
+// per-slot bitmaps computes. The walk below is that definition, kept here
+// as the oracle.
 
 namespace reference {
+
+/// The frame spread over per-slot bitmaps, the form the definition walks;
+/// slots without a click hold zeros.
+struct Bitmaps {
+  qkd::BitVector detected, alice_bases, alice_values, bob_bases, bob_bits;
+};
+
+Bitmaps bitmaps(const qkd::optics::FrameResult& frame) {
+  Bitmaps out;
+  for (qkd::BitVector* bits :
+       {&out.detected, &out.alice_bases, &out.alice_values, &out.bob_bases,
+        &out.bob_bits})
+    *bits = qkd::BitVector(frame.slots);
+  for (const qkd::optics::Click& click : frame.clicks) {
+    out.detected.set(click.slot, true);
+    out.alice_bases.set(click.slot,
+                        click.alice_basis == qkd::optics::Basis::kDiagonal);
+    out.alice_values.set(click.slot, click.alice_value);
+    out.bob_bases.set(click.slot,
+                      click.bob_basis == qkd::optics::Basis::kDiagonal);
+    out.bob_bits.set(click.slot, click.bob_bit);
+  }
+  return out;
+}
 
 /// Bob's clicks in slot order and his basis for each.
 struct Announce {
@@ -134,12 +187,12 @@ struct Announce {
   qkd::BitVector bob_bases;
 };
 
-Announce announce(const qkd::optics::DetectionRecord& bob) {
+Announce announce(const Bitmaps& frame) {
   Announce out;
-  for (std::size_t slot = 0; slot < bob.size(); ++slot) {
-    if (!bob.detected.get(slot)) continue;
+  for (std::size_t slot = 0; slot < frame.detected.size(); ++slot) {
+    if (!frame.detected.get(slot)) continue;
     out.clicks.push_back(static_cast<std::uint32_t>(slot));
-    out.bob_bases.push_back(bob.bases.get(slot));
+    out.bob_bases.push_back(frame.bob_bases.get(slot));
   }
   return out;
 }
@@ -151,17 +204,15 @@ struct AliceSide {
   SiftOutcome outcome;
 };
 
-AliceSide alice_sift(const qkd::optics::PulseTrainRecord& alice,
-                     const qkd::BitVector& detected,
-                     const qkd::BitVector& bob_bases) {
+AliceSide alice_sift(const Bitmaps& frame, const qkd::BitVector& bob_bases) {
   AliceSide result;
   std::size_t det_index = 0;
-  for (std::size_t slot = 0; slot < alice.size(); ++slot) {
-    if (!detected.get(slot)) continue;
-    const bool match = bob_bases.get(det_index) == alice.bases.get(slot);
+  for (std::size_t slot = 0; slot < frame.detected.size(); ++slot) {
+    if (!frame.detected.get(slot)) continue;
+    const bool match = bob_bases.get(det_index) == frame.alice_bases.get(slot);
     result.keep.push_back(match);
     if (match) {
-      result.outcome.bits.push_back(alice.values.get(slot));
+      result.outcome.bits.push_back(frame.alice_values.get(slot));
       result.outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
     }
     ++det_index;
@@ -169,14 +220,14 @@ AliceSide alice_sift(const qkd::optics::PulseTrainRecord& alice,
   return result;
 }
 
-SiftOutcome bob_apply_response(const qkd::optics::DetectionRecord& bob,
+SiftOutcome bob_apply_response(const Bitmaps& frame,
                                const qkd::BitVector& keep) {
   SiftOutcome outcome;
   std::size_t det_index = 0;
-  for (std::size_t slot = 0; slot < bob.size(); ++slot) {
-    if (!bob.detected.get(slot)) continue;
+  for (std::size_t slot = 0; slot < frame.detected.size(); ++slot) {
+    if (!frame.detected.get(slot)) continue;
     if (keep.get(det_index)) {
-      outcome.bits.push_back(bob.bits.get(slot));
+      outcome.bits.push_back(frame.bob_bits.get(slot));
       outcome.slot_indices.push_back(static_cast<std::uint32_t>(slot));
     }
     ++det_index;
@@ -210,12 +261,11 @@ void put_bits_sparse(Bytes& out, const qkd::BitVector& bits) {
 /// The SiftAnnounce payload by its definition: the frame id, Bob's
 /// detection bitmap walked slot by slot through the sparse gap codec, then
 /// his basis for each click, packed LSB first.
-Bytes encode_announce(std::uint64_t frame_id,
-                      const qkd::optics::DetectionRecord& bob) {
+Bytes encode_announce(std::uint64_t frame_id, const Bitmaps& frame) {
   Bytes out;
   put_varint(out, frame_id);
-  put_bits_sparse(out, bob.detected);
-  put_bits_dense(out, announce(bob).bob_bases);
+  put_bits_sparse(out, frame.detected);
+  put_bits_dense(out, announce(frame).bob_bases);
   return out;
 }
 
@@ -228,51 +278,61 @@ Bytes encode_decision(std::uint64_t frame_id, const qkd::BitVector& keep) {
 
 }  // namespace reference
 
-/// A frame whose every slot is independently detected with `density`;
-/// bases, values and Bob's bits are uniform (bits only on detected slots).
+/// A random click setting: uniform bases, value and bit.
+qkd::optics::Click random_click(qkd::Rng& rng, std::size_t slot) {
+  return {static_cast<std::uint32_t>(slot),
+          qkd::optics::basis_from_bit(rng.next_bool()), rng.next_bool(),
+          qkd::optics::basis_from_bit(rng.next_bool()), rng.next_bool(),
+          rng.next_bool()};
+}
+
+/// A frame whose every slot independently clicks with `density`, each
+/// click with uniform settings.
 qkd::optics::FrameResult random_frame(qkd::Rng& rng, std::size_t slots,
                                       double density) {
   qkd::optics::FrameResult frame;
-  frame.alice.bases = rng.next_bits(slots);
-  frame.alice.values = rng.next_bits(slots);
-  frame.bob.bases = rng.next_bits(slots);
-  frame.bob.detected = qkd::BitVector(slots);
-  frame.bob.bits = qkd::BitVector(slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    if (!rng.next_bool(density)) continue;
-    frame.bob.detected.set(i, true);
-    frame.bob.bits.set(i, rng.next_bool());
-  }
+  frame.slots = slots;
+  for (std::size_t i = 0; i < slots; ++i)
+    if (rng.next_bool(density)) frame.clicks.push_back(random_click(rng, i));
   return frame;
+}
+
+/// Adds clicks in the frame's first and last slot where it has none.
+void click_at_both_ends(qkd::Rng& rng, qkd::optics::FrameResult& frame) {
+  auto& clicks = frame.clicks;
+  if (clicks.empty() || clicks.front().slot != 0)
+    clicks.insert(clicks.begin(), random_click(rng, 0));
+  if (clicks.back().slot != frame.slots - 1)
+    clicks.push_back(random_click(rng, frame.slots - 1));
 }
 
 void expect_sift_matches_reference(const qkd::optics::FrameResult& frame,
                                    std::uint64_t frame_id) {
-  const wire::SiftAnnounce announce = make_sift_announce(frame_id, frame.bob);
-  const reference::Announce ref = reference::announce(frame.bob);
+  const reference::Bitmaps bitmaps = reference::bitmaps(frame);
+  const wire::SiftAnnounce announce = make_sift_announce(frame_id, frame);
+  const reference::Announce ref = reference::announce(bitmaps);
   EXPECT_EQ(announce.frame_id, frame_id);
-  EXPECT_EQ(announce.slots, frame.bob.size());
+  EXPECT_EQ(announce.slots, frame.slots);
   EXPECT_EQ(announce.clicks, ref.clicks);
   EXPECT_EQ(announce.bob_bases, ref.bob_bases);
 
-  const AliceSiftResult alice = alice_sift(frame.alice, announce);
+  const AliceSiftResult alice = alice_sift(frame, announce);
   const reference::AliceSide ref_alice =
-      reference::alice_sift(frame.alice, frame.bob.detected, ref.bob_bases);
+      reference::alice_sift(bitmaps, ref.bob_bases);
   EXPECT_EQ(alice.decision.frame_id, frame_id);
   EXPECT_EQ(alice.decision.keep, ref_alice.keep);
   EXPECT_EQ(alice.outcome.bits, ref_alice.outcome.bits);
   EXPECT_EQ(alice.outcome.slot_indices, ref_alice.outcome.slot_indices);
 
-  const SiftOutcome bob =
-      bob_apply_response(frame.bob, announce, alice.decision);
+  const SiftOutcome bob = bob_apply_response(frame, announce, alice.decision);
   const SiftOutcome ref_bob =
-      reference::bob_apply_response(frame.bob, ref_alice.keep);
+      reference::bob_apply_response(bitmaps, ref_alice.keep);
   EXPECT_EQ(bob.bits, ref_bob.bits);
   EXPECT_EQ(bob.slot_indices, ref_bob.slot_indices);
 
   // The wire bytes of both sifting packets, and their decodings.
   const Bytes announce_bytes = announce.encode();
-  EXPECT_EQ(announce_bytes, reference::encode_announce(frame_id, frame.bob));
+  EXPECT_EQ(announce_bytes, reference::encode_announce(frame_id, bitmaps));
   const auto announce_back = wire::SiftAnnounce::decode(announce_bytes);
   ASSERT_TRUE(announce_back.ok());
   EXPECT_EQ(announce_back.value, announce);
@@ -311,13 +371,13 @@ TEST(SiftingEquivalence, FirstAndLastSlotDetectionsMatch) {
   for (std::size_t slots : {1u, 2u, 64u, 65u, 128u, 1000u, 65536u}) {
     SCOPED_TRACE("slots=" + std::to_string(slots));
     qkd::optics::FrameResult frame = random_frame(rng, slots, 0.0);
-    frame.bob.detected.set(0, true);
-    frame.bob.detected.set(slots - 1, true);
-    frame.bob.bits.set(slots - 1, true);
-    // Force one kept and one dropped detection where the ends differ.
-    frame.alice.bases.set(0, frame.bob.bases.get(0));
+    click_at_both_ends(rng, frame);
+    // Force one kept and one dropped click where the ends differ.
+    frame.clicks.front().alice_basis = frame.clicks.front().bob_basis;
     if (slots > 1)
-      frame.alice.bases.set(slots - 1, !frame.bob.bases.get(slots - 1));
+      frame.clicks.back().alice_basis =
+          qkd::optics::basis_from_bit(frame.clicks.back().bob_basis ==
+                                      qkd::optics::Basis::kRectilinear);
     expect_sift_matches_reference(frame, 9);
   }
 }
@@ -329,14 +389,15 @@ TEST(SiftingEquivalence, SimulatedQframeMatches) {
 // ---- Sift wire-byte pin ---------------------------------------------------
 //
 // The SiftAnnounce payload is fixed by its definition (see
-// reference::encode_announce): whatever Bob's announce is built from, the
-// bytes are those of his detection bitmap walked slot by slot.
+// reference::encode_announce): for a given click list, the bytes are those
+// of Bob's detection bitmap walked slot by slot.
 
-void expect_pinned_announce(const qkd::optics::DetectionRecord& bob,
+void expect_pinned_announce(const qkd::optics::FrameResult& frame,
                             std::uint64_t frame_id) {
-  const wire::SiftAnnounce announce = make_sift_announce(frame_id, bob);
+  const wire::SiftAnnounce announce = make_sift_announce(frame_id, frame);
   const Bytes bytes = announce.encode();
-  EXPECT_EQ(bytes, reference::encode_announce(frame_id, bob));
+  EXPECT_EQ(bytes,
+            reference::encode_announce(frame_id, reference::bitmaps(frame)));
   const auto back = wire::SiftAnnounce::decode(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value, announce);
@@ -349,7 +410,7 @@ TEST(SiftWirePin, SeededFramesAtFiveAndTwentyKm) {
     params.fiber_km = km;
     qkd::optics::WeakCoherentLink link(params, 79);
     for (std::uint64_t frame_id = 0; frame_id < 3; ++frame_id)
-      expect_pinned_announce(link.run_frame(1 << 20).bob, frame_id);
+      expect_pinned_announce(link.run_frame(1 << 20), frame_id);
   }
 }
 
@@ -357,7 +418,7 @@ TEST(SiftWirePin, EmptyFrames) {
   QKD_SEEDED_RNG(rng, 83);
   for (std::size_t slots : {0u, 1u, 64u, 1000u, 1u << 20}) {
     SCOPED_TRACE("slots=" + std::to_string(slots));
-    expect_pinned_announce(random_frame(rng, slots, 0.0).bob, slots);
+    expect_pinned_announce(random_frame(rng, slots, 0.0), slots);
   }
 }
 
@@ -366,10 +427,9 @@ TEST(SiftWirePin, ClicksInTheFirstAndLastSlot) {
   for (std::size_t slots : {1u, 2u, 64u, 65u, 4096u, 1u << 20}) {
     SCOPED_TRACE("slots=" + std::to_string(slots));
     qkd::optics::FrameResult frame = random_frame(rng, slots, 0.003);
-    frame.bob.detected.set(0, true);
-    frame.bob.detected.set(slots - 1, true);
-    frame.bob.bases.set(slots - 1, true);
-    expect_pinned_announce(frame.bob, 1u << 31);
+    click_at_both_ends(rng, frame);
+    frame.clicks.back().bob_basis = qkd::optics::Basis::kDiagonal;
+    expect_pinned_announce(frame, 1u << 31);
   }
 }
 
@@ -379,7 +439,7 @@ TEST(SiftWirePin, FrameSizesOffTheWordGrid) {
     for (double density : {0.003, 0.3, 1.0}) {
       SCOPED_TRACE("slots=" + std::to_string(slots) +
                    " density=" + std::to_string(density));
-      expect_pinned_announce(random_frame(rng, slots, density).bob, 7);
+      expect_pinned_announce(random_frame(rng, slots, density), 7);
     }
   }
 }

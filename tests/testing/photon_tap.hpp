@@ -40,11 +40,6 @@ class PhotonTap final : public qkd::optics::Attack {
     if (inner_ != nullptr) inner_->apply(slot, pulse, eve, rng);
   }
 
-  void resolve_bases(const qkd::BitVector& alice_bases,
-                     qkd::optics::EveRecord& eve) override {
-    if (inner_ != nullptr) inner_->resolve_bases(alice_bases, eve);
-  }
-
  private:
   qkd::optics::Attack* inner_;
   std::vector<unsigned> photons_;

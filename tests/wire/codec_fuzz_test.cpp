@@ -27,10 +27,11 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
     case 0: {
       QframeFeed p;
       p.frame_id = rng.next_u64();
-      const std::size_t slots = rng.next_below(2048);
-      p.detected = rng.next_bits(slots);
-      p.bases = rng.next_bits(slots);
-      p.bits = rng.next_bits(slots);
+      p.slots = rng.next_below(2048);
+      for (std::uint32_t i = 0; i < p.slots; ++i)
+        if (rng.next_below(64) == 0) p.clicks.push_back(i);
+      p.bases = rng.next_bits(p.clicks.size());
+      p.bits = rng.next_bits(p.clicks.size());
       return to_frame(p);
     }
     case 1: {

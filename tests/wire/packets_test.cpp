@@ -23,9 +23,11 @@ TEST(Packets, QframeFeedRoundTrips) {
   QKD_SEEDED_RNG(rng, 31);
   QframeFeed packet;
   packet.frame_id = 7;
-  packet.detected = rng.next_bits(512);
-  packet.bases = rng.next_bits(512);
-  packet.bits = rng.next_bits(512);
+  packet.slots = 512;
+  for (std::uint32_t i = 0; i < packet.slots; ++i)
+    if (rng.next_bool(0.1)) packet.clicks.push_back(i);
+  packet.bases = rng.next_bits(packet.clicks.size());
+  packet.bits = rng.next_bits(packet.clicks.size());
   EXPECT_EQ(round_trip(packet), packet);
 }
 
@@ -44,10 +46,15 @@ TEST(Packets, SiftAnnounceRoundTripsSparseMask) {
     packet.bob_bases.set(i, true);
   EXPECT_EQ(round_trip(packet), packet);
 
-  // The click list goes out as the sparse field of the detection bitmap,
-  // which must beat dense packing at this density.
+  // The click list goes out as the sparse field of the detection bitmap
+  // (slot-count, click-count, then the first slot and each later one's gap
+  // past its predecessor, minus 1), which must beat dense packing at this
+  // density.
   Bytes sparse;
-  put_bits_sparse(sparse, detected);
+  put_varint(sparse, packet.slots);
+  put_varint(sparse, packet.clicks.size());
+  put_varint(sparse, 0);
+  for (std::size_t i = 1; i < packet.clicks.size(); ++i) put_varint(sparse, 96);
   Bytes expected;
   put_varint(expected, packet.frame_id);
   expected.insert(expected.end(), sparse.begin(), sparse.end());
@@ -200,12 +207,12 @@ Bytes announce_payload(const Bytes& sparse, std::size_t clicks) {
 }
 
 /// A QframeFeed payload (frame 0) around a hand-written sparse field.
-Bytes feed_payload(const Bytes& sparse, std::size_t slots) {
+Bytes feed_payload(const Bytes& sparse, std::size_t clicks) {
   Bytes out;
   put_varint(out, 0);
   out.insert(out.end(), sparse.begin(), sparse.end());
-  put_bits_dense(out, BitVector(slots));
-  put_bits_dense(out, BitVector(slots));
+  put_bits_dense(out, BitVector(clicks));
+  put_bits_dense(out, BitVector(clicks));
   return out;
 }
 
@@ -215,13 +222,13 @@ TEST(Packets, SparseGapThatWrapsThePositionIsMalformed) {
   const Bytes wrapping = sparse_field(100, {5, ~std::uint64_t{0} - 2});
   EXPECT_EQ(SiftAnnounce::decode(announce_payload(wrapping, 2)).error,
             WireError::kMalformedPayload);
-  EXPECT_EQ(QframeFeed::decode(feed_payload(wrapping, 100)).error,
+  EXPECT_EQ(QframeFeed::decode(feed_payload(wrapping, 2)).error,
             WireError::kMalformedPayload);
   // The same wrap in the first, absolute position.
   const Bytes huge_first = sparse_field(100, {~std::uint64_t{0}});
   EXPECT_EQ(SiftAnnounce::decode(announce_payload(huge_first, 1)).error,
             WireError::kMalformedPayload);
-  EXPECT_EQ(QframeFeed::decode(feed_payload(huge_first, 100)).error,
+  EXPECT_EQ(QframeFeed::decode(feed_payload(huge_first, 1)).error,
             WireError::kMalformedPayload);
 }
 
@@ -232,21 +239,20 @@ TEST(Packets, SparseGapMayReachTheLastSlotButNotPastIt) {
   const auto announce = SiftAnnounce::decode(announce_payload(last, 2));
   ASSERT_TRUE(announce.ok());
   EXPECT_EQ(announce.value.encode(), announce_payload(last, 2));
-  const auto feed = QframeFeed::decode(feed_payload(last, 100));
+  const auto feed = QframeFeed::decode(feed_payload(last, 2));
   ASSERT_TRUE(feed.ok());
-  EXPECT_TRUE(feed.value.detected.get(98));
-  EXPECT_TRUE(feed.value.detected.get(99));
-  EXPECT_EQ(feed.value.encode(), feed_payload(last, 100));
+  EXPECT_EQ(feed.value.clicks, (std::vector<std::uint32_t>{98, 99}));
+  EXPECT_EQ(feed.value.encode(), feed_payload(last, 2));
 
   const Bytes past = sparse_field(100, {98, 1});
   EXPECT_EQ(SiftAnnounce::decode(announce_payload(past, 2)).error,
             WireError::kMalformedPayload);
-  EXPECT_EQ(QframeFeed::decode(feed_payload(past, 100)).error,
+  EXPECT_EQ(QframeFeed::decode(feed_payload(past, 2)).error,
             WireError::kMalformedPayload);
   const Bytes first_past = sparse_field(100, {100});
   EXPECT_EQ(SiftAnnounce::decode(announce_payload(first_past, 1)).error,
             WireError::kMalformedPayload);
-  EXPECT_EQ(QframeFeed::decode(feed_payload(first_past, 100)).error,
+  EXPECT_EQ(QframeFeed::decode(feed_payload(first_past, 1)).error,
             WireError::kMalformedPayload);
 }
 
