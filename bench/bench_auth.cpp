@@ -108,6 +108,7 @@ BENCHMARK(bm_toeplitz_hash)->Arg(1 << 10)->Arg(1 << 15);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

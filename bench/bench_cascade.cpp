@@ -123,6 +123,7 @@ BENCHMARK(bm_classic_cascade)->Arg(1024)->Arg(4096);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -89,6 +89,7 @@ BENCHMARK(bm_entropy_estimate);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

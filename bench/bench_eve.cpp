@@ -111,6 +111,7 @@ BENCHMARK(bm_intercept_resend_frame);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_intercept_table();
   print_pns_table();
   print_entangled_table();

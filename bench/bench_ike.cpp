@@ -156,6 +156,7 @@ BENCHMARK(bm_vpn_roundtrip);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_race_table();
   print_mismatch_table();
   benchmark::Initialize(&argc, argv);

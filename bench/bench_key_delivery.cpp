@@ -202,6 +202,7 @@ BENCHMARK(bm_request_bits);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_request_table();
   print_producer_table();
   benchmark::Initialize(&argc, argv);

@@ -337,6 +337,7 @@ BENCHMARK(bm_kms_admission_rejection);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_tables();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

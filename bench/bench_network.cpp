@@ -108,6 +108,7 @@ BENCHMARK(bm_transport_key);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_resilience_table();
   print_topology_cost_table();
   benchmark::Initialize(&argc, argv);

@@ -427,6 +427,7 @@ BENCHMARK(bm_obs_alert_evaluate_sweep)
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_tables();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

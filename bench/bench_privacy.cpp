@@ -67,6 +67,7 @@ BENCHMARK(bm_gf2_multiply)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

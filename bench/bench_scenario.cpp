@@ -154,6 +154,7 @@ BENCHMARK(bm_scripted_hour)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_tables();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -65,6 +65,7 @@ BENCHMARK(bm_full_pipeline_batch)->Arg(1 << 18)->Arg(1 << 20);
 }  // namespace
 
 int main(int argc, char** argv) {
+  qkd::bench::stamp_context();
   print_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -6,12 +6,39 @@
 //
 //   $ ./bench_<experiment>            # table + microbenchmarks
 //   $ ./bench_<experiment> --benchmark_filter=none   # table only
+//
+// Every main calls stamp_context() first, so each JSON snapshot records the
+// build it came from; tools/compare_bench.py refuses to compare snapshots
+// of different build types or flags.
 #pragma once
+
+#include <benchmark/benchmark.h>
 
 #include <cstdarg>
 #include <cstdio>
 
+#include "src/common/bitvector.hpp"
+#include "src/optics/types.hpp"
+
 namespace qkd::bench {
+
+/// Adds this build's type, C++ flags and git commit (set by
+/// bench/CMakeLists.txt at configure time) to the benchmark context, as
+/// qkd_build_type, qkd_cxx_flags and qkd_git_sha.
+inline void stamp_context() {
+  benchmark::AddCustomContext("qkd_build_type", QKD_BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("qkd_cxx_flags", QKD_BENCH_CXX_FLAGS);
+  benchmark::AddCustomContext("qkd_git_sha", QKD_BENCH_GIT_SHA);
+}
+
+/// A frame's detection bitmap, one bit per slot, built from its click list
+/// (the frame itself holds nothing per slot).
+inline qkd::BitVector detection_bitmap(const qkd::optics::FrameResult& frame) {
+  qkd::BitVector bits(frame.slots);
+  for (const qkd::optics::Click& click : frame.clicks)
+    bits.set(click.slot, true);
+  return bits;
+}
 
 inline void heading(const char* experiment_id, const char* title) {
   std::printf("\n================================================================\n");

@@ -26,6 +26,12 @@ Only matched names are compared: added or removed benchmarks are listed
 informationally and never fail the run (the corpus is expected to grow).
 Pure table-printing entries (aggregates with no timing) are skipped.
 
+Each bench binary stamps its snapshot's context with the build type and
+C++ flags it was compiled with (bench/bench_util.hpp, stamp_context). Two
+stamped snapshots of one binary that differ in either are not comparable:
+the run exits non-zero naming the field. Snapshots written before the
+stamp compare as before, with a one-line note.
+
 stdlib-only on purpose — runs anywhere python3 exists, no installs.
 """
 
@@ -35,6 +41,9 @@ import sys
 from pathlib import Path
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+# Context fields that must agree for two snapshots to be compared.
+STAMP_FIELDS = ("qkd_build_type", "qkd_cxx_flags")
 
 
 def snapshot_files(path: Path):
@@ -49,15 +58,18 @@ def snapshot_files(path: Path):
 
 
 def load_snapshots(path: Path):
-    """(file stem, benchmark name) -> real_time in ns."""
+    """(file stem, benchmark name) -> real_time in ns, and file stem ->
+    the snapshot's context object."""
     files = snapshot_files(path)
     results = {}
+    contexts = {}
     for file in files:
         try:
             doc = json.loads(file.read_text())
         except json.JSONDecodeError as err:
             raise SystemExit(f"error: {file}: not valid JSON ({err})")
         stem = file.stem
+        contexts[stem] = doc.get("context", {})
         for bench in doc.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":
                 continue  # compare raw repetitions only, not mean/stddev rows
@@ -67,7 +79,27 @@ def load_snapshots(path: Path):
                 continue
             unit = TIME_UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
             results[(stem, name)] = real_time * unit
-    return results
+    return results, contexts
+
+
+def check_stamps(base_contexts, cand_contexts, stems):
+    """Exits non-zero, naming the field, when two stamped snapshots of one
+    binary were built differently; notes any unstamped pair."""
+    unstamped = []
+    for stem in sorted(stems):
+        base, cand = base_contexts[stem], cand_contexts[stem]
+        if not all(f in base and f in cand for f in STAMP_FIELDS):
+            unstamped.append(stem)
+            continue
+        for field in STAMP_FIELDS:
+            if base[field] != cand[field]:
+                raise SystemExit(
+                    f"error: {stem}: {field} differs "
+                    f"({base[field]!r} vs {cand[field]!r}); "
+                    "refusing to compare snapshots of different builds")
+    if unstamped:
+        print(f"note: {len(unstamped)} unstamped snapshot pair(s), build "
+              f"not checked: {', '.join(unstamped)}")
 
 
 def load_series(path: Path, prefix: str):
@@ -151,10 +183,11 @@ def main():
     if args.candidate is None:
         parser.error("candidate is required unless --series is given")
 
-    base = load_snapshots(args.baseline)
-    cand = load_snapshots(args.candidate)
+    base, base_contexts = load_snapshots(args.baseline)
+    cand, cand_contexts = load_snapshots(args.candidate)
 
     matched = sorted(set(base) & set(cand))
+    check_stamps(base_contexts, cand_contexts, {stem for stem, _ in matched})
     added = sorted(set(cand) - set(base))
     removed = sorted(set(base) - set(cand))
 
