@@ -163,18 +163,14 @@ std::pair<bool, double> AlertEngine::evaluate_condition(
 }
 
 bool AlertEngine::bound(const AlertCondition& condition) const {
-  const auto present = [this](const std::string& metric) {
-    return snapshot_.count(metric) != 0;
-  };
+  const auto seen = [this](const std::string& m) { return snapshot_.count(m); };
   return std::visit(
-      [&present](const auto& c) {
+      [&seen](const auto& c) {
         using Condition = std::decay_t<decltype(c)>;
-        if constexpr (std::is_same_v<Condition, Absence>)
-          return true;
+        if constexpr (std::is_same_v<Condition, Absence>) return true;
         else if constexpr (std::is_same_v<Condition, SloBurnRate>)
-          return present(c.good_metric) && present(c.total_metric);
-        else
-          return present(c.metric);
+          return seen(c.good_metric) + seen(c.total_metric) == 2;
+        else return seen(c.metric) == 1;
       },
       condition);
 }

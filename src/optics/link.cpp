@@ -130,9 +130,8 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
         std::min({next_emission, next_dark, next_misframe, next_afterpulse});
     if (slot >= n_slots) break;
 
-    // --- Modulator settings, drawn only where something happens: the top
-    // three bits of one RNG word give Alice's basis and value and Bob's
-    // basis.
+    // --- Modulator settings, drawn only where something happens: one RNG
+    // word's top bits are Alice's basis and value and Bob's basis.
     const std::uint64_t settings = rng_.next_u64() >> 61;
     const Basis alice_basis = basis_from_bit(settings & 1);
     const bool alice_value = (settings & 2) != 0;

@@ -31,12 +31,10 @@ inline unsigned bob_phase_quarter(Basis basis) {
   return basis == Basis::kDiagonal ? 1u : 0u;
 }
 
-/// One usable single click, with both sides' settings in its slot. The
-/// generator draws the settings only at the slots it visits, so a frame
-/// holds nothing per slot.
-///
-/// Bob's half (slot, bob_basis, bob_bit) stands alone: it is all Bob's
-/// side of sifting reads and all the two-process QframeFeed carries.
+/// One usable single click, with both sides' settings in its slot (the
+/// generator draws settings only where it visits, so a frame holds nothing
+/// per slot). Bob's half (slot, bob_basis, bob_bit) stands alone: it is
+/// all his side of sifting reads and all the two-process QframeFeed carries.
 struct Click {
   std::uint32_t slot = 0;
   Basis alice_basis = Basis::kRectilinear;

@@ -217,17 +217,12 @@ PeerOutcome AlicePeer::run_batch(wire::Transport& io) {
 
   // ---- Quantum channel (simulated here, fed to Bob; uncounted). -----------
   const auto frame = link_.run_frame(config_.frame_slots, nullptr);
-  wire::QframeFeed feed;
-  feed.frame_id = out.frame_id;
-  feed.slots = frame.slots;
-  feed.bases = qkd::BitVector(frame.clicks.size());
-  feed.bits = qkd::BitVector(frame.clicks.size());
-  for (std::size_t i = 0; i < frame.clicks.size(); ++i) {
-    const qkd::optics::Click& click = frame.clicks[i];
-    feed.clicks.push_back(click.slot);
-    feed.bases.set(i, click.bob_basis == qkd::optics::Basis::kDiagonal);
-    feed.bits.set(i, click.bob_bit);
-  }
+  wire::SiftAnnounce bob_half = make_sift_announce(out.frame_id, frame);
+  wire::QframeFeed feed{out.frame_id, bob_half.slots,
+                        std::move(bob_half.clicks),
+                        std::move(bob_half.bob_bases), {}};
+  for (const qkd::optics::Click& click : frame.clicks)
+    feed.bits.push_back(click.bob_bit);
   if (!io.send_frame(wire::to_frame(feed)))
     return local_abort(p, AbortReason::kChannelLost);
 
@@ -354,15 +349,12 @@ PeerOutcome BobPeer::run_batch(wire::Transport& io) {
   const auto feed = wire::QframeFeed::decode(feed_frame->payload);
   if (!feed.ok()) return local_abort(p, AbortReason::kChannelLost);
   // Bob's half of each click is all the feed carries and all he reads.
-  qkd::optics::FrameResult detections;
-  detections.slots = feed.value.slots;
-  detections.clicks.resize(feed.value.clicks.size());
-  for (std::size_t i = 0; i < detections.clicks.size(); ++i) {
-    qkd::optics::Click& click = detections.clicks[i];
-    click.slot = feed.value.clicks[i];
-    click.bob_basis = qkd::optics::basis_from_bit(feed.value.bases.get(i));
-    click.bob_bit = feed.value.bits.get(i);
-  }
+  qkd::optics::FrameResult detections{.slots = feed.value.slots};
+  for (std::size_t i = 0; i < feed.value.clicks.size(); ++i)
+    detections.clicks.push_back(
+        {.slot = feed.value.clicks[i],
+         .bob_basis = qkd::optics::basis_from_bit(feed.value.bases.get(i)),
+         .bob_bit = feed.value.bits.get(i)});
 
   // ---- Sifting. -----------------------------------------------------------
   const wire::SiftAnnounce announce =

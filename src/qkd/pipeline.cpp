@@ -94,8 +94,7 @@ AbortReason SiftingStage::run(BatchContext& ctx) {
   ctx.result.sifted_bits = ctx.alice_bits.size();
   if (ctx.alice_bits.empty()) return AbortReason::kNoSiftedBits;
 
-  // Ground truth for attack accounting: a merge of the sorted sifted slots
-  // with Eve's sorted known slots.
+  // Ground truth for attack accounting: merge sifted slots with Eve's.
   ctx.result.qber_actual =
       static_cast<double>(ctx.alice_bits.hamming_distance(ctx.bob_bits)) /
       static_cast<double>(ctx.alice_bits.size());

@@ -6,16 +6,11 @@ namespace qkd::proto {
 
 wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
                                       const qkd::optics::FrameResult& frame) {
-  wire::SiftAnnounce announce;
-  announce.frame_id = frame_id;
-  announce.slots = frame.slots;
-  announce.clicks.reserve(frame.clicks.size());
-  announce.bob_bases = qkd::BitVector(frame.clicks.size());
-  for (std::size_t i = 0; i < frame.clicks.size(); ++i) {
-    const qkd::optics::Click& click = frame.clicks[i];
+  wire::SiftAnnounce announce{.frame_id = frame_id, .slots = frame.slots};
+  for (const qkd::optics::Click& click : frame.clicks) {
     announce.clicks.push_back(click.slot);
-    if (click.bob_basis == qkd::optics::Basis::kDiagonal)
-      announce.bob_bases.set(i, true);
+    announce.bob_bases.push_back(click.bob_basis ==
+                                 qkd::optics::Basis::kDiagonal);
   }
   return announce;
 }
@@ -29,8 +24,7 @@ AliceSiftResult alice_sift(const qkd::optics::FrameResult& frame,
   AliceSiftResult result;
   result.decision.frame_id = announce.frame_id;
   result.decision.keep = qkd::BitVector(announce.clicks.size());
-  // Both lists are sorted: advance through Alice's clicks to each announced
-  // slot.
+  // Both lists are sorted: advance to each announced slot.
   auto mine = frame.clicks.begin();
   for (std::size_t i = 0; i < announce.clicks.size(); ++i) {
     const std::uint32_t slot = announce.clicks[i];
@@ -51,7 +45,7 @@ SiftOutcome bob_apply_response(const qkd::optics::FrameResult& frame,
                                const wire::SiftAnnounce& announce,
                                const wire::SiftDecision& decision) {
   if (announce.clicks.size() != frame.clicks.size())
-    throw std::invalid_argument("bob_apply_response: not this frame's announce");
+    throw std::invalid_argument("bob_apply_response: click count mismatch");
   if (decision.keep.size() != announce.clicks.size())
     throw std::invalid_argument("bob_apply_response: keep length mismatch");
   if (decision.frame_id != announce.frame_id)

@@ -393,17 +393,13 @@ std::size_t ScenarioRunner::run_with(
       // ACTUALLY took — on a clean channel exactly the Qframe period, but
       // a ClassicalImpairment's latency stall (folded into the batch's
       // duration_s) stretches the cadence, so a degraded classical channel
-      // lowers the distilled rate on the timeline, not just on paper.
-      //
-      // Each event holds its own copy of the chain and schedules a fresh
-      // copy for the next batch, so nothing owns itself: a chain left
-      // pending at the horizon is freed with the scheduler.
+      // lowers the distilled rate on the timeline, not just on paper. Each
+      // event schedules a copy of its chain, so no chain owns itself.
       struct BatchChain {
         ScenarioRunner* runner;
         network::LinkKeyService* service;
         network::LinkId id;
         SimTime frame;
-
         void operator()(SimTime now) const {
           SimTime next = frame;
           if (runner->mesh_->topology().link(id).usable()) {
