@@ -3,8 +3,8 @@
 // detection' values) are compressed to take very little space."
 //
 // Measures encoded sift-message size against the raw bitmap across
-// detection probabilities — at the paper's ~0.3% detection probability the
-// encoding wins by ~25x.
+// detection probabilities and for a simulated Qframe — at the paper's ~0.3%
+// detection probability the encoding wins by ~15x.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.hpp"

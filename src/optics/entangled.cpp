@@ -19,7 +19,7 @@ EntangledLink::EntangledLink(EntangledParams params, std::uint64_t seed)
 }
 
 FrameResult EntangledLink::run_frame(std::size_t n_slots) {
-  if (n_slots > (std::size_t{1} << 32))
+  if (n_slots > kMaxFrameSlots)
     throw std::invalid_argument("EntangledLink: frame exceeds 2^32 slots");
   FrameResult frame;
   frame.slots = n_slots;

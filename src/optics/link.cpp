@@ -11,8 +11,6 @@ namespace qkd::optics {
 namespace {
 
 constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
-// Clicks name their slot in 32 bits.
-constexpr std::size_t kMaxFrameSlots = std::size_t{1} << 32;
 
 /// The slots of a Bernoulli(p) process, visited by geometric gaps instead
 /// of one draw per slot.

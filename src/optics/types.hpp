@@ -31,6 +31,9 @@ inline unsigned bob_phase_quarter(Basis basis) {
   return basis == Basis::kDiagonal ? 1u : 0u;
 }
 
+/// The most slots a frame may have: a click names its slot in 32 bits.
+inline constexpr std::size_t kMaxFrameSlots = std::size_t{1} << 32;
+
 /// One usable single click, with both sides' settings in its slot (the
 /// generator draws settings only where it visits, so a frame holds nothing
 /// per slot). Bob's half (slot, bob_basis, bob_bit) stands alone: it is
