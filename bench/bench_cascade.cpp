@@ -5,12 +5,15 @@
 //
 // The error-correction ablation: the paper's BBN LFSR-subset variant vs.
 // classic Brassard-Salvail Cascade vs. the conventional parity baseline.
-// Measures disclosure (the d that privacy amplification must burn),
-// residual errors, and convergence across a QBER sweep — including the
+// Measures disclosure (the d that privacy amplification must burn), round
+// trips (one batch of parity questions and its answer each), residual
+// errors, and convergence across a QBER sweep — including the
 // reproduction's headline negative result: the BBN variant's disclosure per
 // error (~log2 n) dwarfs classic Cascade's at block sizes the paper's link
 // actually produced.
 #include <benchmark/benchmark.h>
+
+#include <tuple>
 
 #include "bench/bench_util.hpp"
 #include "src/common/rng.hpp"
@@ -24,6 +27,7 @@ using namespace qkd::proto;
 
 struct TrialResult {
   std::size_t disclosed;
+  std::size_t round_trips;
   std::size_t corrections;
   std::size_t residual;
   bool converged;
@@ -50,7 +54,7 @@ TrialResult run_trial(std::size_t n, double rate, std::uint64_t seed,
   Corrupted c = make_corrupted(n, rate, seed);
   LocalParityOracle oracle(c.alice);
   const EcStats stats = correct(c.bob, oracle, rate);
-  return TrialResult{oracle.disclosed(), stats.corrections,
+  return TrialResult{oracle.disclosed(), oracle.exchanges(), stats.corrections,
                      c.alice.hamming_distance(c.bob), stats.converged};
 }
 
@@ -59,9 +63,10 @@ void print_table() {
       "E5", "Sec. 5: error-correction disclosure / residual ablation");
   const std::size_t n = 4096;
   qkd::bench::row("block = %zu bits; Shannon bound = n*h2(q)", n);
-  qkd::bench::row("%7s | %9s %9s %5s | %9s %9s %5s | %9s %9s %5s", "QBER%",
-                  "bbn:d", "resid", "conv", "classic:d", "resid", "conv",
-                  "naive:d", "resid", "conv");
+  qkd::bench::row("rt = round trips (parity batches) per correction");
+  qkd::bench::row("%6s | %7s %5s %5s %4s | %9s %5s %5s %4s | %7s %5s %5s %4s",
+                  "QBER%", "bbn:d", "rt", "resid", "conv", "classic:d", "rt",
+                  "resid", "conv", "naive:d", "rt", "resid", "conv");
   for (double rate : {0.005, 0.01, 0.03, 0.05, 0.07, 0.09, 0.11}) {
     const auto bbn = run_trial(n, rate, 1000,
                                [](auto& bob, auto& oracle, double) {
@@ -75,11 +80,17 @@ void print_table() {
                                  [](auto& bob, auto& oracle, double) {
                                    return naive_parity_correct(bob, oracle);
                                  });
+    auto cells = [](const TrialResult& r) {
+      return std::tuple(r.disclosed, r.round_trips, r.residual,
+                        r.converged ? "yes" : "NO");
+    };
+    const auto [bd, brt, bres, bconv] = cells(bbn);
+    const auto [cd, crt, cres, cconv] = cells(classic);
+    const auto [nd, nrt, nres, nconv] = cells(naive);
     qkd::bench::row(
-        "%7.1f | %9zu %9zu %5s | %9zu %9zu %5s | %9zu %9zu %5s", 100.0 * rate,
-        bbn.disclosed, bbn.residual, bbn.converged ? "yes" : "NO",
-        classic.disclosed, classic.residual, classic.converged ? "yes" : "NO",
-        naive.disclosed, naive.residual, naive.converged ? "yes" : "NO");
+        "%6.1f | %7zu %5zu %5zu %4s | %9zu %5zu %5zu %4s | %7zu %5zu %5zu %4s",
+        100.0 * rate, bd, brt, bres, bconv, cd, crt, cres, cconv, nd, nrt,
+        nres, nconv);
   }
   qkd::bench::row("");
   qkd::bench::row("adaptivity check (the paper's claim): zero-error blocks");

@@ -7,6 +7,10 @@
 // paper's operating point, led by the physical layer's frame row
 // (BatchResult::frame_wall_s); the benchmark kernels track the full-batch
 // latency and export the frame and per-stage means as counters.
+//
+// A second row prices the messages: the session charges the channel's
+// one-way latency once per control message, so the simulated 10 km key
+// rate at 0, 0.1, 1 and 5 ms shows what each message costs the link.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,6 +24,11 @@
 namespace {
 
 using namespace qkd::proto;
+
+/// Batches per table row. A batch whose sampled QBER undershoots the true
+/// rate sizes Cascade's blocks too large and needs several times the
+/// median's round trips, so the message means need a few dozen batches.
+constexpr int kTableBatches = 32;
 
 QkdLinkConfig operating_point(std::size_t frame_slots) {
   QkdLinkConfig config;
@@ -40,7 +49,7 @@ void print_table() {
   std::map<std::string, StageStats> acc;
   std::vector<std::string> order{"frame"};
   std::size_t batches = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kTableBatches; ++i) {
     const BatchResult batch = session.run_batch();
     if (!batch.accepted) continue;
     ++batches;
@@ -82,6 +91,31 @@ void print_table() {
                   chattiest.c_str());
 }
 
+void print_latency_row() {
+  qkd::bench::row("");
+  qkd::bench::row("simulated 10 km key rate vs one-way classical latency "
+                  "(%d batches, seed 2003)", kTableBatches);
+  qkd::bench::row("%-24s %14s %10s %12s", "latency ms", "key bit/s",
+                  "msgs/batch", "stall s/batch");
+  for (double latency_ms : {0.0, 0.1, 1.0, 5.0}) {
+    QkdLinkSession session(operating_point(1 << 20), 2003);
+    qkd::net::ClassicalConditions conditions;
+    conditions.latency = qkd::seconds_to_sim(latency_ms * 1e-3);
+    session.channel().set_conditions(conditions);
+    std::size_t messages = 0;
+    double stall_s = 0.0;
+    for (int i = 0; i < kTableBatches; ++i) {
+      const BatchResult batch = session.run_batch();
+      messages += batch.control_messages;
+      stall_s += batch.wire_stall_s;
+    }
+    qkd::bench::row("%-24.1f %14.1f %10.1f %12.3f", latency_ms,
+                    session.totals().distilled_rate_bps(),
+                    static_cast<double>(messages) / kTableBatches,
+                    stall_s / kTableBatches);
+  }
+}
+
 /// Full-batch latency with per-stage means exported as counters, so a
 /// regression in any one stage is visible without re-deriving the split.
 void bm_pipeline_stages(benchmark::State& state) {
@@ -112,6 +146,7 @@ BENCHMARK(bm_pipeline_stages)->Arg(1 << 18)->Arg(1 << 20);
 int main(int argc, char** argv) {
   qkd::bench::stamp_context();
   print_table();
+  print_latency_row();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

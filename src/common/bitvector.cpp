@@ -109,17 +109,17 @@ bool BitVector::masked_parity(const BitVector& mask) const {
   return std::popcount(acc) & 1;
 }
 
-bool BitVector::masked_range_parity(const BitVector& mask, std::size_t begin,
-                                    std::size_t end) const {
-  if (mask.size_ != size_)
-    throw std::invalid_argument("BitVector::masked_range_parity: size mismatch");
-  if (begin > end || end > size_)
-    throw std::out_of_range("BitVector::masked_range_parity: bad range");
+namespace {
+
+/// Parity of bits [begin, end) of the words `word(w)` yields, a word at a
+/// time. The caller has checked the range.
+template <typename Word>
+bool range_word_parity(std::size_t begin, std::size_t end, Word&& word) {
   if (begin == end) return false;
   const std::size_t wb = begin >> 6, we = (end - 1) >> 6;
   std::uint64_t acc = 0;
   for (std::size_t w = wb; w <= we; ++w) {
-    std::uint64_t bits = words_[w] & mask.words_[w];
+    std::uint64_t bits = word(w);
     if (w == wb) {
       const std::size_t off = begin & 63;
       bits &= ~std::uint64_t{0} << off;
@@ -131,6 +131,26 @@ bool BitVector::masked_range_parity(const BitVector& mask, std::size_t begin,
     acc ^= bits;
   }
   return std::popcount(acc) & 1;
+}
+
+}  // namespace
+
+bool BitVector::range_parity(std::size_t begin, std::size_t end) const {
+  if (begin > end || end > size_)
+    throw std::out_of_range("BitVector::range_parity: bad range");
+  return range_word_parity(begin, end,
+                           [&](std::size_t w) { return words_[w]; });
+}
+
+bool BitVector::masked_range_parity(const BitVector& mask, std::size_t begin,
+                                    std::size_t end) const {
+  if (mask.size_ != size_)
+    throw std::invalid_argument("BitVector::masked_range_parity: size mismatch");
+  if (begin > end || end > size_)
+    throw std::out_of_range("BitVector::masked_range_parity: bad range");
+  return range_word_parity(begin, end, [&](std::size_t w) {
+    return words_[w] & mask.words_[w];
+  });
 }
 
 BitVector& BitVector::operator^=(const BitVector& other) {

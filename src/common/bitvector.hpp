@@ -64,6 +64,9 @@ class BitVector {
   /// Parity of the bits selected by `mask` (mask.size() must equal size()).
   bool masked_parity(const BitVector& mask) const;
 
+  /// Parity of bits in [begin, end), a word at a time.
+  bool range_parity(std::size_t begin, std::size_t end) const;
+
   /// Parity of bits in [begin, end) intersected with `mask`.
   bool masked_range_parity(const BitVector& mask, std::size_t begin,
                            std::size_t end) const;

@@ -21,23 +21,6 @@ Rng::Rng(std::uint64_t seed) {
 
 Rng Rng::fork() { return Rng(next_u64()); }
 
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  if (bound == 0) throw std::invalid_argument("Rng::next_below: bound == 0");
-  // Lemire's nearly-divisionless method with rejection for exact uniformity.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
 unsigned Rng::next_poisson(double mu) {
   if (mu < 0.0) throw std::invalid_argument("Rng::next_poisson: mu < 0");
   if (mu == 0.0) return 0;

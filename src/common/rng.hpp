@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 
 #include "src/common/bitvector.hpp"
 
@@ -54,8 +55,23 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform integer in [0, bound). bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  /// Uniform integer in [0, bound). bound must be > 0. Lemire's
+  /// nearly-divisionless method with rejection for exact uniformity.
+  std::uint64_t next_below(std::uint64_t bound) {
+    if (bound == 0) throw std::invalid_argument("Rng::next_below: bound == 0");
+    std::uint64_t x = next_u64();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = -bound % bound;
+      while (lo < threshold) {
+        x = next_u64();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
   bool next_bool(double p = 0.5) {

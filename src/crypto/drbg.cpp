@@ -1,5 +1,7 @@
 #include "src/crypto/drbg.hpp"
 
+#include <algorithm>
+
 namespace qkd::crypto {
 
 Drbg::Drbg(std::span<const std::uint8_t> seed) { state_ = Sha1::hash(seed); }
@@ -10,21 +12,32 @@ Drbg::Drbg(std::uint64_t seed) {
   state_ = Sha1::hash(b);
 }
 
-Bytes Drbg::generate(std::size_t n_bytes) {
-  Bytes out;
-  out.reserve(n_bytes + Sha1::kDigestSize);
-  while (out.size() < n_bytes) {
-    Bytes block(state_.begin(), state_.end());
-    put_u64(block, counter_++);
+void Drbg::fill(std::span<std::uint8_t> out) {
+  // Each output block hashes state || counter (big-endian), built on the
+  // stack; digests are copied straight into `out`.
+  std::array<std::uint8_t, Sha1::kDigestSize + 8> block;
+  std::copy(state_.begin(), state_.end(), block.begin());
+  for (std::size_t filled = 0; filled < out.size();) {
+    const std::uint64_t counter = counter_++;
+    for (int i = 0; i < 8; ++i)
+      block[Sha1::kDigestSize + i] =
+          static_cast<std::uint8_t>(counter >> (56 - 8 * i));
     const auto digest = Sha1::hash(block);
-    out.insert(out.end(), digest.begin(), digest.end());
+    const std::size_t take = std::min(digest.size(), out.size() - filled);
+    std::copy_n(digest.begin(), take, out.begin() + filled);
+    filled += take;
   }
-  out.resize(n_bytes);
   // Ratchet the state forward so earlier output cannot be recovered from a
   // captured state (backtracking resistance).
-  Bytes ratchet(state_.begin(), state_.end());
-  ratchet.push_back(0xff);
+  std::array<std::uint8_t, Sha1::kDigestSize + 1> ratchet;
+  std::copy(state_.begin(), state_.end(), ratchet.begin());
+  ratchet.back() = 0xff;
   state_ = Sha1::hash(ratchet);
+}
+
+Bytes Drbg::generate(std::size_t n_bytes) {
+  Bytes out(n_bytes);
+  fill(out);
   return out;
 }
 
@@ -36,7 +49,8 @@ qkd::BitVector Drbg::generate_bits(std::size_t n_bits) {
 }
 
 std::uint32_t Drbg::next_u32() {
-  const Bytes b = generate(4);
+  std::array<std::uint8_t, 4> b;
+  fill(b);
   return static_cast<std::uint32_t>(b[0]) << 24 |
          static_cast<std::uint32_t>(b[1]) << 16 |
          static_cast<std::uint32_t>(b[2]) << 8 | b[3];

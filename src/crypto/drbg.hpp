@@ -21,6 +21,8 @@ class Drbg {
   explicit Drbg(std::uint64_t seed);
 
   Bytes generate(std::size_t n_bytes);
+  /// Writes the bytes generate(out.size()) would return into `out`.
+  void fill(std::span<std::uint8_t> out);
   qkd::BitVector generate_bits(std::size_t n_bits);
   std::uint32_t next_u32();
   std::uint64_t next_u64();

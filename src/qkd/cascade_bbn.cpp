@@ -6,43 +6,14 @@
 namespace qkd::proto {
 namespace {
 
-/// One announced subset: its seed, expanded member list, Alice's parity for
-/// the full subset, and Bob's current parity.
+/// One announced subset: its seed, expanded member list, Bob's bits in
+/// member order, and whether Alice's full-subset parity differs from Bob's.
 struct Subset {
   std::uint32_t seed;
   std::vector<std::uint32_t> members;
-  bool alice_parity;
-  bool bob_parity;
-
-  bool mismatched() const { return alice_parity != bob_parity; }
+  qkd::BitVector bob;
+  bool mismatched = false;
 };
-
-/// Bisects subset `s` down to one erroneous member and flips it in
-/// `bob_bits`. Precondition: s.mismatched(). Returns the flipped position.
-std::uint32_t bisect_fix(qkd::BitVector& bob_bits, ParityOracle& alice,
-                         const Subset& s, EcStats& stats) {
-  std::size_t lo = 0, hi = s.members.size();
-  // Invariant: parity over members[lo, hi) differs between Alice and Bob.
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    ParityQuery q;
-    q.kind = ParityQuery::Kind::kLfsrSubset;
-    q.seed = s.seed;
-    q.begin = static_cast<std::uint32_t>(lo);
-    q.end = static_cast<std::uint32_t>(mid);
-    const bool alice_left = alice.parity(q);
-    ++stats.parity_queries;
-    const bool bob_left = parity_of_members(bob_bits, s.members, lo, mid);
-    if (alice_left != bob_left)
-      hi = mid;  // the odd-error half is the left one
-    else
-      lo = mid;
-  }
-  const std::uint32_t pos = s.members[lo];
-  bob_bits.flip(pos);
-  ++stats.corrections;
-  return pos;
-}
 
 }  // namespace
 
@@ -61,47 +32,55 @@ EcStats bbn_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
   for (unsigned round = 0; round < config.max_rounds; ++round) {
     ++stats.rounds;
 
-    // Announce this round's subsets and exchange full-subset parities.
+    // Announce this round's subsets and exchange their full parities in
+    // one batch.
     std::vector<Subset> subsets;
+    std::vector<ParityQuery> batch;
     subsets.reserve(config.subsets_per_round);
     for (unsigned i = 0; i < config.subsets_per_round; ++i) {
       Subset s;
       s.seed = next_seed++;
       s.members = lfsr_members(s.seed, n);
       if (s.members.empty()) continue;
-      ParityQuery q;
-      q.kind = ParityQuery::Kind::kLfsrSubset;
-      q.seed = s.seed;
-      q.begin = 0;
-      q.end = static_cast<std::uint32_t>(s.members.size());
-      s.alice_parity = alice.parity(q);
-      ++stats.parity_queries;
-      s.bob_parity = parity_of_members(bob_bits, s.members, 0, s.members.size());
+      s.bob = gather_members(bob_bits, s.members);
+      batch.push_back({ParityQuery::Kind::kLfsrSubset, s.seed, 0,
+                       static_cast<std::uint32_t>(s.members.size())});
       subsets.push_back(std::move(s));
+    }
+    if (!batch.empty()) {
+      const qkd::BitVector alice_parity = alice.parities(batch);
+      stats.parity_queries += batch.size();
+      for (std::size_t i = 0; i < subsets.size(); ++i)
+        subsets[i].mismatched = alice_parity.get(i) != subsets[i].bob.parity();
     }
 
     bool round_had_mismatch = false;
     // "This will clear up some discrepancies but may introduce other new
     // ones, and so the process continues": loop until no subset mismatches.
     for (;;) {
-      Subset* target = nullptr;
-      for (auto& s : subsets) {
-        if (s.mismatched()) {
-          target = &s;
-          break;
-        }
-      }
-      if (target == nullptr) break;
+      const auto target =
+          std::find_if(subsets.begin(), subsets.end(),
+                       [](const Subset& s) { return s.mismatched; });
+      if (target == subsets.end()) break;
       round_had_mismatch = true;
 
-      const std::uint32_t fixed_pos = bisect_fix(bob_bits, alice, *target, stats);
+      RangeSearch search{ParityQuery::Kind::kLfsrSubset, target->seed,
+                         &target->members, &target->bob, 0,
+                         target->members.size()};
+      while (bisect_level({&search, 1}, alice, stats)) {
+      }
+      const std::uint32_t fixed_pos = search.position();
+      bob_bits.flip(fixed_pos);
+      ++stats.corrections;
 
       // Both sides flip the recorded parity of every subset containing the
       // corrected bit (local bookkeeping, nothing on the wire).
       for (auto& s : subsets) {
-        const bool contains =
-            std::binary_search(s.members.begin(), s.members.end(), fixed_pos);
-        if (contains) s.bob_parity = !s.bob_parity;
+        const auto at =
+            std::lower_bound(s.members.begin(), s.members.end(), fixed_pos);
+        if (at == s.members.end() || *at != fixed_pos) continue;
+        s.bob.flip(static_cast<std::size_t>(at - s.members.begin()));
+        s.mismatched = !s.mismatched;
       }
     }
 

@@ -16,6 +16,10 @@
 // one passes with no discrepancy (or the round limit trips). The protocol is
 // adaptive exactly as the paper claims: at low error rates it discloses
 // little beyond the 64 subset parities per round.
+//
+// A round's subset parities go out as one batch. The bisections stay one
+// question per exchange: the subsets overlap, so one fix can change which
+// subsets mismatch next.
 #pragma once
 
 #include <cstdint>

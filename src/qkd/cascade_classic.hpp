@@ -8,6 +8,14 @@
 // in pass i flips the parity of the blocks containing that bit in earlier
 // passes, whose (already known) parities now mismatch and can be searched
 // again, each fix potentially cascading further corrections.
+//
+// The dialogue runs in lockstep batches. A pass's block parities go out as
+// one batch. Then a set of pairwise-disjoint mismatched blocks, from any
+// pass with the newest first, is bisected together, one batch per
+// bisection level. Disjoint blocks share no bit, so no block's search can
+// change another's answers: the set asks the questions some serial order
+// would ask. The fixes are applied, every pass's parities updated, and the
+// next disjoint set picked, until no known parity mismatches.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "src/qkd/ec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/rng.hpp"
@@ -69,29 +70,79 @@ bool parity_of_members(const qkd::BitVector& bits,
   return p;
 }
 
+qkd::BitVector gather_members(const qkd::BitVector& bits,
+                              const std::vector<std::uint32_t>& members) {
+  // Branch-free, a word of output at a time: the member bits are random.
+  qkd::BitVector out(members.size());
+  const auto in = bits.words();
+  const auto words = out.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::size_t base = 64 * w;
+    const std::size_t count = std::min<std::size_t>(64, members.size() - base);
+    std::uint64_t acc = 0;
+    for (std::size_t b = 0; b < count; ++b) {
+      const std::uint32_t m = members[base + b];
+      if (m >= bits.size())
+        throw std::out_of_range("gather_members: member past the string");
+      acc |= ((in[m >> 6] >> (m & 63)) & 1) << b;
+    }
+    words[w] = acc;
+  }
+  return out;
+}
+
+bool bisect_level(std::span<RangeSearch> searches, ParityOracle& alice,
+                  EcStats& stats) {
+  std::vector<ParityQuery> batch;
+  std::vector<RangeSearch*> open;
+  for (RangeSearch& s : searches) {
+    if (s.done()) continue;
+    open.push_back(&s);
+    batch.push_back({s.kind, s.seed, static_cast<std::uint32_t>(s.lo),
+                     static_cast<std::uint32_t>(s.lo + (s.hi - s.lo) / 2)});
+  }
+  if (batch.empty()) return false;
+  const qkd::BitVector alice_left = alice.parities(batch);
+  stats.parity_queries += batch.size();
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    RangeSearch& s = *open[i];
+    const std::size_t mid = batch[i].end;
+    // The odd-difference half is the left one iff the left parities differ.
+    if (alice_left.get(i) != s.bob->range_parity(s.lo, mid))
+      s.hi = mid;
+    else
+      s.lo = mid;
+  }
+  return true;
+}
+
 LocalParityOracle::LocalParityOracle(const qkd::BitVector& bits)
     : bits_(bits) {}
 
-bool LocalParityOracle::parity(const ParityQuery& query) {
-  auto& cache = query.kind == ParityQuery::Kind::kLfsrSubset ? lfsr_cache_
-                                                             : perm_cache_;
-  const std::vector<std::uint32_t>* members = nullptr;
-  for (const auto& [seed, m] : cache) {
-    if (seed == query.seed) {
-      members = &m;
-      break;
-    }
-  }
-  if (members == nullptr) {
-    if (cache.size() >= 128) cache.erase(cache.begin());
-    auto expanded = query.kind == ParityQuery::Kind::kLfsrSubset
-                        ? lfsr_members(query.seed, bits_.size())
-                        : seeded_permutation(query.seed, bits_.size());
-    cache.emplace_back(query.seed, std::move(expanded));
-    members = &cache.back().second;
-  }
-  ++disclosed_;
-  return parity_of_members(bits_, *members, query.begin, query.end);
+const qkd::BitVector& LocalParityOracle::gathered(const ParityQuery& query) {
+  for (auto it = cache_.rbegin(); it != cache_.rend(); ++it)
+    if (it->kind == query.kind && it->seed == query.seed) return it->bits;
+  if (cache_.size() >= 256) cache_.erase(cache_.begin());
+  const auto members = query.kind == ParityQuery::Kind::kLfsrSubset
+                           ? lfsr_members(query.seed, bits_.size())
+                           : seeded_permutation(query.seed, bits_.size());
+  cache_.push_back({query.kind, query.seed, gather_members(bits_, members)});
+  return cache_.back().bits;
+}
+
+bool LocalParityOracle::in_range(const ParityQuery& query) {
+  return query.begin <= query.end && query.end <= gathered(query).size();
+}
+
+qkd::BitVector LocalParityOracle::parities(
+    std::span<const ParityQuery> queries) {
+  qkd::BitVector answers(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i)
+    if (gathered(queries[i]).range_parity(queries[i].begin, queries[i].end))
+      answers.set(i, true);
+  disclosed_ += queries.size();
+  ++exchanges_;
+  return answers;
 }
 
 }  // namespace qkd::proto

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/bitvector.hpp"
@@ -39,32 +40,52 @@ struct ParityQuery {
   bool operator==(const ParityQuery&) const = default;
 };
 
-/// Answers parity queries against a fixed bit string. The wire protocol and
-/// the in-process fast path both go through this interface.
+/// Answers parity queries against a fixed bit string, a batch at a time:
+/// one call is one exchange on the wire. The wire protocol and the
+/// in-process fast path both go through this interface.
 class ParityOracle {
  public:
   virtual ~ParityOracle() = default;
-  virtual bool parity(const ParityQuery& query) = 0;
+
+  /// Bit i is the parity of queries[i].
+  virtual qkd::BitVector parities(std::span<const ParityQuery> queries) = 0;
+
+  /// One query, sent as a batch of one.
+  bool parity(const ParityQuery& query) { return parities({&query, 1}).get(0); }
 };
 
-/// Alice's oracle over her sifted bits; counts disclosures and caches the
-/// expanded subset descriptions.
+/// Alice's oracle over her sifted bits; counts disclosures and keeps, per
+/// announced seed, her string gathered into the subset's member order, so
+/// every range parity is a word-level popcount.
 class LocalParityOracle final : public ParityOracle {
  public:
   explicit LocalParityOracle(const qkd::BitVector& bits);
 
-  bool parity(const ParityQuery& query) override;
+  /// Throws std::out_of_range if a query's range leaves its subset.
+  qkd::BitVector parities(std::span<const ParityQuery> queries) override;
+
+  /// Whether `query`'s range lies inside its subset of the string.
+  bool in_range(const ParityQuery& query);
 
   /// Number of parity bits disclosed so far (the `d` of the entropy
   /// estimate).
   std::size_t disclosed() const { return disclosed_; }
 
+  /// Number of batches answered (round trips, on a wire).
+  std::size_t exchanges() const { return exchanges_; }
+
  private:
+  struct Gathered {
+    ParityQuery::Kind kind;
+    std::uint32_t seed;
+    qkd::BitVector bits;  // the string in the subset's member order
+  };
+  const qkd::BitVector& gathered(const ParityQuery& query);
+
   const qkd::BitVector& bits_;
   std::size_t disclosed_ = 0;
-  // seed -> expanded member lists, cached across bisection steps.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> lfsr_cache_;
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> perm_cache_;
+  std::size_t exchanges_ = 0;
+  std::vector<Gathered> cache_;  // most recent last
 };
 
 /// The subset membership mask both sides expand from an announced 32-bit
@@ -93,7 +114,11 @@ std::vector<std::uint32_t> lfsr_members(std::uint32_t seed, std::size_t n);
 std::vector<std::uint32_t> seeded_permutation(std::uint32_t seed,
                                               std::size_t n);
 
-/// Parity of `bits` over members[begin..end).
+/// `bits` at members, in member order.
+qkd::BitVector gather_members(const qkd::BitVector& bits,
+                              const std::vector<std::uint32_t>& members);
+
+/// Parity of `bits` over members[begin..end), one bit at a time.
 bool parity_of_members(const qkd::BitVector& bits,
                        const std::vector<std::uint32_t>& members,
                        std::size_t begin, std::size_t end);
@@ -105,5 +130,28 @@ struct EcStats {
   std::size_t rounds = 0;          // protocol rounds / passes executed
   bool converged = false;          // protocol believes the strings now match
 };
+
+/// A member range [lo, hi) of one subset whose parity differs between
+/// Alice and Bob; `bob` is Bob's string gathered into the member order.
+struct RangeSearch {
+  ParityQuery::Kind kind;
+  std::uint32_t seed;
+  const std::vector<std::uint32_t>* members;
+  const qkd::BitVector* bob;
+  std::size_t lo;
+  std::size_t hi;
+
+  bool done() const { return hi - lo < 2; }
+  /// The erroneous position, once done().
+  std::uint32_t position() const { return (*members)[lo]; }
+};
+
+/// One bisection level for every search not yet done(), in one batch: asks
+/// Alice's parity of each left half and keeps the half whose parities
+/// differ. Returns false, asking nothing, when every search is done. The
+/// searches must cover pairwise-disjoint positions, so that no search's
+/// answers depend on another's outcome.
+bool bisect_level(std::span<RangeSearch> searches, ParityOracle& alice,
+                  EcStats& stats);
 
 }  // namespace qkd::proto

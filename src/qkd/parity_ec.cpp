@@ -1,6 +1,7 @@
 #include "src/qkd/parity_ec.hpp"
 
 #include <algorithm>
+#include <vector>
 
 namespace qkd::proto {
 
@@ -14,36 +15,30 @@ EcStats naive_parity_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
   }
   stats.rounds = 1;
   const auto perm = seeded_permutation(config.perm_seed, n);
+  const qkd::BitVector permuted = gather_members(bob_bits, perm);
   const std::size_t block = std::max<std::size_t>(2, config.block_size);
 
-  for (std::size_t lo = 0; lo < n; lo += block) {
-    const std::size_t hi = std::min(n, lo + block);
-    ParityQuery q;
-    q.kind = ParityQuery::Kind::kPermutedRange;
-    q.seed = config.perm_seed;
-    q.begin = static_cast<std::uint32_t>(lo);
-    q.end = static_cast<std::uint32_t>(hi);
-    const bool alice_parity = alice.parity(q);
-    ++stats.parity_queries;
-    const bool bob_parity = parity_of_members(bob_bits, perm, lo, hi);
-    if (alice_parity == bob_parity) continue;
+  // Every block parity in one batch.
+  std::vector<ParityQuery> batch;
+  for (std::size_t lo = 0; lo < n; lo += block)
+    batch.push_back({ParityQuery::Kind::kPermutedRange, config.perm_seed,
+                     static_cast<std::uint32_t>(lo),
+                     static_cast<std::uint32_t>(std::min(n, lo + block))});
+  const qkd::BitVector alice_parity = alice.parities(batch);
+  stats.parity_queries += batch.size();
 
-    // Bisect to one error.
-    std::size_t a = lo, b = hi;
-    while (b - a > 1) {
-      const std::size_t mid = a + (b - a) / 2;
-      ParityQuery sub = q;
-      sub.begin = static_cast<std::uint32_t>(a);
-      sub.end = static_cast<std::uint32_t>(mid);
-      const bool alice_left = alice.parity(sub);
-      ++stats.parity_queries;
-      const bool bob_left = parity_of_members(bob_bits, perm, a, mid);
-      if (alice_left != bob_left)
-        b = mid;
-      else
-        a = mid;
-    }
-    bob_bits.flip(perm[a]);
+  // The blocks are disjoint, so every mismatched one bisects in lockstep
+  // down to one error.
+  std::vector<RangeSearch> searches;
+  for (std::size_t b = 0; b < batch.size(); ++b) {
+    const ParityQuery& q = batch[b];
+    if (alice_parity.get(b) != permuted.range_parity(q.begin, q.end))
+      searches.push_back({q.kind, q.seed, &perm, &permuted, q.begin, q.end});
+  }
+  while (bisect_level(searches, alice, stats)) {
+  }
+  for (const RangeSearch& s : searches) {
+    bob_bits.flip(s.position());
     ++stats.corrections;
   }
   // The single pass cannot certify equality (even-error blocks pass

@@ -115,12 +115,14 @@ std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
 qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,
                                 qkd::crypto::Drbg& drbg) {
   // After `sample_target` swap steps the prefix holds a uniform
-  // without-replacement draw of the positions.
+  // without-replacement draw of the positions. One DRBG call supplies every
+  // step's 64-bit value, big-endian.
+  const Bytes draws = drbg.generate(8 * sample_target);
+  ByteReader reader(draws);
   std::vector<std::uint32_t> positions(n);
   std::iota(positions.begin(), positions.end(), 0u);
   for (std::size_t i = 0; i < sample_target; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(drbg.next_u64() % (n - i));
+    const std::size_t j = i + static_cast<std::size_t>(reader.u64() % (n - i));
     std::swap(positions[i], positions[j]);
   }
   qkd::BitVector mask(n);
@@ -176,9 +178,9 @@ AbortReason SamplingStage::run(BatchContext& ctx) {
 }
 
 AbortReason ErrorCorrectionStage::run(BatchContext& ctx) {
-  // Bob drives; every parity question and answer is a real frame on the
-  // wire (unauthenticated — see src/qkd/wire_link.hpp for why), answered
-  // by Alice's responder on the other end of the channel.
+  // Bob drives; every batch of parity questions, and its answers, is one
+  // real frame on the wire (unauthenticated — see src/qkd/wire_link.hpp
+  // for why), answered by Alice's responder on the other end.
   WireParityServer alice_server(ctx.alice_bits);
   WireParityClient bob_client(
       ctx.bob_wire, [&] { alice_server.serve_one(ctx.alice_wire); });

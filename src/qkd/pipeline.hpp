@@ -112,7 +112,8 @@ std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n);
 /// `sample_target` bits set. Both sides draw it from their DRBG lockstep,
 /// so the positions never cross the wire; the in-process stage and the
 /// two-process peers call this one draw. It is a partial Fisher-Yates
-/// shuffle over indices — O(n) regardless of the fraction.
+/// shuffle over indices — O(n) regardless of the fraction — whose
+/// `sample_target` 64-bit values come from one Drbg::generate call.
 qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,
                                 qkd::crypto::Drbg& drbg);
 

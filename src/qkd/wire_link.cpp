@@ -1,27 +1,8 @@
 #include "src/qkd/wire_link.hpp"
 
+#include <algorithm>
+
 namespace qkd::proto {
-namespace {
-
-ParityQuery to_query(const wire::ParityRequest& request) {
-  ParityQuery query;
-  query.kind = static_cast<ParityQuery::Kind>(request.kind);
-  query.seed = request.seed;
-  query.begin = request.begin;
-  query.end = request.end;
-  return query;
-}
-
-wire::ParityRequest to_request(const ParityQuery& query) {
-  wire::ParityRequest request;
-  request.kind = static_cast<std::uint8_t>(query.kind);
-  request.seed = query.seed;
-  request.begin = query.begin;
-  request.end = query.end;
-  return request;
-}
-
-}  // namespace
 
 bool WireParityServer::serve_one(wire::Transport& io) {
   const auto raw = io.recv_frame();
@@ -34,29 +15,51 @@ bool WireParityServer::serve_one(wire::Transport& io) {
 bool WireParityServer::serve_frame(wire::Transport& io,
                                    const wire::Frame& frame) {
   if (frame.type != wire::PacketType::kParityRequest) return false;
-  const auto request = wire::ParityRequest::decode(frame.payload);
+  auto request = wire::ParityRequest::decode(frame.payload);
   if (!request.ok()) return false;
 
-  const ParityQuery query = to_query(request.value);
-  // A retransmitted duplicate re-answers from cache: the same parity bit
-  // said twice is one disclosure, not two.
-  if (!(last_query_.has_value() && *last_query_ == query)) {
-    last_parity_ = oracle_.parity(query);
-    last_query_ = query;
+  // A retransmitted duplicate re-answers from cache: the same parity bits
+  // said twice are one disclosure, not two.
+  if (last_request_ != request.value) {
+    std::vector<ParityQuery> queries;
+    queries.reserve(request.value.queries.size());
+    for (const auto& q : request.value.queries) {
+      queries.push_back({static_cast<ParityQuery::Kind>(q.kind), q.seed,
+                         q.begin, q.end});
+      if (!oracle_.in_range(queries.back())) return false;
+    }
+    wire::ParityResponse response;
+    response.parities = oracle_.parities(queries);
+    last_response_ = wire::to_frame(response);
+    last_request_ = std::move(request.value);
   }
-
-  wire::ParityResponse response;
-  response.parity = last_parity_;
-  const Bytes framed = wire::to_frame(response);
-  io.send_frame(framed);
+  io.send_frame(last_response_);
   ++traffic_.messages;
-  traffic_.bytes += framed.size();
+  traffic_.bytes += last_response_.size();
   return true;
 }
 
-bool WireParityClient::parity(const ParityQuery& query) {
-  ++queries_;
-  const Bytes framed = wire::to_frame(to_request(query));
+qkd::BitVector WireParityClient::parities(
+    std::span<const ParityQuery> queries) {
+  qkd::BitVector answers;
+  for (std::size_t at = 0; at < queries.size();) {
+    const std::size_t count = std::min(wire::ParityRequest::kMaxQueries,
+                                       queries.size() - at);
+    answers.append(exchange(queries.subspan(at, count)));
+    at += count;
+  }
+  return answers;
+}
+
+qkd::BitVector WireParityClient::exchange(
+    std::span<const ParityQuery> queries) {
+  queries_ += queries.size();
+  wire::ParityRequest request;
+  request.queries.reserve(queries.size());
+  for (const ParityQuery& q : queries)
+    request.queries.push_back(
+        {static_cast<std::uint8_t>(q.kind), q.seed, q.begin, q.end});
+  const Bytes framed = wire::to_frame(request);
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     io_.send_frame(framed);
     ++traffic_.messages;
@@ -67,9 +70,10 @@ bool WireParityClient::parity(const ParityQuery& query) {
     const auto frame = wire::decode_frame(*raw);
     if (!frame.ok() || frame.value.type != wire::PacketType::kParityResponse)
       continue;  // corrupted: retransmit, verify will audit the result
-    const auto response = wire::ParityResponse::decode(frame.value.payload);
-    if (!response.ok()) continue;
-    return response.value.parity;
+    auto response = wire::ParityResponse::decode(frame.value.payload);
+    if (!response.ok() || response.value.parities.size() != queries.size())
+      continue;
+    return std::move(response.value.parities);
   }
   throw ChannelLostError();
 }

@@ -41,8 +41,8 @@ enum class PacketType : std::uint8_t {
   kSiftAnnounce = 0x02,   // Bob -> Alice: detected slots + bases
   kSiftDecision = 0x03,   // Alice -> Bob: which detections survive
   kSampleReveal = 0x04,   // either direction: sacrificed sample bits
-  kParityRequest = 0x05,  // Bob -> Alice: one parity query
-  kParityResponse = 0x06, // Alice -> Bob: the parity bit
+  kParityRequest = 0x05,  // Bob -> Alice: a batch of parity queries
+  kParityResponse = 0x06, // Alice -> Bob: their parity bits, packed
   kEcSummary = 0x07,      // Bob -> Alice: corrections + convergence
   kVerifyHash = 0x08,     // either direction: hash of the corrected string
   kPaParams = 0x09,       // Alice -> Bob: multiplier / poly / addend / m

@@ -169,40 +169,53 @@ Result<SampleReveal> SampleReveal::decode(const Bytes& payload) {
 
 Bytes ParityRequest::encode() const {
   Bytes out;
-  put_u8(out, kind);
-  put_u32(out, seed);
-  put_u32(out, begin);
-  put_u32(out, end);
+  put_varint(out, queries.size());
+  for (const Query& query : queries) {
+    put_u8(out, query.kind);
+    put_u32(out, query.seed);
+    put_varint(out, query.begin);
+    put_varint(out, query.end);
+  }
   return out;
 }
 
 Result<ParityRequest> ParityRequest::decode(const Bytes& payload) {
   return parse_payload<ParityRequest>(payload, [](ByteReader& reader) {
     ParityRequest packet;
-    packet.kind = reader.u8();
-    if (packet.kind > 1)
-      throw std::invalid_argument("ParityRequest: unknown subset kind");
-    packet.seed = reader.u32();
-    packet.begin = reader.u32();
-    packet.end = reader.u32();
-    if (packet.begin > packet.end)
-      throw std::invalid_argument("ParityRequest: inverted range");
+    const std::uint64_t count = reader.varint();
+    if (count == 0 || count > kMaxQueries)
+      throw std::invalid_argument("ParityRequest: bad query count");
+    // Grown as queries parse, so a hostile count costs no allocation.
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Query& query = packet.queries.emplace_back();
+      query.kind = reader.u8();
+      if (query.kind > 1)
+        throw std::invalid_argument("ParityRequest: unknown subset kind");
+      query.seed = reader.u32();
+      const std::uint64_t begin = reader.varint();
+      const std::uint64_t end = reader.varint();
+      if (begin > end || end > 0xFFFFFFFFu)
+        throw std::invalid_argument("ParityRequest: bad range");
+      query.begin = static_cast<std::uint32_t>(begin);
+      query.end = static_cast<std::uint32_t>(end);
+    }
     return packet;
   });
 }
 
 Bytes ParityResponse::encode() const {
   Bytes out;
-  put_u8(out, parity ? 1 : 0);
+  put_bits_dense(out, parities);
   return out;
 }
 
 Result<ParityResponse> ParityResponse::decode(const Bytes& payload) {
   return parse_payload<ParityResponse>(payload, [](ByteReader& reader) {
     ParityResponse packet;
-    const std::uint8_t raw = reader.u8();
-    if (raw > 1) throw std::invalid_argument("ParityResponse: non-boolean");
-    packet.parity = raw != 0;
+    packet.parities = get_bits_dense(reader);
+    if (packet.parities.empty() ||
+        packet.parities.size() > ParityRequest::kMaxQueries)
+      throw std::invalid_argument("ParityResponse: bad parity count");
     return packet;
   });
 }

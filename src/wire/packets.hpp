@@ -89,25 +89,34 @@ struct SampleReveal {
   bool operator==(const SampleReveal&) const = default;
 };
 
-/// Bob -> Alice: one parity question (the compact subset description of
-/// src/qkd/ec.hpp — an LFSR or permutation seed plus a range, never a bit
-/// list).
+/// Bob -> Alice: a batch of parity questions, answered together (the
+/// compact subset descriptions of src/qkd/ec.hpp — an LFSR or permutation
+/// seed plus a range, never a bit list). Each query goes out as kind (u8),
+/// seed (u32), begin and end (varints).
 struct ParityRequest {
   static constexpr PacketType kType = PacketType::kParityRequest;
-  std::uint8_t kind = 0;  // ParityQuery::Kind
-  std::uint32_t seed = 0;
-  std::uint32_t begin = 0;
-  std::uint32_t end = 0;
+  /// Queries per request; a larger batch goes out as several requests.
+  static constexpr std::size_t kMaxQueries = 1u << 16;
+
+  struct Query {
+    std::uint8_t kind = 0;  // ParityQuery::Kind
+    std::uint32_t seed = 0;
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+    bool operator==(const Query&) const = default;
+  };
+  std::vector<Query> queries;  // 1..kMaxQueries
 
   Bytes encode() const;
   static Result<ParityRequest> decode(const Bytes& payload);
   bool operator==(const ParityRequest&) const = default;
 };
 
-/// Alice -> Bob: the answer to the most recent ParityRequest.
+/// Alice -> Bob: the answers to a ParityRequest, one packed parity bit per
+/// query in request order.
 struct ParityResponse {
   static constexpr PacketType kType = PacketType::kParityResponse;
-  bool parity = false;
+  qkd::BitVector parities;  // 1..ParityRequest::kMaxQueries bits
 
   Bytes encode() const;
   static Result<ParityResponse> decode(const Bytes& payload);

@@ -145,6 +145,21 @@ TEST(BitVector, MaskedRangeParityMatchesBruteForce) {
   }
 }
 
+TEST(BitVector, RangeParityMatchesBruteForce) {
+  QKD_SEEDED_RNG(rng, 18);
+  const BitVector v = rng.next_bits(300);
+  for (std::size_t begin : {0u, 1u, 63u, 64u, 65u, 190u}) {
+    for (std::size_t end = begin; end <= 300; end += 7) {
+      bool expected = false;
+      for (std::size_t i = begin; i < end; ++i) expected ^= v.get(i);
+      EXPECT_EQ(v.range_parity(begin, end), expected) << begin << ".." << end;
+    }
+  }
+  EXPECT_EQ(v.range_parity(0, 300), v.parity());
+  EXPECT_THROW(v.range_parity(5, 301), std::out_of_range);
+  EXPECT_THROW(v.range_parity(9, 8), std::out_of_range);
+}
+
 TEST(BitVector, XorAndHammingDistance) {
   QKD_SEEDED_RNG(rng, 19);
   const BitVector a = rng.next_bits(500);

@@ -21,6 +21,20 @@ Bytes random_bytes(qkd::Rng& rng, std::size_t n) {
   return out;
 }
 
+/// A batch of 1..200 parity queries with in-order random ranges.
+ParityRequest random_parity_request(qkd::Rng& rng) {
+  ParityRequest p;
+  p.queries.resize(1 + rng.next_below(200));
+  for (auto& q : p.queries) {
+    q.kind = static_cast<std::uint8_t>(rng.next_below(2));
+    q.seed = rng.next_u32();
+    q.begin = rng.next_u32();
+    q.end = rng.next_u32();
+    if (q.begin > q.end) std::swap(q.begin, q.end);
+  }
+  return p;
+}
+
 /// One random distillation packet, already framed.
 Bytes random_distillation_frame(qkd::Rng& rng) {
   switch (rng.next_below(11)) {
@@ -56,18 +70,11 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
       p.bits = rng.next_bits(rng.next_below(512));
       return to_frame(p);
     }
-    case 4: {
-      ParityRequest p;
-      p.kind = static_cast<std::uint8_t>(rng.next_below(2));
-      p.seed = rng.next_u32();
-      p.begin = rng.next_u32();
-      p.end = rng.next_u32();
-      if (p.begin > p.end) std::swap(p.begin, p.end);
-      return to_frame(p);
-    }
+    case 4:
+      return to_frame(random_parity_request(rng));
     case 5: {
       ParityResponse p;
-      p.parity = rng.next_bool();
+      p.parities = rng.next_bits(1 + rng.next_below(300));
       return to_frame(p);
     }
     case 6: {
@@ -247,6 +254,57 @@ TEST(CodecFuzz, MutationNeverEscapesTheResultBoundary) {
   }
   // The corpus is not vacuous: plenty of mutations must actually have hit
   // structure (magic, version, type, length, counts) and been rejected.
+  EXPECT_GT(rejected, kRounds / 4);
+}
+
+TEST(CodecFuzz, MutatedParityBatchesDecodeValidOrNotAtAll) {
+  // Payload-level mutations of the batched parity dialogue: whatever still
+  // decodes is a well-formed batch (a known kind, begin <= end, a count in
+  // 1..kMaxQueries) that re-encodes to a decodable payload; everything
+  // else is kMalformedPayload or kTrailingBytes, never an exception.
+  QKD_SEEDED_RNG(rng, 2007);
+  std::size_t rejected = 0;
+  constexpr int kRounds = 400;
+  for (int i = 0; i < kRounds; ++i) {
+    const bool request = i % 2 == 0;
+    Bytes payload;
+    if (request) {
+      payload = random_parity_request(rng).encode();
+    } else {
+      ParityResponse r;
+      r.parities = rng.next_bits(1 + rng.next_below(300));
+      payload = r.encode();
+    }
+    const std::size_t flips = 1 + rng.next_below(3);
+    for (std::size_t f = 0; f < flips; ++f)
+      payload[rng.next_below(payload.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.next_below(255));
+    if (request) {
+      const auto decoded = ParityRequest::decode(payload);
+      if (!decoded.ok()) {
+        EXPECT_NE(decoded.error, WireError::kNone);
+        ++rejected;
+        continue;
+      }
+      ASSERT_FALSE(decoded.value.queries.empty());
+      ASSERT_LE(decoded.value.queries.size(), ParityRequest::kMaxQueries);
+      for (const auto& q : decoded.value.queries) {
+        EXPECT_LE(q.kind, 1);
+        EXPECT_LE(q.begin, q.end);
+      }
+      EXPECT_TRUE(ParityRequest::decode(decoded.value.encode()).ok());
+    } else {
+      const auto decoded = ParityResponse::decode(payload);
+      if (!decoded.ok()) {
+        EXPECT_NE(decoded.error, WireError::kNone);
+        ++rejected;
+        continue;
+      }
+      EXPECT_GE(decoded.value.parities.size(), 1u);
+      EXPECT_LE(decoded.value.parities.size(), ParityRequest::kMaxQueries);
+      EXPECT_TRUE(ParityResponse::decode(decoded.value.encode()).ok());
+    }
+  }
   EXPECT_GT(rejected, kRounds / 4);
 }
 

@@ -82,17 +82,101 @@ TEST(Packets, SampleRevealRoundTrips) {
 
 TEST(Packets, ParityDialogueRoundTrips) {
   ParityRequest request;
-  request.kind = 1;
-  request.seed = 0xDEADBEEF;
-  request.begin = 128;
-  request.end = 4096;
+  request.queries = {{1, 0xDEADBEEF, 128, 4096},
+                     {0, 7, 0, 0},
+                     {1, 0xFFFFFFFF, 0xFFFFFFFE, 0xFFFFFFFF}};
   EXPECT_EQ(round_trip(request), request);
 
   ParityResponse response;
-  response.parity = true;
+  response.parities = BitVector{1};
   EXPECT_EQ(round_trip(response), response);
-  response.parity = false;
+  response.parities = BitVector{0};
   EXPECT_EQ(round_trip(response), response);
+  response.parities = BitVector::from_string("1011001110001");
+  EXPECT_EQ(round_trip(response), response);
+}
+
+TEST(Packets, FullParityBatchRoundTrips) {
+  ParityRequest request;
+  request.queries.resize(ParityRequest::kMaxQueries);
+  for (std::size_t i = 0; i < request.queries.size(); ++i)
+    request.queries[i] = {static_cast<std::uint8_t>(i & 1),
+                          static_cast<std::uint32_t>(i),
+                          static_cast<std::uint32_t>(i),
+                          static_cast<std::uint32_t>(2 * i)};
+  EXPECT_EQ(round_trip(request), request);
+  ParityResponse response;
+  response.parities = BitVector(ParityRequest::kMaxQueries);
+  response.parities.set(12345, true);
+  EXPECT_EQ(round_trip(response), response);
+}
+
+TEST(Packets, MalformedParityBatchesAreRejected) {
+  ParityRequest two;
+  two.queries = {{0, 1, 2, 30}, {1, 4, 5, 60}};
+  const Bytes good = two.encode();
+
+  // Truncated anywhere inside the batch.
+  for (std::size_t cut = 0; cut < good.size(); ++cut)
+    EXPECT_EQ(ParityRequest::decode(Bytes(good.begin(), good.begin() + cut)).error,
+              WireError::kMalformedPayload)
+        << cut;
+
+  // The count says three, the payload carries two.
+  Bytes miscounted = good;
+  miscounted[0] = 3;
+  EXPECT_EQ(ParityRequest::decode(miscounted).error,
+            WireError::kMalformedPayload);
+  // ... or one, leaving the second query as trailing bytes.
+  miscounted[0] = 1;
+  EXPECT_EQ(ParityRequest::decode(miscounted).error,
+            WireError::kTrailingBytes);
+
+  // Zero queries, and one more than the limit.
+  Bytes empty;
+  put_varint(empty, 0);
+  EXPECT_EQ(ParityRequest::decode(empty).error, WireError::kMalformedPayload);
+  Bytes over;
+  put_varint(over, ParityRequest::kMaxQueries + 1);
+  EXPECT_EQ(ParityRequest::decode(over).error, WireError::kMalformedPayload);
+  // A hostile count is refused before the queries it claims are read.
+  Bytes huge;
+  put_varint(huge, std::uint64_t{1} << 40);
+  EXPECT_EQ(ParityRequest::decode(huge).error, WireError::kMalformedPayload);
+
+  // An inverted range in the second query, and a range past 32 bits.
+  ParityRequest inverted = two;
+  inverted.queries[1] = {1, 4, 61, 60};
+  EXPECT_EQ(ParityRequest::decode(inverted.encode()).error,
+            WireError::kMalformedPayload);
+  Bytes wide;
+  put_varint(wide, 1);
+  put_u8(wide, 0);
+  put_u32(wide, 9);
+  put_varint(wide, 0);
+  put_varint(wide, std::uint64_t{1} << 32);
+  EXPECT_EQ(ParityRequest::decode(wide).error, WireError::kMalformedPayload);
+
+  // Responses: zero bits, more bits than a request may ask, and a set
+  // padding bit in the packed byte.
+  Bytes no_bits;
+  put_varint(no_bits, 0);
+  EXPECT_EQ(ParityResponse::decode(no_bits).error,
+            WireError::kMalformedPayload);
+  ParityResponse too_many;
+  too_many.parities = BitVector(ParityRequest::kMaxQueries + 1);
+  EXPECT_EQ(ParityResponse::decode(too_many.encode()).error,
+            WireError::kMalformedPayload);
+  Bytes padded;
+  put_varint(padded, 3);
+  put_u8(padded, 0x0D);  // bits 0b101 plus padding bit 3
+  EXPECT_EQ(ParityResponse::decode(padded).error,
+            WireError::kMalformedPayload);
+  Bytes truncated_bits;
+  put_varint(truncated_bits, 9);
+  put_u8(truncated_bits, 0x01);  // nine bits need two bytes
+  EXPECT_EQ(ParityResponse::decode(truncated_bits).error,
+            WireError::kMalformedPayload);
 }
 
 TEST(Packets, EcSummaryRoundTrips) {
@@ -167,14 +251,12 @@ TEST(Packets, SemanticallyInvalidFieldsAreMalformed) {
   // Structurally parseable, semantically impossible: a parity question
   // over an inverted range, an unknown subset kind.
   ParityRequest inverted;
-  inverted.kind = 0;
-  inverted.begin = 10;
-  inverted.end = 3;
+  inverted.queries = {{0, 0, 10, 3}};
   EXPECT_EQ(ParityRequest::decode(inverted.encode()).error,
             WireError::kMalformedPayload);
 
   ParityRequest unknown_kind;
-  unknown_kind.kind = 9;
+  unknown_kind.queries = {{9, 0, 0, 0}};
   EXPECT_EQ(ParityRequest::decode(unknown_kind.encode()).error,
             WireError::kMalformedPayload);
 
