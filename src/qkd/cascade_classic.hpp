@@ -9,13 +9,17 @@
 // passes, whose (already known) parities now mismatch and can be searched
 // again, each fix potentially cascading further corrections.
 //
-// The dialogue runs in lockstep batches. A pass's block parities go out as
-// one batch. Then a set of pairwise-disjoint mismatched blocks, from any
-// pass with the newest first, is bisected together, one batch per
-// bisection level. Disjoint blocks share no bit, so no block's search can
-// change another's answers: the set asks the questions some serial order
-// would ask. The fixes are applied, every pass's parities updated, and the
-// next disjoint set picked, until no known parity mismatches.
+// The dialogue runs in lockstep batches. Every pass asks all of its block
+// parities and Alice's answers do not depend on Bob's fixes, so the first
+// batch carries every pass's block parities. After that each batch is one
+// bisection level of every block in flight. The blocks in flight are
+// mismatched and pairwise disjoint: disjoint blocks share no bit, so no
+// block's search can change another's answers, and the dialogue asks the
+// questions some serial order would ask. When a search ends, its fix flips
+// the block holding that bit in every pass; then any mismatched block of
+// the passes begun so far joins the flight, newest pass first, once it
+// shares no bit with a block in flight. A pass begins when nothing of the
+// earlier passes is in flight or mismatched.
 #pragma once
 
 #include <cstdint>
