@@ -54,6 +54,20 @@ void BitVector::resize(std::size_t n) {
   normalize_tail();
 }
 
+void BitVector::append_bits(std::uint64_t bits, std::size_t count) {
+  if (count > 64) throw std::invalid_argument("BitVector::append_bits: > 64");
+  if (count == 0) return;
+  if (count < 64) bits &= (std::uint64_t{1} << count) - 1;
+  const std::size_t offset = size_ & 63;
+  if (offset == 0) {
+    words_.push_back(bits);
+  } else {
+    words_.back() |= bits << offset;
+    if (offset + count > 64) words_.push_back(bits >> (64 - offset));
+  }
+  size_ += count;
+}
+
 void BitVector::append(const BitVector& other) {
   // Fast path: word-aligned append.
   if ((size_ & 63) == 0) {

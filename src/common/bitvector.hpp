@@ -52,6 +52,9 @@ class BitVector {
   /// Appends all bits of `other`.
   void append(const BitVector& other);
 
+  /// Appends the low `count` (<= 64) bits of `bits`, LSB first.
+  void append_bits(std::uint64_t bits, std::size_t count);
+
   /// Returns bits [begin, begin+len).
   BitVector slice(std::size_t begin, std::size_t len) const;
 

@@ -1,6 +1,7 @@
 #include "src/qkd/pipeline.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -133,12 +134,27 @@ qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,
 
 void split_by_mask(const qkd::BitVector& bits, const qkd::BitVector& mask,
                    qkd::BitVector& sampled, qkd::BitVector& kept) {
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (mask.get(i)) {
-      sampled.push_back(bits.get(i));
-    } else {
-      kept.push_back(bits.get(i));
+  if (mask.size() != bits.size())
+    throw std::invalid_argument("split_by_mask: size mismatch");
+  // A word at a time: the sampled bits are read out under the mask, and
+  // the kept ones are what is left once the masked bits are squeezed out,
+  // highest first so that the lower ones stay in place.
+  const auto in = bits.words();
+  const auto under = mask.words();
+  for (std::size_t w = 0; w < in.size(); ++w) {
+    std::uint64_t word = in[w];
+    const std::uint64_t picked = under[w];
+    for (std::uint64_t rest = picked; rest != 0; rest &= rest - 1)
+      sampled.push_back((word >> std::countr_zero(rest)) & 1);
+    for (std::uint64_t rest = picked; rest != 0;) {
+      const int top = 63 - std::countl_zero(rest);
+      const std::uint64_t below = (std::uint64_t{1} << top) - 1;
+      word = (word & below) | ((word >> 1) & ~below);
+      rest &= below;
     }
+    const std::size_t width = std::min<std::size_t>(64, bits.size() - 64 * w);
+    kept.append_bits(word, width - static_cast<std::size_t>(
+                                       std::popcount(picked)));
   }
 }
 

@@ -160,6 +160,19 @@ TEST(BitVector, RangeParityMatchesBruteForce) {
   EXPECT_THROW(v.range_parity(9, 8), std::out_of_range);
 }
 
+TEST(BitVector, AppendBitsMatchesPushBack) {
+  QKD_SEEDED_RNG(rng, 20);
+  BitVector fast, slow;
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t word = rng.next_u64();
+    const std::size_t count = rng.next_below(65);
+    fast.append_bits(word, count);
+    for (std::size_t b = 0; b < count; ++b) slow.push_back((word >> b) & 1);
+    ASSERT_EQ(fast, slow) << i;
+  }
+  EXPECT_THROW(fast.append_bits(0, 65), std::invalid_argument);
+}
+
 TEST(BitVector, XorAndHammingDistance) {
   QKD_SEEDED_RNG(rng, 19);
   const BitVector a = rng.next_bits(500);

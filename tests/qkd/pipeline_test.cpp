@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "tests/testing/seeded_rng.hpp"
+
 namespace qkd::proto {
 namespace {
 
@@ -165,6 +167,30 @@ TEST(Pipeline, SampleDrawIsOneLockstepMaskAndTheSplitKeepsOrder) {
   split_by_mask(bits, sample, sampled, kept);
   EXPECT_EQ(sampled, qkd::BitVector::from_string("01"));
   EXPECT_EQ(kept, qkd::BitVector::from_string("110"));
+}
+
+TEST(Pipeline, WordLevelSplitMatchesTheBitwiseSplit) {
+  QKD_SEEDED_RNG(rng, 61);
+  for (std::size_t n : {1u, 63u, 64u, 65u, 200u, 1459u}) {
+    const qkd::BitVector bits = rng.next_bits(n);
+    for (double density : {0.0, 0.05, 0.5, 1.0}) {
+      qkd::BitVector mask(n);
+      for (std::size_t i = 0; i < n; ++i)
+        if (rng.next_bool(density)) mask.set(i, true);
+      // Both outputs already hold bits, as they may in a caller.
+      qkd::BitVector want_sampled{1}, want_kept{0, 1};
+      for (std::size_t i = 0; i < n; ++i)
+        (mask.get(i) ? want_sampled : want_kept).push_back(bits.get(i));
+      qkd::BitVector sampled{1}, kept{0, 1};
+      split_by_mask(bits, mask, sampled, kept);
+      EXPECT_EQ(sampled, want_sampled) << n << " " << density;
+      EXPECT_EQ(kept, want_kept) << n << " " << density;
+    }
+  }
+  qkd::BitVector sampled, kept;
+  EXPECT_THROW(split_by_mask(qkd::BitVector(5), qkd::BitVector(4), sampled,
+                             kept),
+               std::invalid_argument);
 }
 
 /// A do-nothing observer stage, to prove the pipeline is composable.
