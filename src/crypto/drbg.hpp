@@ -21,8 +21,6 @@ class Drbg {
   explicit Drbg(std::uint64_t seed);
 
   Bytes generate(std::size_t n_bytes);
-  /// Writes the bytes generate(out.size()) would return into `out`.
-  void fill(std::span<std::uint8_t> out);
   qkd::BitVector generate_bits(std::size_t n_bits);
   std::uint32_t next_u32();
   std::uint64_t next_u64();
@@ -31,6 +29,9 @@ class Drbg {
   void reseed(std::span<const std::uint8_t> entropy);
 
  private:
+  /// Writes the bytes generate(out.size()) would return into `out`.
+  void fill(std::span<std::uint8_t> out);
+
   Sha1::Digest state_{};
   std::uint64_t counter_ = 0;
 };

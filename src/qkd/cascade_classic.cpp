@@ -81,8 +81,10 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
   auto pass_of = [&](const RangeSearch& s) -> Pass& {
     return passes[s.seed - config.seed_base];  // pass pi has seed base + pi
   };
+  // A waiting block can only join after a search ends or a pass begins.
+  bool changed = true;
   for (;;) {
-    for (std::size_t p = active; p-- > 0;) {
+    for (std::size_t p = active; changed && p-- > 0;) {
       Pass& pass = passes[p];
       pass.mismatch.for_each_set_bit([&](std::size_t b) {
         if (pass.searching.get(b)) return;
@@ -95,9 +97,11 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
                           &pass.perm, &pass.bob, lo, hi});
       });
     }
+    changed = false;
     if (flight.empty()) {
       if (active == passes.size()) break;
       ++active;
+      changed = true;
       continue;
     }
     bisect_level(flight, alice, stats);
@@ -106,6 +110,7 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
     // in every pass, which may re-open blocks in earlier passes.
     std::erase_if(flight, [&](const RangeSearch& s) {
       if (!s.done()) return false;
+      changed = true;
       const std::uint32_t fixed = s.position();
       bob_bits.flip(fixed);
       ++stats.corrections;

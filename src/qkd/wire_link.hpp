@@ -1,18 +1,18 @@
 // The parity dialogue of error correction, bound to the wire: Bob's
 // corrector drives a ParityOracle whose every batch of queries becomes one
 // real kParityRequest frame on a Transport, answered by one kParityResponse
-// frame of packed parity bits from Alice's responder. In-process the two are colocated over one
-// PublicChannel (the client's pump runs the server between send and
-// receive); across processes each side holds only its half and the TCP
-// socket sits in between — same frames either way.
+// frame of packed parity bits from Alice's responder. In-process the two
+// are colocated over one PublicChannel (the client's pump runs the server
+// between send and receive); across processes each side holds only its
+// half and the TCP socket sits in between — same frames either way.
 //
 // Parity frames travel UNAUTHENTICATED by design: Cascade asks hundreds
 // of one-bit questions in dozens of exchanges per batch, and spending
-// Wegman-Carter pad on each frame would eat the very key being distilled. Tampering with them corrupts
-// the correction and is caught by the verify stage's hash exchange, which
-// is the paper's containment for this surface. Lost or mangled frames are
-// retransmitted; a persistently dead channel surfaces as ChannelLostError
-// (-> AbortReason::kChannelLost).
+// Wegman-Carter pad on each frame would eat the very key being distilled.
+// Tampering with them corrupts the correction and is caught by the verify
+// stage's hash exchange, which is the paper's containment for this
+// surface. Lost or mangled frames are retransmitted; a persistently dead
+// channel surfaces as ChannelLostError (-> AbortReason::kChannelLost).
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "src/wire/packets.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace qkd::wire {
@@ -169,6 +170,7 @@ Result<SampleReveal> SampleReveal::decode(const Bytes& payload) {
 
 Bytes ParityRequest::encode() const {
   Bytes out;
+  out.reserve(3 + 15 * queries.size());
   put_varint(out, queries.size());
   for (const Query& query : queries) {
     put_u8(out, query.kind);
@@ -185,7 +187,9 @@ Result<ParityRequest> ParityRequest::decode(const Bytes& payload) {
     const std::uint64_t count = reader.varint();
     if (count == 0 || count > kMaxQueries)
       throw std::invalid_argument("ParityRequest: bad query count");
-    // Grown as queries parse, so a hostile count costs no allocation.
+    // Each query takes at least 7 bytes, so a hostile count cannot make
+    // this reserve more than the payload could describe.
+    packet.queries.reserve(std::min<std::uint64_t>(count, reader.remaining() / 7));
     for (std::uint64_t i = 0; i < count; ++i) {
       Query& query = packet.queries.emplace_back();
       query.kind = reader.u8();

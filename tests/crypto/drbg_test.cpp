@@ -86,14 +86,5 @@ TEST(Drbg, KnownAnswers) {
   EXPECT_EQ(hex(d.generate(8)), "febbaebc29be4f85");
 }
 
-TEST(Drbg, FillMatchesGenerate) {
-  Drbg a(77u), b(77u);
-  for (std::size_t n : {0u, 3u, 20u, 41u, 576u}) {
-    Bytes filled(n);
-    a.fill(filled);
-    EXPECT_EQ(filled, b.generate(n)) << n;
-  }
-}
-
 }  // namespace
 }  // namespace qkd::crypto
