@@ -11,18 +11,16 @@ namespace {
 struct Pass {
   std::uint32_t perm_seed;
   std::size_t block_size;
-  std::vector<std::uint32_t> perm;  // permuted index -> position
-  std::vector<std::uint32_t> inv;   // position -> permuted index
-  qkd::BitVector bob;               // Bob's bits in permuted order
-  qkd::BitVector mismatch;          // per block: Alice's parity != Bob's
-  qkd::BitVector searching;         // per block: under bisection
+  PermutedView bob;          // Bob's bits in permuted order
+  qkd::BitVector mismatch;   // per block: Alice's parity != Bob's
+  qkd::BitVector searching;  // per block: under bisection
 
   std::size_t num_blocks() const {
-    return (perm.size() + block_size - 1) / block_size;
+    return (bob.perm.size() + block_size - 1) / block_size;
   }
   std::size_t block_begin(std::size_t b) const { return b * block_size; }
   std::size_t block_end(std::size_t b) const {
-    return std::min(perm.size(), (b + 1) * block_size);
+    return std::min(bob.perm.size(), (b + 1) * block_size);
   }
 };
 
@@ -50,11 +48,7 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
     Pass& pass = passes[pi];
     pass.perm_seed = config.seed_base + pi;
     pass.block_size = std::min<std::size_t>(n, k1 << pi);
-    pass.perm = seeded_permutation(pass.perm_seed, n);
-    pass.inv.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      pass.inv[pass.perm[i]] = static_cast<std::uint32_t>(i);
-    pass.bob = gather_members(bob_bits, pass.perm);
+    pass.bob = permuted_view(pass.perm_seed, bob_bits);
     for (std::size_t b = 0; b < pass.num_blocks(); ++b)
       batch.push_back({ParityQuery::Kind::kPermutedRange, pass.perm_seed,
                        static_cast<std::uint32_t>(pass.block_begin(b)),
@@ -68,7 +62,8 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
     pass.searching = qkd::BitVector(pass.num_blocks());
     for (std::size_t b = 0; b < pass.num_blocks(); ++b)
       if (alice_parity.get(answer++) !=
-          pass.bob.range_parity(pass.block_begin(b), pass.block_end(b)))
+          pass.bob.bits.range_parity(pass.block_begin(b),
+                                     pass.block_end(b)))
         pass.mismatch.set(b, true);
   }
 
@@ -89,12 +84,13 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
       pass.mismatch.for_each_set_bit([&](std::size_t b) {
         if (pass.searching.get(b)) return;
         const std::size_t lo = pass.block_begin(b), hi = pass.block_end(b);
+        const auto& perm = pass.bob.perm;
         for (std::size_t i = lo; i < hi; ++i)
-          if (taken.get(pass.perm[i])) return;
-        for (std::size_t i = lo; i < hi; ++i) taken.set(pass.perm[i], true);
+          if (taken.get(perm[i])) return;
+        for (std::size_t i = lo; i < hi; ++i) taken.set(perm[i], true);
         pass.searching.set(b, true);
         flight.push_back({ParityQuery::Kind::kPermutedRange, pass.perm_seed,
-                          &pass.perm, &pass.bob, lo, hi});
+                          &pass.bob.perm, &pass.bob.bits, lo, hi});
       });
     }
     changed = false;
@@ -115,15 +111,15 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
       bob_bits.flip(fixed);
       ++stats.corrections;
       for (Pass& other : passes) {
-        const std::uint32_t at = other.inv[fixed];
-        other.bob.flip(at);
+        const std::uint32_t at = other.bob.inv[fixed];
+        other.bob.bits.flip(at);
         other.mismatch.flip(at / other.block_size);
       }
       Pass& pass = pass_of(s);
       const std::size_t b = s.lo / pass.block_size;
       pass.searching.set(b, false);
       for (std::size_t i = pass.block_begin(b); i < pass.block_end(b); ++i)
-        taken.set(pass.perm[i], false);
+        taken.set(pass.bob.perm[i], false);
       return true;
     });
   }

@@ -48,16 +48,51 @@ std::vector<std::uint32_t> lfsr_members(std::uint32_t seed, std::size_t n) {
   return members;
 }
 
-std::vector<std::uint32_t> seeded_permutation(std::uint32_t seed,
-                                              std::size_t n) {
+namespace {
+
+/// The seeded Fisher-Yates shuffle of [0, n), calling settle(i, perm[i])
+/// for each index as its entry becomes final, from n - 1 down to 0.
+template <typename Settle>
+std::vector<std::uint32_t> shuffle(std::uint32_t seed, std::size_t n,
+                                   Settle&& settle) {
   std::vector<std::uint32_t> perm(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<std::uint32_t>(i);
   qkd::Rng rng(0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(seed) << 16));
   for (std::size_t i = n; i > 1; --i) {
     const std::size_t j = rng.next_below(i);
     std::swap(perm[i - 1], perm[j]);
+    settle(i - 1, perm[i - 1]);
   }
+  if (n > 0) settle(0, perm[0]);
   return perm;
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> seeded_permutation(std::uint32_t seed,
+                                              std::size_t n) {
+  return shuffle(seed, n, [](std::size_t, std::uint32_t) {});
+}
+
+PermutedView permuted_view(std::uint32_t seed, const qkd::BitVector& bits) {
+  const std::size_t n = bits.size();
+  PermutedView view;
+  view.inv.resize(n);
+  view.bits = qkd::BitVector(n);
+  const auto in = bits.words();
+  const auto out = view.bits.words();
+  // Entries settle from the top down, so each output word fills from its
+  // high end and is stored once its lowest index settles.
+  std::uint64_t word = 0;
+  view.perm = shuffle(seed, n, [&](std::size_t i, std::uint32_t pos) {
+    view.inv[pos] = static_cast<std::uint32_t>(i);
+    word = word << 1 | ((in[pos >> 6] >> (pos & 63)) & 1);
+    if (i % 64 == 0) {
+      out[i / 64] = word;
+      word = 0;
+    }
+  });
+  return view;
 }
 
 bool parity_of_members(const qkd::BitVector& bits,
@@ -123,10 +158,11 @@ const qkd::BitVector& LocalParityOracle::gathered(const ParityQuery& query) {
   for (auto it = cache_.rbegin(); it != cache_.rend(); ++it)
     if (it->kind == query.kind && it->seed == query.seed) return it->bits;
   if (cache_.size() >= 256) cache_.erase(cache_.begin());
-  const auto members = query.kind == ParityQuery::Kind::kLfsrSubset
-                           ? lfsr_members(query.seed, bits_.size())
-                           : seeded_permutation(query.seed, bits_.size());
-  cache_.push_back({query.kind, query.seed, gather_members(bits_, members)});
+  cache_.push_back(
+      {query.kind, query.seed,
+       query.kind == ParityQuery::Kind::kLfsrSubset
+           ? gather_members(bits_, lfsr_members(query.seed, bits_.size()))
+           : permuted_view(query.seed, bits_).bits});
   return cache_.back().bits;
 }
 

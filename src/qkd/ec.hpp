@@ -114,6 +114,15 @@ std::vector<std::uint32_t> lfsr_members(std::uint32_t seed, std::size_t n);
 std::vector<std::uint32_t> seeded_permutation(std::uint32_t seed,
                                               std::size_t n);
 
+/// `bits` seen through seeded_permutation(seed, bits.size()), built as the
+/// shuffle settles each entry.
+struct PermutedView {
+  std::vector<std::uint32_t> perm;  // permuted index -> position
+  std::vector<std::uint32_t> inv;   // position -> permuted index
+  qkd::BitVector bits;              // bits[perm[i]] at index i
+};
+PermutedView permuted_view(std::uint32_t seed, const qkd::BitVector& bits);
+
 /// `bits` at members, in member order.
 qkd::BitVector gather_members(const qkd::BitVector& bits,
                               const std::vector<std::uint32_t>& members);

@@ -14,8 +14,7 @@ EcStats naive_parity_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
     return stats;
   }
   stats.rounds = 1;
-  const auto perm = seeded_permutation(config.perm_seed, n);
-  const qkd::BitVector permuted = gather_members(bob_bits, perm);
+  const PermutedView permuted = permuted_view(config.perm_seed, bob_bits);
   const std::size_t block = std::max<std::size_t>(2, config.block_size);
 
   // Every block parity in one batch.
@@ -32,8 +31,9 @@ EcStats naive_parity_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
   std::vector<RangeSearch> searches;
   for (std::size_t b = 0; b < batch.size(); ++b) {
     const ParityQuery& q = batch[b];
-    if (alice_parity.get(b) != permuted.range_parity(q.begin, q.end))
-      searches.push_back({q.kind, q.seed, &perm, &permuted, q.begin, q.end});
+    if (alice_parity.get(b) != permuted.bits.range_parity(q.begin, q.end))
+      searches.push_back(
+          {q.kind, q.seed, &permuted.perm, &permuted.bits, q.begin, q.end});
   }
   while (bisect_level(searches, alice, stats)) {
   }

@@ -45,7 +45,11 @@ qkd::BitVector WireParityClient::parities(
   for (std::size_t at = 0; at < queries.size();) {
     const std::size_t count = std::min(wire::ParityRequest::kMaxQueries,
                                        queries.size() - at);
-    answers.append(exchange(queries.subspan(at, count)));
+    qkd::BitVector part = exchange(queries.subspan(at, count));
+    if (at == 0)
+      answers = std::move(part);
+    else
+      answers.append(part);
     at += count;
   }
   return answers;

@@ -74,6 +74,19 @@ TEST(SeededPermutation, DeterministicAndSeedSensitive) {
   EXPECT_NE(seeded_permutation(5, 500), seeded_permutation(6, 500));
 }
 
+TEST(PermutedView, MatchesThePermutationItsInverseAndTheGather) {
+  QKD_SEEDED_RNG(rng, 9);
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 128u, 1000u}) {
+    const auto bits = rng.next_bits(n);
+    const PermutedView view = permuted_view(77, bits);
+    const auto perm = seeded_permutation(77, n);
+    EXPECT_EQ(view.perm, perm) << n;
+    EXPECT_EQ(view.bits, gather_members(bits, perm)) << n;
+    ASSERT_EQ(view.inv.size(), n);
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(view.inv[perm[i]], i);
+  }
+}
+
 TEST(ParityOfMembers, MatchesBruteForce) {
   QKD_SEEDED_RNG(rng, 1);
   const auto bits = rng.next_bits(300);
