@@ -42,9 +42,9 @@ qkd::BitVector subset_mask_from_seed(std::uint32_t seed, std::size_t n) {
 std::vector<std::uint32_t> lfsr_members(std::uint32_t seed, std::size_t n) {
   const qkd::BitVector mask = subset_mask_from_seed(seed, n);
   std::vector<std::uint32_t> members;
-  members.reserve(n / 2 + 1);
-  for (std::size_t i = 0; i < n; ++i)
-    if (mask.get(i)) members.push_back(static_cast<std::uint32_t>(i));
+  members.reserve(mask.popcount());
+  mask.for_each_set_bit(
+      [&](std::size_t i) { members.push_back(static_cast<std::uint32_t>(i)); });
   return members;
 }
 
