@@ -174,9 +174,8 @@ TEST(ClassicCascade, EmptyInputConverges) {
 // ------------------------------------------------ serial reference -----
 
 /// Classic Cascade as a serial dialogue, one question per exchange: a FIFO
-/// of mismatched blocks, each bisected alone, the pre-lockstep corrector.
-/// The lockstep corrector must disclose about as much and leave the same
-/// residual errors.
+/// of mismatched blocks, each bisected alone. The lockstep corrector must
+/// disclose about as much and leave the same residual errors.
 EcStats serial_cascade_reference(qkd::BitVector& bob_bits, ParityOracle& alice,
                                  double qber_estimate,
                                  const ClassicCascadeConfig& config = {}) {
