@@ -1,9 +1,10 @@
 #include "src/crypto/gf2n.hpp"
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 
 namespace qkd::crypto {
@@ -78,6 +79,25 @@ std::vector<unsigned> prime_divisors(unsigned n) {
   return out;
 }
 
+// Bits [pos, pos + len) of `w` as an integer, 1 <= len <= 64.
+std::uint64_t read_bits(std::span<const std::uint64_t> w, std::size_t pos,
+                        unsigned len) {
+  const std::size_t i = pos / 64;
+  const unsigned off = static_cast<unsigned>(pos % 64);
+  std::uint64_t v = w[i] >> off;
+  if (off + len > 64) v |= w[i + 1] << (64 - off);
+  return len == 64 ? v : v & ((std::uint64_t{1} << len) - 1);
+}
+
+// XORs the low `len` bits of `v` (the rest zero) into bits [pos, pos + len).
+void xor_bits(std::span<std::uint64_t> w, std::size_t pos, unsigned len,
+              std::uint64_t v) {
+  const std::size_t i = pos / 64;
+  const unsigned off = static_cast<unsigned>(pos % 64);
+  w[i] ^= v << off;
+  if (off + len > 64) w[i + 1] ^= v >> (64 - off);
+}
+
 // Known low-weight irreducible polynomials (Seroussi, HPL-98-135 and common
 // usage, e.g. the GCM polynomial for n = 128). Entries are verified by
 // is_irreducible() the first time a field of that degree is built; a wrong
@@ -101,6 +121,13 @@ const std::map<unsigned, SparsePoly>& poly_table() {
 
 }  // namespace
 
+bool SparsePoly::is_canonical() const {
+  if (exponents.size() < 2 || exponents.back() != 0) return false;
+  for (std::size_t i = 1; i < exponents.size(); ++i)
+    if (exponents[i] >= exponents[i - 1]) return false;
+  return true;
+}
+
 qkd::BitVector SparsePoly::to_bits() const {
   qkd::BitVector v(degree() + 1);
   for (unsigned e : exponents) v.set(e, true);
@@ -109,37 +136,64 @@ qkd::BitVector SparsePoly::to_bits() const {
 
 qkd::BitVector clmul(const qkd::BitVector& a, const qkd::BitVector& b) {
   if (a.empty() || b.empty()) return {};
-  qkd::BitVector out(a.size() + b.size() - 1);
-  auto ow = out.words();
-  const auto bw = b.words();
+  // López–Dahab comb, 4 bits wide. table[u] = u(x)·b(x) for every nibble u;
+  // nibble k of a's word i contributes table[u]·x^(64i + 4k). Walking k from
+  // high to low, XOR each word's row in at word offset i and shift the whole
+  // product left 4 bits between nibble positions, so each row is XORed once
+  // per word and the shifts are shared across all of a.
   const auto aw = a.words();
-  for (std::size_t wi = 0; wi < aw.size(); ++wi) {
-    std::uint64_t word = aw[wi];
-    while (word != 0) {
-      const unsigned bit = static_cast<unsigned>(std::countr_zero(word));
-      word &= word - 1;
-      const std::size_t shift = wi * 64 + bit;
-      const std::size_t ws = shift / 64, bs = shift % 64;
-      for (std::size_t j = 0; j < bw.size(); ++j) {
-        ow[ws + j] ^= bw[j] << bs;
-        if (bs != 0 && ws + j + 1 < ow.size()) ow[ws + j + 1] ^= bw[j] >> (64 - bs);
-      }
+  const auto bw = b.words();
+  const std::size_t row = bw.size() + 1;  // u·b is up to 3 bits wider than b
+  std::vector<std::uint64_t> table(16 * row, 0);
+  std::copy(bw.begin(), bw.end(), table.begin() + row);
+  for (std::size_t u = 2; u < 16; u += 2) {
+    const std::uint64_t* half = &table[(u / 2) * row];
+    std::uint64_t* even = &table[u * row];
+    std::uint64_t* odd = even + row;
+    std::uint64_t carry = 0;
+    for (std::size_t j = 0; j < row; ++j) {
+      even[j] = (half[j] << 1) | carry;
+      carry = half[j] >> 63;
+      odd[j] = even[j] ^ table[row + j];
     }
   }
-  out.normalize_tail();
+  // The product's degree is below 64 * (a's words + b's words), so no row
+  // XOR reaches past the last word and no shift pushes a set bit out.
+  qkd::BitVector out(64 * (aw.size() + bw.size()));
+  const auto ow = out.words();
+  for (int k = 15; k >= 0; --k) {
+    for (std::size_t i = 0; i < aw.size(); ++i) {
+      const std::uint64_t* t = &table[((aw[i] >> (4 * k)) & 0xF) * row];
+      std::uint64_t* o = &ow[i];
+      for (std::size_t j = 0; j < row; ++j) o[j] ^= t[j];
+    }
+    if (k == 0) break;
+    for (std::size_t j = ow.size(); j-- > 1;)
+      ow[j] = (ow[j] << 4) | (ow[j - 1] >> 60);
+    ow[0] <<= 4;
+  }
+  out.resize(a.size() + b.size() - 1);
   return out;
 }
 
 void reduce_mod(qkd::BitVector& value, const SparsePoly& mod) {
+  if (!mod.is_canonical())
+    throw std::invalid_argument("reduce_mod: modulus not canonical");
   const unsigned n = mod.degree();
-  if (n == 0) throw std::invalid_argument("reduce_mod: degree-0 modulus");
-  for (std::size_t p = value.size(); p-- > n;) {
-    if (!value.get(p)) continue;
-    value.set(p, false);
-    for (unsigned t : mod.exponents) {
-      if (t == n) continue;
-      value.flip(p - n + t);
-    }
+  // x^n = sum of the lower terms, so a chunk of bits [lo, hi) above degree
+  // n folds to lo - n + t for every lower term t. Clearing the chunk is the
+  // same XOR at t = n. A chunk at most n - t_max wide lands wholly below lo,
+  // where a later step picks up whatever rose to degree n or more again.
+  const unsigned step = std::min(64u, n - mod.exponents[1]);
+  const auto w = value.words();
+  for (std::size_t hi = value.size(); hi > n;) {
+    const unsigned len =
+        static_cast<unsigned>(std::min<std::size_t>(step, hi - n));
+    const std::size_t lo = hi - len;
+    const std::uint64_t chunk = read_bits(w, lo, len);
+    if (chunk != 0)
+      for (unsigned t : mod.exponents) xor_bits(w, lo - n + t, len, chunk);
+    hi = lo;
   }
   value.resize(n);
 }
@@ -148,10 +202,9 @@ bool is_irreducible(const SparsePoly& poly) {
   const unsigned n = poly.degree();
   if (n == 0) return false;
   if (n == 1) return true;
-  // Constant term must be 1 or x divides the polynomial.
-  bool has_const = false;
-  for (unsigned e : poly.exponents) has_const |= (e == 0);
-  if (!has_const) return false;
+  // Without a constant term x divides the polynomial; other non-canonical
+  // lists name no single polynomial.
+  if (!poly.is_canonical()) return false;
 
   // Rabin: f (deg n) is irreducible iff x^(2^n) == x (mod f) and for every
   // prime p | n, gcd(x^(2^(n/p)) - x, f) == 1. One chain of n squarings,
@@ -223,6 +276,8 @@ Gf2Field::Gf2Field(unsigned n, SparsePoly modulus)
     : n_(n), modulus_(std::move(modulus)) {
   if (modulus_.degree() != n)
     throw std::invalid_argument("Gf2Field: modulus degree != n");
+  if (!modulus_.is_canonical())
+    throw std::invalid_argument("Gf2Field: modulus not canonical");
 }
 
 qkd::BitVector Gf2Field::multiply(const qkd::BitVector& a,

@@ -29,16 +29,23 @@ struct SparsePoly {
   std::vector<unsigned> exponents;
 
   unsigned degree() const { return exponents.empty() ? 0 : exponents.front(); }
+  /// True when the exponents strictly descend from degree() >= 1 down to 0:
+  /// the only form a field modulus takes. A repeated term names a different
+  /// polynomial, a missing constant term leaves x as a factor, and a term
+  /// out of order would land outside the reduced value.
+  bool is_canonical() const;
   qkd::BitVector to_bits() const;  // dense, degree+1 bits
   bool operator==(const SparsePoly&) const = default;
 };
 
 /// Carry-less (GF(2)[x]) product of two bit-polynomials; result has
-/// a.size()+b.size()-1 bits (or is empty if either input is empty).
+/// a.size()+b.size()-1 bits (or is empty if either input is empty). A 4-bit
+/// comb: 16 multiples of b, then one row XOR per nibble of a.
 qkd::BitVector clmul(const qkd::BitVector& a, const qkd::BitVector& b);
 
 /// Reduces `value` modulo the sparse polynomial `mod` (in place); afterwards
-/// value.size() == mod.degree().
+/// value.size() == mod.degree(). Folds up to 64 bits above the degree per
+/// step. Throws std::invalid_argument unless mod.is_canonical().
 void reduce_mod(qkd::BitVector& value, const SparsePoly& mod);
 
 /// Ben-Or / Rabin irreducibility test over GF(2).
@@ -55,9 +62,12 @@ class Gf2Field {
  public:
   /// Uses irreducible_poly(n) as the modulus.
   explicit Gf2Field(unsigned n);
-  /// Uses a caller-supplied modulus (must be irreducible of degree n); this is
-  /// the path a privacy-amplification *responder* takes when the initiator
-  /// announces the polynomial on the wire.
+  /// Uses a caller-supplied modulus; this is the path a privacy-amplification
+  /// *responder* takes when the initiator announces the polynomial on the
+  /// wire. Throws std::invalid_argument unless the modulus is canonical and
+  /// of degree n. Irreducibility is the caller's contract, not checked here
+  /// (a Ben-Or test per announced field would cost more than the hash); a
+  /// reducible modulus still multiplies, but the hash loses 2-universality.
   Gf2Field(unsigned n, SparsePoly modulus);
 
   unsigned n() const { return n_; }

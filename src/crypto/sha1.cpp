@@ -68,39 +68,38 @@ Sha1::Digest Sha1::hash(std::span<const std::uint8_t> data) {
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  // A rolling 16-word schedule: round i >= 16 overwrites w[i % 16] with
+  // rotl(w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16], 1). Each 20-round group has
+  // its own f and k, so no round branches on its index.
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
            static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
            static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
            static_cast<std::uint32_t>(block[4 * i + 3]);
   }
-  for (int i = 16; i < 80; ++i)
-    w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-
+  const auto expand = [&w](int i) {
+    const std::uint32_t x = std::rotl(
+        w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15], 1);
+    w[i & 15] = x;
+    return x;
+  };
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + w[i];
+  const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = std::rotl(b, 30);
     b = a;
     a = tmp;
-  }
+  };
+  int i = 0;
+  for (; i < 16; ++i) round((b & c) | (~b & d), 0x5A827999u, w[i]);
+  for (; i < 20; ++i) round((b & c) | (~b & d), 0x5A827999u, expand(i));
+  for (; i < 40; ++i) round(b ^ c ^ d, 0x6ED9EBA1u, expand(i));
+  for (; i < 60; ++i)
+    round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, expand(i));
+  for (; i < 80; ++i) round(b ^ c ^ d, 0xCA62C1D6u, expand(i));
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;

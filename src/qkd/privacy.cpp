@@ -28,6 +28,8 @@ PaParams PaParams::deserialize(const Bytes& wire) {
       p.modulus.exponents.push_back(reader.u32());
     if (p.modulus.degree() != p.n)
       throw std::invalid_argument("PaParams: modulus degree != n");
+    if (!p.modulus.is_canonical())
+      throw std::invalid_argument("PaParams: modulus not canonical");
     p.multiplier = qkd::BitVector::from_bytes(reader.bytes((p.n + 7) / 8));
     p.multiplier.resize(p.n);
     p.addend = qkd::BitVector::from_bytes(reader.bytes((p.m + 7) / 8));

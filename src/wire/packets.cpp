@@ -285,11 +285,17 @@ Result<PaParamsPacket> PaParamsPacket::decode(const Bytes& payload) {
     const std::uint64_t terms = reader.varint();
     if (terms > 64) throw std::invalid_argument("PaParams: dense modulus");
     packet.modulus_exponents.reserve(static_cast<std::size_t>(terms));
+    // Strictly descending from n down to 0: the canonical form of a field
+    // modulus (crypto::SparsePoly::is_canonical).
     for (std::uint64_t i = 0; i < terms; ++i) {
       const std::uint64_t e = reader.varint();
-      if (e > packet.n) throw std::invalid_argument("PaParams: exponent > n");
+      if (i == 0 ? e != packet.n : e >= packet.modulus_exponents.back())
+        throw std::invalid_argument("PaParams: modulus not canonical");
       packet.modulus_exponents.push_back(static_cast<std::uint32_t>(e));
     }
+    if (packet.modulus_exponents.size() < 2 ||
+        packet.modulus_exponents.back() != 0)
+      throw std::invalid_argument("PaParams: modulus not canonical");
     packet.multiplier = get_bits_dense(reader);
     packet.addend = get_bits_dense(reader);
     if (packet.multiplier.size() != packet.n ||

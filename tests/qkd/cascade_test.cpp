@@ -5,6 +5,7 @@
 #include "tests/testing/seeded_rng.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <optional>
 #include <tuple>
@@ -124,20 +125,62 @@ TEST(BbnCascade, SingleBitString) {
 
 // ------------------------------------------------------------ classic -----
 
+/// Upper bound on the per-trial rate at which four-pass classic Cascade
+/// leaves a residual error in a cell: the rate measured over 20,000 reseeds
+/// of an independent stream (seeds 7000 + n) plus 3 sd, rounded up to two
+/// digits, or 3e-4 where none of the 20,000 failed (-ln(0.0025) / 20,000).
+/// With one block spanning the whole string (n = 64, and n = 500 at 1%) an
+/// even number of errors never shows in any parity, so small cells are high.
+double residual_rate_bound(std::size_t n, double rate) {
+  if (rate == 0.0) return 0.0;  // nothing to miss
+  const int r = static_cast<int>(rate * 100 + 0.5);
+  switch (n) {
+    case 64: return r == 1 ? 0.14 : r == 3 ? 0.24 : 0.15;
+    case 500: return r == 1 ? 0.16 : r == 3 ? 0.024 : 0.0076;
+    case 1000: return r == 1 ? 0.048 : r == 3 ? 0.0043 : 3e-4;
+    default: return r == 1 ? 0.0057 : r == 3 ? 6.7e-4 : 3e-4;
+  }
+}
+
+/// Smallest k with P[Binomial(trials, p) > k] <= alpha.
+std::size_t binomial_upper(std::size_t trials, double p, double alpha) {
+  if (p <= 0.0) return 0;
+  double cdf = 0.0;
+  for (std::size_t k = 0; k < trials; ++k) {
+    cdf += std::exp(std::lgamma(trials + 1.0) - std::lgamma(k + 1.0) -
+                    std::lgamma(trials - k + 1.0) + k * std::log(p) +
+                    (trials - k) * std::log1p(-p));
+    if (1.0 - cdf <= alpha) return k;
+  }
+  return trials;
+}
+
 class ClassicCascadeSweep : public ::testing::TestWithParam<CascadeSweepParam> {
 };
 
 TEST_P(ClassicCascadeSweep, CorrectsAllErrors) {
+  // Four passes leave a residual error now and then, which the verify stage
+  // catches. The law: of 2,000 reseeded trials per cell at most k end with
+  // a residual error, k the 1e-6 binomial tail at the cell's stated
+  // per-trial rate. Twelve cells carry errors, so a correct corrector fails
+  // the sweep with probability <= 1.2e-5; one that skips its last pass
+  // passes every cell with probability ~1e-8.
   const auto [n, rate] = GetParam();
   QKD_SEEDED_RNG(rng, 2000 + n);
-  Corrupted c = make_corrupted(n, rate, rng);
-  LocalParityOracle oracle(c.alice);
-  const EcStats stats =
-      classic_cascade_correct(c.bob, oracle, std::max(rate, 0.01));
-  EXPECT_TRUE(stats.converged);
-  // Classic cascade with 4 passes corrects essentially everything at these
-  // rates; require exact equality (the standard benchmark result).
-  EXPECT_EQ(c.bob, c.alice) << "n=" << n << " rate=" << rate;
+  constexpr std::size_t kTrials = 2000;
+  std::size_t residual = 0, unconverged = 0;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    Corrupted c = make_corrupted(n, rate, rng);
+    LocalParityOracle oracle(c.alice);
+    const EcStats stats =
+        classic_cascade_correct(c.bob, oracle, std::max(rate, 0.01));
+    unconverged += !stats.converged;
+    residual += !(c.bob == c.alice);
+  }
+  EXPECT_EQ(unconverged, 0u);
+  EXPECT_LE(residual,
+            binomial_upper(kTrials, residual_rate_bound(n, rate), 1e-6))
+      << "n=" << n << " rate=" << rate;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -91,10 +91,11 @@ Bytes random_distillation_frame(qkd::Rng& rng) {
     }
     case 8: {
       PaParamsPacket p;
-      p.n = static_cast<std::uint32_t>(rng.next_below(4096) + 1);
+      // A canonical trinomial x^n + x^k + 1 with 0 < k < n.
+      p.n = static_cast<std::uint32_t>(rng.next_below(4095) + 2);
       p.m = static_cast<std::uint32_t>(rng.next_below(p.n) + 1);
-      p.modulus_exponents = {p.n, static_cast<std::uint32_t>(rng.next_below(p.n)),
-                             0};
+      p.modulus_exponents = {
+          p.n, static_cast<std::uint32_t>(rng.next_below(p.n - 1) + 1), 0};
       p.multiplier = rng.next_bits(p.n);
       p.addend = rng.next_bits(p.m);
       return to_frame(p);

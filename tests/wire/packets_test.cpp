@@ -204,6 +204,29 @@ TEST(Packets, PaParamsRoundTrips) {
   EXPECT_EQ(round_trip(packet), packet);
 }
 
+TEST(Packets, PaParamsRejectsNonCanonicalModulus) {
+  // The modulus must list strictly descending exponents from n down to 0: a
+  // repeated term names a different field, a missing constant term leaves x
+  // dividing the modulus, and a term above n is no field of width n.
+  QKD_SEEDED_RNG(rng, 6);
+  PaParamsPacket packet;
+  packet.n = 32;
+  packet.m = 16;
+  packet.multiplier = rng.next_bits(32);
+  packet.addend = rng.next_bits(16);
+  const std::vector<std::vector<std::uint32_t>> bad = {
+      {32, 7, 7, 3, 2, 0}, {32, 7, 3, 2}, {32, 40, 0}, {32, 2, 7, 0},
+      {7, 3, 2, 0},        {32},          {}};
+  for (const auto& exponents : bad) {
+    packet.modulus_exponents = exponents;
+    EXPECT_EQ(PaParamsPacket::decode(packet.encode()).error,
+              WireError::kMalformedPayload)
+        << ::testing::PrintToString(exponents);
+  }
+  packet.modulus_exponents = {32, 7, 3, 2, 0};
+  EXPECT_TRUE(PaParamsPacket::decode(packet.encode()).ok());
+}
+
 TEST(Packets, AbortAndKeyDigestRoundTrip) {
   AbortPacket abort_packet;
   abort_packet.reason = 4;
