@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "src/qkd/engine.hpp"
 #include "src/wire/transport.hpp"
@@ -73,21 +74,80 @@ TEST(Peers, DistillByteIdenticalKeysOverTcp) {
   EXPECT_GT(run.alice.control_bytes, 0u);
 }
 
-TEST(Peers, MatchTheInProcessPipelineBitForBit) {
-  const QkdLinkConfig config = small_config();
-  const PeerRun run = run_peers_once(config, kSeed);
-  ASSERT_TRUE(run.alice.accepted);
+/// `batches` consecutive batches over one localhost TCP connection.
+std::vector<PeerRun> run_peers(const QkdLinkConfig& config,
+                               std::uint64_t seed, std::size_t batches) {
+  wire::TcpListener listener(0);
+  std::vector<PeerRun> runs(batches);
 
-  // Same config, same seed, in one process: the pipeline must land on the
-  // exact same distilled block — the wire moved the protocol, not the
-  // randomness.
-  QkdLinkSession session(config, kSeed);
-  const BatchResult batch = session.run_batch();
-  ASSERT_TRUE(batch.accepted);
-  EXPECT_EQ(batch.key, run.alice.key);
-  EXPECT_EQ(batch.sifted_bits, run.alice.sifted_bits);
-  EXPECT_EQ(batch.errors_corrected, run.alice.errors_corrected);
-  EXPECT_DOUBLE_EQ(batch.qber_sampled, run.alice.qber_sampled);
+  std::thread bob_thread([&runs, &config, seed, port = listener.port()] {
+    BobPeer bob(config, seed);
+    auto io = wire::tcp_connect(port);
+    ASSERT_NE(io, nullptr);
+    io->set_recv_timeout_ms(30000);
+    for (PeerRun& run : runs) run.bob = bob.run_batch(*io);
+  });
+
+  AlicePeer alice(config, seed);
+  auto io = listener.accept_transport();
+  if (io != nullptr) {
+    io->set_recv_timeout_ms(30000);
+    for (PeerRun& run : runs) run.alice = alice.run_batch(*io);
+  }
+  bob_thread.join();
+  EXPECT_NE(io, nullptr);
+  return runs;
+}
+
+struct PeerCase {
+  const char* name;
+  double fiber_km;
+  EcStrategy strategy;
+  std::uint64_t seed;
+};
+
+TEST(Peers, MatchTheInProcessPipelineBitForBit) {
+  // Same config, same seed: the two peers over TCP and the in-process
+  // session must land on the same outcome batch after batch — the wire
+  // moved the protocol, not the randomness. The last two cases abort:
+  // naive parity leaves residual errors that verify catches, and 50 km
+  // starves the entropy estimate.
+  const PeerCase cases[] = {
+      {"5km-classic", 5.0, EcStrategy::kClassicCascade, kSeed},
+      {"5km-bbn", 5.0, EcStrategy::kBbnCascade, kSeed},
+      {"5km-naive", 5.0, EcStrategy::kNaiveParity, kSeed},
+      {"20km-classic", 20.0, EcStrategy::kClassicCascade, kSeed},
+      {"20km-bbn", 20.0, EcStrategy::kBbnCascade, kSeed},
+      {"20km-naive", 20.0, EcStrategy::kNaiveParity, kSeed},
+      {"10km-naive-verify", 10.0, EcStrategy::kNaiveParity, 10},
+      {"50km-entropy", 50.0, EcStrategy::kClassicCascade, 6},
+  };
+  std::size_t aborted = 0;
+  for (const PeerCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    QkdLinkConfig config = small_config();
+    config.link.fiber_km = c.fiber_km;
+    config.ec_strategy = c.strategy;
+    const std::vector<PeerRun> runs = run_peers(config, c.seed, 3);
+    QkdLinkSession session(config, c.seed);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      SCOPED_TRACE(i);
+      const BatchResult batch = session.run_batch();
+      aborted += !batch.accepted;
+      for (const PeerOutcome* peer : {&runs[i].alice, &runs[i].bob}) {
+        EXPECT_EQ(peer->reason, batch.reason)
+            << abort_reason_name(peer->reason) << " vs "
+            << abort_reason_name(batch.reason);
+        EXPECT_EQ(peer->accepted, batch.accepted);
+        EXPECT_EQ(peer->key, batch.key);
+        EXPECT_EQ(peer->sifted_bits, batch.sifted_bits);
+        EXPECT_DOUBLE_EQ(peer->qber_sampled, batch.qber_sampled);
+        EXPECT_EQ(peer->errors_corrected, batch.errors_corrected);
+      }
+    }
+  }
+  // The table reaches the abort paths it was built for.
+  EXPECT_GT(aborted, 0u);
 }
 
 TEST(Peers, ConsecutiveBatchesKeepDistilling) {
