@@ -13,12 +13,40 @@ namespace {
 /// Prepositioned secret both endpoints share before QKD begins ("some means
 /// of distributing these keys before QKD itself begins, e.g., by human
 /// courier"). In the simulation it is derived from the session seed.
-qkd::BitVector preposition_secret(std::uint64_t seed, std::size_t bits) {
+qkd::BitVector preposition_secret(const QkdLinkConfig& config,
+                                  std::uint64_t seed) {
   qkd::crypto::Drbg courier(seed ^ 0xC0931E5ULL);
-  return courier.generate_bits(bits);
+  return courier.generate_bits(
+      AuthenticationService::required_secret_bits(config.auth) +
+      config.preposition_extra_bits);
+}
+
+/// Ground truth the protocol never sees: the error rate over the sifted
+/// bits, and how many of them Eve knew.
+void record_ground_truth(const qkd::optics::FrameResult& frame,
+                         const std::vector<std::uint32_t>& sifted_slots,
+                         BatchResult& result) {
+  if (sifted_slots.empty()) return;
+  std::size_t errors = 0;
+  auto click = frame.clicks.begin();
+  auto known = frame.eve.known.begin();
+  for (std::uint32_t slot : sifted_slots) {
+    while (click->slot < slot) ++click;  // every sifted slot is a click
+    errors += click->alice_value != click->bob_bit;
+    while (known != frame.eve.known.end() && *known < slot) ++known;
+    if (known != frame.eve.known.end() && *known == slot)
+      ++result.eve_known_sifted;
+  }
+  result.qber_actual = static_cast<double>(errors) /
+                       static_cast<double>(sifted_slots.size());
 }
 
 }  // namespace
+
+Party::Party(const QkdLinkConfig& config, std::uint64_t seed, bool is_alice)
+    : drbg(seed ^ 0xD15711ULL),
+      auth(config.auth, preposition_secret(config, seed),
+           /*is_initiator=*/is_alice) {}
 
 const char* abort_reason_name(AbortReason reason) {
   switch (reason) {
@@ -45,19 +73,8 @@ const char* abort_reason_name(AbortReason reason) {
 QkdLinkSession::QkdLinkSession(QkdLinkConfig config, std::uint64_t seed)
     : config_(config),
       link_(config.link, seed),
-      drbg_(seed ^ 0xD15711ULL),
-      alice_auth_(config.auth,
-                  preposition_secret(
-                      seed, AuthenticationService::required_secret_bits(
-                                config.auth) +
-                                config.preposition_extra_bits),
-                  /*is_initiator=*/true),
-      bob_auth_(config.auth,
-                preposition_secret(
-                    seed, AuthenticationService::required_secret_bits(
-                              config.auth) +
-                              config.preposition_extra_bits),
-                /*is_initiator=*/false),
+      alice_(config, seed, /*is_alice=*/true),
+      bob_(config, seed, /*is_alice=*/false),
       alice_wire_(channel_, qkd::net::ChannelTransport::Side::kA),
       bob_wire_(channel_, qkd::net::ChannelTransport::Side::kB),
       pipeline_(default_pipeline()),
@@ -131,21 +148,18 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
     frame_span->finish();
   }
 
-  // ---- Protocol stack: the stage pipeline over one shared context. --------
-  BatchContext ctx{.config = config_,
-                   .drbg = drbg_,
-                   .alice_auth = alice_auth_,
-                   .bob_auth = bob_auth_,
-                   .alice_wire = alice_wire_,
-                   .bob_wire = bob_wire_,
-                   .frame = frame,
-                   .frame_id = next_frame_id_++,
-                   .alice_bits = {},
-                   .bob_bits = {},
-                   .usable_bits = 0.0,
-                   .alice_key = {},
-                   .bob_key = {},
-                   .result = result};
+  // ---- Protocol stack: each stage's two halves, interleaved. --------------
+  // Frames a lost dialogue left behind (an unread abort notice) are stale.
+  while (alice_wire_.recv_frame().has_value()) {
+  }
+  while (bob_wire_.recv_frame().has_value()) {
+  }
+  const std::uint64_t frame_id = next_frame_id_++;
+  Side alice(config_, alice_, alice_wire_, /*is_alice=*/true, frame, frame_id);
+  Side bob(config_, bob_, bob_wire_, /*is_alice=*/false, frame, frame_id);
+  DialogueWire::pair(alice.wire, bob.wire);
+  BatchContext ctx{.frame = frame, .result = result, .alice = alice,
+                   .bob = bob};
   AbortReason reason = AbortReason::kNone;
   result.stages.reserve(pipeline_.size());
   for (std::size_t s = 0; s < pipeline_.size(); ++s) {
@@ -177,17 +191,17 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
     if (reason != AbortReason::kNone) break;
   }
 
-  // A rejected batch is announced to the peer as a bare abort frame so
-  // both sides discard their halves in step (and the wire accounting
-  // reflects the notice).
-  if (reason != AbortReason::kNone) {
-    wire::AbortPacket abort_packet;
-    abort_packet.reason = static_cast<std::uint8_t>(reason);
-    const Bytes framed = wire::to_frame(abort_packet);
-    alice_wire_.send_frame(framed);
-    ++result.control_messages;
-    result.control_bytes += framed.size();
-    bob_wire_.recv_frame();  // peer consumes the notice
+  // Each count comes from the side that produced it: Bob corrected the
+  // errors, Alice answered the parity questions.
+  result.sifted_bits = alice.sifted_slots.size();
+  result.sampled_bits = alice.sampled_bits;
+  result.qber_sampled = alice.qber_sampled;
+  result.errors_corrected = bob.errors_corrected;
+  result.disclosed_bits = alice.disclosed_bits;
+  record_ground_truth(frame, alice.sifted_slots, result);
+  if (reason == AbortReason::kNone) {
+    result.key = std::move(alice.key);
+    result.distilled_bits = result.key.size();
   }
 
   // Lockstep dialogues pay the channel's one-way latency once per control

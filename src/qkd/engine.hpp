@@ -3,9 +3,11 @@
 //   Raw Qframes -> Sifting -> Error Correction -> Privacy Amplification
 //                -> Authentication -> Distilled bits
 //
-// A QkdLinkSession owns one simulated weak-coherent link plus the paired
-// Alice/Bob protocol endpoints. run_batch() pushes one Qframe through the
-// stage pipeline (src/qkd/pipeline.hpp) and either yields a distilled key
+// A QkdLinkSession owns one simulated weak-coherent link plus both
+// protocol endpoints (one Party each, seeded as the two-process peers seed
+// theirs). run_batch() pushes one Qframe through the stage pipeline
+// (src/qkd/pipeline.hpp), whose halves it interleaves over the two ends of
+// one in-memory classical channel, and either yields a distilled key
 // block (identical on both sides, by construction verified) or reports why
 // the batch was rejected — too much disturbance (eavesdropping alarm),
 // entropy exhausted, or residual error detected.
@@ -142,6 +144,17 @@ struct QkdLinkConfig {
   std::size_t preposition_extra_bits = 8192;
 };
 
+/// What one endpoint carries from batch to batch: its DRBG and its
+/// authentication service. Both endpoints derive them from one shared seed
+/// (standing in for the couriered pre-QKD secret), so the two DRBGs draw
+/// the same stream without a bit of it crossing the wire.
+struct Party {
+  Party(const QkdLinkConfig& config, std::uint64_t seed, bool is_alice);
+
+  qkd::crypto::Drbg drbg;
+  AuthenticationService auth;
+};
+
 /// Wall-time and wire traffic attributed to one pipeline stage of one batch.
 struct StageStats {
   std::string name;                  // PipelineStage::name()
@@ -267,8 +280,8 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   const SessionTotals& totals() const { return totals_; }
   const QkdLinkConfig& config() const { return config_; }
   const qkd::optics::WeakCoherentLink& link() const { return link_; }
-  const AuthenticationService& alice_auth() const { return alice_auth_; }
-  const AuthenticationService& bob_auth() const { return bob_auth_; }
+  const AuthenticationService& alice_auth() const { return alice_.auth; }
+  const AuthenticationService& bob_auth() const { return bob_.auth; }
 
   /// The public channel every control frame of this session crosses.
   /// Install impairments or ClassicalConditions here to attack the framed
@@ -321,9 +334,8 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
 
   QkdLinkConfig config_;
   qkd::optics::WeakCoherentLink link_;
-  qkd::crypto::Drbg drbg_;
-  AuthenticationService alice_auth_;
-  AuthenticationService bob_auth_;
+  Party alice_;
+  Party bob_;
   qkd::net::PublicChannel channel_;
   qkd::net::ChannelTransport alice_wire_;
   qkd::net::ChannelTransport bob_wire_;

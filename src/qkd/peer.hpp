@@ -1,16 +1,14 @@
-// Single-sided distillation peers: Alice's half and Bob's half of the
-// Fig. 9 dialogue, each runnable in its OWN process over any
-// wire::Transport (in practice the TCP transport — the integration suite
-// forks one process per endpoint and connects them over localhost).
+// Single-sided distillation peers: Alice's end and Bob's end of the Fig. 9
+// dialogue, each runnable in its OWN process over any wire::Transport (in
+// practice the TCP transport — the integration suite forks one process per
+// endpoint and connects them over localhost).
 //
-// The dialogue is frame-for-frame the one the in-process pipeline ships
-// over the in-memory channel: SiftAnnounce/SiftDecision, two
-// SampleReveals, the bare parity dialogue, EcSummary, two VerifyHashes,
-// PaParams per chunk, Abort on rejection. Determinism does the rest: both
-// peers seed the same DRBG, so sample positions, EC seeds and PA
-// parameters come out identical on both sides without ever crossing the
-// wire (Bob cross-checks the announced PA parameters against his own
-// derivation and aborts on any divergence).
+// A peer runs its side's half of every stage (src/qkd/pipeline.hpp), in
+// order, over its transport, where a receive blocks: the same halves the
+// in-process QkdLinkSession interleaves, so the dialogue is frame for
+// frame the same. Determinism does the rest: both peers seed their Party
+// from one shared seed, so sample positions, EC seeds and PA parameters
+// come out identical on both sides without ever crossing the wire.
 //
 // Two frame types exist only here and are excluded from control-traffic
 // accounting: QframeFeed (Alice simulates the optics and feeds Bob his
@@ -19,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "src/optics/link.hpp"
 #include "src/qkd/engine.hpp"
@@ -44,39 +41,34 @@ struct PeerOutcome {
 };
 
 /// Alice's endpoint: simulates the quantum channel, feeds Bob his
-/// detections, then runs her half of the distillation dialogue.
+/// detections, then runs her halves of the dialogue.
 class AlicePeer {
  public:
   AlicePeer(QkdLinkConfig config, std::uint64_t seed);
-  ~AlicePeer();
 
   PeerOutcome run_batch(wire::Transport& io);
 
-  const AuthenticationService& auth() const { return auth_; }
+  const AuthenticationService& auth() const { return party_.auth; }
 
  private:
   QkdLinkConfig config_;
   qkd::optics::WeakCoherentLink link_;
-  qkd::crypto::Drbg drbg_;
-  AuthenticationService auth_;
+  Party party_;
   std::uint64_t next_frame_id_ = 0;
 };
 
-/// Bob's endpoint: receives the Qframe feed, then drives sifting
-/// announcements and error correction from his side of the wire.
+/// Bob's endpoint: receives the Qframe feed, then runs his halves.
 class BobPeer {
  public:
   BobPeer(QkdLinkConfig config, std::uint64_t seed);
-  ~BobPeer();
 
   PeerOutcome run_batch(wire::Transport& io);
 
-  const AuthenticationService& auth() const { return auth_; }
+  const AuthenticationService& auth() const { return party_.auth; }
 
  private:
   QkdLinkConfig config_;
-  qkd::crypto::Drbg drbg_;
-  AuthenticationService auth_;
+  Party party_;
   std::uint64_t next_frame_id_ = 0;
 };
 

@@ -10,102 +10,325 @@
 #include "src/qkd/privacy.hpp"
 #include "src/qkd/randomness.hpp"
 #include "src/qkd/sifting.hpp"
-#include "src/qkd/wire_link.hpp"
 
 namespace qkd::proto {
 namespace {
 
-/// Retransmission budget per authenticated control message before the
-/// batch concedes the classical channel is gone.
-constexpr int kMaxShipAttempts = 12;
+using enum AbortReason;
 
-AbortReason to_abort(ShipStatus status) {
-  switch (status) {
-    case ShipStatus::kOk:
-      return AbortReason::kNone;
-    case ShipStatus::kAuthExhausted:
-      return AbortReason::kAuthExhausted;
-    case ShipStatus::kChannelLost:
-      return AbortReason::kChannelLost;
+// Each stage below is its Alice half and its Bob half. A half touches only
+// its own Side and the frames on its wire; a failed send or receive ends
+// it (StageEnd), and co_await conclude(verdict) ends it on a verdict both
+// sides reach from shared data.
+
+// ---- Sifting: Bob announces his clicks, Alice keeps the basis matches. ---
+
+StageHalf alice_sifting(Side& s) {
+  AliceSiftResult sifted =
+      alice_sift(s.frame, co_await s.wire.recv<wire::SiftAnnounce>());
+  co_await s.wire.send(sifted.decision);
+  s.bits = std::move(sifted.outcome.bits);
+  s.sifted_slots = std::move(sifted.outcome.slot_indices);
+  co_return co_await s.wire.conclude(s.bits.empty() ? kNoSiftedBits : kNone);
+}
+
+StageHalf bob_sifting(Side& s) {
+  const wire::SiftAnnounce announce = make_sift_announce(s.frame_id, s.frame);
+  co_await s.wire.send(announce);
+  SiftOutcome kept = bob_apply_response(
+      s.frame, announce, co_await s.wire.recv<wire::SiftDecision>());
+  s.bits = std::move(kept.bits);
+  s.sifted_slots = std::move(kept.slot_indices);
+  co_return co_await s.wire.conclude(s.bits.empty() ? kNoSiftedBits : kNone);
+}
+
+// ---- Sampling: both sides reveal their bits at the same DRBG-drawn
+// positions, Alice first, and drop them. --------------------------------
+
+/// Moves this side's sample out of its bits into a reveal.
+wire::SampleReveal take_sample(Side& s) {
+  s.sampled_bits = sample_target_for(s.config, s.bits.size());
+  const qkd::BitVector mask =
+      draw_sample_mask(s.bits.size(), s.sampled_bits, s.party.drbg);
+  wire::SampleReveal reveal;
+  reveal.frame_id = s.frame_id;
+  qkd::BitVector kept;
+  split_by_mask(s.bits, mask, reveal.bits, kept);
+  s.bits = std::move(kept);
+  return reveal;
+}
+
+/// The alarm on the sampled error rate, once both reveals are in.
+AbortReason judge_sample(Side& s, const wire::SampleReveal& mine,
+                         const wire::SampleReveal& theirs) {
+  if (theirs.bits.size() != mine.bits.size()) return kChannelLost;
+  s.qber_sampled =
+      static_cast<double>(mine.bits.hamming_distance(theirs.bits)) /
+      static_cast<double>(s.sampled_bits);
+  if (s.qber_sampled > s.config.early_abort_qber) return kQberTooHigh;
+  return s.bits.empty() ? kNoSiftedBits : kNone;
+}
+
+StageHalf alice_sampling(Side& s) {
+  if (sample_target_for(s.config, s.bits.size()) == 0) co_return kNone;
+  const wire::SampleReveal mine = take_sample(s);
+  co_await s.wire.send(mine);
+  const auto theirs = co_await s.wire.recv<wire::SampleReveal>();
+  co_return co_await s.wire.conclude(judge_sample(s, mine, theirs));
+}
+
+StageHalf bob_sampling(Side& s) {
+  if (sample_target_for(s.config, s.bits.size()) == 0) co_return kNone;
+  const wire::SampleReveal mine = take_sample(s);
+  const auto theirs = co_await s.wire.recv<wire::SampleReveal>();
+  co_await s.wire.send(mine);
+  co_return co_await s.wire.conclude(judge_sample(s, mine, theirs));
+}
+
+// ---- Error correction: Bob drives the configured corrector against
+// Alice's parity server, each batch of questions and its answers one bare
+// frame, and closes with a sealed summary. -------------------------------
+
+/// The configured corrector over Bob's bits, seeded from his DRBG.
+EcStats correct(Side& s) {
+  WireParityClient alice(s.wire, s.wire.pump);
+  const auto seed = static_cast<std::uint32_t>(s.party.drbg.next_u32());
+  try {
+    switch (s.config.ec_strategy) {
+      case EcStrategy::kBbnCascade: {
+        BbnCascadeConfig cfg = s.config.bbn_config;
+        cfg.seed_base = seed;
+        return bbn_cascade_correct(s.bits, alice, cfg);
+      }
+      case EcStrategy::kClassicCascade: {
+        ClassicCascadeConfig cfg = s.config.classic_config;
+        cfg.seed_base = seed;
+        return classic_cascade_correct(s.bits, alice,
+                                       std::max(s.qber_sampled, 0.01), cfg);
+      }
+      case EcStrategy::kNaiveParity: {
+        NaiveParityConfig cfg = s.config.naive_config;
+        cfg.perm_seed = seed;
+        return naive_parity_correct(s.bits, alice, cfg);
+      }
+    }
+  } catch (const ChannelLostError&) {
+    throw StageEnd{s.wire.abort(kChannelLost)};
   }
-  return AbortReason::kChannelLost;
+  throw std::logic_error("correct: unknown EC strategy");
+}
+
+AbortReason judge_correction(const QkdLinkConfig& config, bool converged) {
+  const bool must_converge = config.ec_strategy != EcStrategy::kNaiveParity;
+  return must_converge && !converged ? kEcNotConverged : kNone;
+}
+
+StageHalf alice_error_correction(Side& s) {
+  s.party.drbg.next_u32();  // Bob's corrector seed: keeps the DRBGs in step
+  WireParityServer server(s.bits);
+  const auto summary = co_await s.wire.recv<wire::EcSummary>(
+      [&](const wire::Frame& frame) {
+        server.serve_frame(s.wire, frame);
+        s.disclosed_bits = server.disclosed();
+      });
+  s.errors_corrected = summary.corrections;
+  co_return co_await s.wire.conclude(
+      judge_correction(s.config, summary.converged));
+}
+
+StageHalf bob_error_correction(Side& s) {
+  const EcStats ec = correct(s);
+  s.errors_corrected = ec.corrections;
+  s.disclosed_bits = ec.parity_queries;
+  wire::EcSummary summary;
+  summary.corrections = static_cast<std::uint32_t>(ec.corrections);
+  summary.converged = ec.converged;
+  co_await s.wire.send(summary);
+  co_return co_await s.wire.conclude(judge_correction(s.config, ec.converged));
+}
+
+// ---- Verify: both sides exchange a hash of the corrected string, Alice
+// first. IKE "has no mechanisms for noticing" key disagreement, so the QKD
+// stack must catch residual errors here (Sec. 7); the exact error count
+// then meets the canonical 11 % alarm. ------------------------------------
+
+wire::VerifyHash hash_of(const Side& s) {
+  wire::VerifyHash hash;
+  hash.frame_id = s.frame_id;
+  hash.digest = digest_bytes(s.bits);
+  return hash;
+}
+
+AbortReason judge_hashes(const Side& s, const wire::VerifyHash& mine,
+                         const wire::VerifyHash& theirs) {
+  if (mine.digest != theirs.digest) return kVerifyFailed;
+  const double qber_exact = static_cast<double>(s.errors_corrected) /
+                            static_cast<double>(s.bits.size());
+  return qber_exact > s.config.qber_abort_threshold ? kQberTooHigh : kNone;
+}
+
+StageHalf alice_verify(Side& s) {
+  const wire::VerifyHash mine = hash_of(s);
+  co_await s.wire.send(mine);
+  const auto theirs = co_await s.wire.recv<wire::VerifyHash>();
+  co_return co_await s.wire.conclude(judge_hashes(s, mine, theirs));
+}
+
+StageHalf bob_verify(Side& s) {
+  const auto theirs = co_await s.wire.recv<wire::VerifyHash>();
+  const wire::VerifyHash mine = hash_of(s);
+  co_await s.wire.send(mine);
+  co_return co_await s.wire.conclude(judge_hashes(s, mine, theirs));
+}
+
+// ---- Entropy (both sides): the Sec. 6 estimate of how many bits survive
+// Eve's knowledge, from this side's own counts. --------------------------
+
+StageHalf entropy(Side& s) {
+  EntropyInputs inputs;
+  inputs.sifted_bits = s.bits.size();
+  inputs.error_bits = s.errors_corrected;
+  inputs.transmitted_pulses = s.config.frame_slots;
+  inputs.disclosed_bits = s.disclosed_bits;
+  // The paper left r as "a placeholder ... until randomness testing is put
+  // into the system"; our system has the testing (detector bias shows up in
+  // the monobit statistic of the corrected bits).
+  inputs.non_randomness =
+      s.config.run_randomness_tests
+          ? test_randomness(s.bits).non_randomness_bits
+          : 0.0;
+  inputs.mean_photon_number = s.config.link.mean_photon_number;
+  inputs.confidence = s.config.confidence;
+  inputs.defense = s.config.defense;
+  inputs.link_kind = s.config.link_kind;
+  inputs.multi_photon_policy = s.config.multi_photon_policy;
+  s.usable_bits = estimate_entropy(inputs).distillable_bits -
+                  static_cast<double>(s.config.pa_margin_bits);
+  co_return co_await s.wire.conclude(s.usable_bits < 1.0 ? kEntropyExhausted
+                                                          : kNone);
+}
+
+// ---- Privacy amplification: GF(2^n) linear hashing in chunks of bounded
+// field width, the output budget spread across them in proportion
+// (Sec. 5). Alice announces each chunk's parameters; Bob draws the same
+// from his DRBG and checks them, so a divergence of the DRBGs or the wire
+// ends the batch. ---------------------------------------------------------
+
+struct PaChunk {
+  std::size_t offset;
+  std::size_t bits;
+  std::size_t out;
+};
+
+std::vector<PaChunk> pa_chunks(const Side& s) {
+  const std::size_t total_in = s.bits.size();
+  const auto m_total = static_cast<std::size_t>(s.usable_bits);
+  std::vector<PaChunk> chunks;
+  std::size_t m_emitted = 0;
+  for (std::size_t offset = 0; offset < total_in;) {
+    const std::size_t chunk = std::min(pa_max_block_bits(), total_in - offset);
+    const auto m_target = static_cast<std::size_t>(
+        static_cast<double>(m_total) * static_cast<double>(offset + chunk) /
+        static_cast<double>(total_in));
+    const std::size_t m_chunk = std::min(m_target - m_emitted, chunk);
+    if (m_chunk > 0) chunks.push_back({offset, chunk, m_chunk});
+    m_emitted += m_chunk;
+    offset += chunk;
+  }
+  return chunks;
+}
+
+wire::PaParamsPacket to_packet(const PaParams& pa) {
+  wire::PaParamsPacket packet;
+  packet.n = pa.n;
+  packet.m = pa.m;
+  packet.modulus_exponents.assign(pa.modulus.exponents.begin(),
+                                  pa.modulus.exponents.end());
+  packet.multiplier = pa.multiplier;
+  packet.addend = pa.addend;
+  return packet;
+}
+
+StageHalf alice_privacy_amplification(Side& s) {
+  for (const PaChunk& chunk : pa_chunks(s)) {
+    const PaParams pa = make_pa_params(chunk.bits, chunk.out, s.party.drbg);
+    co_await s.wire.send(to_packet(pa));
+    s.key.append(privacy_amplify(s.bits.slice(chunk.offset, chunk.bits), pa));
+  }
+  co_return kNone;
+}
+
+StageHalf bob_privacy_amplification(Side& s) {
+  for (const PaChunk& chunk : pa_chunks(s)) {
+    const PaParams pa = make_pa_params(chunk.bits, chunk.out, s.party.drbg);
+    if (co_await s.wire.recv<wire::PaParamsPacket>() != to_packet(pa))
+      co_return s.wire.abort(kVerifyFailed);
+    s.key.append(privacy_amplify(s.bits.slice(chunk.offset, chunk.bits), pa));
+  }
+  co_return kNone;
+}
+
+// ---- Auth-replenish (both sides): the configured slice off the key's end
+// goes to this side's Wegman-Carter pads (Sec. 5); the rest is delivered. -
+
+StageHalf auth_replenish(Side& s) {
+  const std::size_t replenish =
+      std::min(s.config.auth_replenish_bits, s.key.size());
+  if (replenish > 0) {
+    s.party.auth.replenish(s.key.slice(s.key.size() - replenish, replenish));
+    s.key.resize(s.key.size() - replenish);
+  }
+  co_return kNone;
+}
+
+constexpr StageHalves kFig9[] = {
+    {"sifting", alice_sifting, bob_sifting},
+    {"sampling", alice_sampling, bob_sampling},
+    {"error-correction", alice_error_correction, bob_error_correction},
+    {"verify", alice_verify, bob_verify},
+    {"entropy", entropy, entropy},
+    {"privacy-amplification", alice_privacy_amplification,
+     bob_privacy_amplification},
+    {"auth-replenish", auth_replenish, auth_replenish},
+};
+
+/// A stage of the in-process session: both halves, interleaved.
+class DialogueStage final : public PipelineStage {
+ public:
+  explicit DialogueStage(const StageHalves& halves) : halves_(halves) {}
+
+  const char* name() const override { return halves_.name; }
+
+  AbortReason run(BatchContext& ctx) override {
+    StageHalf alice = halves_.alice(ctx.alice);
+    StageHalf bob = halves_.bob(ctx.bob);
+    const AbortReason reason =
+        interleave(alice, ctx.alice.wire, bob, ctx.bob.wire);
+    ctx.result.control_messages = ctx.alice.wire.traffic().messages +
+                                  ctx.bob.wire.traffic().messages;
+    ctx.result.control_bytes =
+        ctx.alice.wire.traffic().bytes + ctx.bob.wire.traffic().bytes;
+    return reason;
+  }
+
+ private:
+  const StageHalves& halves_;
+};
+
+}  // namespace
+
+std::span<const StageHalves> fig9_dialogue() { return kFig9; }
+
+std::vector<std::unique_ptr<PipelineStage>> default_pipeline() {
+  std::vector<std::unique_ptr<PipelineStage>> stages;
+  for (const StageHalves& halves : kFig9)
+    stages.push_back(std::make_unique<DialogueStage>(halves));
+  return stages;
 }
 
 Bytes digest_bytes(const qkd::BitVector& bits) {
   const auto digest = qkd::crypto::Sha1::hash(bits.to_bytes());
   return Bytes(digest.begin(), digest.end());
-}
-
-}  // namespace
-
-ShipStatus BatchContext::ship_frame(bool from_alice, wire::PacketType type,
-                                    const Bytes& packet_payload,
-                                    bool authenticated) {
-  AuthenticationService& sender = from_alice ? alice_auth : bob_auth;
-  AuthenticationService& receiver = from_alice ? bob_auth : alice_auth;
-  wire::Transport& out = from_alice ? alice_wire : bob_wire;
-  wire::Transport& in = from_alice ? bob_wire : alice_wire;
-
-  // Protect ONCE: the pad slot is bound to the sequence number, so every
-  // retransmission is the identical envelope and costs no extra pad.
-  Bytes payload = packet_payload;
-  if (authenticated) {
-    auto protected_payload = sender.protect(packet_payload);
-    if (!protected_payload.has_value()) return ShipStatus::kAuthExhausted;
-    payload = std::move(*protected_payload);
-  }
-  const Bytes framed = wire::encode_frame(type, payload);
-
-  for (int attempt = 0; attempt < kMaxShipAttempts; ++attempt) {
-    out.send_frame(framed);
-    ++result.control_messages;
-    result.control_bytes += framed.size();
-    const auto raw = in.recv_frame();
-    if (!raw.has_value()) continue;  // lost in transit: retransmit
-    const auto frame = wire::decode_frame(*raw);
-    if (!frame.ok() || frame.value.type != type) continue;
-    if (authenticated) {
-      const auto verified = receiver.verify(frame.value.payload);
-      if (!verified.has_value() || *verified != packet_payload) continue;
-    } else if (frame.value.payload != packet_payload) {
-      continue;  // tampered bare frame: retransmit (verify stage audits)
-    }
-    return ShipStatus::kOk;
-  }
-  return ShipStatus::kChannelLost;
-}
-
-AbortReason SiftingStage::run(BatchContext& ctx) {
-  // Bob announces detections; Alice replies with the basis matches.
-  const wire::SiftAnnounce announce =
-      make_sift_announce(ctx.frame_id, ctx.frame);
-  if (const auto s = ctx.ship(/*from_alice=*/false, announce);
-      s != ShipStatus::kOk)
-    return to_abort(s);
-
-  AliceSiftResult alice_sifted = alice_sift(ctx.frame, announce);
-  if (const auto s = ctx.ship(/*from_alice=*/true, alice_sifted.decision);
-      s != ShipStatus::kOk)
-    return to_abort(s);
-  SiftOutcome bob_sifted =
-      bob_apply_response(ctx.frame, announce, alice_sifted.decision);
-
-  ctx.alice_bits = std::move(alice_sifted.outcome.bits);
-  ctx.bob_bits = std::move(bob_sifted.bits);
-  ctx.result.sifted_bits = ctx.alice_bits.size();
-  if (ctx.alice_bits.empty()) return AbortReason::kNoSiftedBits;
-
-  // Ground truth for attack accounting: merge sifted slots with Eve's.
-  ctx.result.qber_actual =
-      static_cast<double>(ctx.alice_bits.hamming_distance(ctx.bob_bits)) /
-      static_cast<double>(ctx.alice_bits.size());
-  const std::vector<std::uint32_t>& known = ctx.frame.eve.known;
-  auto k = known.begin();
-  for (std::uint32_t slot : alice_sifted.outcome.slot_indices) {
-    while (k != known.end() && *k < slot) ++k;
-    if (k != known.end() && *k == slot) ++ctx.result.eve_known_sifted;
-  }
-  return AbortReason::kNone;
 }
 
 std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
@@ -156,221 +379,6 @@ void split_by_mask(const qkd::BitVector& bits, const qkd::BitVector& mask,
     kept.append_bits(word, width - static_cast<std::size_t>(
                                        std::popcount(picked)));
   }
-}
-
-AbortReason SamplingStage::run(BatchContext& ctx) {
-  // The sample positions derive from the shared DRBG (both sides hold the
-  // same stream, so the positions are never transmitted); each side then
-  // reveals its OWN bits at those positions in the clear and drops them.
-  const std::size_t n = ctx.alice_bits.size();
-  const std::size_t sample_target = sample_target_for(ctx.config, n);
-  if (sample_target > 0) {
-    const qkd::BitVector mask = draw_sample_mask(n, sample_target, ctx.drbg);
-    qkd::BitVector alice_keep, bob_keep;
-    wire::SampleReveal alice_reveal, bob_reveal;
-    alice_reveal.frame_id = ctx.frame_id;
-    bob_reveal.frame_id = ctx.frame_id;
-    split_by_mask(ctx.alice_bits, mask, alice_reveal.bits, alice_keep);
-    split_by_mask(ctx.bob_bits, mask, bob_reveal.bits, bob_keep);
-    const std::size_t sample_errors =
-        alice_reveal.bits.hamming_distance(bob_reveal.bits);
-    ctx.result.sampled_bits = sample_target;
-    ctx.result.qber_sampled = static_cast<double>(sample_errors) /
-                              static_cast<double>(sample_target);
-    if (const auto s = ctx.ship(/*from_alice=*/true, alice_reveal);
-        s != ShipStatus::kOk)
-      return to_abort(s);
-    if (const auto s = ctx.ship(/*from_alice=*/false, bob_reveal);
-        s != ShipStatus::kOk)
-      return to_abort(s);
-    ctx.alice_bits = std::move(alice_keep);
-    ctx.bob_bits = std::move(bob_keep);
-
-    if (ctx.result.qber_sampled > ctx.config.early_abort_qber)
-      return AbortReason::kQberTooHigh;
-  }
-  if (ctx.alice_bits.empty()) return AbortReason::kNoSiftedBits;
-  return AbortReason::kNone;
-}
-
-AbortReason ErrorCorrectionStage::run(BatchContext& ctx) {
-  // Bob drives; every batch of parity questions, and its answers, is one
-  // real frame on the wire (unauthenticated — see src/qkd/wire_link.hpp
-  // for why), answered by Alice's responder on the other end.
-  WireParityServer alice_server(ctx.alice_bits);
-  WireParityClient bob_client(
-      ctx.bob_wire, [&] { alice_server.serve_one(ctx.alice_wire); });
-  EcStats ec;
-  bool channel_lost = false;
-  try {
-    switch (ctx.config.ec_strategy) {
-      case EcStrategy::kBbnCascade: {
-        BbnCascadeConfig cfg = ctx.config.bbn_config;
-        cfg.seed_base = static_cast<std::uint32_t>(ctx.drbg.next_u32());
-        ec = bbn_cascade_correct(ctx.bob_bits, bob_client, cfg);
-        break;
-      }
-      case EcStrategy::kClassicCascade: {
-        ClassicCascadeConfig cfg = ctx.config.classic_config;
-        cfg.seed_base = static_cast<std::uint32_t>(ctx.drbg.next_u32());
-        ec = classic_cascade_correct(ctx.bob_bits, bob_client,
-                                     std::max(ctx.result.qber_sampled, 0.01),
-                                     cfg);
-        break;
-      }
-      case EcStrategy::kNaiveParity: {
-        NaiveParityConfig cfg = ctx.config.naive_config;
-        cfg.perm_seed = static_cast<std::uint32_t>(ctx.drbg.next_u32());
-        ec = naive_parity_correct(ctx.bob_bits, bob_client, cfg);
-        break;
-      }
-    }
-  } catch (const ChannelLostError&) {
-    channel_lost = true;
-  }
-  // Wire accounting for EC is measured, not estimated: both sides' sent
-  // frames, retransmissions included.
-  ctx.result.control_messages +=
-      bob_client.traffic().messages + alice_server.traffic().messages;
-  ctx.result.control_bytes +=
-      bob_client.traffic().bytes + alice_server.traffic().bytes;
-  ctx.result.errors_corrected = ec.corrections;
-  ctx.result.disclosed_bits = alice_server.disclosed();
-  if (channel_lost) return AbortReason::kChannelLost;
-
-  // Bob closes the dialogue with an authenticated summary; Alice needs the
-  // correction count for her entropy estimate.
-  wire::EcSummary summary;
-  summary.corrections = static_cast<std::uint32_t>(ec.corrections);
-  summary.converged = ec.converged;
-  if (const auto s = ctx.ship(/*from_alice=*/false, summary);
-      s != ShipStatus::kOk)
-    return to_abort(s);
-
-  if (ctx.config.ec_strategy != EcStrategy::kNaiveParity && !ec.converged)
-    return AbortReason::kEcNotConverged;
-  return AbortReason::kNone;
-}
-
-AbortReason VerifyStage::run(BatchContext& ctx) {
-  // Equality verification: BOTH directions exchange a hash of the
-  // corrected string. (IKE "has no mechanisms for noticing" key
-  // disagreement — the QKD stack must therefore catch residual errors
-  // here, Sec. 7.)
-  wire::VerifyHash alice_hash;
-  alice_hash.frame_id = ctx.frame_id;
-  alice_hash.digest = digest_bytes(ctx.alice_bits);
-  wire::VerifyHash bob_hash;
-  bob_hash.frame_id = ctx.frame_id;
-  bob_hash.digest = digest_bytes(ctx.bob_bits);
-  if (const auto s = ctx.ship(/*from_alice=*/true, alice_hash);
-      s != ShipStatus::kOk)
-    return to_abort(s);
-  if (const auto s = ctx.ship(/*from_alice=*/false, bob_hash);
-      s != ShipStatus::kOk)
-    return to_abort(s);
-  if (alice_hash.digest != bob_hash.digest) return AbortReason::kVerifyFailed;
-
-  // The exact error count is now known; apply the canonical QBER alarm.
-  const double qber_exact =
-      static_cast<double>(ctx.result.errors_corrected) /
-      static_cast<double>(ctx.alice_bits.size());
-  if (qber_exact > ctx.config.qber_abort_threshold)
-    return AbortReason::kQberTooHigh;
-  return AbortReason::kNone;
-}
-
-AbortReason EntropyStage::run(BatchContext& ctx) {
-  EntropyInputs inputs;
-  inputs.sifted_bits = ctx.alice_bits.size();
-  inputs.error_bits = ctx.result.errors_corrected;
-  inputs.transmitted_pulses = ctx.result.pulses;
-  inputs.disclosed_bits = ctx.result.disclosed_bits;
-  // The paper left r as "a placeholder ... until randomness testing is put
-  // into the system"; our system has the testing (detector bias shows up in
-  // the monobit statistic of the corrected bits).
-  inputs.non_randomness =
-      ctx.config.run_randomness_tests
-          ? test_randomness(ctx.alice_bits).non_randomness_bits
-          : 0.0;
-  inputs.mean_photon_number = ctx.config.link.mean_photon_number;
-  inputs.confidence = ctx.config.confidence;
-  inputs.defense = ctx.config.defense;
-  inputs.link_kind = ctx.config.link_kind;
-  inputs.multi_photon_policy = ctx.config.multi_photon_policy;
-  const EntropyEstimate entropy = estimate_entropy(inputs);
-
-  ctx.usable_bits = entropy.distillable_bits -
-                    static_cast<double>(ctx.config.pa_margin_bits);
-  if (ctx.usable_bits < 1.0) return AbortReason::kEntropyExhausted;
-  return AbortReason::kNone;
-}
-
-AbortReason PrivacyAmplificationStage::run(BatchContext& ctx) {
-  // Long batches are amplified in chunks of bounded field width; the total
-  // output budget m is spread across chunks proportionally.
-  const std::size_t m_total = static_cast<std::size_t>(ctx.usable_bits);
-  const std::size_t total_in = ctx.alice_bits.size();
-  const std::size_t chunk_max = pa_max_block_bits();
-  std::size_t offset = 0;
-  std::size_t m_emitted = 0;
-  while (offset < total_in) {
-    const std::size_t chunk = std::min(chunk_max, total_in - offset);
-    const std::size_t m_target =
-        static_cast<std::size_t>(static_cast<double>(m_total) *
-                                 static_cast<double>(offset + chunk) /
-                                 static_cast<double>(total_in));
-    const std::size_t m_chunk = std::min(m_target - m_emitted, chunk);
-    if (m_chunk > 0) {
-      const PaParams pa = make_pa_params(chunk, m_chunk, ctx.drbg);
-      wire::PaParamsPacket announce;
-      announce.n = pa.n;
-      announce.m = pa.m;
-      announce.modulus_exponents.assign(pa.modulus.exponents.begin(),
-                                        pa.modulus.exponents.end());
-      announce.multiplier = pa.multiplier;
-      announce.addend = pa.addend;
-      if (const auto s = ctx.ship(/*from_alice=*/true, announce);
-          s != ShipStatus::kOk)
-        return to_abort(s);
-      ctx.alice_key.append(
-          privacy_amplify(ctx.alice_bits.slice(offset, chunk), pa));
-      ctx.bob_key.append(
-          privacy_amplify(ctx.bob_bits.slice(offset, chunk), pa));
-      m_emitted += m_chunk;
-    }
-    offset += chunk;
-  }
-  if (!(ctx.alice_key == ctx.bob_key))
-    throw std::logic_error("QkdLinkSession: PA outputs diverged after verify");
-  return AbortReason::kNone;
-}
-
-AbortReason AuthReplenishStage::run(BatchContext& ctx) {
-  qkd::BitVector key = ctx.alice_key;
-  const std::size_t replenish =
-      std::min(ctx.config.auth_replenish_bits, key.size());
-  if (replenish > 0) {
-    const qkd::BitVector pad = key.slice(key.size() - replenish, replenish);
-    ctx.alice_auth.replenish(pad);
-    ctx.bob_auth.replenish(pad);
-    key.resize(key.size() - replenish);
-  }
-  ctx.result.distilled_bits = key.size();
-  ctx.result.key = std::move(key);
-  return AbortReason::kNone;
-}
-
-std::vector<std::unique_ptr<PipelineStage>> default_pipeline() {
-  std::vector<std::unique_ptr<PipelineStage>> stages;
-  stages.push_back(std::make_unique<SiftingStage>());
-  stages.push_back(std::make_unique<SamplingStage>());
-  stages.push_back(std::make_unique<ErrorCorrectionStage>());
-  stages.push_back(std::make_unique<VerifyStage>());
-  stages.push_back(std::make_unique<EntropyStage>());
-  stages.push_back(std::make_unique<PrivacyAmplificationStage>());
-  stages.push_back(std::make_unique<AuthReplenishStage>());
-  return stages;
 }
 
 }  // namespace qkd::proto

@@ -9,10 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/qkd/engine.hpp"
+#include "src/wire/packets.hpp"
 #include "src/wire/transport.hpp"
 
 namespace qkd::proto {
@@ -104,14 +110,16 @@ struct PeerCase {
   double fiber_km;
   EcStrategy strategy;
   std::uint64_t seed;
+  bool no_pad_runway = false;  // prepositioned pads run dry in batch one
 };
 
 TEST(Peers, MatchTheInProcessPipelineBitForBit) {
   // Same config, same seed: the two peers over TCP and the in-process
   // session must land on the same outcome batch after batch — the wire
-  // moved the protocol, not the randomness. The last two cases abort:
-  // naive parity leaves residual errors that verify catches, and 50 km
-  // starves the entropy estimate.
+  // moved the protocol, not the randomness. The last three cases abort:
+  // naive parity leaves residual errors that verify catches, 50 km starves
+  // the entropy estimate, and pads with no runway run out mid-dialogue
+  // (whichever side runs out announces it, so both sides agree why).
   const PeerCase cases[] = {
       {"5km-classic", 5.0, EcStrategy::kClassicCascade, kSeed},
       {"5km-bbn", 5.0, EcStrategy::kBbnCascade, kSeed},
@@ -121,6 +129,7 @@ TEST(Peers, MatchTheInProcessPipelineBitForBit) {
       {"20km-naive", 20.0, EcStrategy::kNaiveParity, kSeed},
       {"10km-naive-verify", 10.0, EcStrategy::kNaiveParity, 10},
       {"50km-entropy", 50.0, EcStrategy::kClassicCascade, 6},
+      {"no-pad-runway", 10.0, EcStrategy::kClassicCascade, 1, true},
   };
   std::size_t aborted = 0;
   for (const PeerCase& c : cases) {
@@ -128,6 +137,10 @@ TEST(Peers, MatchTheInProcessPipelineBitForBit) {
     QkdLinkConfig config = small_config();
     config.link.fiber_km = c.fiber_km;
     config.ec_strategy = c.strategy;
+    if (c.no_pad_runway) {
+      config.frame_slots = 1 << 16;
+      config.preposition_extra_bits = 0;
+    }
     const std::vector<PeerRun> runs = run_peers(config, c.seed, 3);
     QkdLinkSession session(config, c.seed);
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -179,6 +192,159 @@ TEST(Peers, ConsecutiveBatchesKeepDistilling) {
   // Fresh entropy per frame: consecutive batches never repeat a key.
   EXPECT_FALSE(alice_first.key == alice_second.key);
   EXPECT_EQ(alice_second.frame_id, 1u);
+}
+
+/// Two in-memory ends for peers on two threads. Every frame passes through
+/// `script`, which may swap it for another; a receive waits up to two
+/// seconds, or until close(), and then reports the channel closed.
+class ScriptedPipe {
+ public:
+  using Script = std::function<Bytes(const Bytes& frame, bool from_alice)>;
+
+  class End final : public wire::Transport {
+   public:
+    End(ScriptedPipe& pipe, bool alice) : pipe_(pipe), alice_(alice) {}
+    bool send_frame(const Bytes& frame) override {
+      pipe_.send(pipe_.script_(frame, alice_), alice_);
+      return true;
+    }
+    std::optional<Bytes> recv_frame() override {
+      auto frame = pipe_.recv(alice_);
+      error_ = frame.has_value() ? wire::WireError::kNone
+                                 : wire::WireError::kClosed;
+      return frame;
+    }
+    wire::WireError last_error() const override { return error_; }
+
+   private:
+    ScriptedPipe& pipe_;
+    bool alice_;
+    wire::WireError error_ = wire::WireError::kNone;
+  };
+
+  explicit ScriptedPipe(Script script) : script_(std::move(script)) {}
+
+  End& alice() { return alice_end_; }
+  End& bob() { return bob_end_; }
+
+  void close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  void send(Bytes frame, bool from_alice) {
+    std::lock_guard<std::mutex> lock(mu_);
+    (from_alice ? to_bob_ : to_alice_).push_back(std::move(frame));
+    cv_.notify_all();
+  }
+  std::optional<Bytes> recv(bool at_alice) {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::deque<Bytes>& queue = at_alice ? to_alice_ : to_bob_;
+    cv_.wait_for(lock, std::chrono::seconds(2),
+                 [&] { return closed_ || !queue.empty(); });
+    if (queue.empty()) return std::nullopt;
+    Bytes frame = std::move(queue.front());
+    queue.pop_front();
+    return frame;
+  }
+
+  Script script_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<Bytes> to_alice_, to_bob_;
+  bool closed_ = false;
+  End alice_end_{*this, true};
+  End bob_end_{*this, false};
+};
+
+/// A script that swaps the first frame of `type` from `from_alice`'s side
+/// for an abort notice carrying `reason`.
+ScriptedPipe::Script notice_instead_of(wire::PacketType type, bool from_alice,
+                                       std::uint8_t reason) {
+  return [type, from_alice, reason, done = false](
+             const Bytes& frame, bool sender_is_alice) mutable {
+    const auto decoded = wire::decode_frame(frame);
+    if (done || sender_is_alice != from_alice || !decoded.ok() ||
+        decoded.value.type != type)
+      return frame;
+    done = true;
+    wire::AbortPacket notice;
+    notice.reason = reason;
+    return wire::to_frame(notice);
+  };
+}
+
+QkdLinkConfig short_frames() {
+  QkdLinkConfig config;
+  config.frame_slots = 1 << 16;
+  return config;
+}
+
+TEST(Peers, NoticeWithReasonNoneIsAChannelLossNotAnAcceptance) {
+  // Regression: Bob accepted a notice saying "none" and came back
+  // rejected for no reason at all.
+  ScriptedPipe pipe(notice_instead_of(wire::PacketType::kSiftDecision,
+                                      /*from_alice=*/true, 0));
+  std::thread alice_thread([&] {
+    AlicePeer alice(short_frames(), kSeed);
+    alice.run_batch(pipe.alice());
+  });
+  BobPeer bob(short_frames(), kSeed);
+  const PeerOutcome outcome = bob.run_batch(pipe.bob());
+  pipe.close();
+  alice_thread.join();
+  EXPECT_FALSE(outcome.accepted);
+  EXPECT_EQ(outcome.reason, AbortReason::kChannelLost)
+      << abort_reason_name(outcome.reason);
+}
+
+TEST(Peers, SharedAbortNoticeWithAnUnknownReasonIsAChannelLoss) {
+  // Naive parity leaves residual errors, so verify fails and Alice
+  // announces it. Regression: Bob took a notice saying "none" at its word;
+  // one past the last reason is no better.
+  QkdLinkConfig config = small_config();
+  config.ec_strategy = EcStrategy::kNaiveParity;
+  for (const std::size_t reason : {std::size_t{0}, kAbortReasonCount}) {
+    SCOPED_TRACE(reason);
+    ScriptedPipe pipe(notice_instead_of(wire::PacketType::kAbort,
+                                        /*from_alice=*/true,
+                                        static_cast<std::uint8_t>(reason)));
+    PeerOutcome alice_outcome;
+    std::thread alice_thread([&] {
+      AlicePeer alice(config, 10);
+      alice_outcome = alice.run_batch(pipe.alice());
+    });
+    BobPeer bob(config, 10);
+    const PeerOutcome outcome = bob.run_batch(pipe.bob());
+    pipe.close();
+    alice_thread.join();
+    EXPECT_EQ(alice_outcome.reason, AbortReason::kVerifyFailed);
+    EXPECT_EQ(outcome.reason, AbortReason::kChannelLost)
+        << abort_reason_name(outcome.reason);
+  }
+}
+
+TEST(Peers, NoticeInTheParityDialogueEndsAliceWithItsReason) {
+  // Regression: a notice reaching Alice while she served parity questions
+  // was dropped, and she waited on the next frame until the timeout.
+  ScriptedPipe pipe(notice_instead_of(
+      wire::PacketType::kEcSummary, /*from_alice=*/false,
+      static_cast<std::uint8_t>(AbortReason::kAuthExhausted)));
+  std::thread bob_thread([&] {
+    BobPeer bob(short_frames(), kSeed);
+    bob.run_batch(pipe.bob());
+  });
+  AlicePeer alice(short_frames(), kSeed);
+  const auto start = std::chrono::steady_clock::now();
+  const PeerOutcome outcome = alice.run_batch(pipe.alice());
+  const auto waited = std::chrono::steady_clock::now() - start;
+  pipe.close();
+  bob_thread.join();
+  EXPECT_EQ(outcome.reason, AbortReason::kAuthExhausted)
+      << abort_reason_name(outcome.reason);
+  EXPECT_LT(waited, std::chrono::seconds(1));
 }
 
 TEST(Peers, DeadWireSurfacesAsChannelLostNotHang) {

@@ -15,8 +15,15 @@ namespace {
 /// the client pumping the server between send and receive.
 struct Dialogue {
   explicit Dialogue(const qkd::BitVector& alice_bits)
-      : server(alice_bits),
-        client(bob_io, [this] { server.serve_one(alice_io); }) {}
+      : server(alice_bits), client(bob_io, [this] { serve_one(); }) {}
+
+  /// Alice takes one frame off her end, if one came, and serves it.
+  void serve_one() {
+    const auto raw = alice_io.recv_frame();
+    if (!raw.has_value()) return;
+    const auto frame = wire::decode_frame(*raw);
+    if (frame.ok()) server.serve_frame(alice_io, frame.value);
+  }
 
   net::PublicChannel channel;
   net::ChannelTransport alice_io{channel, net::ChannelTransport::Side::kA};
@@ -47,9 +54,8 @@ TEST(WireParity, ABatchIsOneRequestAndOneResponse) {
   const auto batch = mixed_batch(bits.size());
   LocalParityOracle reference(bits);
   EXPECT_EQ(d.client.parities(batch), reference.parities(batch));
-  EXPECT_EQ(d.client.traffic().messages, 1u);
-  EXPECT_EQ(d.server.traffic().messages, 1u);
-  EXPECT_EQ(d.client.queries(), batch.size());
+  EXPECT_EQ(d.channel.stats().messages_ba, 1u);  // one request
+  EXPECT_EQ(d.channel.stats().messages_ab, 1u);  // one response
   EXPECT_EQ(d.server.disclosed(), batch.size());
 }
 
@@ -63,7 +69,7 @@ TEST(WireParity, BatchPastTheFrameLimitSplitsIntoRequests) {
                 static_cast<std::uint32_t>(i % 64), 64};
   LocalParityOracle reference(bits);
   EXPECT_EQ(d.client.parities(batch), reference.parities(batch));
-  EXPECT_EQ(d.client.traffic().messages, 2u);
+  EXPECT_EQ(d.channel.stats().messages_ba, 2u);
   EXPECT_EQ(d.server.disclosed(), batch.size());
 }
 
@@ -81,7 +87,7 @@ TEST(WireParity, RetransmittedDuplicateBatchIsChargedOnce) {
   ASSERT_TRUE(server.serve_frame(alice_io, frame));
   ASSERT_TRUE(server.serve_frame(alice_io, frame));
   EXPECT_EQ(server.disclosed(), 3u);
-  EXPECT_EQ(server.traffic().messages, 2u);
+  EXPECT_EQ(channel.stats().messages_ab, 2u);
   const auto first = channel.recv_at_b();
   const auto second = channel.recv_at_b();
   ASSERT_TRUE(first.has_value() && second.has_value());
@@ -107,7 +113,7 @@ TEST(WireParity, LostResponsesAreRetransmittedWithoutExtraDisclosure) {
   const auto batch = mixed_batch(bits.size());
   LocalParityOracle reference(bits);
   EXPECT_EQ(d.client.parities(batch), reference.parities(batch));
-  EXPECT_EQ(d.client.traffic().messages, 3u);
+  EXPECT_EQ(d.channel.stats().messages_ba, 3u);
   EXPECT_EQ(d.server.disclosed(), batch.size());
 }
 
@@ -129,7 +135,7 @@ TEST(WireParity, OutOfRangeRequestIsDroppedNotThrown) {
     EXPECT_FALSE(served);
   }
   EXPECT_EQ(server.disclosed(), 0u);
-  EXPECT_EQ(server.traffic().messages, 0u);
+  EXPECT_EQ(channel.stats().messages_ab, 0u);
   EXPECT_FALSE(channel.recv_at_b().has_value());
 }
 
@@ -139,8 +145,8 @@ TEST(WireParity, OutOfRangeQueryEndsInChannelLost) {
   Dialogue d(bits);
   const ParityQuery bad{ParityQuery::Kind::kPermutedRange, 3, 0, 4000};
   EXPECT_THROW(d.client.parity(bad), ChannelLostError);
-  EXPECT_EQ(d.client.traffic().messages,
-            static_cast<std::size_t>(WireParityClient::kMaxAttempts));
+  EXPECT_EQ(d.channel.stats().messages_ba,
+            static_cast<std::uint64_t>(WireParityClient::kMaxAttempts));
   EXPECT_EQ(d.server.disclosed(), 0u);
 }
 
