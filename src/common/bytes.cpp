@@ -54,14 +54,6 @@ void put_u64(Bytes& out, std::uint64_t v) {
     out.push_back(static_cast<std::uint8_t>(v >> shift));
 }
 
-void put_varint(Bytes& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
 void put_bytes(Bytes& out, std::span<const std::uint8_t> data) {
   out.insert(out.end(), data.begin(), data.end());
 }
@@ -92,18 +84,6 @@ std::uint64_t ByteReader::u64() {
   for (int i = 0; i < 8; ++i) v = v << 8 | data_[pos_ + i];
   pos_ += 8;
   return v;
-}
-
-std::uint64_t ByteReader::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    if (shift >= 64) throw std::out_of_range("ByteReader::varint: overlong");
-    const std::uint8_t b = u8();
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
 }
 
 Bytes ByteReader::bytes(std::size_t n) {

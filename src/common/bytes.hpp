@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,13 @@ void put_u16(Bytes& out, std::uint16_t v);
 void put_u32(Bytes& out, std::uint32_t v);
 void put_u64(Bytes& out, std::uint64_t v);
 /// LEB128-style unsigned varint (used by the sifting run-length codec).
-void put_varint(Bytes& out, std::uint64_t v);
+inline void put_varint(Bytes& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
 void put_bytes(Bytes& out, std::span<const std::uint8_t> data);
 
 /// Sequential reader over a byte span; all reads throw std::out_of_range on
@@ -43,5 +50,17 @@ class ByteReader {
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+// Inline: the sifting announce reads one varint per click.
+inline std::uint64_t ByteReader::varint() {
+  std::uint64_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    if (shift >= 64) throw std::out_of_range("ByteReader::varint: overlong");
+    if (pos_ >= data_.size()) throw std::out_of_range("ByteReader::u8");
+    const std::uint8_t b = data_[pos_++];
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
+  }
+}
 
 }  // namespace qkd

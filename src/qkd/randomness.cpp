@@ -25,27 +25,26 @@ RandomnessReport test_randomness(const qkd::BitVector& bits) {
   const double sigma = std::sqrt(static_cast<double>(n)) / 2.0;
   report.monobit_sigma = std::abs(static_cast<double>(ones) - mean) / sigma;
 
-  // --- Longest run of identical bits. --------------------------------------
-  std::size_t run = 1;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (bits.get(i) == bits.get(i - 1)) {
-      ++run;
-    } else {
-      report.longest_run = std::max(report.longest_run, run);
-      run = 1;
-    }
+  // --- Longest run of identical bits, read a word at a time. ---------------
+  const auto words = bits.words();
+  std::size_t run = 0;
+  bool previous = !(words[0] & 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool bit = (words[i >> 6] >> (i & 63)) & 1;
+    run = bit == previous ? run + 1 : 1;
+    previous = bit;
+    report.longest_run = std::max(report.longest_run, run);
   }
-  report.longest_run = std::max(report.longest_run, run);
 
   // --- Poker test: chi-square over 4-bit block frequencies. ----------------
+  // Block b is bits 4b..4b+3, the first the most significant. Bits sit in
+  // their words lowest first, so each nibble is read back reversed.
+  constexpr std::array<unsigned, 16> kReversed = {0, 8, 4, 12, 2, 10, 6, 14,
+                                                  1, 9, 5, 13, 3, 11, 7, 15};
   std::array<std::size_t, 16> counts{};
   const std::size_t blocks = n / 4;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    unsigned value = 0;
-    for (unsigned j = 0; j < 4; ++j)
-      value = value << 1 | static_cast<unsigned>(bits.get(4 * b + j));
-    ++counts[value];
-  }
+  for (std::size_t b = 0; b < blocks; ++b)
+    ++counts[kReversed[(words[b >> 4] >> (4 * (b & 15))) & 15]];
   const double expected = static_cast<double>(blocks) / 16.0;
   for (std::size_t c : counts) {
     const double diff = static_cast<double>(c) - expected;

@@ -7,6 +7,7 @@ namespace qkd::proto {
 wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
                                       const qkd::optics::FrameResult& frame) {
   wire::SiftAnnounce announce{.frame_id = frame_id, .slots = frame.slots};
+  announce.clicks.reserve(frame.clicks.size());
   for (const qkd::optics::Click& click : frame.clicks) {
     announce.clicks.push_back(click.slot);
     announce.bob_bases.push_back(click.bob_basis ==

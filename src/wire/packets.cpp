@@ -35,11 +35,19 @@ void put_gaps(Bytes& out, std::uint64_t slots,
               const std::vector<std::uint32_t>& clicks) {
   put_varint(out, slots);
   put_varint(out, clicks.size());
+  // Written in place into room for the longest gap (five bytes for 32
+  // bits), then trimmed: one click per announced detection.
+  std::size_t at = out.size();
+  out.resize(at + 5 * clicks.size());
   std::uint64_t next_free = 0;
   for (std::uint32_t slot : clicks) {
-    put_varint(out, slot - next_free);
+    std::uint64_t gap = slot - next_free;
+    for (; gap >= 0x80; gap >>= 7)
+      out[at++] = static_cast<std::uint8_t>(gap) | 0x80;
+    out[at++] = static_cast<std::uint8_t>(gap);
     next_free = std::uint64_t{slot} + 1;
   }
+  out.resize(at);
 }
 
 /// Reads a slot list written by put_gaps into `slots` and `clicks`. A gap
@@ -51,6 +59,8 @@ void read_gaps(ByteReader& reader, std::uint64_t& slots,
   check_bit_count(slots);
   const std::uint64_t count = reader.varint();
   if (count > slots) throw std::invalid_argument("wire: popcount > size");
+  // Each gap takes at least one byte, so what is left bounds the count.
+  clicks.reserve(std::min<std::uint64_t>(count, reader.remaining()));
   std::uint64_t next_free = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t gap = reader.varint();
