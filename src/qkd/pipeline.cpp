@@ -45,6 +45,12 @@ StageHalf bob_sifting(Side& s) {
 // ---- Sampling: both sides reveal their bits at the same DRBG-drawn
 // positions, Alice first, and drop them. --------------------------------
 
+/// How many of `n` sifted bits the error-rate sample sacrifices.
+std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
+  return static_cast<std::size_t>(config.sample_fraction *
+                                  static_cast<double>(n));
+}
+
 /// Moves this side's sample out of its bits into a reveal.
 wire::SampleReveal take_sample(Side& s) {
   s.sampled_bits = sample_target_for(s.config, s.bits.size());
@@ -329,11 +335,6 @@ std::vector<std::unique_ptr<PipelineStage>> default_pipeline() {
 Bytes digest_bytes(const qkd::BitVector& bits) {
   const auto digest = qkd::crypto::Sha1::hash(bits.to_bytes());
   return Bytes(digest.begin(), digest.end());
-}
-
-std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
-  return static_cast<std::size_t>(config.sample_fraction *
-                                  static_cast<double>(n));
 }
 
 qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,

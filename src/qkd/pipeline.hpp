@@ -107,9 +107,6 @@ class PipelineStage {
 /// interleaving its halves.
 std::vector<std::unique_ptr<PipelineStage>> default_pipeline();
 
-/// How many of `n` sifted bits the error-rate sample sacrifices.
-std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n);
-
 /// The error-rate sample positions among `n` sifted bits, as a mask with
 /// `sample_target` bits set. Both sides draw it from their DRBGs in
 /// lockstep, so the positions never cross the wire. It is a partial

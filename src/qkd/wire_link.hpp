@@ -187,7 +187,8 @@ class DialogueWire final : public wire::Transport {
   template <typename Packet>
   std::suspend_always send(const Packet& packet) {
     const auto framed = seal(packet);
-    if (!framed.has_value()) throw StageEnd{abort(AbortReason::kAuthExhausted)};
+    if (!framed.has_value())
+      throw StageEnd{abort(AbortReason::kAuthExhausted)};
     send_frame(*framed);
     return {};
   }
