@@ -58,6 +58,20 @@ TEST(BitVector, ToBytesRoundTrips) {
   EXPECT_EQ(BitVector::from_bytes(v.to_bytes()), v);
 }
 
+TEST(BitVector, FromBytesReadsEveryByteAtAnyLength) {
+  // Whole words and the ragged last word are read by different loops.
+  QKD_SEEDED_RNG(rng, 8);
+  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 707u}) {
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_below(256));
+    const BitVector v = BitVector::from_bytes(bytes);
+    ASSERT_EQ(v.size(), 8 * n);
+    for (std::size_t i = 0; i < 8 * n; ++i)
+      ASSERT_EQ(v.get(i), ((bytes[i / 8] >> (i % 8)) & 1) != 0) << n << " " << i;
+    EXPECT_EQ(v.to_bytes(), bytes) << n;
+  }
+}
+
 TEST(BitVector, SetGetFlipAcrossWordBoundary) {
   BitVector v(130);
   v.set(63, true);
