@@ -122,6 +122,14 @@ EcStats classic_cascade_correct(qkd::BitVector& bob_bits, ParityOracle& alice,
         taken.set(pass.bob.perm[i], false);
       return true;
     });
+    // Truthful answers make every fix remove a real error, so a string of n
+    // bits needs at most n; past that an answer was wrong (a parity altered
+    // in transit) and the fixes would chase it forever.
+    if (stats.corrections > n) {
+      stats.rounds = active;
+      stats.converged = false;
+      return stats;
+    }
   }
 
   // Every known parity pair matches once the last pass drains.

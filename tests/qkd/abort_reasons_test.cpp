@@ -100,6 +100,23 @@ TEST(AbortReasons, EcNotConvergedWhenRoundLimitIsStarved) {
   EXPECT_EQ(session.totals().aborted_verify(), 1u);
 }
 
+TEST(AbortReasons, EveryBatchEndsOnACorruptingChannel) {
+  // Parity responses travel untagged, so one altered in transit that still
+  // decodes hands Cascade a wrong parity; a tagged frame altered in transit
+  // fails its check. Whatever the channel does to the bytes, every batch
+  // must end, accepted or aborted, and be counted once.
+  QkdLinkSession session(base_config(), 9);
+  session.channel().set_impairment(qkd::net::make_corrupt_impairment(0.05, 5));
+  constexpr std::size_t kBatches = 24;
+  for (std::size_t i = 0; i < kBatches; ++i) session.run_batch();
+  const SessionTotals& totals = session.totals();
+  EXPECT_EQ(totals.batches, kBatches);
+  EXPECT_EQ(histogram_sum(totals), kBatches);
+  // On this seed a wrong parity reaches Cascade (batch 8 never ended
+  // before the corrector bounded its fixes).
+  EXPECT_GT(totals.aborted(AbortReason::kEcNotConverged), 0u);
+}
+
 TEST(AbortReasons, HistogramSumsToBatchesAndCountsAcceptance) {
   QkdLinkSession session(base_config(), 15);
   qkd::optics::InterceptResendAttack eve(1.0);

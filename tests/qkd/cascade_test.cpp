@@ -214,6 +214,43 @@ TEST(ClassicCascade, EmptyInputConverges) {
   EXPECT_TRUE(classic_cascade_correct(empty, oracle, 0.03).converged);
 }
 
+/// Alice's oracle with one answer of the first batch inverted: a parity
+/// response altered in transit that still decodes.
+class LyingParityOracle final : public ParityOracle {
+ public:
+  LyingParityOracle(const qkd::BitVector& bits, std::size_t lie)
+      : honest_(bits), lie_(lie) {}
+
+  qkd::BitVector parities(std::span<const ParityQuery> queries) override {
+    qkd::BitVector answers = honest_.parities(queries);
+    if (batches_++ == 0) answers.flip(lie_);
+    return answers;
+  }
+
+ private:
+  LocalParityOracle honest_;
+  std::size_t lie_;
+  std::size_t batches_ = 0;
+};
+
+TEST(ClassicCascade, WrongParityAnswerEndsUnconverged) {
+  // Every pass cuts the same string into blocks, so each pass's block
+  // parities sum to the whole string's parity. One wrong answer breaks that
+  // for its pass alone: no string satisfies every recorded parity, the
+  // fixes undo each other forever, and the corrector must give up once it
+  // has made more fixes than a truthful dialogue ever needs (n).
+  QKD_SEEDED_RNG(rng, 29);
+  constexpr std::size_t kBits = 4000;
+  for (int trial = 0; trial < 10; ++trial) {
+    Corrupted c = make_corrupted(kBits, 0.03, rng);
+    // The first batch holds every block parity, at least 100 of them here.
+    LyingParityOracle oracle(c.alice, rng.next_below(100));
+    const EcStats stats = classic_cascade_correct(c.bob, oracle, 0.03);
+    EXPECT_FALSE(stats.converged) << "trial " << trial;
+    EXPECT_EQ(stats.corrections, kBits + 1) << "trial " << trial;
+  }
+}
+
 // ------------------------------------------------ serial reference -----
 
 /// Classic Cascade as a serial dialogue, one question per exchange: a FIFO
