@@ -92,18 +92,25 @@ void bm_protect_verify(benchmark::State& state) {
 }
 BENCHMARK(bm_protect_verify);
 
+// Args: message bits, tag bits. The last shape is a sift announce's tag
+// (5,766 bytes under a 32-bit tag), the largest hash on the key path.
 void bm_toeplitz_hash(benchmark::State& state) {
   qkd::Rng rng(13);
   const std::size_t msg_bits = static_cast<std::size_t>(state.range(0));
-  const auto key = rng.next_bits(64 + msg_bits - 1);
+  const auto tag_bits = static_cast<unsigned>(state.range(1));
+  const auto key = rng.next_bits(tag_bits + msg_bits - 1);
   const auto message = rng.next_bits(msg_bits);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(qkd::crypto::toeplitz_hash(key, message, 64));
+    benchmark::DoNotOptimize(
+        qkd::crypto::toeplitz_hash(key, message, tag_bits));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(msg_bits / 8) *
                           state.iterations());
 }
-BENCHMARK(bm_toeplitz_hash)->Arg(1 << 10)->Arg(1 << 15);
+BENCHMARK(bm_toeplitz_hash)
+    ->Args({1 << 10, 64})
+    ->Args({1 << 15, 64})
+    ->Args({46128, 32});
 
 }  // namespace
 

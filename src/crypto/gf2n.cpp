@@ -7,6 +7,12 @@
 #include <span>
 #include <stdexcept>
 
+#include "src/crypto/cpu.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace qkd::crypto {
 namespace {
 
@@ -134,7 +140,10 @@ qkd::BitVector SparsePoly::to_bits() const {
   return v;
 }
 
-qkd::BitVector clmul(const qkd::BitVector& a, const qkd::BitVector& b) {
+namespace detail {
+
+qkd::BitVector clmul_portable(const qkd::BitVector& a,
+                              const qkd::BitVector& b) {
   if (a.empty() || b.empty()) return {};
   // López–Dahab comb, 4 bits wide. table[u] = u(x)·b(x) for every nibble u;
   // nibble k of a's word i contributes table[u]·x^(64i + 4k). Walking k from
@@ -174,6 +183,58 @@ qkd::BitVector clmul(const qkd::BitVector& a, const qkd::BitVector& b) {
   }
   out.resize(a.size() + b.size() - 1);
   return out;
+}
+
+#if defined(__x86_64__)
+__attribute__((target("pclmul"))) qkd::BitVector clmul_pclmul(
+    const qkd::BitVector& a, const qkd::BitVector& b) {
+  if (a.empty() || b.empty()) return {};
+  // a_i * b_j is 128 bits at word i + j. For each word of a, multiply it
+  // into b two words at a time: a_i * b_j and a_i * b_(j+1) overlap in one
+  // word, so the pair covers words i + j .. i + j + 2; the first two are
+  // XORed into the output together and the third carries into the next
+  // pair's first.
+  const auto aw = a.words();
+  const auto bw = b.words();
+  qkd::BitVector out(64 * (aw.size() + bw.size()));
+  const auto ow = out.words();
+  for (std::size_t i = 0; i < aw.size(); ++i) {
+    const __m128i x = _mm_cvtsi64_si128(static_cast<long long>(aw[i]));
+    __m128i carry = _mm_setzero_si128();
+    std::size_t j = 0;
+    for (; j + 1 < bw.size(); j += 2) {
+      const __m128i y =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&bw[j]));
+      const __m128i low = _mm_clmulepi64_si128(x, y, 0x00);
+      const __m128i high = _mm_clmulepi64_si128(x, y, 0x10);
+      auto* o = reinterpret_cast<__m128i*>(&ow[i + j]);
+      _mm_storeu_si128(
+          o, _mm_xor_si128(_mm_xor_si128(_mm_loadu_si128(o), carry),
+                           _mm_xor_si128(low, _mm_slli_si128(high, 8))));
+      carry = _mm_srli_si128(high, 8);
+    }
+    if (j < bw.size()) {  // b has an odd word count
+      const __m128i low = _mm_clmulepi64_si128(
+          x, _mm_cvtsi64_si128(static_cast<long long>(bw[j])), 0x00);
+      auto* o = reinterpret_cast<__m128i*>(&ow[i + j]);
+      _mm_storeu_si128(o, _mm_xor_si128(_mm_loadu_si128(o),
+                                        _mm_xor_si128(low, carry)));
+    } else {
+      ow[i + j] ^= static_cast<std::uint64_t>(_mm_cvtsi128_si64(carry));
+    }
+  }
+  out.resize(a.size() + b.size() - 1);
+  return out;
+}
+#endif
+
+}  // namespace detail
+
+qkd::BitVector clmul(const qkd::BitVector& a, const qkd::BitVector& b) {
+#if defined(__x86_64__)
+  if (detail::cpu_has_pclmul()) return detail::clmul_pclmul(a, b);
+#endif
+  return detail::clmul_portable(a, b);
 }
 
 void reduce_mod(qkd::BitVector& value, const SparsePoly& mod) {

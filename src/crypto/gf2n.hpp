@@ -39,9 +39,20 @@ struct SparsePoly {
 };
 
 /// Carry-less (GF(2)[x]) product of two bit-polynomials; result has
-/// a.size()+b.size()-1 bits (or is empty if either input is empty). A 4-bit
-/// comb: 16 multiples of b, then one row XOR per nibble of a.
+/// a.size()+b.size()-1 bits (or is empty if either input is empty). Runs the
+/// PCLMULQDQ kernel where the CPU has it, the portable one elsewhere.
 qkd::BitVector clmul(const qkd::BitVector& a, const qkd::BitVector& b);
+
+namespace detail {
+/// The two kernels clmul chooses between, for the tests that hold them
+/// equal; same contract as clmul. The portable one is a 4-bit comb: 16
+/// multiples of b, then one row XOR per nibble of a.
+qkd::BitVector clmul_portable(const qkd::BitVector& a, const qkd::BitVector& b);
+#if defined(__x86_64__)
+/// A schoolbook over words, one PCLMULQDQ per pair; needs cpu_has_pclmul().
+qkd::BitVector clmul_pclmul(const qkd::BitVector& a, const qkd::BitVector& b);
+#endif
+}  // namespace detail
 
 /// Reduces `value` modulo the sparse polynomial `mod` (in place); afterwards
 /// value.size() == mod.degree(). Folds up to 64 bits above the degree per

@@ -4,6 +4,12 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/crypto/cpu.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace qkd::crypto {
 
 Sha1::Sha1()
@@ -50,7 +56,10 @@ Sha1::Digest Sha1::finish() {
   for (int i = 7; i >= 0; --i)
     buffer_[buffered_++] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   process_block(buffer_.data());
+  return digest();
+}
 
+Sha1::Digest Sha1::digest() const {
   Digest digest;
   for (std::size_t i = 0; i < 5; ++i) {
     digest[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
@@ -63,11 +72,32 @@ Sha1::Digest Sha1::finish() {
 
 Sha1::Digest Sha1::hash(std::span<const std::uint8_t> data) {
   Sha1 s;
-  s.update(data);
-  return s.finish();
+  if (data.size() > 55) {
+    s.update(data);
+    return s.finish();
+  }
+  // The message, its 0x80 terminator and the 64-bit length fit one block.
+  std::array<std::uint8_t, 64> block{};
+  if (!data.empty()) std::memcpy(block.data(), data.data(), data.size());
+  block[data.size()] = 0x80;
+  const std::uint64_t bit_len = data.size() * 8;
+  for (int i = 0; i < 8; ++i)
+    block[63 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
+  s.process_block(block.data());
+  return s.digest();
 }
 
 void Sha1::process_block(const std::uint8_t* block) {
+#if defined(__x86_64__)
+  if (detail::cpu_has_sha_ni()) return detail::sha1_compress_sha_ni(h_, block);
+#endif
+  detail::sha1_compress_portable(h_, block);
+}
+
+namespace detail {
+
+void sha1_compress_portable(std::array<std::uint32_t, 5>& h,
+                            const std::uint8_t* block) {
   // A rolling 16-word schedule: round i >= 16 overwrites w[i % 16] with
   // rotl(w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16], 1). Each 20-round group has
   // its own f and k, so no round branches on its index.
@@ -84,7 +114,7 @@ void Sha1::process_block(const std::uint8_t* block) {
     w[i & 15] = x;
     return x;
   };
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
+  std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
   const auto round = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
     const std::uint32_t tmp = std::rotl(a, 5) + f + e + k + wi;
     e = d;
@@ -100,11 +130,66 @@ void Sha1::process_block(const std::uint8_t* block) {
   for (; i < 60; ++i)
     round((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, expand(i));
   for (; i < 80; ++i) round(b ^ c ^ d, 0xCA62C1D6u, expand(i));
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  h[0] += a;
+  h[1] += b;
+  h[2] += c;
+  h[3] += d;
+  h[4] += e;
 }
+
+#if defined(__x86_64__)
+namespace {
+
+// Rounds 4g .. 4g + 3 for g = G, then, while rounds remain, the schedule
+// words and the E operand of the next four. The lanes of `abcd` hold a..d
+// from high to low; w[g % 4] holds schedule words 4g .. 4g + 3, the
+// earliest in the high lane, and each new group's words are computed from
+// the four before them, so four registers roll through all twenty.
+template <int G>
+__attribute__((target("sha,sse4.1,ssse3"), always_inline)) inline void
+sha_ni_rounds(__m128i& abcd, __m128i& e, __m128i (&w)[4]) {
+  const __m128i before = abcd;
+  abcd = _mm_sha1rnds4_epu32(abcd, e, G / 5);
+  if constexpr (G < 19) {
+    constexpr int g = G + 1;
+    if constexpr (g >= 4)
+      w[g % 4] = _mm_sha1msg2_epu32(
+          _mm_xor_si128(_mm_sha1msg1_epu32(w[g % 4], w[(g + 1) % 4]),
+                        w[(g + 2) % 4]),
+          w[(g + 3) % 4]);
+    e = _mm_sha1nexte_epu32(before, w[g % 4]);
+    sha_ni_rounds<G + 1>(abcd, e, w);
+  } else {
+    e = before;  // the caller derives the final e from it
+  }
+}
+
+}  // namespace
+
+__attribute__((target("sha,sse4.1,ssse3"))) void sha1_compress_sha_ni(
+    std::array<std::uint32_t, 5>& h, const std::uint8_t* block) {
+  // Reverses all 16 bytes: big-endian words, the first in the high lane.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0001020304050607ll, 0x08090a0b0c0d0e0fll);
+  const __m128i abcd0 = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(h.data())), 0x1B);
+  const __m128i e0 = _mm_set_epi32(static_cast<int>(h[4]), 0, 0, 0);
+  __m128i w[4];
+  for (int i = 0; i < 4; ++i)
+    w[i] = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+        byte_swap);
+  __m128i abcd = abcd0;
+  __m128i e = _mm_add_epi32(e0, w[0]);
+  sha_ni_rounds<0>(abcd, e, w);
+  e = _mm_sha1nexte_epu32(e, e0);
+  abcd = _mm_add_epi32(abcd, abcd0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(h.data()),
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  h[4] = static_cast<std::uint32_t>(_mm_extract_epi32(e, 3));
+}
+#endif
+
+}  // namespace detail
 
 }  // namespace qkd::crypto

@@ -25,11 +25,13 @@ class Sha1 {
   void update(std::span<const std::uint8_t> data);
   Digest finish();
 
-  /// One-shot convenience.
+  /// One-shot convenience. An input of at most 55 bytes is padded into one
+  /// block in place and compressed once.
   static Digest hash(std::span<const std::uint8_t> data);
 
  private:
   void process_block(const std::uint8_t* block);
+  Digest digest() const;
 
   std::array<std::uint32_t, 5> h_;
   std::array<std::uint8_t, 64> buffer_;
@@ -37,5 +39,18 @@ class Sha1 {
   std::uint64_t total_bytes_ = 0;
   bool finished_ = false;
 };
+
+namespace detail {
+/// The two SHA-1 compression functions Sha1 chooses between, for the tests
+/// that hold them equal: each folds one 64-byte block into the state `h`.
+/// The portable one runs four 20-round groups over a rolling schedule.
+void sha1_compress_portable(std::array<std::uint32_t, 5>& h,
+                            const std::uint8_t* block);
+#if defined(__x86_64__)
+/// The SHA-NI rounds, four per instruction; needs cpu_has_sha_ni().
+void sha1_compress_sha_ni(std::array<std::uint32_t, 5>& h,
+                          const std::uint8_t* block);
+#endif
+}  // namespace detail
 
 }  // namespace qkd::crypto

@@ -3,16 +3,20 @@
 #include <bit>
 #include <stdexcept>
 
+#include "src/crypto/cpu.hpp"
 #include "src/crypto/gf2n.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace qkd::crypto {
 
-qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
-                             const qkd::BitVector& message,
-                             unsigned tag_bits) {
-  if (message.empty()) return qkd::BitVector(tag_bits);
-  if (key.size() < tag_bits + message.size() - 1)
-    throw std::invalid_argument("toeplitz_hash: key too short");
+namespace detail {
+
+qkd::BitVector toeplitz_hash_portable(const qkd::BitVector& key,
+                                      const qkd::BitVector& message,
+                                      unsigned tag_bits) {
   // Row i of the Toeplitz matrix is key[i .. i+msg_len); equivalently the
   // tag is the windowed inner product of key and message. Each row ANDs
   // the message words against the key shifted right by i, built a word at
@@ -42,6 +46,85 @@ qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
     if (std::popcount(acc) & 1) tag.set(i, true);
   }
   return tag;
+}
+
+#if defined(__x86_64__)
+namespace {
+
+std::uint64_t reverse_bits(std::uint64_t x) {
+  x = __builtin_bswap64(x);
+  x = (x >> 4 & 0x0F0F0F0F0F0F0F0Full) | (x & 0x0F0F0F0F0F0F0F0Full) << 4;
+  x = (x >> 2 & 0x3333333333333333ull) | (x & 0x3333333333333333ull) << 2;
+  return (x >> 1 & 0x5555555555555555ull) | (x & 0x5555555555555555ull) << 1;
+}
+
+// Sums reverse_bits(word) times the key words in `keys`' low and high lanes
+// into `lo` and `hi`.
+__attribute__((target("pclmul"))) inline void middle_product_step(
+    std::uint64_t word, __m128i keys, __m128i& lo, __m128i& hi) {
+  const __m128i r =
+      _mm_cvtsi64_si128(static_cast<long long>(reverse_bits(word)));
+  lo = _mm_xor_si128(lo, _mm_clmulepi64_si128(r, keys, 0x00));
+  hi = _mm_xor_si128(hi, _mm_clmulepi64_si128(r, keys, 0x10));
+}
+
+std::uint64_t low_lane(__m128i v) {
+  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(v));
+}
+std::uint64_t high_lane(__m128i v) {
+  return low_lane(_mm_unpackhi_epi64(v, v));
+}
+
+}  // namespace
+
+__attribute__((target("pclmul"))) qkd::BitVector toeplitz_hash_pclmul(
+    const qkd::BitVector& key, const qkd::BitVector& message,
+    unsigned tag_bits) {
+  // Rows 64c .. 64c+63 read the key from word c on. Take message word w
+  // bit-reversed (bit 63 - s holds m[64w + s]) and the 128 key bits from
+  // word c + w: bit 63 + t of their carry-less product collects
+  // m[64w + s] & key[64(c + w) + t + s] over every s, row t's share of word
+  // w. So each chunk is bits 63..126 of the sum of those products, kept as
+  // one accumulator per key word. As in the portable kernel, the last
+  // word's successor may lie past the key's end and reads as zero.
+  const auto m = message.words();
+  const auto k = key.words();
+  const std::size_t last = m.size() - 1;
+  qkd::BitVector tag(tag_bits);
+  const auto t = tag.words();
+  for (std::size_t c = 0; c < t.size(); ++c) {
+    __m128i lo = _mm_setzero_si128();  // products with key word c + w
+    __m128i hi = _mm_setzero_si128();  // products with key word c + w + 1
+    for (std::size_t w = 0; w < last; ++w)
+      middle_product_step(
+          m[w], _mm_loadu_si128(reinterpret_cast<const __m128i*>(&k[c + w])),
+          lo, hi);
+    const std::size_t next = c + last + 1;
+    const std::uint64_t successor = next < k.size() ? k[next] : 0;
+    middle_product_step(m[last],
+                        _mm_set_epi64x(static_cast<long long>(successor),
+                                       static_cast<long long>(k[c + last])),
+                        lo, hi);
+    t[c] = (low_lane(lo) >> 63 | high_lane(lo) << 1) ^ low_lane(hi) << 1;
+  }
+  tag.normalize_tail();  // rows past tag_bits in the last chunk
+  return tag;
+}
+#endif
+
+}  // namespace detail
+
+qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
+                             const qkd::BitVector& message,
+                             unsigned tag_bits) {
+  if (message.empty()) return qkd::BitVector(tag_bits);
+  if (key.size() < tag_bits + message.size() - 1)
+    throw std::invalid_argument("toeplitz_hash: key too short");
+#if defined(__x86_64__)
+  if (detail::cpu_has_pclmul())
+    return detail::toeplitz_hash_pclmul(key, message, tag_bits);
+#endif
+  return detail::toeplitz_hash_portable(key, message, tag_bits);
 }
 
 std::uint64_t poly_hash64(std::uint64_t key,

@@ -26,8 +26,27 @@ namespace qkd::crypto {
 
 /// Hash of an arbitrary-length message to `tag_bits` bits using a Toeplitz
 /// matrix whose diagonals are `key` (key.size() must be tag_bits+msg_bits-1).
+/// Runs the PCLMULQDQ kernel where the CPU has it, the portable one
+/// elsewhere; both give the same tag.
 qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
                              const qkd::BitVector& message, unsigned tag_bits);
+
+namespace detail {
+/// The two kernels toeplitz_hash chooses between, for the tests that hold
+/// them equal. Both expect a non-empty message and a key of at least
+/// tag_bits + message.size() - 1 bits. The portable one ANDs each row's
+/// shifted key window into the message a word at a time.
+qkd::BitVector toeplitz_hash_portable(const qkd::BitVector& key,
+                                      const qkd::BitVector& message,
+                                      unsigned tag_bits);
+#if defined(__x86_64__)
+/// Each 64-row chunk of the tag as a carry-less middle product; needs
+/// cpu_has_pclmul().
+qkd::BitVector toeplitz_hash_pclmul(const qkd::BitVector& key,
+                                    const qkd::BitVector& message,
+                                    unsigned tag_bits);
+#endif
+}  // namespace detail
 
 /// Polynomial-evaluation hash over GF(2^64): interprets the message as
 /// coefficients and evaluates at the 64-bit key point k, i.e.
