@@ -76,8 +76,9 @@ Sha1::Digest Sha1::hash(std::span<const std::uint8_t> data) {
     s.update(data);
     return s.finish();
   }
-  // The message, its 0x80 terminator and the 64-bit length fit one block.
-  std::array<std::uint8_t, 64> block{};
+  // The message, its 0x80 terminator and the 64-bit length fit one block,
+  // built in the (zeroed) buffer.
+  auto& block = s.buffer_;
   if (!data.empty()) std::memcpy(block.data(), data.data(), data.size());
   block[data.size()] = 0x80;
   const std::uint64_t bit_len = data.size() * 8;
