@@ -7,7 +7,10 @@ namespace qkd::kms {
 
 KmsClientFleet::KmsClientFleet(KeyManagementService& kms,
                                sim::EventScheduler& scheduler)
-    : kms_(kms), scheduler_(scheduler), shard_stats_(kms.shard_count()) {}
+    : kms_(kms), scheduler_(scheduler) {
+  for (std::size_t row = 0; row < std::size(kCounters); ++row)
+    counters_.emplace_back(kms.shard_count());
+}
 
 KmsClientFleet::~KmsClientFleet() {
   // Stop the tickers, then deregister every live member so its queued
@@ -20,28 +23,29 @@ KmsClientFleet::~KmsClientFleet() {
 }
 
 void KmsClientFleet::issue_request(Member& member, std::size_t bits) {
-  Stats& stats = shard_stats_[member.shard];
-  ++stats.requests_issued;
+  count<&Stats::requests_issued>(member.shard);
   const std::size_t index = static_cast<std::size_t>(&member - members_.data());
   kms_.get_key(member.id, bits, [this, index](const Grant& grant) {
-    Stats& stats = shard_stats_[members_[index].shard];
+    const std::size_t shard = members_[index].shard;
     switch (grant.status) {
       case GrantStatus::kGranted: {
-        ++stats.granted;
+        count<&Stats::granted>(shard);
         Member& m = members_[index];
         if (!m.active) return;  // departed while the request was queued
         // The peer application fetches its copy right away: every grant
         // round-trips the ETSI get_key / get_key_with_id agreement.
         const auto peer = kms_.get_key_with_id(m.id, grant.key_id);
         if (peer.has_value() && peer->bits == grant.bits)
-          ++stats.claims_matched;
+          count<&Stats::claims_matched>(shard);
         else
-          ++stats.claims_mismatched;
+          count<&Stats::claims_mismatched>(shard);
         return;
       }
-      case GrantStatus::kRejectedQueueFull: ++stats.rejected; return;
-      case GrantStatus::kShed: ++stats.shed; return;
-      case GrantStatus::kDeparted: ++stats.departed; return;
+      case GrantStatus::kRejectedQueueFull:
+        count<&Stats::rejected>(shard);
+        return;
+      case GrantStatus::kShed: count<&Stats::shed>(shard); return;
+      case GrantStatus::kDeparted: count<&Stats::departed>(shard); return;
     }
   });
 }
@@ -109,19 +113,8 @@ void KmsClientFleet::client_departure(qkd::SimTime now,
   (void)now;
 }
 
-const KmsClientFleet::Stats& KmsClientFleet::stats() const {
-  Stats total;
-  for (const Stats& s : shard_stats_) {
-    total.requests_issued += s.requests_issued;
-    total.granted += s.granted;
-    total.rejected += s.rejected;
-    total.shed += s.shed;
-    total.departed += s.departed;
-    total.claims_matched += s.claims_matched;
-    total.claims_mismatched += s.claims_mismatched;
-  }
-  agg_stats_ = total;
-  return agg_stats_;
+KmsClientFleet::Stats KmsClientFleet::stats() const {
+  return obs::read_counters(kCounters, counters_);
 }
 
 }  // namespace qkd::kms

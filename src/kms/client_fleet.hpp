@@ -11,8 +11,9 @@
 // Sharding: each member's ticker is armed on the stream that serves its
 // endpoint pair (KeyManagementService::stream_for_pair), so request issue,
 // grant delivery and the peer claim all run on the owning shard's lane.
-// The fleet's own counters are kept per shard (a member touches only its
-// shard's slot) and aggregated on read — no cross-lane mutable state.
+// The fleet's counters are obs::Counters with one cell per KMS shard (a
+// member adds only into its shard's cell) summed on read: lanes never
+// write the same memory, and any thread may read.
 //
 // This is how a scripted day ramps thousands of clients up and down with a
 // handful of scenario lines (see example_kms_day and bench_kms/E19).
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "src/kms/kms.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/scenario.hpp"
 
 namespace qkd::kms {
@@ -52,8 +54,8 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
                         const sim::ClientDeparture& departure) override;
 
   std::size_t active_clients() const { return active_; }
-  /// Aggregated across shards; call with shard lanes parked.
-  const Stats& stats() const;
+  /// Summed from the per-shard counter cells; safe from any thread.
+  Stats stats() const;
 
  private:
   struct Member {
@@ -68,6 +70,22 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
     bool active = false;
   };
 
+  /// Every Stats field; each row's only store is one counter in counters_.
+  static constexpr obs::CounterField<Stats> kCounters[] = {
+      {"requests_issued", &Stats::requests_issued},
+      {"granted", &Stats::granted},
+      {"rejected", &Stats::rejected},
+      {"shed", &Stats::shed},
+      {"departed", &Stats::departed},
+      {"claims_matched", &Stats::claims_matched},
+      {"claims_mismatched", &Stats::claims_mismatched},
+  };
+  /// Adds one to `shard`'s cell of the counter storing `Member`.
+  template <std::uint64_t Stats::*Member>
+  void count(std::size_t shard) {
+    counters_[obs::counter_row(kCounters, Member)].add(1, shard);
+  }
+
   void issue_request(Member& member, std::size_t bits);
 
   KeyManagementService& kms_;
@@ -75,10 +93,8 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
   std::vector<Member> members_;
   std::size_t active_ = 0;
   std::uint64_t arrivals_ = 0;  // names successive fleet members
-  /// One slot per KMS shard: a member's callbacks write only its shard's
-  /// slot, so shard lanes never contend.
-  std::vector<Stats> shard_stats_;
-  mutable Stats agg_stats_;
+  /// One counter per kCounters row, one cell per KMS shard.
+  std::vector<obs::Counter> counters_;
 };
 
 }  // namespace qkd::kms

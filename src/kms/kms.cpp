@@ -45,6 +45,11 @@ void KeyManagementService::init_shards(std::size_t count) {
     shards_.push_back(std::make_unique<KmsShard>(
         *this, s,
         sharded_ != nullptr ? sharded_->shard_stream(s) : scheduler_));
+  for (std::size_t row = 0; row < std::size(kStatsCounters); ++row)
+    counters_.emplace_back(count);
+  for (auto& class_counters : class_counters_)
+    for (std::size_t row = 0; row < std::size(kClassCounters); ++row)
+      class_counters.emplace_back(count);
   for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
     grant_latency_.emplace_back(count);
   if (sharded_ != nullptr)
@@ -239,7 +244,9 @@ void KeyManagementService::on_supply_replenished(qkd::SimTime now) {
   bool woke = false;
   for (const auto& shard : shards_)
     if (shard->wake_backlogged(now)) woke = true;
-  if (woke) ++router_stats_.replenish_wakeups;
+  if (woke)
+    counters_[obs::counter_row(kStatsCounters, &Stats::replenish_wakeups)]
+        .add(1);
 }
 
 std::atomic<std::size_t>& KeyManagementService::pool_gauge_for(
@@ -259,27 +266,16 @@ void KeyManagementService::bind_metrics(obs::MetricsRegistry& registry,
                                         std::string prefix) {
   registry.add_collector([this, prefix = std::move(prefix)](
                              obs::MetricsRegistry::Collect& out) {
-    const Stats& s = stats();
-    out.counter(prefix + "_service_rounds", s.service_rounds);
-    out.counter(prefix + "_transports", s.transports);
-    out.counter(prefix + "_starved_rounds", s.starved_rounds);
-    out.counter(prefix + "_shed_events", s.shed_events);
-    out.counter(prefix + "_replenish_wakeups", s.replenish_wakeups);
-    out.counter(prefix + "_claims_fulfilled", s.claims_fulfilled);
-    out.counter(prefix + "_claims_expired", s.claims_expired);
-    out.counter(prefix + "_bits_reclaimed", s.bits_reclaimed);
+    for (std::size_t row = 0; row < std::size(kStatsCounters); ++row)
+      out.counter(prefix + "_" + kStatsCounters[row].name,
+                  counters_[row].value());
     for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
       const auto cls = static_cast<QosClass>(qos);
-      const ClassStats& c = class_stats(cls);
-      const std::string base = prefix + "_" + qos_class_name(cls);
-      out.counter(base + "_requests", c.requests);
-      out.counter(base + "_granted", c.granted);
-      out.counter(base + "_granted_within_slo", c.granted_within_slo);
-      out.counter(base + "_rejected_queue_full", c.rejected_queue_full);
-      out.counter(base + "_shed", c.shed);
-      out.counter(base + "_departed", c.departed);
-      out.counter(base + "_bits_granted", c.bits_granted);
-      out.gauge(base + "_p99_grant_latency_s", p99_grant_latency_s(cls));
+      const std::string base = prefix + "_" + qos_class_name(cls) + "_";
+      for (std::size_t row = 0; row < std::size(kClassCounters); ++row)
+        out.counter(base + kClassCounters[row].name,
+                    class_counters_[qos][row].value());
+      out.gauge(base + "p99_grant_latency_s", p99_grant_latency_s(cls));
     }
     // Per-pair pooled bits: each cell is a relaxed atomic the owning shard
     // refreshes after every deposit/withdraw, so this read is safe while
@@ -295,48 +291,26 @@ void KeyManagementService::bind_metrics(obs::MetricsRegistry& registry,
 
 // ---- Introspection ---------------------------------------------------------
 
-const KeyManagementService::ClassStats& KeyManagementService::class_stats(
+KeyManagementService::ClassStats KeyManagementService::class_stats(
     QosClass qos) const {
-  const auto index = static_cast<std::size_t>(qos);
-  ClassStats total;
-  for (const auto& shard : shards_) {
-    const ClassStats& s = shard->class_stats().at(index);
-    total.requests += s.requests;
-    total.granted += s.granted;
-    total.granted_within_slo += s.granted_within_slo;
-    total.rejected_queue_full += s.rejected_queue_full;
-    total.shed += s.shed;
-    total.departed += s.departed;
-    total.bits_granted += s.bits_granted;
-  }
-  agg_class_stats_.at(index) = total;
-  return agg_class_stats_.at(index);
+  return obs::read_counters(kClassCounters,
+                            class_counters_.at(static_cast<std::size_t>(qos)));
 }
 
-const KeyManagementService::Stats& KeyManagementService::stats() const {
-  Stats total = router_stats_;  // replenish_wakeups is router-level
-  for (const auto& shard : shards_) {
-    const Stats& s = shard->stats();
-    total.service_rounds += s.service_rounds;
-    total.transports += s.transports;
-    total.starved_rounds += s.starved_rounds;
-    total.shed_events += s.shed_events;
-    total.claims_fulfilled += s.claims_fulfilled;
-    total.claims_expired += s.claims_expired;
-    total.bits_reclaimed += s.bits_reclaimed;
-  }
-  agg_stats_ = total;
-  return agg_stats_;
+KeyManagementService::Stats KeyManagementService::stats() const {
+  return obs::read_counters(kStatsCounters, counters_);
 }
 
-const KeyManagementService::Stats& KeyManagementService::shard_stats(
+KeyManagementService::Stats KeyManagementService::shard_stats(
     std::size_t shard) const {
-  return shards_.at(shard)->stats();
+  return obs::read_counters(kStatsCounters, counters_, shard);
 }
 
-const KeyManagementService::ClassStats& KeyManagementService::shard_class_stats(
+KeyManagementService::ClassStats KeyManagementService::shard_class_stats(
     std::size_t shard, QosClass qos) const {
-  return shards_.at(shard)->class_stats().at(static_cast<std::size_t>(qos));
+  return obs::read_counters(kClassCounters,
+                            class_counters_.at(static_cast<std::size_t>(qos)),
+                            shard);
 }
 
 std::size_t KeyManagementService::queue_depth(QosClass qos) const {
@@ -383,7 +357,7 @@ std::vector<sim::ClassSample> KeyManagementService::sample_service(
   samples.reserve(kQosClassCount);
   for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
     const auto cls = static_cast<QosClass>(qos);
-    const ClassStats& stats = class_stats(cls);
+    const ClassStats stats = class_stats(cls);
     sim::ClassSample sample;
     sample.label = qos_class_name(cls);
     sample.queue_depth = queue_depth(cls);

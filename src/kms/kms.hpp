@@ -46,10 +46,11 @@
 //    endpoint pairs hash (by unordered endpoint ids, so a pair and its
 //    reverse co-locate) to shards, and each shard owns the COMPLETE grant
 //    path of its pairs — mirrored pools, bounded queues, DRR state, claim
-//    TTL ledger, counters. Shards share no mutable state; the router
-//    crosses the boundary only at registration, stats aggregation and the
-//    frame barrier. Constructed on a plain EventScheduler the service is
-//    ONE shard that plans and settles each round inline (the deterministic
+//    TTL ledger — and writes its own cell of every counter. Shards write
+//    no other shared state; the router crosses the boundary only at
+//    registration and the frame barrier, and stats are reads of the
+//    cells. Constructed on a plain EventScheduler the service is ONE
+//    shard that plans and settles each round inline (the deterministic
 //    single-thread path); constructed on a sim::ShardedScheduler it has one
 //    shard per scheduler shard, each servicing on its own stream in
 //    parallel on the scheduler's worker pool, with rounds parked until the
@@ -323,20 +324,20 @@ class KeyManagementService final : public sim::ServiceSampler {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
-  /// Registers a collector exposing aggregated service/class counters and
-  /// per-class p99 grant latency under `prefix`. Reads only the shards'
-  /// relaxed-atomic counters, so snapshots are safe from one monitoring
-  /// thread while shard lanes grant.
+  /// Registers a collector exporting every counter by its table name,
+  /// per-class p99 grant latency and per-pair pooled bits under `prefix`.
+  /// It reads the same cells as the accessors below: safe from any thread
+  /// while shard lanes grant.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- Introspection (aggregated across shards) ---------------------------
-  // Counter/latency accessors aggregate the shards' relaxed-atomic stats
-  // and the per-shard cells of the latency histograms:
-  // callable from ONE monitoring thread concurrently with shard-lane
+  // Counter/latency accessors return values summed from the per-shard
+  // cells of the counters and latency histograms; they write nothing, so
+  // any number of threads may call them concurrently with shard-lane
   // grants. queue_depth / inspect_pairs still walk shard pair state and
   // require lanes parked.
-  const ClassStats& class_stats(QosClass qos) const;
-  const Stats& stats() const;
+  ClassStats class_stats(QosClass qos) const;
+  Stats stats() const;
   const Config& config() const { return config_; }
   /// Requests waiting in `qos` queues across all endpoint pairs.
   std::size_t queue_depth(QosClass qos) const;
@@ -349,8 +350,10 @@ class KeyManagementService final : public sim::ServiceSampler {
   std::vector<PairInspection> inspect_pairs() const;
 
   // ---- Per-shard introspection (DRR fairness across shards) ---------------
-  const Stats& shard_stats(std::size_t shard) const;
-  const ClassStats& shard_class_stats(std::size_t shard, QosClass qos) const;
+  /// One shard's cells of the counters above (router-level counts, i.e.
+  /// replenish_wakeups, land in shard 0's): the shards sum to stats().
+  Stats shard_stats(std::size_t shard) const;
+  ClassStats shard_class_stats(std::size_t shard, QosClass qos) const;
 
   /// Observer invoked for EVERY delivered Grant — granted, rejected, shed
   /// and departed alike — just before the client's own callback. In
@@ -388,6 +391,28 @@ class KeyManagementService final : public sim::ServiceSampler {
     bool live = false;
   };
 
+  /// Every Stats / ClassStats field and the name bind_metrics exports it
+  /// under; each row's only store is its counter in counters_ (per class,
+  /// class_counters_), with one cell per shard.
+  static constexpr obs::CounterField<Stats> kStatsCounters[] = {
+      {"service_rounds", &Stats::service_rounds},
+      {"transports", &Stats::transports},
+      {"starved_rounds", &Stats::starved_rounds},
+      {"shed_events", &Stats::shed_events},
+      {"replenish_wakeups", &Stats::replenish_wakeups},
+      {"claims_fulfilled", &Stats::claims_fulfilled},
+      {"claims_expired", &Stats::claims_expired},
+      {"bits_reclaimed", &Stats::bits_reclaimed},
+  };
+  static constexpr obs::CounterField<ClassStats> kClassCounters[] = {
+      {"requests", &ClassStats::requests},
+      {"granted", &ClassStats::granted},
+      {"granted_within_slo", &ClassStats::granted_within_slo},
+      {"rejected_queue_full", &ClassStats::rejected_queue_full},
+      {"shed", &ClassStats::shed},
+      {"departed", &ClassStats::departed},
+      {"bits_granted", &ClassStats::bits_granted},
+  };
   void init_shards(std::size_t count);
   /// The grant path's only mesh access: inline on a plain scheduler, at
   /// the window barrier on a ShardedScheduler.
@@ -408,18 +433,15 @@ class KeyManagementService final : public sim::ServiceSampler {
   std::vector<ClientRecord> clients_;
   std::size_t live_clients_ = 0;
 
-  /// Router-level counters (everything else lives in the shards);
-  /// stats()/class_stats() aggregate into the mutable caches on read.
-  Stats router_stats_;
-  mutable Stats agg_stats_;
-  mutable std::array<ClassStats, kQosClassCount> agg_class_stats_{};
+  std::vector<obs::Counter> counters_;
+  std::array<std::vector<obs::Counter>, kQosClassCount> class_counters_;
   /// Request-to-grant latency in ns, one histogram per QoS class with one
   /// cell per shard (each shard records into its own cell).
   std::vector<obs::Histogram> grant_latency_;
   GrantCallback grant_observer_;
   obs::Tracer* tracer_ = nullptr;
   std::vector<std::uint64_t> supply_subscriptions_;  // engine mode only
-  mutable std::mutex pool_gauge_mu_;
+  std::mutex pool_gauge_mu_;
   std::deque<PairPoolGauge> pool_gauges_;
 };
 

@@ -61,18 +61,14 @@ PairState& KmsShard::pair_for(network::NodeId src, network::NodeId dst) {
 
 // ---- Delivery --------------------------------------------------------------
 
-void KmsShard::finish(Request& request, GrantStatus status, qkd::SimTime now,
-                      AtomicClassStats& stats) {
+void KmsShard::finish(Request& request, std::size_t qos, GrantStatus status,
+                      qkd::SimTime now) {
   switch (status) {
     case GrantStatus::kRejectedQueueFull:
-      stats.rejected_queue_full.fetch_add(1, std::memory_order_relaxed);
+      count<&ClassStats::rejected_queue_full>(qos);
       break;
-    case GrantStatus::kShed:
-      stats.shed.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case GrantStatus::kDeparted:
-      stats.departed.fetch_add(1, std::memory_order_relaxed);
-      break;
+    case GrantStatus::kShed: count<&ClassStats::shed>(qos); break;
+    case GrantStatus::kDeparted: count<&ClassStats::departed>(qos); break;
     case GrantStatus::kGranted: break;  // grant_round accounts these
   }
   Grant grant;
@@ -86,8 +82,7 @@ void KmsShard::finish(Request& request, GrantStatus status, qkd::SimTime now,
 
 void KmsShard::submit(PairState& pair, unsigned qos, Request request,
                       qkd::SimTime now) {
-  AtomicClassStats& stats = class_stats_[qos];
-  stats.requests.fetch_add(1, std::memory_order_relaxed);
+  count<&ClassStats::requests>(qos);
   // The admission decision is the first server-side leg of a traced
   // request; it parents under whatever context the caller propagated
   // (possibly off the wire).
@@ -96,7 +91,7 @@ void KmsShard::submit(PairState& pair, unsigned qos, Request request,
   // time instead of letting grant latency grow without bound.
   if (pair.queues[qos].size() >= service_.config_.max_queue_per_class) {
     if (admit_span.recording()) admit_span.attr("result", "queue-full");
-    finish(request, GrantStatus::kRejectedQueueFull, now, stats);
+    finish(request, qos, GrantStatus::kRejectedQueueFull, now);
     return;
   }
   if (admit_span.recording()) {
@@ -128,7 +123,7 @@ std::optional<keystore::KeyBlock> KmsShard::claim(PairState& own,
     keystore::KeyBlock block = std::move(it->block);
     it->claimed = true;  // tombstone; popped when it reaches the front
     --pair->live_claims;
-    stats_.claims_fulfilled.fetch_add(1, std::memory_order_relaxed);
+    count<&Stats::claims_fulfilled>();
     return block;
   }
   return std::nullopt;
@@ -152,8 +147,8 @@ void KmsShard::purge_expired_claims(PairState& pair, qkd::SimTime now) {
     const qkd::BitVector& bits = front.block.bits;
     pair.src_store.deposit(bits);
     pair.dst_store.deposit(bits);
-    stats_.bits_reclaimed.fetch_add(bits.size(), std::memory_order_relaxed);
-    stats_.claims_expired.fetch_add(1, std::memory_order_relaxed);
+    count<&Stats::bits_reclaimed>(bits.size());
+    count<&Stats::claims_expired>();
     --pair.live_claims;
     pair.claims.pop_front();
     if (pair.pool_gauge != nullptr)
@@ -167,7 +162,7 @@ void KmsShard::drain_departed(PairState& pair, ClientId id, qkd::SimTime now) {
     auto& queue = pair.queues[qos];
     for (auto it = queue.begin(); it != queue.end();) {
       if (it->client == id) {
-        finish(*it, GrantStatus::kDeparted, now, class_stats_[qos]);
+        finish(*it, qos, GrantStatus::kDeparted, now);
         it = queue.erase(it);
       } else {
         ++it;
@@ -250,10 +245,10 @@ void KmsShard::shed_lowest_class(PairState& pair, qkd::SimTime now) {
     auto& queue = pair.queues[qos];
     if (queue.empty()) continue;
     for (Request& request : queue)
-      finish(request, GrantStatus::kShed, now, class_stats_[qos]);
+      finish(request, qos, GrantStatus::kShed, now);
     queue.clear();
     pair.deficit_bits[qos] = 0;
-    stats_.shed_events.fetch_add(1, std::memory_order_relaxed);
+    count<&Stats::shed_events>();
     shedding_.store(true, std::memory_order_relaxed);
     return;
   }
@@ -290,14 +285,13 @@ void KmsShard::grant_round(
                                        false});
     ++pair.live_claims;
 
-    AtomicClassStats& stats = class_stats_[qos];
-    stats.granted.fetch_add(1, std::memory_order_relaxed);
-    stats.bits_granted.fetch_add(request.bits, std::memory_order_relaxed);
+    count<&ClassStats::granted>(qos);
+    count<&ClassStats::bits_granted>(qos, request.bits);
     const qkd::SimTime latency = now - request.requested_at;
     service_.grant_latency_[qos].record(static_cast<std::uint64_t>(latency),
                                         index_);
     if (latency <= service_.config_.slo_grant_latency)
-      stats.granted_within_slo.fetch_add(1, std::memory_order_relaxed);
+      count<&ClassStats::granted_within_slo>(qos);
 
     Grant grant;
     grant.client = request.client;
@@ -317,7 +311,7 @@ void KmsShard::grant_round(
 }
 
 void KmsShard::service_round(PairState& pair, qkd::SimTime now) {
-  stats_.service_rounds.fetch_add(1, std::memory_order_relaxed);
+  count<&Stats::service_rounds>();
   purge_expired_claims(pair, now);
 
   auto round = select_round(pair);
@@ -369,7 +363,7 @@ void KmsShard::settle(FrameJob& job, qkd::SimTime now) {
   const KeyManagementService::Config& config = service_.config_;
   obs::ScopedSpan finalize_span(tracer(), "kms.finalize", job.trace, index_);
   if (!job.plan.success) {
-    stats_.starved_rounds.fetch_add(1, std::memory_order_relaxed);
+    count<&Stats::starved_rounds>();
     ++pair.consecutive_starved;
     if (finalize_span.recording()) finalize_span.attr("result", "starved");
     // Requeue in reverse so each class queue keeps its FIFO order; the
@@ -385,7 +379,7 @@ void KmsShard::settle(FrameJob& job, qkd::SimTime now) {
     if (backlogged(pair)) arm_service(pair, now + config.retry_backoff);
     return;
   }
-  stats_.transports.fetch_add(1, std::memory_order_relaxed);
+  count<&Stats::transports>();
   pair.consecutive_starved = 0;
   shedding_.store(false, std::memory_order_relaxed);
   if (finalize_span.recording())
@@ -414,41 +408,7 @@ void KmsShard::finalize_outbox(qkd::SimTime now) {
   outbox_ = std::move(jobs);  // keep the capacity for the next window
 }
 
-// ---- Aggregation -----------------------------------------------------------
-
-const std::array<KmsShard::ClassStats, kQosClassCount>& KmsShard::class_stats()
-    const {
-  for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
-    const AtomicClassStats& in = class_stats_[qos];
-    ClassStats& out = class_stats_cache_[qos];
-    out.requests = in.requests.load(std::memory_order_relaxed);
-    out.granted = in.granted.load(std::memory_order_relaxed);
-    out.granted_within_slo =
-        in.granted_within_slo.load(std::memory_order_relaxed);
-    out.rejected_queue_full =
-        in.rejected_queue_full.load(std::memory_order_relaxed);
-    out.shed = in.shed.load(std::memory_order_relaxed);
-    out.departed = in.departed.load(std::memory_order_relaxed);
-    out.bits_granted = in.bits_granted.load(std::memory_order_relaxed);
-  }
-  return class_stats_cache_;
-}
-
-const KmsShard::Stats& KmsShard::stats() const {
-  stats_cache_.service_rounds =
-      stats_.service_rounds.load(std::memory_order_relaxed);
-  stats_cache_.transports = stats_.transports.load(std::memory_order_relaxed);
-  stats_cache_.starved_rounds =
-      stats_.starved_rounds.load(std::memory_order_relaxed);
-  stats_cache_.shed_events = stats_.shed_events.load(std::memory_order_relaxed);
-  stats_cache_.claims_fulfilled =
-      stats_.claims_fulfilled.load(std::memory_order_relaxed);
-  stats_cache_.claims_expired =
-      stats_.claims_expired.load(std::memory_order_relaxed);
-  stats_cache_.bits_reclaimed =
-      stats_.bits_reclaimed.load(std::memory_order_relaxed);
-  return stats_cache_;
-}
+// ---- Introspection ---------------------------------------------------------
 
 obs::Tracer* KmsShard::tracer() const { return service_.tracer_; }
 

@@ -5,12 +5,12 @@
 // shards by their unordered endpoint ids, so a pair and its reverse always
 // co-locate and get_key_with_id claims stay shard-local). EVERYTHING on the
 // grant path lives here — the mirrored per-pair KeyPools, the bounded
-// per-(pair, class) queues, the DRR deficit state, the TTL claim ledger,
-// the per-class counters — so shards share no mutable state and need no
-// locks: each one services its pairs on its own event stream (a
-// ShardedScheduler shard stream, or the single global scheduler of a
-// one-shard service), and the router only crosses the boundary at
-// registration, stats aggregation and the frame barrier.
+// per-(pair, class) queues, the DRR deficit state, the TTL claim ledger —
+// so shards write no shared state and need no locks; each one counts into
+// its own cell of the service's counters. Each shard services its pairs on
+// its own event stream (a ShardedScheduler shard stream, or the single
+// global scheduler of a one-shard service), and the router only crosses
+// the boundary at registration and the frame barrier.
 //
 // One grant path. service_round() SELECTS (DRR) a round and packages it
 // as a FrameJob; the mesh plans the job's relay frame
@@ -114,9 +114,6 @@ struct FrameJob {
 
 class KmsShard {
  public:
-  using ClassStats = KeyManagementService::ClassStats;
-  using Stats = KeyManagementService::Stats;
-
   /// `stream` is where this shard's service events run: a ShardedScheduler
   /// shard stream, or the service's global scheduler when it has one shard.
   KmsShard(KeyManagementService& service, std::size_t index,
@@ -160,40 +157,32 @@ class KmsShard {
   /// never re-collected, so no request is granted twice.
   void finalize_outbox(qkd::SimTime now);
 
-  // ---- Aggregation surface -------------------------------------------------
-  // Counter accessors read relaxed atomics into mutable caches and return
-  // references into them: safe to call from ONE monitoring
-  // thread concurrently with shard-lane grants (the cross-shard stats
-  // regression test pins this under TSan). queue_depth / inspect_into
-  // still walk pair state and require shard lanes parked.
-  const std::array<ClassStats, kQosClassCount>& class_stats() const;
-  const Stats& stats() const;
+  // ---- Introspection -------------------------------------------------------
+  // The shard's counts live in its cells of the service's counters, read
+  // there from any thread. shedding() is a relaxed atomic too;
+  // queue_depth / inspect_into walk pair state and require shard lanes
+  // parked.
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
   std::size_t queue_depth(std::size_t qos) const;
   void inspect_into(
       std::vector<KeyManagementService::PairInspection>& out) const;
 
  private:
-  /// ClassStats with every counter a relaxed atomic — the recording form;
-  /// class_stats() snapshots these into the plain structs callers see.
-  struct AtomicClassStats {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> granted{0};
-    std::atomic<std::uint64_t> granted_within_slo{0};
-    std::atomic<std::uint64_t> rejected_queue_full{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> departed{0};
-    std::atomic<std::uint64_t> bits_granted{0};
-  };
-  struct AtomicStats {
-    std::atomic<std::uint64_t> service_rounds{0};
-    std::atomic<std::uint64_t> transports{0};
-    std::atomic<std::uint64_t> starved_rounds{0};
-    std::atomic<std::uint64_t> shed_events{0};
-    std::atomic<std::uint64_t> claims_fulfilled{0};
-    std::atomic<std::uint64_t> claims_expired{0};
-    std::atomic<std::uint64_t> bits_reclaimed{0};
-  };
+  using Service = KeyManagementService;
+  using ClassStats = Service::ClassStats;
+  using Stats = Service::Stats;
+
+  /// Adds `n` to this shard's cell of the service counter storing `Member`.
+  template <std::uint64_t Stats::*Member>
+  void count(std::uint64_t n = 1) {
+    constexpr auto row = obs::counter_row(Service::kStatsCounters, Member);
+    service_.counters_[row].add(n, index_);
+  }
+  template <std::uint64_t ClassStats::*Member>
+  void count(std::size_t qos, std::uint64_t n = 1) {
+    constexpr auto row = obs::counter_row(Service::kClassCounters, Member);
+    service_.class_counters_[qos][row].add(n, index_);
+  }
 
   void arm_service(PairState& pair, qkd::SimTime when);
   void service_round(PairState& pair, qkd::SimTime now);
@@ -207,8 +196,8 @@ class KmsShard {
                    qkd::SimTime now, obs::TraceContext trace);
   void shed_lowest_class(PairState& pair, qkd::SimTime now);
   void purge_expired_claims(PairState& pair, qkd::SimTime now);
-  void finish(Request& request, GrantStatus status, qkd::SimTime now,
-              AtomicClassStats& stats);
+  void finish(Request& request, std::size_t qos, GrantStatus status,
+              qkd::SimTime now);
   static bool backlogged(const PairState& pair);
   obs::Tracer* tracer() const;
 
@@ -221,14 +210,7 @@ class KmsShard {
   std::vector<std::unique_ptr<PairState>> pairs_;
   std::vector<FrameJob> outbox_;
 
-  std::array<AtomicClassStats, kQosClassCount> class_stats_{};
-  AtomicStats stats_;
   std::atomic<bool> shedding_{false};
-
-  /// Snapshot caches the const accessors refresh and hand out references
-  /// into (written only by the reading thread).
-  mutable std::array<ClassStats, kQosClassCount> class_stats_cache_{};
-  mutable Stats stats_cache_;
 };
 
 }  // namespace qkd::kms

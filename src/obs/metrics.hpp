@@ -1,20 +1,20 @@
 // One metrics registry for the whole stack.
 //
-// Every layer used to keep its own ad-hoc Stats struct (pipeline stage
-// tables, channel byte counters, KMS shard stats, mesh transport stats,
-// worker-pool utilization); diagnosing a run meant reading eight of them.
-// The registry gives them one namespace and one export path (a
-// Prometheus-style text dump, plus structured snapshots for tests and the
-// bench tooling) without taking over their storage: hot paths either
-// write the registry's sharded instruments directly, or keep their
-// existing structs and register a *collector* — a callback run at
-// snapshot time that reports current values (the Prometheus collector
-// pattern). Either way the existing accessors keep working.
+// Every layer used to keep its own ad-hoc Stats struct; diagnosing a run
+// meant reading eight of them. The registry gives them one namespace and
+// one export path (a Prometheus-style text dump, plus structured
+// snapshots for tests and the bench tooling): hot paths write the
+// registry's instruments directly, or register a *collector* — a callback
+// run at snapshot time that reports current values (the Prometheus
+// collector pattern).
 //
 // Instruments are sharded like the KMS: a family owns `cells` independent
 // cache-line-padded atomic slots (one per shard/lane), written with
 // relaxed operations — no cross-shard locks, no contention on the grant
-// path — and aggregated only when read.
+// path — and aggregated only when read. Counters and histograms also
+// stand alone: the KMS lists its Stats fields once in a CounterField
+// table whose rows' Counters are the fields' only store; its accessors
+// read_counters() by value and its collector exports the same cells.
 #pragma once
 
 #include <atomic>
@@ -23,6 +23,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,8 @@ namespace qkd::obs {
 /// counters are statistically consistent, not a synchronization point).
 class Counter {
  public:
+  explicit Counter(std::size_t cells);
+
   void add(std::uint64_t n = 1, std::size_t cell = 0) {
     slot(cell).fetch_add(n, std::memory_order_relaxed);
   }
@@ -43,9 +47,6 @@ class Counter {
   std::size_t cells() const { return cells_.size(); }
 
  private:
-  friend class MetricsRegistry;
-  explicit Counter(std::size_t cells);
-
   struct Slot {
     alignas(64) std::atomic<std::uint64_t> v{0};
   };
@@ -114,6 +115,40 @@ class Histogram {
   };
   std::vector<std::unique_ptr<Slot>> cells_;
 };
+
+/// One row of a counter table: a field of a Stats struct whose only store
+/// is the Counter kept for this row, and the name it exports under.
+template <typename S>
+struct CounterField {
+  const char* name;
+  std::uint64_t S::*member;
+};
+
+/// The row of `table` that stores `member`, resolved at compile time.
+template <typename S, std::size_t N>
+consteval std::size_t counter_row(const CounterField<S> (&table)[N],
+                                  std::uint64_t S::*member) {
+  for (std::size_t row = 0; row < N; ++row)
+    if (table[row].member == member) return row;
+  throw "counter_row: not a row of this table";
+}
+
+/// The struct `table` describes, read from `counters` (one per row): each
+/// field is its counter summed over every cell, or only `cell`'s share
+/// (std::out_of_range when there is no such cell).
+template <typename S, std::size_t N>
+S read_counters(const CounterField<S> (&table)[N],
+                const std::vector<Counter>& counters,
+                std::optional<std::size_t> cell = std::nullopt) {
+  if (cell.has_value() && *cell >= counters.at(0).cells())
+    throw std::out_of_range("read_counters: no cell " + std::to_string(*cell));
+  S out{};
+  for (std::size_t row = 0; row < N; ++row)
+    out.*table[row].member = cell.has_value()
+                                 ? counters[row].cell_value(*cell)
+                                 : counters[row].value();
+  return out;
+}
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 

@@ -1,13 +1,16 @@
-// Cross-shard stats aggregation under concurrent grants: a monitoring
-// thread polls the KMS introspection surface (stats / class_stats /
+// Cross-shard stats aggregation under concurrent grants: monitoring
+// threads poll the KMS introspection surface (stats / class_stats /
 // latency quantiles / shedding) and a bound MetricsRegistry while shard
-// lanes are actively granting on a ShardedScheduler. The shard counters
-// are relaxed atomics snapshotted on read, so this must be TSan-clean —
-// the regression test for the observability layer's concurrency contract.
+// lanes are actively granting on a ShardedScheduler. Every counter is a
+// per-shard obs::Counter cell and every read returns a fresh value summed
+// from those cells, so any number of readers must be TSan-clean — the
+// regression test for the observability layer's concurrency contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,8 @@ using network::MeshSimulation;
 using network::NodeId;
 using network::NodeKind;
 using network::Topology;
+
+constexpr std::size_t kPairs = 6;
 
 /// Relay hub fanned out to `pairs` disjoint endpoint pairs, hot enough
 /// that the workload is scheduling-bound (pair p = endpoints (1+2p, 2+2p)).
@@ -40,49 +45,73 @@ Topology hot_fan(std::size_t pairs) {
   return topo;
 }
 
-TEST(KmsStatsConcurrency, AggregationIsSafeWhileShardLanesGrant) {
-  constexpr std::size_t kPairs = 6;
+/// A three-lane sharded KMS on the hot fan, one periodic client per
+/// (pair, class) counting its grants into `granted_cb`.
+struct HotKms {
   qkd::SimClock clock;
-  sim::EventScheduler scheduler(clock);
-  auto pool = std::make_shared<common::WorkerPool>(3);
-  sim::ShardedScheduler sharded(scheduler, 3, pool);
-  MeshSimulation mesh(hot_fan(kPairs), 7);
-  mesh.step(30.0);
-  KeyManagementService kms(mesh, sharded);
+  sim::EventScheduler scheduler{clock};
+  std::shared_ptr<common::WorkerPool> pool =
+      std::make_shared<common::WorkerPool>(3);
+  sim::ShardedScheduler sharded{scheduler, 3, pool};
+  MeshSimulation mesh{hot_fan(kPairs), 7};
+  KeyManagementService kms{mesh, sharded};
+  std::atomic<std::uint64_t> granted_cb{0};
 
+  HotKms() {
+    mesh.step(30.0);
+    for (std::size_t p = 0; p < kPairs; ++p) {
+      const auto src = static_cast<NodeId>(1 + 2 * p);
+      const auto dst = static_cast<NodeId>(2 + 2 * p);
+      for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
+        const ClientId id = kms.register_client(
+            {"c" + std::to_string(p) + "-" + std::to_string(qos), src, dst,
+             static_cast<QosClass>(qos)});
+        // Tickers live on the pair's own stream; grant callbacks run on
+        // the owning shard's lane, concurrently across shards.
+        kms.stream_for_pair(src, dst).every(
+            (p + qos + 1) * kMillisecond, 15 * kMillisecond,
+            [this, id](qkd::SimTime) {
+              kms.get_key(id, 256, [this](const Grant& grant) {
+                if (grant.status == GrantStatus::kGranted)
+                  granted_cb.fetch_add(1, std::memory_order_relaxed);
+              });
+            });
+      }
+    }
+  }
+};
+
+/// Every Stats / ClassStats field, for whole-struct comparisons.
+std::array<std::uint64_t, 8> fields(const KeyManagementService::Stats& s) {
+  return {s.service_rounds,   s.transports,     s.starved_rounds,
+          s.shed_events,      s.replenish_wakeups, s.claims_fulfilled,
+          s.claims_expired,   s.bits_reclaimed};
+}
+std::array<std::uint64_t, 7> fields(const KeyManagementService::ClassStats& c) {
+  return {c.requests, c.granted,  c.granted_within_slo, c.rejected_queue_full,
+          c.shed,     c.departed, c.bits_granted};
+}
+
+template <std::size_t N>
+void add_into(std::array<std::uint64_t, N>& total,
+              const std::array<std::uint64_t, N>& part) {
+  for (std::size_t i = 0; i < N; ++i) total[i] += part[i];
+}
+
+TEST(KmsStatsConcurrency, AggregationIsSafeWhileShardLanesGrant) {
+  HotKms h;
+  KeyManagementService& kms = h.kms;
   obs::MetricsRegistry registry(kms.shard_count());
   kms.bind_metrics(registry, "kms");
 
-  std::atomic<std::uint64_t> granted_cb{0};
-  for (std::size_t p = 0; p < kPairs; ++p) {
-    const auto src = static_cast<NodeId>(1 + 2 * p);
-    const auto dst = static_cast<NodeId>(2 + 2 * p);
-    for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
-      const ClientId id = kms.register_client(
-          {"c" + std::to_string(p) + "-" + std::to_string(qos), src, dst,
-           static_cast<QosClass>(qos)});
-      // Tickers live on the pair's own stream; grant callbacks run on the
-      // owning shard's lane, concurrently across shards.
-      kms.stream_for_pair(src, dst).every(
-          (p + qos + 1) * kMillisecond, 15 * kMillisecond,
-          [&kms, &granted_cb, id](qkd::SimTime) {
-            kms.get_key(id, 256, [&granted_cb](const Grant& grant) {
-              if (grant.status == GrantStatus::kGranted)
-                granted_cb.fetch_add(1, std::memory_order_relaxed);
-            });
-          });
-    }
-  }
-
-  // The monitoring thread: the ONE concurrent reader the aggregation
-  // surface promises to support. It must never crash, race, or observe a
-  // granted count that moves backwards.
+  // A monitoring thread polling every read surface. It must never crash,
+  // race, or observe a granted count that moves backwards.
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> polls{0};
   std::thread monitor([&] {
     std::uint64_t last_granted = 0;
     while (!done.load(std::memory_order_relaxed)) {
-      const KeyManagementService::Stats& stats = kms.stats();
+      const KeyManagementService::Stats stats = kms.stats();
       ASSERT_LE(stats.starved_rounds, stats.service_rounds);
       std::uint64_t granted = 0;
       for (unsigned qos = 0; qos < kQosClassCount; ++qos)
@@ -91,32 +120,74 @@ TEST(KmsStatsConcurrency, AggregationIsSafeWhileShardLanesGrant) {
       last_granted = granted;
       (void)kms.p99_grant_latency_s(QosClass::kInteractive);
       (void)kms.shedding();
-      // The registry path reads the same shard atomics through the
-      // collector.
+      // The registry path reads the same counter cells by the same table.
       const auto samples = registry.snapshot();
       ASSERT_FALSE(samples.empty());
       polls.fetch_add(1, std::memory_order_relaxed);
     }
   });
 
-  sharded.run_until(2 * kSecond);
+  h.sharded.run_until(2 * kSecond);
   done.store(true);
   monitor.join();
 
   EXPECT_GT(polls.load(), 0u);
-  EXPECT_GT(granted_cb.load(), 50u) << "workload must actually grant";
+  EXPECT_GT(h.granted_cb.load(), 50u) << "workload must actually grant";
   // Quiesced now: the aggregate equals what the callbacks observed, and
-  // per-shard counters sum to the aggregate.
+  // the per-shard reads sum to the aggregate in every field.
   std::uint64_t granted = 0;
-  std::uint64_t shard_granted = 0;
-  for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
+  for (unsigned qos = 0; qos < kQosClassCount; ++qos)
     granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
+  EXPECT_EQ(granted, h.granted_cb.load());
+
+  std::array<std::uint64_t, 8> shard_sum{};
+  for (std::size_t s = 0; s < kms.shard_count(); ++s)
+    add_into(shard_sum, fields(kms.shard_stats(s)));
+  EXPECT_EQ(shard_sum, fields(kms.stats()));
+  EXPECT_THROW(kms.shard_stats(kms.shard_count()), std::out_of_range);
+  for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
+    const auto cls = static_cast<QosClass>(qos);
+    std::array<std::uint64_t, 7> class_sum{};
     for (std::size_t s = 0; s < kms.shard_count(); ++s)
-      shard_granted +=
-          kms.shard_class_stats(s, static_cast<QosClass>(qos)).granted;
+      add_into(class_sum, fields(kms.shard_class_stats(s, cls)));
+    EXPECT_EQ(class_sum, fields(kms.class_stats(cls))) << qos_class_name(cls);
   }
-  EXPECT_EQ(granted, granted_cb.load());
-  EXPECT_EQ(shard_granted, granted);
+}
+
+/// Two monitors at once: reads must not write shared state, so concurrent
+/// readers are as safe as one.
+TEST(KmsStatsConcurrency, TwoReadersWhileShardLanesGrant) {
+  HotKms h;
+  KeyManagementService& kms = h.kms;
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> polls{0};
+  auto monitor = [&] {
+    std::uint64_t last_granted = 0;
+    while (!done.load(std::memory_order_relaxed)) {
+      (void)kms.stats();
+      std::uint64_t granted = 0;
+      for (unsigned qos = 0; qos < kQosClassCount; ++qos)
+        granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
+      ASSERT_GE(granted, last_granted) << "granted count moved backwards";
+      last_granted = granted;
+      polls.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread first(monitor);
+  std::thread second(monitor);
+
+  h.sharded.run_until(2 * kSecond);
+  done.store(true);
+  first.join();
+  second.join();
+
+  EXPECT_GT(polls.load(), 1u);
+  EXPECT_GT(h.granted_cb.load(), 50u) << "workload must actually grant";
+  std::uint64_t granted = 0;
+  for (unsigned qos = 0; qos < kQosClassCount; ++qos)
+    granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
+  EXPECT_EQ(granted, h.granted_cb.load());
 }
 
 }  // namespace
