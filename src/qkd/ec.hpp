@@ -23,7 +23,8 @@ namespace qkd::proto {
 /// A parity question about a compactly-described subset of the sifted bits.
 struct ParityQuery {
   enum class Kind : std::uint8_t {
-    /// Members are the positions where Lfsr32::subset_mask(seed) is 1,
+    /// The paper's BBN LFSR-subset query. Members are the positions where
+    /// subset_mask_from_seed(seed) (SplitMix64-seeded xoshiro bits) is 1,
     /// in increasing position order; the query covers members [begin, end).
     kLfsrSubset = 0,
     /// Members are seeded_permutation(seed)[begin..end).

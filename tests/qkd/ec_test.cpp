@@ -7,7 +7,6 @@
 #include <algorithm>
 
 #include "src/common/rng.hpp"
-#include "src/crypto/lfsr.hpp"
 
 namespace qkd::proto {
 namespace {

@@ -5,7 +5,6 @@
 #include "tests/testing/seeded_rng.hpp"
 
 #include "src/common/rng.hpp"
-#include "src/crypto/lfsr.hpp"
 
 namespace qkd::proto {
 namespace {
@@ -72,14 +71,6 @@ TEST(Randomness, MildBiasPassesWithoutCharge) {
   for (std::size_t i = 0; i < mild.size(); ++i)
     mild.set(i, rng.next_bool(0.505));
   const RandomnessReport report = test_randomness(mild);
-  EXPECT_TRUE(report.passed);
-}
-
-TEST(Randomness, LfsrOutputPassesTheBasicBattery) {
-  // A maximal LFSR stream is not cryptographically random but sails through
-  // FIPS-style tests — a documented limitation of this battery.
-  qkd::crypto::Lfsr32 lfsr(0xace1);
-  const RandomnessReport report = test_randomness(lfsr.next_bits(65536));
   EXPECT_TRUE(report.passed);
 }
 
