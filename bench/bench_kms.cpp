@@ -87,7 +87,7 @@ RunResult run_fleet(const std::vector<ClassLoad>& loads, double sim_seconds) {
   runner.attach_mesh(mesh);
 
   KeyManagementService kms(mesh, runner.scheduler());
-  KmsClientFleet fleet(kms, runner.scheduler());
+  KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
 
   const auto start = std::chrono::steady_clock::now();

@@ -34,7 +34,7 @@ void print_table() {
     const auto alice = privacy_amplify(bits, params);
     const auto bob = privacy_amplify(bits, params);
     qkd::bench::row("%10zu %10u %10u %16zu %18s", input, params.n, params.m,
-                    params.serialize().size(),
+                    to_packet(params).encode().size(),
                     alice == bob ? "yes" : "NO (BUG)");
   }
   qkd::bench::row("");

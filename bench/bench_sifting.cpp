@@ -13,7 +13,6 @@
 
 #include "bench/bench_util.hpp"
 #include "src/optics/link.hpp"
-#include "src/qkd/rle.hpp"
 #include "src/qkd/sifting.hpp"
 
 namespace {
@@ -65,9 +64,8 @@ void print_table() {
   qkd::bench::row("  SIFT message: %zu bytes for %zu slots (%zu detections)",
                   announce.encode().size(), frame.slots,
                   announce.clicks.size());
-  qkd::bench::row(
-      "  (run-length coded detection bitmap alone: %zu bytes)",
-      qkd::proto::rle_encode(qkd::bench::detection_bitmap(frame)).size());
+  qkd::bench::row("  (raw detection bitmap, one bit per slot: %zu bytes)",
+                  (frame.slots + 7) / 8);
   qkd::bench::row("  SIFT RESPONSE: %zu bytes; sifted bits: %zu",
                   sift.decision.encode().size(), sift.outcome.bits.size());
 }

@@ -17,9 +17,6 @@
 #include <cstdarg>
 #include <cstdio>
 
-#include "src/common/bitvector.hpp"
-#include "src/optics/types.hpp"
-
 namespace qkd::bench {
 
 /// Adds this build's type, C++ flags and git commit (set by
@@ -29,15 +26,6 @@ inline void stamp_context() {
   benchmark::AddCustomContext("qkd_build_type", QKD_BENCH_BUILD_TYPE);
   benchmark::AddCustomContext("qkd_cxx_flags", QKD_BENCH_CXX_FLAGS);
   benchmark::AddCustomContext("qkd_git_sha", QKD_BENCH_GIT_SHA);
-}
-
-/// A frame's detection bitmap, one bit per slot, built from its click list
-/// (the frame itself holds nothing per slot).
-inline qkd::BitVector detection_bitmap(const qkd::optics::FrameResult& frame) {
-  qkd::BitVector bits(frame.slots);
-  for (const qkd::optics::Click& click : frame.clicks)
-    bits.set(click.slot, true);
-  return bits;
 }
 
 inline void heading(const char* experiment_id, const char* title) {

@@ -77,7 +77,7 @@ int main() {
   kms_config.shed_after_starved_rounds = 4;
   kms_config.retry_backoff = kSecond;
   KeyManagementService kms(mesh, runner.scheduler(), kms_config);
-  KmsClientFleet fleet(kms, runner.scheduler());
+  KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
   runner.recorder().attach_service(kms);
 

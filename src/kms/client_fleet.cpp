@@ -5,9 +5,7 @@
 
 namespace qkd::kms {
 
-KmsClientFleet::KmsClientFleet(KeyManagementService& kms,
-                               sim::EventScheduler& scheduler)
-    : kms_(kms), scheduler_(scheduler) {
+KmsClientFleet::KmsClientFleet(KeyManagementService& kms) : kms_(kms) {
   for (std::size_t row = 0; row < std::size(kCounters); ++row)
     counters_.emplace_back(kms.shard_count());
 }

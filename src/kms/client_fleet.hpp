@@ -42,9 +42,8 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
     std::uint64_t claims_mismatched = 0;
   };
 
-  /// Both must outlive the fleet. `scheduler` is the stream arrivals and
-  /// departures are scripted on (the global stream in sharded mode).
-  KmsClientFleet(KeyManagementService& kms, sim::EventScheduler& scheduler);
+  /// `kms` must outlive the fleet.
+  explicit KmsClientFleet(KeyManagementService& kms);
   ~KmsClientFleet() override;
 
   // ---- sim::ClientWorkloadDriver ------------------------------------------
@@ -89,7 +88,6 @@ class KmsClientFleet final : public sim::ClientWorkloadDriver {
   void issue_request(Member& member, std::size_t bits);
 
   KeyManagementService& kms_;
-  sim::EventScheduler& scheduler_;
   std::vector<Member> members_;
   std::size_t active_ = 0;
   std::uint64_t arrivals_ = 0;  // names successive fleet members

@@ -7,32 +7,6 @@
 
 namespace qkd::proto {
 
-Bytes ParityQuery::serialize() const {
-  Bytes out;
-  put_u8(out, static_cast<std::uint8_t>(kind));
-  put_u32(out, seed);
-  put_u32(out, begin);
-  put_u32(out, end);
-  return out;
-}
-
-ParityQuery ParityQuery::deserialize(const Bytes& wire) {
-  try {
-    ByteReader reader(wire);
-    ParityQuery q;
-    const std::uint8_t kind = reader.u8();
-    if (kind > 1) throw std::invalid_argument("ParityQuery: bad kind");
-    q.kind = static_cast<Kind>(kind);
-    q.seed = reader.u32();
-    q.begin = reader.u32();
-    q.end = reader.u32();
-    if (!reader.done()) throw std::invalid_argument("ParityQuery: trailing");
-    return q;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("ParityQuery: truncated");
-  }
-}
-
 qkd::BitVector subset_mask_from_seed(std::uint32_t seed, std::size_t n) {
   std::uint64_t mix = 0x5eedba5e00000000ULL | seed;
   qkd::Rng rng(splitmix64(mix));

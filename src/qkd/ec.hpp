@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "src/common/bitvector.hpp"
-#include "src/common/bytes.hpp"
 
 namespace qkd::proto {
 
@@ -36,8 +35,6 @@ struct ParityQuery {
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
 
-  Bytes serialize() const;
-  static ParityQuery deserialize(const Bytes& wire);
   bool operator==(const ParityQuery&) const = default;
 };
 

@@ -244,17 +244,6 @@ std::vector<PaChunk> pa_chunks(const Side& s) {
   return chunks;
 }
 
-wire::PaParamsPacket to_packet(const PaParams& pa) {
-  wire::PaParamsPacket packet;
-  packet.n = pa.n;
-  packet.m = pa.m;
-  packet.modulus_exponents.assign(pa.modulus.exponents.begin(),
-                                  pa.modulus.exponents.end());
-  packet.multiplier = pa.multiplier;
-  packet.addend = pa.addend;
-  return packet;
-}
-
 StageHalf alice_privacy_amplification(Side& s) {
   for (const PaChunk& chunk : pa_chunks(s)) {
     const PaParams pa = make_pa_params(chunk.bits, chunk.out, s.party.drbg);

@@ -4,41 +4,15 @@
 
 namespace qkd::proto {
 
-Bytes PaParams::serialize() const {
-  Bytes out;
-  put_u32(out, n);
-  put_u32(out, m);
-  put_u8(out, static_cast<std::uint8_t>(modulus.exponents.size()));
-  for (unsigned e : modulus.exponents) put_u32(out, e);
-  put_bytes(out, multiplier.to_bytes());
-  put_bytes(out, addend.to_bytes());
-  return out;
-}
-
-PaParams PaParams::deserialize(const Bytes& wire) {
-  try {
-    ByteReader reader(wire);
-    PaParams p;
-    p.n = reader.u32();
-    p.m = reader.u32();
-    if (p.n == 0 || p.n % 32 != 0 || p.m > p.n)
-      throw std::invalid_argument("PaParams: bad field/output widths");
-    const std::uint8_t terms = reader.u8();
-    for (unsigned i = 0; i < terms; ++i)
-      p.modulus.exponents.push_back(reader.u32());
-    if (p.modulus.degree() != p.n)
-      throw std::invalid_argument("PaParams: modulus degree != n");
-    if (!p.modulus.is_canonical())
-      throw std::invalid_argument("PaParams: modulus not canonical");
-    p.multiplier = qkd::BitVector::from_bytes(reader.bytes((p.n + 7) / 8));
-    p.multiplier.resize(p.n);
-    p.addend = qkd::BitVector::from_bytes(reader.bytes((p.m + 7) / 8));
-    p.addend.resize(p.m);
-    if (!reader.done()) throw std::invalid_argument("PaParams: trailing bytes");
-    return p;
-  } catch (const std::out_of_range&) {
-    throw std::invalid_argument("PaParams: truncated");
-  }
+wire::PaParamsPacket to_packet(const PaParams& params) {
+  wire::PaParamsPacket packet;
+  packet.n = params.n;
+  packet.m = params.m;
+  packet.modulus_exponents.assign(params.modulus.exponents.begin(),
+                                  params.modulus.exponents.end());
+  packet.multiplier = params.multiplier;
+  packet.addend = params.addend;
+  return packet;
 }
 
 namespace {

@@ -18,9 +18,9 @@
 #include <cstdint>
 
 #include "src/common/bitvector.hpp"
-#include "src/common/bytes.hpp"
 #include "src/crypto/drbg.hpp"
 #include "src/crypto/gf2n.hpp"
+#include "src/wire/packets.hpp"
 
 namespace qkd::proto {
 
@@ -31,10 +31,11 @@ struct PaParams {
   qkd::crypto::SparsePoly modulus;     // sparse irreducible polynomial
   qkd::BitVector multiplier;           // n bits
   qkd::BitVector addend;               // m bits
-
-  Bytes serialize() const;
-  static PaParams deserialize(const Bytes& wire);
 };
+
+/// The parameters as announced on the wire: Alice sends this packet, and
+/// Bob compares it with the one built from his own draw.
+wire::PaParamsPacket to_packet(const PaParams& params);
 
 /// Rounds an input length up to the field width the paper prescribes.
 inline std::uint32_t round_up_to_32(std::size_t bits) {

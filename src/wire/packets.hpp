@@ -52,7 +52,9 @@ struct QframeFeed {
 
 /// Bob -> Alice: the slots that produced a usable click, in increasing
 /// order, plus Bob's basis for each click. The clicks go out as the sorted
-/// slot list above (slot-count, click-count, gaps).
+/// slot list above (slot-count, click-count, gaps): the gaps are the runs
+/// of 'no detection' that the Appendix asks sift messages to run-length
+/// code.
 struct SiftAnnounce {
   static constexpr PacketType kType = PacketType::kSiftAnnounce;
   std::uint64_t frame_id = 0;

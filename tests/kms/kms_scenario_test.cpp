@@ -51,7 +51,7 @@ TEST(KmsScenario, FleetRampsShedsUnderEavesdropAndRecovers) {
   kms_config.shed_after_starved_rounds = 2;
   kms_config.retry_backoff = 500 * kMillisecond;
   KeyManagementService kms(mesh, runner.scheduler(), kms_config);
-  KmsClientFleet fleet(kms, runner.scheduler());
+  KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
   runner.recorder().attach_service(kms);
 

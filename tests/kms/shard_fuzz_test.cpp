@@ -65,7 +65,7 @@ ShardedFuzzResult run_sharded_case(const sim::FuzzCase& fuzz_case,
   KeyManagementService::Config kms_config;
   kms_config.shed_after_starved_rounds = 2;  // droughts reach the shedder
   KeyManagementService kms(mesh, sharded, kms_config);
-  KmsClientFleet fleet(kms, runner.scheduler());
+  KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
 
   std::string violation;

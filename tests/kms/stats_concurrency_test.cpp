@@ -105,14 +105,21 @@ TEST(KmsStatsConcurrency, AggregationIsSafeWhileShardLanesGrant) {
   kms.bind_metrics(registry, "kms");
 
   // A monitoring thread polling every read surface. It must never crash,
-  // race, or observe a granted count that moves backwards.
+  // race, or observe a counter that moves backwards. (Two counters are
+  // read at different instants, so relations between them are checked
+  // only once the lanes are quiesced.)
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> polls{0};
   std::thread monitor([&] {
+    KeyManagementService::Stats last{};
     std::uint64_t last_granted = 0;
     while (!done.load(std::memory_order_relaxed)) {
       const KeyManagementService::Stats stats = kms.stats();
-      ASSERT_LE(stats.starved_rounds, stats.service_rounds);
+      ASSERT_GE(stats.service_rounds, last.service_rounds)
+          << "service_rounds moved backwards";
+      ASSERT_GE(stats.starved_rounds, last.starved_rounds)
+          << "starved_rounds moved backwards";
+      last = stats;
       std::uint64_t granted = 0;
       for (unsigned qos = 0; qos < kQosClassCount; ++qos)
         granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
@@ -139,6 +146,8 @@ TEST(KmsStatsConcurrency, AggregationIsSafeWhileShardLanesGrant) {
   for (unsigned qos = 0; qos < kQosClassCount; ++qos)
     granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
   EXPECT_EQ(granted, h.granted_cb.load());
+  const KeyManagementService::Stats quiesced = kms.stats();
+  EXPECT_LE(quiesced.starved_rounds, quiesced.service_rounds);
 
   std::array<std::uint64_t, 8> shard_sum{};
   for (std::size_t s = 0; s < kms.shard_count(); ++s)

@@ -11,25 +11,6 @@
 namespace qkd::proto {
 namespace {
 
-TEST(ParityQuery, SerializationRoundTrips) {
-  ParityQuery q;
-  q.kind = ParityQuery::Kind::kPermutedRange;
-  q.seed = 0xdeadbeef;
-  q.begin = 17;
-  q.end = 244;
-  EXPECT_EQ(ParityQuery::deserialize(q.serialize()), q);
-}
-
-TEST(ParityQuery, DeserializeRejectsGarbage) {
-  EXPECT_THROW(ParityQuery::deserialize(Bytes{9}), std::invalid_argument);
-  Bytes bad_kind;
-  put_u8(bad_kind, 7);
-  put_u32(bad_kind, 0);
-  put_u32(bad_kind, 0);
-  put_u32(bad_kind, 0);
-  EXPECT_THROW(ParityQuery::deserialize(bad_kind), std::invalid_argument);
-}
-
 TEST(SubsetMask, DeterministicAndSeedSensitive) {
   EXPECT_EQ(subset_mask_from_seed(1, 500), subset_mask_from_seed(1, 500));
   EXPECT_NE(subset_mask_from_seed(1, 500), subset_mask_from_seed(2, 500));

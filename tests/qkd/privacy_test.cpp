@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <algorithm>
 
 #include "tests/testing/seeded_rng.hpp"
 
@@ -29,34 +29,24 @@ TEST(PaParams, MakeChoosesAnnouncedShape) {
 }
 
 TEST(PaParams, SerializationRoundTrips) {
+  // The parameters go out as their PaParamsPacket: every field carried,
+  // and at every ladder width the announced modulus is one the strict
+  // decoder accepts.
   qkd::crypto::Drbg drbg(2u);
-  const PaParams p = make_pa_params(500, 300, drbg);
-  const PaParams back = PaParams::deserialize(p.serialize());
-  EXPECT_EQ(back.n, p.n);
-  EXPECT_EQ(back.m, p.m);
-  EXPECT_EQ(back.modulus, p.modulus);
-  EXPECT_EQ(back.multiplier, p.multiplier);
-  EXPECT_EQ(back.addend, p.addend);
-}
-
-TEST(PaParams, DeserializeRejectsGarbage) {
-  EXPECT_THROW(PaParams::deserialize(Bytes{1, 2}), std::invalid_argument);
-  qkd::crypto::Drbg drbg(3u);
-  Bytes wire = make_pa_params(100, 50, drbg).serialize();
-  wire[0] ^= 0xff;  // corrupt n
-  EXPECT_THROW(PaParams::deserialize(wire), std::invalid_argument);
-}
-
-TEST(PaParams, DeserializeRejectsNonCanonicalModulus) {
-  // Only strictly descending exponents from n down to 0 name the announced
-  // field; anything else would silently hash in a different ring.
-  qkd::crypto::Drbg drbg(12u);
-  PaParams p = make_pa_params(32, 16, drbg);
-  for (const auto& exponents : std::vector<std::vector<unsigned>>{
-           {32, 7, 7, 3, 2, 0}, {32, 7, 3, 2}, {32, 40, 0}, {32, 2, 7, 0}}) {
-    p.modulus.exponents = exponents;
-    EXPECT_THROW(PaParams::deserialize(p.serialize()), std::invalid_argument)
-        << ::testing::PrintToString(exponents);
+  for (std::size_t input : {32u, 500u, 1380u, 4096u}) {
+    const PaParams p = make_pa_params(input, input * 3 / 5, drbg);
+    const wire::PaParamsPacket packet = to_packet(p);
+    EXPECT_EQ(packet.n, p.n);
+    EXPECT_EQ(packet.m, p.m);
+    EXPECT_TRUE(std::equal(packet.modulus_exponents.begin(),
+                           packet.modulus_exponents.end(),
+                           p.modulus.exponents.begin(),
+                           p.modulus.exponents.end()));
+    EXPECT_EQ(packet.multiplier, p.multiplier);
+    EXPECT_EQ(packet.addend, p.addend);
+    const auto decoded = wire::PaParamsPacket::decode(packet.encode());
+    ASSERT_TRUE(decoded.ok()) << input;
+    EXPECT_EQ(decoded.value, packet);
   }
 }
 

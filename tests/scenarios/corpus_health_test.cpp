@@ -49,7 +49,7 @@ struct HealthHarness {
       : mesh(hot_ring(seed)),
         runner(std::move(scenario)),
         kms(mesh, runner.scheduler(), kms_config),
-        fleet(kms, runner.scheduler()),
+        fleet(kms),
         registry(kms.shard_count()),
         alerts(registry) {
     runner.attach_mesh(mesh);

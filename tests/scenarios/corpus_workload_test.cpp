@@ -38,7 +38,7 @@ struct KmsHarness {
       : mesh(hot_ring(seed)),
         runner(std::move(scenario)),
         kms(mesh, runner.scheduler(), kms_config),
-        fleet(kms, runner.scheduler()) {
+        fleet(kms) {
     runner.attach_mesh(mesh);
     runner.attach_client_driver(fleet);
     runner.recorder().attach_service(kms);

@@ -53,7 +53,7 @@ inline FuzzRunResult run_fuzz_scenario(const sim::FuzzCase& fuzz_case,
   kms::KeyManagementService::Config kms_config;
   kms_config.shed_after_starved_rounds = 2;  // droughts reach the shedder
   kms::KeyManagementService kms(mesh, runner.scheduler(), kms_config);
-  kms::KmsClientFleet fleet(kms, runner.scheduler());
+  kms::KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
   runner.recorder().attach_service(kms);
 

@@ -65,6 +65,28 @@ TEST(Packets, SiftAnnounceRoundTripsSparseMask) {
   EXPECT_LT(sparse.size(), dense.size());
 }
 
+TEST(Packets, SiftAnnounceCompressesSparseFrames) {
+  // Appendix: runs of "no detection" must take very little space. At the
+  // paper's ~0.3 % detection over a 2^20-slot frame, each click costs a
+  // varint gap (the run of empty slots before it) plus one basis bit.
+  QKD_SEEDED_RNG(rng, 3);
+  SiftAnnounce sparse;
+  sparse.slots = 1 << 20;
+  for (std::uint32_t i = 0; i < sparse.slots; ++i)
+    if (rng.next_bool(0.003)) sparse.clicks.push_back(i);
+  sparse.bob_bases = rng.next_bits(sparse.clicks.size());
+  const std::size_t raw = (sparse.slots + 7) / 8;
+  EXPECT_LT(sparse.encode().size(), raw / 10);
+  EXPECT_LT(sparse.encode().size(), 3 * sparse.clicks.size() + 16);
+
+  // A click in every other slot: one byte of gap and a basis bit each.
+  SiftAnnounce dense;
+  dense.slots = 1000;
+  for (std::uint32_t i = 0; i < dense.slots; i += 2) dense.clicks.push_back(i);
+  dense.bob_bases = rng.next_bits(dense.clicks.size());
+  EXPECT_LT(dense.encode().size(), 2 * dense.clicks.size() + 16);
+}
+
 TEST(Packets, SiftDecisionRoundTrips) {
   SiftDecision packet;
   packet.frame_id = 3;
