@@ -29,12 +29,12 @@ void print_table() {
   for (std::size_t input : {100u, 500u, 955u, 1380u, 1500u, 1900u, 3000u,
                             4000u}) {
     const std::size_t m = input * 2 / 3;
-    const PaParams params = make_pa_params(input, m, drbg);
+    const qkd::wire::PaParamsPacket params = make_pa_params(input, m, drbg);
     const qkd::BitVector bits = rng.next_bits(input);
     const auto alice = privacy_amplify(bits, params);
     const auto bob = privacy_amplify(bits, params);
     qkd::bench::row("%10zu %10u %10u %16zu %18s", input, params.n, params.m,
-                    to_packet(params).encode().size(),
+                    params.encode().size(),
                     alice == bob ? "yes" : "NO (BUG)");
   }
   qkd::bench::row("");
@@ -49,7 +49,7 @@ void bm_privacy_amplify(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   qkd::Rng rng(7);
   qkd::crypto::Drbg drbg(7u);
-  const PaParams params = make_pa_params(n, n / 2, drbg);
+  const qkd::wire::PaParamsPacket params = make_pa_params(n, n / 2, drbg);
   const qkd::BitVector input = rng.next_bits(n);
   for (auto _ : state) {
     benchmark::DoNotOptimize(privacy_amplify(input, params));

@@ -44,7 +44,7 @@ void record_ground_truth(const qkd::optics::FrameResult& frame,
 }  // namespace
 
 Party::Party(const QkdLinkConfig& config, std::uint64_t seed, bool is_alice)
-    : drbg(seed ^ 0xD15711ULL),
+    : seed(seed),
       auth(config.auth, preposition_secret(config, seed),
            /*is_initiator=*/is_alice) {}
 

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/common/bitvector.hpp"
-#include "src/crypto/drbg.hpp"
 #include "src/keystore/key_pool.hpp"
 #include "src/keystore/key_producer.hpp"
 #include "src/net/channel_transport.hpp"
@@ -144,14 +143,14 @@ struct QkdLinkConfig {
   std::size_t preposition_extra_bits = 8192;
 };
 
-/// What one endpoint carries from batch to batch: its DRBG and its
-/// authentication service. Both endpoints derive them from one shared seed
-/// (standing in for the couriered pre-QKD secret), so the two DRBGs draw
-/// the same stream without a bit of it crossing the wire.
+/// What one endpoint carries from batch to batch: the seed both endpoints
+/// share (standing in for the couriered pre-QKD secret), from which each
+/// batch keys its own DRBGs (src/qkd/pipeline.hpp), and its
+/// authentication service.
 struct Party {
   Party(const QkdLinkConfig& config, std::uint64_t seed, bool is_alice);
 
-  qkd::crypto::Drbg drbg;
+  std::uint64_t seed;
   AuthenticationService auth;
 };
 

@@ -51,8 +51,10 @@ PeerOutcome run_dialogue(Side& s, bool is_alice, wire::Transport& io,
 }
 
 /// The quantum channel at Bob's end: this batch's detections, from Alice's
-/// feed. His half of each click is all it carries and all he reads.
-std::optional<qkd::optics::FrameResult> receive_feed(wire::Transport& io) {
+/// feed. His half of each click is all it carries and all he reads; the
+/// feed's frame id names the batch.
+std::optional<qkd::optics::FrameResult> receive_feed(wire::Transport& io,
+                                                     std::uint64_t& frame_id) {
   const auto raw = io.recv_frame();
   if (!raw.has_value()) return std::nullopt;
   const auto frame = wire::decode_frame(*raw);
@@ -60,6 +62,7 @@ std::optional<qkd::optics::FrameResult> receive_feed(wire::Transport& io) {
     return std::nullopt;
   const auto feed = wire::QframeFeed::decode(frame.value.payload);
   if (!feed.ok()) return std::nullopt;
+  frame_id = feed.value.frame_id;
   qkd::optics::FrameResult detections;
   detections.slots = feed.value.slots;
   for (std::size_t i = 0; i < feed.value.clicks.size(); ++i)
@@ -96,8 +99,8 @@ BobPeer::BobPeer(QkdLinkConfig config, std::uint64_t seed)
     : config_(config), party_(config, seed, /*is_alice=*/false) {}
 
 PeerOutcome BobPeer::run_batch(wire::Transport& io) {
-  const std::uint64_t frame_id = next_frame_id_++;
-  const auto detections = receive_feed(io);
+  std::uint64_t frame_id = 0;
+  const auto detections = receive_feed(io, frame_id);
   const qkd::optics::FrameResult nothing;
   Side bob(config_, party_, io, /*is_alice=*/false,
            detections.has_value() ? *detections : nothing, frame_id);

@@ -6,9 +6,9 @@
 // A peer runs its side's half of every stage (src/qkd/pipeline.hpp), in
 // order, over its transport, where a receive blocks: the same halves the
 // in-process QkdLinkSession interleaves, so the dialogue is frame for
-// frame the same. Determinism does the rest: both peers seed their Party
-// from one shared seed, so sample positions, EC seeds and PA parameters
-// come out identical on both sides without ever crossing the wire.
+// frame the same. Both peers key each batch's DRBGs from one shared seed
+// and the frame id, which Bob takes from the feed, so the sample positions
+// agree without crossing the wire, whatever became of earlier batches.
 //
 // Two frame types exist only here and are excluded from control-traffic
 // accounting: QframeFeed (Alice simulates the optics and feeds Bob his
@@ -57,7 +57,8 @@ class AlicePeer {
   std::uint64_t next_frame_id_ = 0;
 };
 
-/// Bob's endpoint: receives the Qframe feed, then runs his halves.
+/// Bob's endpoint: receives the Qframe feed, then runs his halves of the
+/// batch it names.
 class BobPeer {
  public:
   BobPeer(QkdLinkConfig config, std::uint64_t seed);
@@ -69,7 +70,6 @@ class BobPeer {
  private:
   QkdLinkConfig config_;
   Party party_;
-  std::uint64_t next_frame_id_ = 0;
 };
 
 }  // namespace qkd::proto

@@ -42,8 +42,8 @@ StageHalf bob_sifting(Side& s) {
   co_return co_await s.wire.conclude(s.bits.empty() ? kNoSiftedBits : kNone);
 }
 
-// ---- Sampling: both sides reveal their bits at the same DRBG-drawn
-// positions, Alice first, and drop them. --------------------------------
+// ---- Sampling: both sides reveal their bits at the positions their batch
+// DRBGs draw first, Alice first, and drop them. -------------------------
 
 /// How many of `n` sifted bits the error-rate sample sacrifices.
 std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
@@ -55,7 +55,7 @@ std::size_t sample_target_for(const QkdLinkConfig& config, std::size_t n) {
 wire::SampleReveal take_sample(Side& s) {
   s.sampled_bits = sample_target_for(s.config, s.bits.size());
   const qkd::BitVector mask =
-      draw_sample_mask(s.bits.size(), s.sampled_bits, s.party.drbg);
+      draw_sample_mask(s.bits.size(), s.sampled_bits, s.drbg);
   wire::SampleReveal reveal;
   reveal.frame_id = s.frame_id;
   qkd::BitVector kept;
@@ -95,10 +95,10 @@ StageHalf bob_sampling(Side& s) {
 // Alice's parity server, each batch of questions and its answers one bare
 // frame, and closes with a sealed summary. -------------------------------
 
-/// The configured corrector over Bob's bits, seeded from his DRBG.
+/// The configured corrector over Bob's bits, seeded from his batch DRBG.
 EcStats correct(Side& s) {
   WireParityClient alice(s.wire, s.wire.pump);
-  const auto seed = static_cast<std::uint32_t>(s.party.drbg.next_u32());
+  const auto seed = static_cast<std::uint32_t>(s.drbg.next_u32());
   try {
     switch (s.config.ec_strategy) {
       case EcStrategy::kBbnCascade: {
@@ -130,7 +130,6 @@ AbortReason judge_correction(const QkdLinkConfig& config, bool converged) {
 }
 
 StageHalf alice_error_correction(Side& s) {
-  s.party.drbg.next_u32();  // Bob's corrector seed: keeps the DRBGs in step
   WireParityServer server(s.bits);
   const auto summary = co_await s.wire.recv<wire::EcSummary>(
       [&](const wire::Frame& frame) {
@@ -187,10 +186,11 @@ StageHalf bob_verify(Side& s) {
   co_return co_await s.wire.conclude(judge_hashes(s, mine, theirs));
 }
 
-// ---- Entropy (both sides): the Sec. 6 estimate of how many bits survive
-// Eve's knowledge, from this side's own counts. --------------------------
+// ---- Entropy (Alice): the Sec. 6 estimate of how many bits survive Eve's
+// knowledge, from her own counts. Bob learns of no entropy left from her
+// notice. -----------------------------------------------------------------
 
-StageHalf entropy(Side& s) {
+StageHalf alice_entropy(Side& s) {
   EntropyInputs inputs;
   inputs.sifted_bits = s.bits.size();
   inputs.error_bits = s.errors_corrected;
@@ -214,11 +214,13 @@ StageHalf entropy(Side& s) {
                                                           : kNone);
 }
 
+StageHalf bob_entropy(Side&) { co_return kNone; }
+
 // ---- Privacy amplification: GF(2^n) linear hashing in chunks of bounded
 // field width, the output budget spread across them in proportion
-// (Sec. 5). Alice announces each chunk's parameters; Bob draws the same
-// from his DRBG and checks them, so a divergence of the DRBGs or the wire
-// ends the batch. ---------------------------------------------------------
+// (Sec. 5). Alice draws each chunk's parameters and announces them; Bob
+// applies what she announced, once he has checked that it is a hash of the
+// chunk he holds. ---------------------------------------------------------
 
 struct PaChunk {
   std::size_t offset;
@@ -226,41 +228,53 @@ struct PaChunk {
   std::size_t out;
 };
 
-std::vector<PaChunk> pa_chunks(const Side& s) {
-  const std::size_t total_in = s.bits.size();
-  const auto m_total = static_cast<std::size_t>(s.usable_bits);
+/// The chunks of `n` bits with their shares of `m_total` output bits. The
+/// chunks depend on `n` alone, so Bob lays them out as Alice does; each
+/// gets a packet, even one whose share is 0 bits.
+std::vector<PaChunk> pa_chunks(std::size_t n, std::size_t m_total = 0) {
   std::vector<PaChunk> chunks;
   std::size_t m_emitted = 0;
-  for (std::size_t offset = 0; offset < total_in;) {
-    const std::size_t chunk = std::min(pa_max_block_bits(), total_in - offset);
+  for (std::size_t offset = 0; offset < n;) {
+    const std::size_t chunk = std::min(pa_max_block_bits(), n - offset);
     const auto m_target = static_cast<std::size_t>(
         static_cast<double>(m_total) * static_cast<double>(offset + chunk) /
-        static_cast<double>(total_in));
-    const std::size_t m_chunk = std::min(m_target - m_emitted, chunk);
-    if (m_chunk > 0) chunks.push_back({offset, chunk, m_chunk});
-    m_emitted += m_chunk;
+        static_cast<double>(n));
+    chunks.push_back({offset, chunk, std::min(m_target - m_emitted, chunk)});
+    m_emitted += chunks.back().out;
     offset += chunk;
   }
   return chunks;
 }
 
+/// Whether `pa` hashes `chunk`: the chunk's field, its pinned modulus, and
+/// an output no longer than the chunk.
+bool fits(const wire::PaParamsPacket& pa, const PaChunk& chunk) {
+  return pa.n == pa_field_width(chunk.bits) && pa.m <= chunk.bits &&
+         pa.modulus_exponents == qkd::crypto::irreducible_poly(pa.n).exponents;
+}
+
 StageHalf alice_privacy_amplification(Side& s) {
-  for (const PaChunk& chunk : pa_chunks(s)) {
-    const PaParams pa = make_pa_params(chunk.bits, chunk.out, s.party.drbg);
-    co_await s.wire.send(to_packet(pa));
+  const auto m_total = static_cast<std::size_t>(s.usable_bits);
+  for (const PaChunk& chunk : pa_chunks(s.bits.size(), m_total)) {
+    const auto pa = make_pa_params(chunk.bits, chunk.out, s.drbg);
+    co_await s.wire.send(pa);
     s.key.append(privacy_amplify(s.bits.slice(chunk.offset, chunk.bits), pa));
   }
   co_return kNone;
 }
 
 StageHalf bob_privacy_amplification(Side& s) {
-  for (const PaChunk& chunk : pa_chunks(s)) {
-    const PaParams pa = make_pa_params(chunk.bits, chunk.out, s.party.drbg);
-    if (co_await s.wire.recv<wire::PaParamsPacket>() != to_packet(pa))
-      co_return s.wire.abort(kVerifyFailed);
+  for (const PaChunk& chunk : pa_chunks(s.bits.size())) {
+    const auto pa = co_await s.wire.recv<wire::PaParamsPacket>();
+    if (!fits(pa, chunk)) co_return s.wire.abort(kVerifyFailed);
     s.key.append(privacy_amplify(s.bits.slice(chunk.offset, chunk.bits), pa));
   }
-  co_return kNone;
+  // Once Alice's sends are in (in process the runner moves her first), a
+  // packet past his last chunk means her layout is not his.
+  co_await std::suspend_always{};
+  co_return s.wire.next_is(wire::PacketType::kPaParams)
+      ? s.wire.abort(kVerifyFailed)
+      : kNone;
 }
 
 // ---- Auth-replenish (both sides): the configured slice off the key's end
@@ -281,7 +295,7 @@ constexpr StageHalves kFig9[] = {
     {"sampling", alice_sampling, bob_sampling},
     {"error-correction", alice_error_correction, bob_error_correction},
     {"verify", alice_verify, bob_verify},
-    {"entropy", entropy, entropy},
+    {"entropy", alice_entropy, bob_entropy},
     {"privacy-amplification", alice_privacy_amplification,
      bob_privacy_amplification},
     {"auth-replenish", auth_replenish, auth_replenish},
@@ -319,6 +333,13 @@ std::vector<std::unique_ptr<PipelineStage>> default_pipeline() {
   for (const StageHalves& halves : kFig9)
     stages.push_back(std::make_unique<DialogueStage>(halves));
   return stages;
+}
+
+qkd::crypto::Drbg batch_drbg(std::uint64_t seed, std::uint64_t frame_id) {
+  Bytes material;
+  put_u64(material, seed ^ 0xD15711ULL);
+  put_u64(material, frame_id);
+  return qkd::crypto::Drbg(material);
 }
 
 Bytes digest_bytes(const qkd::BitVector& bits) {

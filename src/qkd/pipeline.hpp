@@ -2,12 +2,14 @@
 //
 // Each of the seven Fig. 9 stages is written once, as an Alice half and a
 // Bob half (StageHalves): coroutines that touch only their own side's
-// state (Side: config, DRBG, authentication service, bits, counts) and
-// talk only through frames on that side's DialogueWire
+// state (Side: config, batch DRBG, authentication service, bits, counts)
+// and talk only through frames on that side's DialogueWire
 // (src/qkd/wire_link.hpp). The in-process QkdLinkSession runs a stage by
 // interleaving its two halves over the two ends of one in-memory channel;
 // the two-process peers (src/qkd/peer.hpp) each run their own halves, in
-// order, over a socket. Same halves, same frames, same DRBG draws.
+// order, over a socket. Same halves, same frames, same DRBG draws. The
+// sample positions are the one draw both sides make; Alice alone draws the
+// PA parameters she announces, and Bob his Cascade seed.
 //
 // Gilbert & Hamrick (quant-ph/0106043) argue that the computational load
 // and rate of *each* distillation stage must be measurable independently
@@ -30,10 +32,15 @@
 #include <span>
 #include <vector>
 
+#include "src/crypto/drbg.hpp"
 #include "src/qkd/engine.hpp"
 #include "src/qkd/wire_link.hpp"
 
 namespace qkd::proto {
+
+/// The DRBG of batch `frame_id` for a party holding `seed`: both sides key
+/// the same stream, whatever earlier batches drew.
+qkd::crypto::Drbg batch_drbg(std::uint64_t seed, std::uint64_t frame_id);
 
 /// One side's state for one batch: all that its stage halves read and
 /// write. Nothing in it belongs to the other side.
@@ -45,7 +52,8 @@ struct Side {
         party(party),
         wire(io, party.auth, /*announces=*/is_alice),
         frame(frame),
-        frame_id(frame_id) {}
+        frame_id(frame_id),
+        drbg(batch_drbg(party.seed, frame_id)) {}
 
   const QkdLinkConfig& config;
   Party& party;
@@ -53,6 +61,7 @@ struct Side {
   // Alice reads her half of each click, Bob his.
   const qkd::optics::FrameResult& frame;
   std::uint64_t frame_id;
+  qkd::crypto::Drbg drbg;
 
   // Sifting fills the bits and the slots they came from; sampling removes
   // the sample; Bob's error correction fixes his copy in place; privacy
@@ -60,7 +69,7 @@ struct Side {
   // pads' share off its end.
   qkd::BitVector bits;
   std::vector<std::uint32_t> sifted_slots;
-  double usable_bits = 0.0;  // entropy estimate net of the PA margin
+  double usable_bits = 0.0;  // Alice: entropy estimate net of the margin
   qkd::BitVector key;
 
   // What this side saw, for BatchResult and PeerOutcome.
@@ -108,8 +117,8 @@ class PipelineStage {
 std::vector<std::unique_ptr<PipelineStage>> default_pipeline();
 
 /// The error-rate sample positions among `n` sifted bits, as a mask with
-/// `sample_target` bits set. Both sides draw it from their DRBGs in
-/// lockstep, so the positions never cross the wire. It is a partial
+/// `sample_target` bits set. Both sides draw it first from their batch
+/// DRBGs, so the positions never cross the wire. It is a partial
 /// Fisher-Yates shuffle over indices — O(n) regardless of the fraction —
 /// whose `sample_target` 64-bit values come from one Drbg::generate call.
 qkd::BitVector draw_sample_mask(std::size_t n, std::size_t sample_target,

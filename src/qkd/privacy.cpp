@@ -4,17 +4,6 @@
 
 namespace qkd::proto {
 
-wire::PaParamsPacket to_packet(const PaParams& params) {
-  wire::PaParamsPacket packet;
-  packet.n = params.n;
-  packet.m = params.m;
-  packet.modulus_exponents.assign(params.modulus.exponents.begin(),
-                                  params.modulus.exponents.end());
-  packet.multiplier = params.multiplier;
-  packet.addend = params.addend;
-  return packet;
-}
-
 namespace {
 // Widths whose low-weight irreducible polynomials are pinned in the
 // qkd::crypto table (verified by crypto tests).
@@ -34,26 +23,27 @@ std::size_t pa_max_block_bits() {
   return kWidthLadder[std::size(kWidthLadder) - 1];
 }
 
-PaParams make_pa_params(std::size_t input_bits, std::size_t output_bits,
-                        qkd::crypto::Drbg& drbg) {
+wire::PaParamsPacket make_pa_params(std::size_t input_bits,
+                                    std::size_t output_bits,
+                                    qkd::crypto::Drbg& drbg) {
   if (output_bits > input_bits)
     throw std::invalid_argument("make_pa_params: output exceeds input");
   if (input_bits == 0)
     throw std::invalid_argument("make_pa_params: empty input");
-  PaParams p;
+  wire::PaParamsPacket p;
   p.n = pa_field_width(input_bits);
   p.m = static_cast<std::uint32_t>(output_bits);
-  p.modulus = qkd::crypto::irreducible_poly(p.n);
+  p.modulus_exponents = qkd::crypto::irreducible_poly(p.n).exponents;
   p.multiplier = drbg.generate_bits(p.n);
   p.addend = drbg.generate_bits(p.m);
   return p;
 }
 
 qkd::BitVector privacy_amplify(const qkd::BitVector& input,
-                               const PaParams& params) {
+                               const wire::PaParamsPacket& params) {
   if (input.size() > params.n)
     throw std::invalid_argument("privacy_amplify: input wider than field");
-  const qkd::crypto::Gf2Field field(params.n, params.modulus);
+  const qkd::crypto::Gf2Field field(params.n, {params.modulus_exponents});
   qkd::BitVector x = input;
   x.resize(params.n);  // zero-pad up to the field width
   qkd::BitVector product = field.multiply(params.multiplier, x);

@@ -24,19 +24,6 @@
 
 namespace qkd::proto {
 
-/// The four wire-announced parameters.
-struct PaParams {
-  std::uint32_t n = 0;                 // field width (multiple of 32)
-  std::uint32_t m = 0;                 // output bits, m <= n
-  qkd::crypto::SparsePoly modulus;     // sparse irreducible polynomial
-  qkd::BitVector multiplier;           // n bits
-  qkd::BitVector addend;               // m bits
-};
-
-/// The parameters as announced on the wire: Alice sends this packet, and
-/// Bob compares it with the one built from his own draw.
-wire::PaParamsPacket to_packet(const PaParams& params);
-
 /// Rounds an input length up to the field width the paper prescribes.
 inline std::uint32_t round_up_to_32(std::size_t bits) {
   return static_cast<std::uint32_t>((bits + 31) / 32 * 32);
@@ -54,13 +41,15 @@ std::uint32_t pa_field_width(std::size_t input_bits);
 std::size_t pa_max_block_bits();
 
 /// Initiator's choice of parameters for shrinking `input_bits` bits to
-/// `output_bits` bits. Throws std::invalid_argument if output > input.
-PaParams make_pa_params(std::size_t input_bits, std::size_t output_bits,
-                        qkd::crypto::Drbg& drbg);
+/// `output_bits` bits, as the packet that announces them. Throws
+/// std::invalid_argument if output > input.
+wire::PaParamsPacket make_pa_params(std::size_t input_bits,
+                                    std::size_t output_bits,
+                                    qkd::crypto::Drbg& drbg);
 
 /// Applies the announced hash. Both sides call this with identical params;
 /// equal inputs yield equal outputs (and unequal inputs almost surely don't).
 qkd::BitVector privacy_amplify(const qkd::BitVector& input,
-                               const PaParams& params);
+                               const wire::PaParamsPacket& params);
 
 }  // namespace qkd::proto

@@ -100,6 +100,26 @@ bool DialogueWire::send_frame(const Bytes& frame) {
   return io_.send_frame(frame);
 }
 
+std::optional<Bytes> DialogueWire::recv_frame() {
+  if (held_.has_value()) return std::exchange(held_, std::nullopt);
+  return io_.recv_frame();
+}
+
+bool DialogueWire::next_is(wire::PacketType type) {
+  for (;;) {
+    auto raw = recv_frame();
+    if (!raw.has_value()) return false;
+    const auto frame = wire::decode_frame(*raw);
+    if (!frame.ok()) continue;
+    if (frame.value.type != type) {
+      held_ = std::move(raw);
+      return false;
+    }
+    // A replayed or mangled copy is not a further packet.
+    if (auth_.verify(frame.value.payload).has_value()) return true;
+  }
+}
+
 bool DialogueWire::resend() {
   if (sends_of_last_ == 0 || sends_of_last_ >= kMaxSendAttempts) return false;
   ++sends_of_last_;
@@ -124,7 +144,7 @@ bool DialogueWire::poll() {
 
 bool DialogueWire::poll(Waiter& waiter) {
   for (;;) {
-    const auto raw = io_.recv_frame();
+    const auto raw = recv_frame();
     if (!raw.has_value()) {
       if (io_.last_error() == wire::WireError::kNone) return false;  // drained
       waiter.reason = AbortReason::kChannelLost;

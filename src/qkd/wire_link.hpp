@@ -170,7 +170,8 @@ class DialogueWire final : public wire::Transport {
   static void pair(DialogueWire& a, DialogueWire& b);
 
   bool send_frame(const Bytes& frame) override;
-  std::optional<Bytes> recv_frame() override { return io_.recv_frame(); }
+  /// The frame next_is() kept back, if any, then the transport's next.
+  std::optional<Bytes> recv_frame() override;
   wire::WireError last_error() const override { return io_.last_error(); }
 
   /// `packet` Wegman-Carter sealed into a frame; nullopt when the pads
@@ -201,6 +202,11 @@ class DialogueWire final : public wire::Transport {
   auto recv(std::function<void(const wire::Frame&)> other = {}) {
     return Receive<Packet>(*this, std::move(other));
   }
+
+  /// True when the next frame that decodes and verifies is a `type` (it is
+  /// then consumed); a frame of another type is kept for the next receive.
+  /// A drained in-memory wire answers false; a socket waits for a frame.
+  bool next_is(wire::PacketType type);
 
   /// Announces `reason` with one bare notice frame and returns it: the
   /// end of a stage this side reached on its own.
@@ -298,6 +304,7 @@ class DialogueWire final : public wire::Transport {
   AuthenticationService& auth_;
   bool announces_;
   WireTraffic traffic_;
+  std::optional<Bytes> held_;  // kept back by next_is()
   Waiter* waiter_ = nullptr;
   Bytes last_;
   int sends_of_last_ = 0;

@@ -160,7 +160,7 @@ TEST(FullStack, EntangledErrorsCorrectAndDistill) {
   const std::size_t m = static_cast<std::size_t>(entropy.distillable_bits);
   // Chunk like the engine does if needed (entangled batches are small).
   ASSERT_LE(alice_bits.size(), pa_max_block_bits());
-  const PaParams pa = make_pa_params(alice_bits.size(), m, drbg);
+  const qkd::wire::PaParamsPacket pa = make_pa_params(alice_bits.size(), m, drbg);
   EXPECT_EQ(privacy_amplify(alice_bits, pa), privacy_amplify(bob_bits, pa));
 }
 

@@ -4,6 +4,8 @@
 // eavesdropping vs. loss vs. entropy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "src/qkd/engine.hpp"
@@ -115,6 +117,63 @@ TEST(AbortReasons, EveryBatchEndsOnACorruptingChannel) {
   // On this seed a wrong parity reaches Cascade (batch 8 never ended
   // before the corrector bounded its fixes).
   EXPECT_GT(totals.aborted(AbortReason::kEcNotConverged), 0u);
+}
+
+/// Whether `batch` got as far as judging its error-rate sample.
+bool judged_sample(const BatchResult& batch) {
+  for (std::size_t i = 0; i < batch.stages.size(); ++i)
+    if (batch.stages[i].name == "sampling")
+      return i + 1 < batch.stages.size() ||
+             batch.reason == AbortReason::kQberTooHigh;
+  return false;
+}
+
+TEST(AbortReasons, ACorruptingChannelLeavesNoDesyncBehind) {
+  // 60 batches on a byte-corrupting channel, then 60 on a clean one. Every
+  // batch keys its own draws, so nothing the corrupting leg did outlives
+  // the batch it did it in:
+  //  - on every batch that judges its sample, the sampled QBER lies within
+  //    5 binomial sigma of the true one (at ~75 sampled bits and ~6 % QBER
+  //    the upper tail past 5 sigma has probability below 1e-4 a batch);
+  //  - the clean leg accepts as many batches as a fresh session on the
+  //    same seed, within 5 sigma of the difference of two 60-batch counts
+  //    at the fresh session's accept rate, and never by less than 2;
+  //  - the two sides' pads hold the same number of bits after every batch.
+  QkdLinkConfig config = base_config();
+  config.preposition_extra_bits = 1 << 22;  // runway for the aborted batches
+  constexpr std::size_t kLeg = 60;
+  QkdLinkSession session(config, 1);
+  session.channel().set_impairment(qkd::net::make_corrupt_impairment(0.2, 2));
+  std::size_t recovered = 0;
+  for (std::size_t i = 0; i < 2 * kLeg; ++i) {
+    SCOPED_TRACE(i);
+    if (i == kLeg) session.channel().set_impairment({});
+    const BatchResult batch = session.run_batch();
+    if (judged_sample(batch)) {
+      const double p = batch.qber_actual;
+      const double sigma =
+          std::sqrt(p * (1.0 - p) / static_cast<double>(batch.sampled_bits));
+      EXPECT_LE(std::abs(batch.qber_sampled - p), 5.0 * sigma)
+          << abort_reason_name(batch.reason);
+    }
+    EXPECT_EQ(session.alice_auth().pad_bits_available(),
+              session.bob_auth().pad_bits_available());
+    if (i >= kLeg) recovered += batch.accepted;
+  }
+
+  QkdLinkSession fresh(config, 1);
+  std::size_t fresh_accepted = 0;
+  for (std::size_t i = 0; i < kLeg; ++i)
+    fresh_accepted += fresh.run_batch().accepted;
+  const double rate =
+      static_cast<double>(fresh_accepted) / static_cast<double>(kLeg);
+  const double bound = std::max(
+      2.0, 5.0 * std::sqrt(2.0 * kLeg * rate * (1.0 - rate)));
+  EXPECT_LE(std::abs(static_cast<double>(recovered) -
+                     static_cast<double>(fresh_accepted)),
+            bound)
+      << recovered << " of " << kLeg << " after the corrupting leg, "
+      << fresh_accepted << " fresh";
 }
 
 TEST(AbortReasons, HistogramSumsToBatchesAndCountsAcceptance) {

@@ -347,6 +347,32 @@ TEST(Peers, NoticeInTheParityDialogueEndsAliceWithItsReason) {
   EXPECT_LT(waited, std::chrono::seconds(1));
 }
 
+TEST(Peers, ABatchWithoutItsFeedLeavesTheNextInStep) {
+  // Bob's first batch gets no feed (Alice has not started) and gives up.
+  // Alice's first feed then reaches his second batch: he keys that batch
+  // by the feed's frame id, not by how many batches he has run, so the two
+  // sides draw the same sample and distill the same key.
+  ScriptedPipe pipe([](const Bytes& frame, bool) { return frame; });
+  BobPeer bob(small_config(), kSeed);
+  const PeerOutcome missed = bob.run_batch(pipe.bob());
+  EXPECT_EQ(missed.reason, AbortReason::kChannelLost)
+      << abort_reason_name(missed.reason);
+
+  PeerOutcome alice_outcome;
+  std::thread alice_thread([&] {
+    AlicePeer alice(small_config(), kSeed);
+    alice_outcome = alice.run_batch(pipe.alice());
+  });
+  const PeerOutcome outcome = bob.run_batch(pipe.bob());
+  pipe.close();
+  alice_thread.join();
+  ASSERT_TRUE(outcome.accepted) << abort_reason_name(outcome.reason);
+  EXPECT_TRUE(outcome.digest_matched);
+  EXPECT_TRUE(alice_outcome.digest_matched);
+  EXPECT_EQ(outcome.frame_id, 0u);
+  EXPECT_EQ(outcome.key, alice_outcome.key);
+}
+
 TEST(Peers, DeadWireSurfacesAsChannelLostNotHang) {
   wire::TcpListener listener(0);
   std::unique_ptr<wire::TcpTransport> client;

@@ -6,7 +6,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
+#include "src/net/channel_transport.hpp"
+#include "src/qkd/privacy.hpp"
 #include "tests/testing/seeded_rng.hpp"
 
 namespace qkd::proto {
@@ -191,6 +195,125 @@ TEST(Pipeline, WordLevelSplitMatchesTheBitwiseSplit) {
   EXPECT_THROW(split_by_mask(qkd::BitVector(5), qkd::BitVector(4), sampled,
                              kept),
                std::invalid_argument);
+}
+
+TEST(Pipeline, EachBatchKeysItsOwnDraws) {
+  // The batch DRBG is a function of the shared seed and the frame id
+  // alone: the two sides draw the same sample for a batch, and another
+  // batch or another seed draws a different one.
+  qkd::crypto::Drbg alice = batch_drbg(5, 7), bob = batch_drbg(5, 7);
+  qkd::crypto::Drbg next = batch_drbg(5, 8), other = batch_drbg(6, 7);
+  const qkd::BitVector mask = draw_sample_mask(1000, 50, alice);
+  EXPECT_EQ(mask, draw_sample_mask(1000, 50, bob));
+  EXPECT_NE(mask, draw_sample_mask(1000, 50, next));
+  EXPECT_NE(mask, draw_sample_mask(1000, 50, other));
+}
+
+// ---- Bob's privacy amplification: he applies what Alice announced, once
+// it fits the chunk he holds. ----------------------------------------------
+
+const StageHalves& privacy_amplification() {
+  for (const StageHalves& stage : fig9_dialogue())
+    if (std::string(stage.name) == "privacy-amplification") return stage;
+  throw std::logic_error("no privacy-amplification stage");
+}
+
+/// A stand-in for Alice's half: announces `packets`, whatever they are.
+StageHalf announce(Side& s, std::vector<qkd::wire::PaParamsPacket> packets) {
+  for (const qkd::wire::PaParamsPacket& pa : packets) co_await s.wire.send(pa);
+  co_return AbortReason::kNone;
+}
+
+/// Two sides of one batch over an in-memory channel, each holding `bits`.
+struct PaBatch {
+  explicit PaBatch(const qkd::BitVector& bits) {
+    alice.bits = bits;
+    bob.bits = bits;
+    DialogueWire::pair(alice.wire, bob.wire);
+  }
+
+  /// Runs `alice_half` against Bob's real half.
+  AbortReason run(StageHalf alice_half) {
+    StageHalf bob_half = privacy_amplification().bob(bob);
+    return interleave(alice_half, alice.wire, bob_half, bob.wire);
+  }
+
+  QkdLinkConfig config;
+  Party alice_party{config, 1, /*is_alice=*/true};
+  Party bob_party{config, 1, /*is_alice=*/false};
+  qkd::net::PublicChannel channel;
+  qkd::net::ChannelTransport alice_io{channel,
+                                      qkd::net::ChannelTransport::Side::kA};
+  qkd::net::ChannelTransport bob_io{channel,
+                                    qkd::net::ChannelTransport::Side::kB};
+  qkd::optics::FrameResult frame;
+  Side alice{config, alice_party, alice_io, /*is_alice=*/true, frame, 0};
+  Side bob{config, bob_party, bob_io, /*is_alice=*/false, frame, 0};
+};
+
+/// What Bob's half makes of `packets` announced over `n` bits.
+AbortReason bob_verdict(std::size_t n,
+                        std::vector<qkd::wire::PaParamsPacket> packets) {
+  PaBatch batch{qkd::BitVector(n)};
+  return batch.run(announce(batch.alice, std::move(packets)));
+}
+
+TEST(Pipeline, EveryPaChunkGetsAPacketAndBobAdoptsThem) {
+  // 9000 bits are three chunks (4096, 4096, 808). With one usable bit the
+  // first two chunks' share of the output is 0 bits, and they still get
+  // their packets, so Bob lays out the same chunks from his bit count.
+  QKD_SEEDED_RNG(rng, 71);
+  PaBatch batch(rng.next_bits(9000));
+  batch.alice.usable_bits = 1.0;
+  ASSERT_EQ(batch.run(privacy_amplification().alice(batch.alice)),
+            AbortReason::kNone);
+  EXPECT_EQ(batch.alice.wire.traffic().messages, 3u);
+  EXPECT_EQ(batch.alice.key.size(), 1u);
+  EXPECT_EQ(batch.bob.key, batch.alice.key);
+}
+
+TEST(Pipeline, BobRejectsAPaFieldThatIsNotHisChunks) {
+  qkd::crypto::Drbg drbg(72u);
+  EXPECT_EQ(bob_verdict(1000, {make_pa_params(2000, 100, drbg)}),
+            AbortReason::kVerifyFailed);
+  EXPECT_EQ(bob_verdict(1000, {make_pa_params(1000, 100, drbg)}),
+            AbortReason::kNone);
+}
+
+TEST(Pipeline, BobRejectsAPaOutputLongerThanHisChunk) {
+  // n = 1024 fits a 1000-bit chunk; m = 1010 does not.
+  qkd::crypto::Drbg drbg(73u);
+  const qkd::wire::PaParamsPacket pa = make_pa_params(1010, 1010, drbg);
+  ASSERT_EQ(pa.n, pa_field_width(1000));
+  EXPECT_EQ(bob_verdict(1000, {pa}), AbortReason::kVerifyFailed);
+}
+
+TEST(Pipeline, BobRejectsAPaModulusOtherThanTheFieldsPinnedOne) {
+  // A canonical modulus of the right degree (the decoder takes it), but
+  // not the pinned irreducible one.
+  qkd::crypto::Drbg drbg(74u);
+  qkd::wire::PaParamsPacket pa = make_pa_params(1000, 100, drbg);
+  pa.modulus_exponents = {1024, 3, 0};
+  ASSERT_NE(pa.modulus_exponents,
+            qkd::crypto::irreducible_poly(1024).exponents);
+  ASSERT_TRUE(qkd::wire::PaParamsPacket::decode(pa.encode()).ok());
+  EXPECT_EQ(bob_verdict(1000, {pa}), AbortReason::kVerifyFailed);
+}
+
+TEST(Pipeline, BobRejectsPaPacketsWithAChunkMissing) {
+  // 5000 bits are chunks of 4096 and 904. An Alice that skips the first
+  // (as one that sent nothing for a 0-bit share would) announces the
+  // second in its place.
+  qkd::crypto::Drbg drbg(75u);
+  EXPECT_EQ(bob_verdict(5000, {make_pa_params(904, 10, drbg)}),
+            AbortReason::kVerifyFailed);
+}
+
+TEST(Pipeline, BobRejectsMorePaPacketsThanHeHasChunks) {
+  qkd::crypto::Drbg drbg(76u);
+  const qkd::wire::PaParamsPacket first = make_pa_params(1000, 100, drbg);
+  const qkd::wire::PaParamsPacket extra = make_pa_params(1000, 100, drbg);
+  EXPECT_EQ(bob_verdict(1000, {first, extra}), AbortReason::kVerifyFailed);
 }
 
 /// A do-nothing observer stage, to prove the pipeline is composable.

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 
 #include "tests/testing/seeded_rng.hpp"
 
@@ -20,30 +19,21 @@ TEST(PaParams, RoundUpTo32) {
 
 TEST(PaParams, MakeChoosesAnnouncedShape) {
   qkd::crypto::Drbg drbg(1u);
-  const PaParams p = make_pa_params(1000, 700, drbg);
+  const wire::PaParamsPacket p = make_pa_params(1000, 700, drbg);
   EXPECT_EQ(p.n, 1024u);
   EXPECT_EQ(p.m, 700u);
-  EXPECT_EQ(p.modulus.degree(), 1024u);
+  EXPECT_EQ(p.modulus_exponents, qkd::crypto::irreducible_poly(1024).exponents);
   EXPECT_EQ(p.multiplier.size(), 1024u);
   EXPECT_EQ(p.addend.size(), 700u);
 }
 
 TEST(PaParams, SerializationRoundTrips) {
-  // The parameters go out as their PaParamsPacket: every field carried,
-  // and at every ladder width the announced modulus is one the strict
-  // decoder accepts.
+  // The parameters are drawn as the packet that announces them: at every
+  // ladder width the strict decoder accepts it and gives back every field.
   qkd::crypto::Drbg drbg(2u);
   for (std::size_t input : {32u, 500u, 1380u, 4096u}) {
-    const PaParams p = make_pa_params(input, input * 3 / 5, drbg);
-    const wire::PaParamsPacket packet = to_packet(p);
-    EXPECT_EQ(packet.n, p.n);
-    EXPECT_EQ(packet.m, p.m);
-    EXPECT_TRUE(std::equal(packet.modulus_exponents.begin(),
-                           packet.modulus_exponents.end(),
-                           p.modulus.exponents.begin(),
-                           p.modulus.exponents.end()));
-    EXPECT_EQ(packet.multiplier, p.multiplier);
-    EXPECT_EQ(packet.addend, p.addend);
+    const wire::PaParamsPacket packet =
+        make_pa_params(input, input * 3 / 5, drbg);
     const auto decoded = wire::PaParamsPacket::decode(packet.encode());
     ASSERT_TRUE(decoded.ok()) << input;
     EXPECT_EQ(decoded.value, packet);
@@ -61,7 +51,7 @@ TEST(PrivacyAmplify, IdenticalInputsYieldIdenticalOutputs) {
   qkd::crypto::Drbg drbg(5u);
   for (std::size_t n : {33u, 500u, 1000u, 4000u}) {
     const auto input = rng.next_bits(n);
-    const PaParams p = make_pa_params(n, n / 2, drbg);
+    const wire::PaParamsPacket p = make_pa_params(n, n / 2, drbg);
     EXPECT_EQ(privacy_amplify(input, p), privacy_amplify(input, p));
   }
 }
@@ -74,7 +64,7 @@ TEST(PrivacyAmplify, KnownAnswers) {
   qkd::crypto::Drbg drbg(2026u);
   const auto amplify_hex = [&](std::size_t input_bits, std::size_t m) {
     const auto input = rng.next_bits(input_bits);
-    const PaParams p = make_pa_params(input_bits, m, drbg);
+    const wire::PaParamsPacket p = make_pa_params(input_bits, m, drbg);
     return to_hex(privacy_amplify(input, p).to_bytes());
   };
   EXPECT_EQ(amplify_hex(100, 96), "6d54fc07cb20b6b11cc4b632");
@@ -89,7 +79,7 @@ TEST(PrivacyAmplify, OutputHasRequestedLength) {
   QKD_SEEDED_RNG(rng, 6);
   qkd::crypto::Drbg drbg(6u);
   const auto input = rng.next_bits(777);
-  const PaParams p = make_pa_params(777, 123, drbg);
+  const wire::PaParamsPacket p = make_pa_params(777, 123, drbg);
   EXPECT_EQ(privacy_amplify(input, p).size(), 123u);
 }
 
@@ -102,7 +92,7 @@ TEST(PrivacyAmplify, SingleBitInputDifferenceAvalanche) {
   double total_flips = 0;
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
-    const PaParams p = make_pa_params(n, m, drbg);
+    const wire::PaParamsPacket p = make_pa_params(n, m, drbg);
     const auto a = rng.next_bits(n);
     auto b = a;
     b.flip(rng.next_below(n));
@@ -118,8 +108,8 @@ TEST(PrivacyAmplify, DifferentMultipliersDecorrelateOutputs) {
   QKD_SEEDED_RNG(rng, 8);
   qkd::crypto::Drbg drbg(8u);
   const auto input = rng.next_bits(512);
-  const PaParams p1 = make_pa_params(512, 256, drbg);
-  const PaParams p2 = make_pa_params(512, 256, drbg);
+  const wire::PaParamsPacket p1 = make_pa_params(512, 256, drbg);
+  const wire::PaParamsPacket p2 = make_pa_params(512, 256, drbg);
   const auto o1 = privacy_amplify(input, p1);
   const auto o2 = privacy_amplify(input, p2);
   const double flips = static_cast<double>(o1.hamming_distance(o2));
@@ -131,7 +121,7 @@ TEST(PrivacyAmplify, IsLinearOverGf2) {
   QKD_SEEDED_RNG(rng, 9);
   qkd::crypto::Drbg drbg(9u);
   const std::size_t n = 256, m = 100;
-  const PaParams p = make_pa_params(n, m, drbg);
+  const wire::PaParamsPacket p = make_pa_params(n, m, drbg);
   const auto x = rng.next_bits(n);
   const auto y = rng.next_bits(n);
   const auto zero = qkd::BitVector(n);
@@ -143,7 +133,7 @@ TEST(PrivacyAmplify, IsLinearOverGf2) {
 
 TEST(PrivacyAmplify, ShortInputIsZeroPaddedToFieldWidth) {
   qkd::crypto::Drbg drbg(10u);
-  const PaParams p = make_pa_params(40, 20, drbg);  // field width 64
+  const wire::PaParamsPacket p = make_pa_params(40, 20, drbg);  // field width 64
   qkd::BitVector short_input = qkd::BitVector::from_string("101");
   EXPECT_NO_THROW(privacy_amplify(short_input, p));
   qkd::BitVector wide_input(p.n + 1);
@@ -162,7 +152,7 @@ TEST(PrivacyAmplify, CollisionRateIsUniversal) {
   int collisions = 0;
   const int trials = 2000;
   for (int t = 0; t < trials; ++t) {
-    const PaParams p = make_pa_params(n, 8, drbg);
+    const wire::PaParamsPacket p = make_pa_params(n, 8, drbg);
     collisions += privacy_amplify(x, p) == privacy_amplify(y, p);
   }
   EXPECT_LT(collisions, 30);  // mean ~7.8

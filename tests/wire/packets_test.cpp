@@ -396,7 +396,8 @@ TEST(Packets, NonzeroDensePaddingIsMalformed) {
 }
 
 TEST(Packets, DecodePacketRejectsKmsFrames) {
-  const Frame frame{PacketType::kKmsGetKey, {}};
+  Frame frame;
+  frame.type = PacketType::kKmsGetKey;
   EXPECT_EQ(decode_packet(frame).error, WireError::kMalformedPayload);
 }
 
