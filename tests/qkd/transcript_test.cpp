@@ -91,47 +91,47 @@ const std::vector<Case>& clean_cases() {
   // One seed per distance; each corrector runs the same frames.
   static const std::vector<Case> cases = {
       {"10km-classic", at_km(10, EcStrategy::kClassicCascade), 2003, {},
-       {{kNone, "2e1cf4b371c7c35dfb104fa3cf7978a8e701ae5c",
-         1614, 80, 90, 568, 110, 12787},
-        {kNone, "de143f6e9bc7e99187a95172c458deaa1395c857",
-         1612, 80, 88, 576, 72, 12364},
-        {kNone, "2c291b01f51816ffb24eaed8a5cb951ae07b9ec4",
-         1570, 78, 100, 755, 38, 13404},
-        {kNone, "125fbdc2222e66547d3f6e3658b6b9bae0aa2068",
-         1558, 77, 86, 563, 98, 12462}}},
+       {{kNone, "0ba45d530998f6bf41b9b1fcb613d21c045ae14d",
+         1614, 80, 90, 586, 98, 12820},
+        {kNone, "f1572d96d86ff4f78a6fd10b49bbb1c290dc397d",
+         1612, 80, 87, 598, 62, 12430},
+        {kNone, "65fcb5d582fd92bbc71430706818151da8a11000",
+         1570, 78, 103, 667, 42, 12683},
+        {kNone, "3241eed71cd1a069597c2c0e9d306f2cac9b2c0f",
+         1558, 77, 81, 641, 30, 12515}}},
       {"10km-bbn", at_km(10, EcStrategy::kBbnCascade), 2003, {},
-       {{kNone, kNoKey, 1614, 80, 90, 991, 1738, 31537},
-        {kNone, kNoKey, 1612, 80, 87, 961, 1678, 30621},
-        {kEntropyExhausted, kNoKey, 1570, 78, 104, 1136, 2028, 35018},
-        {kNone, kNoKey, 1558, 77, 86, 947, 1650, 30216}}},
+       {{kNone, kNoKey, 1614, 80, 90, 997, 1750, 31733},
+        {kNone, kNoKey, 1612, 80, 87, 960, 1676, 30611},
+        {kEntropyExhausted, kNoKey, 1570, 78, 103, 1117, 1990, 34484},
+        {kNone, kNoKey, 1558, 77, 81, 905, 1566, 29043}}},
       {"10km-naive", at_km(10, EcStrategy::kNaiveParity), 2003, {},
-       {{kVerifyFailed, kNoKey, 1614, 80, 16, 120, 22, 7671},
-        {kVerifyFailed, kNoKey, 1612, 80, 14, 108, 22, 7423},
-        {kVerifyFailed, kNoKey, 1570, 78, 12, 95, 22, 7127},
-        {kVerifyFailed, kNoKey, 1558, 77, 10, 84, 22, 7164}}},
+       {{kVerifyFailed, kNoKey, 1614, 80, 12, 96, 22, 7455},
+        {kVerifyFailed, kNoKey, 1612, 80, 15, 114, 22, 7477},
+        {kVerifyFailed, kNoKey, 1570, 78, 9, 78, 22, 6974},
+        {kVerifyFailed, kNoKey, 1558, 77, 13, 102, 22, 7338}}},
       {"5km-classic", at_km(5, EcStrategy::kClassicCascade), 41, {},
-       {{kNone, "966967149080cd3e29a8cd0f4d2e5c041b56a9c2",
-         1968, 98, 109, 685, 118, 15127},
-        {kNone, "5eae17fc3769185b8f13bc7b8f67468bd9c15f0e",
-         2018, 100, 100, 705, 58, 14794}}},
+       {{kNone, "f182a41b51d84dceb7f0f072da4731cafa4a0d9c",
+         1968, 98, 107, 701, 54, 14669},
+        {kNone, "d96e1e22a3f846513fa44475fe1b7e4ddb182f74",
+         2018, 100, 100, 684, 46, 14532}}},
       {"5km-bbn", at_km(5, EcStrategy::kBbnCascade), 41, {},
-       {{kNone, kNoKey, 1968, 98, 109, 1202, 2160, 38610},
-        {kNone, "09f01d2b8034fb24e492301abd8272f86ed459bb",
-         2018, 100, 99, 1113, 1982, 36217}}},
+       {{kNone, kNoKey, 1968, 98, 107, 1185, 2126, 38124},
+        {kNone, "c703de0e35a06cb1532ded047068f21d33ba3900",
+         2018, 100, 100, 1125, 2006, 36527}}},
       {"5km-naive", at_km(5, EcStrategy::kNaiveParity), 41, {},
-       {{kVerifyFailed, kNoKey, 1968, 98, 19, 142, 22, 8971},
-        {kVerifyFailed, kNoKey, 2018, 100, 13, 108, 22, 8722}}},
+       {{kVerifyFailed, kNoKey, 1968, 98, 15, 120, 22, 8791},
+        {kVerifyFailed, kNoKey, 2018, 100, 18, 138, 22, 8986}}},
       {"20km-classic", at_km(20, EcStrategy::kClassicCascade), 43, {},
-       {{kNone, "9d659a098a1a47f84aaa9b747439b4043f09e33f",
-         935, 46, 37, 249, 76, 7236},
-        {kNone, "e0c4134068c5034d8e49cdb7592791774d4b43c4",
-         1055, 52, 65, 417, 64, 8854}}},
+       {{kNone, "87d9a179a7d69168321a41d5f61f4b9f63787ec5",
+         935, 46, 35, 287, 46, 7277},
+        {kNone, kNoKey, 1055, 52, 62, 487, 30, 9109}}},
       {"20km-bbn", at_km(20, EcStrategy::kBbnCascade), 43, {},
-       {{kNone, kNoKey, 935, 46, 37, 456, 668, 14428},
-        {kEntropyExhausted, kNoKey, 1055, 52, 63, 695, 1146, 21073}}},
+       {{kNone, "bf8b4530d8d246dd74ac53a13471bba17941dff7",
+         935, 46, 35, 439, 634, 13962},
+        {kEntropyExhausted, kNoKey, 1055, 52, 62, 686, 1128, 20803}}},
       {"20km-naive", at_km(20, EcStrategy::kNaiveParity), 43, {},
-       {{kVerifyFailed, kNoKey, 935, 46, 7, 56, 22, 4822},
-        {kVerifyFailed, kNoKey, 1055, 52, 8, 63, 22, 5117}}},
+       {{kVerifyFailed, kNoKey, 935, 46, 3, 32, 22, 4606},
+        {kVerifyFailed, kNoKey, 1055, 52, 6, 52, 22, 5030}}},
   };
   return cases;
 }
@@ -140,19 +140,19 @@ const std::vector<Case>& abort_cases() {
   // The forced aborts of abort_reasons_test.cpp, each from its own seed.
   static const std::vector<Case> cases = {
       {"50km-entropy", [](QkdLinkConfig& c) { c.link.fiber_km = 50.0; }, 6, {},
-       {{kQberTooHigh, kNoKey, 238, 11, 27, 151, 62, 3048},
-        {kVerifyFailed, kNoKey, 240, 12, 4, 35, 38, 1994},
-        {kEntropyExhausted, kNoKey, 267, 13, 17, 154, 14, 2697},
-        {kVerifyFailed, kNoKey, 263, 13, 4, 32, 36, 1920},
-        {kEntropyExhausted, kNoKey, 251, 12, 22, 129, 30, 2583},
-        {kQberTooHigh, kNoKey, 248, 12, 27, 176, 32, 2965},
-        {kEntropyExhausted, kNoKey, 233, 11, 15, 107, 36, 2417},
-        {kQberTooHigh, kNoKey, 258, 12, 28, 154, 40, 2868}}},
+       {{kQberTooHigh, kNoKey, 238, 11, 27, 143, 48, 2842},
+        {kEntropyExhausted, kNoKey, 240, 12, 19, 121, 38, 2686},
+        {kVerifyFailed, kNoKey, 267, 13, 1, 14, 22, 1636},
+        {kEntropyExhausted, kNoKey, 263, 13, 15, 112, 44, 2638},
+        {kEntropyExhausted, kNoKey, 251, 12, 22, 131, 38, 2701},
+        {kQberTooHigh, kNoKey, 248, 12, 28, 151, 52, 2969},
+        {kVerifyFailed, kNoKey, 233, 11, 4, 36, 40, 1888},
+        {kEntropyExhausted, kNoKey, 258, 12, 27, 179, 20, 2867}}},
       {"naive-verify", at_km(10, EcStrategy::kNaiveParity), 10, {},
-       {{kVerifyFailed, kNoKey, 1590, 79, 13, 102, 22, 7467},
-        {kVerifyFailed, kNoKey, 1576, 78, 18, 131, 22, 7597},
-        {kVerifyFailed, kNoKey, 1511, 75, 13, 101, 22, 7169},
-        {kVerifyFailed, kNoKey, 1546, 77, 11, 89, 22, 7179},
+       {{kVerifyFailed, kNoKey, 1590, 79, 16, 120, 22, 7641},
+        {kVerifyFailed, kNoKey, 1576, 78, 12, 95, 22, 7279},
+        {kVerifyFailed, kNoKey, 1511, 75, 12, 95, 22, 7115},
+        {kVerifyFailed, kNoKey, 1546, 77, 15, 113, 22, 7395},
         {kVerifyFailed, kNoKey, 1662, 83, 10, 85, 22, 7410}}},
       {"tiny-pad",
        [](QkdLinkConfig& c) {
@@ -178,7 +178,7 @@ const std::vector<Case>& abort_cases() {
          c.bbn_config.max_rounds = 1;
        },
        16, {},
-       {{kEcNotConverged, kNoKey, 1547, 77, 83, 861, 1602, 28722}}},
+       {{kEcNotConverged, kNoKey, 1547, 77, 79, 826, 1532, 27744}}},
   };
   return cases;
 }
