@@ -144,7 +144,6 @@ StageHalf alice_error_correction(Side& s) {
 StageHalf bob_error_correction(Side& s) {
   const EcStats ec = correct(s);
   s.errors_corrected = ec.corrections;
-  s.disclosed_bits = ec.parity_queries;
   wire::EcSummary summary;
   summary.corrections = static_cast<std::uint32_t>(ec.corrections);
   summary.converged = ec.converged;

@@ -76,7 +76,7 @@ struct Side {
   std::size_t sampled_bits = 0;
   double qber_sampled = 0.0;
   std::size_t errors_corrected = 0;  // Alice: as Bob's summary reports
-  std::size_t disclosed_bits = 0;    // parity bits Alice answered, Bob asked
+  std::size_t disclosed_bits = 0;    // Alice: parity bits she answered
 };
 
 /// A stage as its two halves.

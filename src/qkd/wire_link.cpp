@@ -100,15 +100,8 @@ bool DialogueWire::send_frame(const Bytes& frame) {
   return io_.send_frame(frame);
 }
 
-std::optional<Bytes> DialogueWire::recv_frame() {
-  if (held_.has_value()) return std::exchange(held_, std::nullopt);
-  return io_.recv_frame();
-}
-
 bool DialogueWire::next_is(wire::PacketType type) {
-  for (;;) {
-    auto raw = recv_frame();
-    if (!raw.has_value()) return false;
+  while (auto raw = recv_frame()) {
     const auto frame = wire::decode_frame(*raw);
     if (!frame.ok()) continue;
     if (frame.value.type != type) {
@@ -118,6 +111,7 @@ bool DialogueWire::next_is(wire::PacketType type) {
     // A replayed or mangled copy is not a further packet.
     if (auth_.verify(frame.value.payload).has_value()) return true;
   }
+  return false;
 }
 
 bool DialogueWire::resend() {

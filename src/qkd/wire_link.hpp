@@ -171,7 +171,9 @@ class DialogueWire final : public wire::Transport {
 
   bool send_frame(const Bytes& frame) override;
   /// The frame next_is() kept back, if any, then the transport's next.
-  std::optional<Bytes> recv_frame() override;
+  std::optional<Bytes> recv_frame() override {
+    return held_ ? std::exchange(held_, std::nullopt) : io_.recv_frame();
+  }
   wire::WireError last_error() const override { return io_.last_error(); }
 
   /// `packet` Wegman-Carter sealed into a frame; nullopt when the pads
