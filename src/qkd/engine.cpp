@@ -27,12 +27,19 @@ void record_ground_truth(const qkd::optics::FrameResult& frame,
                          const std::vector<std::uint32_t>& sifted_slots,
                          BatchResult& result) {
   if (sifted_slots.empty()) return;
+  // Every sifted slot is a click: walk the clicks in lockstep with the
+  // sifted slots, counting an error where they meet, with no branch on
+  // which clicks were kept.
+  const std::size_t m = sifted_slots.size();
   std::size_t errors = 0;
-  auto click = frame.clicks.begin();
+  std::size_t j = 0;
+  for (const qkd::optics::Click& click : frame.clicks) {
+    const bool hit = j < m && sifted_slots[j] == click.slot;
+    errors += hit & (click.alice_value != click.bob_bit);
+    j += hit;
+  }
   auto known = frame.eve.known.begin();
   for (std::uint32_t slot : sifted_slots) {
-    while (click->slot < slot) ++click;  // every sifted slot is a click
-    errors += click->alice_value != click->bob_bit;
     while (known != frame.eve.known.end() && *known < slot) ++known;
     if (known != frame.eve.known.end() && *known == slot)
       ++result.eve_known_sifted;

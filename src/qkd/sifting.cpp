@@ -1,17 +1,36 @@
 #include "src/qkd/sifting.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
 namespace qkd::proto {
+namespace {
+
+std::uint64_t bit(qkd::optics::Basis basis) {
+  return static_cast<std::uint64_t>(basis);
+}
+
+}  // namespace
 
 wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
                                       const qkd::optics::FrameResult& frame) {
-  wire::SiftAnnounce announce{.frame_id = frame_id, .slots = frame.slots};
-  announce.clicks.reserve(frame.clicks.size());
-  for (const qkd::optics::Click& click : frame.clicks) {
-    announce.clicks.push_back(click.slot);
-    announce.bob_bases.push_back(click.bob_basis ==
-                                 qkd::optics::Basis::kDiagonal);
+  const std::size_t n = frame.clicks.size();
+  wire::SiftAnnounce announce;
+  announce.frame_id = frame_id;
+  announce.slots = frame.slots;
+  announce.clicks.resize(n);
+  announce.bob_bases = qkd::BitVector(n);
+  const std::span<std::uint64_t> bases = announce.bob_bases.words();
+  // One word of Bob's bases per 64 clicks, built in a register.
+  for (std::size_t w = 0; w < bases.size(); ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i) {
+      const qkd::optics::Click& click = frame.clicks[i];
+      announce.clicks[i] = click.slot;
+      word |= bit(click.bob_basis) << (i & 63);
+    }
+    bases[w] = word;
   }
   return announce;
 }
@@ -20,44 +39,75 @@ AliceSiftResult alice_sift(const qkd::optics::FrameResult& frame,
                            const wire::SiftAnnounce& announce) {
   if (announce.slots != frame.slots)
     throw std::invalid_argument("alice_sift: frame size mismatch");
-  if (announce.bob_bases.size() != announce.clicks.size())
+  const std::size_t n = announce.clicks.size();
+  if (announce.bob_bases.size() != n)
     throw std::invalid_argument("alice_sift: one basis per click");
   AliceSiftResult result;
   result.decision.frame_id = announce.frame_id;
-  result.decision.keep = qkd::BitVector(announce.clicks.size());
-  // Both lists are sorted: advance to each announced slot.
+  result.decision.keep = qkd::BitVector(n);
+  // Outputs sized for every click kept, trimmed to the kept count after:
+  // each click writes its slot and value at the next free position and
+  // advances it by its keep bit, so a dropped click costs no branch.
+  SiftOutcome& out = result.outcome;
+  out.bits = qkd::BitVector(n);
+  out.slot_indices.resize(n);
+  const std::span<const std::uint64_t> bob_bases = announce.bob_bases.words();
+  const std::span<std::uint64_t> keep = result.decision.keep.words();
+  const std::span<std::uint64_t> values = out.bits.words();
+  std::size_t kept = 0;
+  // Both lists are sorted: advance to each announced slot. Bob announces
+  // every click, so the inner walk takes no step but on a subset.
   auto mine = frame.clicks.begin();
-  for (std::size_t i = 0; i < announce.clicks.size(); ++i) {
-    const std::uint32_t slot = announce.clicks[i];
-    while (mine != frame.clicks.end() && mine->slot < slot) ++mine;
-    if (mine == frame.clicks.end() || mine->slot != slot)
-      throw std::invalid_argument("alice_sift: announced slot did not click");
-    if (qkd::optics::basis_from_bit(announce.bob_bases.get(i)) !=
-        mine->alice_basis)
-      continue;
-    result.decision.keep.set(i, true);
-    result.outcome.bits.push_back(mine->alice_value);
-    result.outcome.slot_indices.push_back(slot);
+  for (std::size_t w = 0; w < keep.size(); ++w) {
+    std::uint64_t keep_word = 0;
+    for (std::size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i) {
+      const std::uint32_t slot = announce.clicks[i];
+      while (mine != frame.clicks.end() && mine->slot < slot) ++mine;
+      if (mine == frame.clicks.end() || mine->slot != slot)
+        throw std::invalid_argument(
+            "alice_sift: announced slot did not click");
+      const std::uint64_t match =
+          1 ^ bit(mine->alice_basis) ^ ((bob_bases[w] >> (i & 63)) & 1);
+      keep_word |= match << (i & 63);
+      out.slot_indices[kept] = slot;
+      values[kept >> 6] |= (std::uint64_t{mine->alice_value} & match)
+                           << (kept & 63);
+      kept += match;
+    }
+    keep[w] = keep_word;
   }
+  out.bits.resize(kept);
+  out.slot_indices.resize(kept);
   return result;
 }
 
 SiftOutcome bob_apply_response(const qkd::optics::FrameResult& frame,
                                const wire::SiftAnnounce& announce,
                                const wire::SiftDecision& decision) {
-  if (announce.clicks.size() != frame.clicks.size())
+  const std::size_t n = frame.clicks.size();
+  if (announce.clicks.size() != n)
     throw std::invalid_argument("bob_apply_response: click count mismatch");
-  if (decision.keep.size() != announce.clicks.size())
+  if (decision.keep.size() != n)
     throw std::invalid_argument("bob_apply_response: keep length mismatch");
   if (decision.frame_id != announce.frame_id)
     throw std::invalid_argument("bob_apply_response: frame id mismatch");
-  SiftOutcome outcome;
-  decision.keep.for_each_set_bit([&](std::size_t i) {
+  // The same branch-free compaction as Alice's, driven by her keep words.
+  SiftOutcome out;
+  out.bits = qkd::BitVector(n);
+  out.slot_indices.resize(n);
+  const std::span<const std::uint64_t> keep = decision.keep.words();
+  const std::span<std::uint64_t> values = out.bits.words();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     const qkd::optics::Click& click = frame.clicks[i];
-    outcome.bits.push_back(click.bob_bit);
-    outcome.slot_indices.push_back(click.slot);
-  });
-  return outcome;
+    const std::uint64_t match = (keep[i >> 6] >> (i & 63)) & 1;
+    out.slot_indices[kept] = click.slot;
+    values[kept >> 6] |= (std::uint64_t{click.bob_bit} & match) << (kept & 63);
+    kept += match;
+  }
+  out.bits.resize(kept);
+  out.slot_indices.resize(kept);
+  return out;
 }
 
 }  // namespace qkd::proto

@@ -9,7 +9,12 @@
 //
 // A frame is its click list, so sifting costs one step per click, never
 // one per slot: Bob's announce copies his half of the list, and Alice walks
-// the announce and her own clicks in lockstep.
+// the announce and her own clicks in lockstep. No step branches on a
+// basis: the per-click bits (Bob's bases, Alice's keep mask) are built a
+// 64-click word at a time, and both sides compact the kept clicks without
+// a branch, writing every click's slot and value at the next free
+// position of outputs sized for all n clicks and advancing that position
+// by the click's keep bit, then trimming to the kept count.
 #pragma once
 
 #include <cstdint>

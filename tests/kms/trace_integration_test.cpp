@@ -176,8 +176,9 @@ TEST(KmsTraceIntegration, UntracedClientStillWorksAndRecordsNothing) {
 
   for (const obs::Span& span : tracer.spans()) {
     EXPECT_NE(span.name, "kms.client.get_key");
-    if (span.name == "kms.server.get_key")
+    if (span.name == "kms.server.get_key") {
       EXPECT_EQ(span.parent_span, 0u) << "no context arrived on a v1 frame";
+    }
   }
 }
 

@@ -354,7 +354,9 @@ TEST(WeakCoherentLinkEdges, FrameSizesOffTheWordGridKeepCleanTails) {
     const FrameResult frame = link.run_frame(n);
     EXPECT_EQ(frame.slots, n);
     EXPECT_TRUE(clicks_in_order(frame));
-    if (n >= 1000) EXPECT_GT(frame.clicks.back().slot, n - 200);
+    if (n >= 1000) {
+      EXPECT_GT(frame.clicks.back().slot, n - 200);
+    }
   }
   EXPECT_EQ(link.stats().pulses, 0u + 1 + 63 + 65 + 1000 + 4097);
 }

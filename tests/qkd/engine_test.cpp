@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace qkd::proto {
 namespace {
 
@@ -266,6 +268,48 @@ TEST(QkdLinkSession, BoundMetricsExportFrameWallTimeBesideTheStages) {
     if (sample.name == "qkd_link_frame_wall_us")
       frame_us = static_cast<std::uint64_t>(sample.value);
   EXPECT_EQ(frame_us, static_cast<std::uint64_t>(batch.frame_wall_s * 1e6));
+}
+
+TEST(QkdLinkSession, GroundTruthEqualsANaiveRecountOverSiftedClicks) {
+  // qber_actual and eve_known_sifted come from a lockstep join of the
+  // frame's clicks with the sifted slots. A link built from the session's
+  // parameters and seed replays the session's frames, so each batch's
+  // ground truth can be recounted click by click.
+  QkdLinkConfig config = fast_config();
+  config.frame_slots = 1 << 18;
+  for (double fraction : {0.0, 0.3, 1.0}) {
+    SCOPED_TRACE("intercept fraction=" + std::to_string(fraction));
+    const std::uint64_t seed = 11;
+    QkdLinkSession session(config, seed);
+    qkd::optics::WeakCoherentLink replay(config.link, seed);
+    qkd::optics::InterceptResendAttack session_eve(fraction);
+    qkd::optics::InterceptResendAttack replay_eve(fraction);
+    qkd::optics::Attack* attack = fraction > 0.0 ? &session_eve : nullptr;
+    qkd::optics::Attack* replay_attack =
+        fraction > 0.0 ? &replay_eve : nullptr;
+    for (int i = 0; i < 3; ++i) {
+      const BatchResult batch = session.run_batch(attack);
+      const qkd::optics::FrameResult frame =
+          replay.run_frame(config.frame_slots, replay_attack);
+      ASSERT_EQ(frame.clicks.size(), batch.detections);
+      std::size_t sifted = 0, errors = 0, known = 0;
+      for (const qkd::optics::Click& click : frame.clicks) {
+        if (click.alice_basis != click.bob_basis) continue;
+        ++sifted;
+        errors += click.alice_value != click.bob_bit;
+        known += std::binary_search(frame.eve.known.begin(),
+                                    frame.eve.known.end(), click.slot);
+      }
+      ASSERT_EQ(sifted, batch.sifted_bits);
+      ASSERT_GT(sifted, 0u);
+      EXPECT_EQ(batch.qber_actual, static_cast<double>(errors) /
+                                       static_cast<double>(sifted));
+      EXPECT_EQ(batch.eve_known_sifted, known);
+      if (fraction > 0.0) {
+        EXPECT_GT(known, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

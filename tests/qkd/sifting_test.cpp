@@ -386,6 +386,103 @@ TEST(SiftingEquivalence, SimulatedQframeMatches) {
   expect_sift_matches_reference(small_frame(73, 1 << 20), 5);
 }
 
+// ---- Compaction edges -----------------------------------------------------
+//
+// Both sides compact the kept clicks a 64-click word at a time, so the
+// cases below sit on the word grid: click counts either side of one and
+// two words, every click kept or none, and kept runs that straddle a word
+// of the input and of the output.
+
+/// A frame of exactly `n` clicks at random increasing slots.
+qkd::optics::FrameResult frame_with_clicks(qkd::Rng& rng, std::size_t n) {
+  qkd::optics::FrameResult frame;
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    slot += 1 + rng.next_below(4);
+    frame.clicks.push_back(random_click(rng, slot));
+  }
+  frame.slots = slot + 1 + rng.next_below(4);
+  return frame;
+}
+
+/// Sets each click's Alice basis so that click i is kept iff keep(i).
+template <typename Keep>
+void keep_where(qkd::optics::FrameResult& frame, Keep keep) {
+  for (std::size_t i = 0; i < frame.clicks.size(); ++i) {
+    qkd::optics::Click& click = frame.clicks[i];
+    const bool diagonal = click.bob_basis == qkd::optics::Basis::kDiagonal;
+    click.alice_basis = qkd::optics::basis_from_bit(keep(i) ? diagonal
+                                                           : !diagonal);
+  }
+}
+
+constexpr std::size_t kWordEdgeCounts[] = {0, 1, 63, 64, 65, 127, 128, 129};
+
+TEST(SiftingEquivalence, ClickCountsOnTheWordGridMatch) {
+  QKD_SEEDED_RNG(rng, 101);
+  for (std::size_t n : kWordEdgeCounts) {
+    SCOPED_TRACE("clicks=" + std::to_string(n));
+    const qkd::optics::FrameResult frame = frame_with_clicks(rng, n);
+    ASSERT_EQ(frame.clicks.size(), n);
+    expect_sift_matches_reference(frame, n);
+  }
+}
+
+TEST(SiftingEquivalence, AllKeptAndNoneKeptMatch) {
+  QKD_SEEDED_RNG(rng, 103);
+  for (std::size_t n : kWordEdgeCounts) {
+    SCOPED_TRACE("clicks=" + std::to_string(n));
+    qkd::optics::FrameResult frame = frame_with_clicks(rng, n);
+    keep_where(frame, [](std::size_t) { return true; });
+    expect_sift_matches_reference(frame, 1);
+    EXPECT_EQ(alice_sift(frame, make_sift_announce(1, frame))
+                  .outcome.bits.size(),
+              n);
+    keep_where(frame, [](std::size_t) { return false; });
+    expect_sift_matches_reference(frame, 2);
+    EXPECT_TRUE(alice_sift(frame, make_sift_announce(2, frame))
+                    .outcome.bits.empty());
+  }
+}
+
+TEST(SiftingEquivalence, KeptRunsAcrossWordsMatch) {
+  QKD_SEEDED_RNG(rng, 107);
+  qkd::optics::FrameResult frame = frame_with_clicks(rng, 300);
+  // Clicks 50..80 and 120..200 kept: the first run crosses input word 0/1,
+  // the second crosses input words 1/2 and 2/3 and, at output position 64,
+  // the first output word.
+  keep_where(frame, [](std::size_t i) {
+    return (i >= 50 && i <= 80) || (i >= 120 && i <= 200);
+  });
+  expect_sift_matches_reference(frame, 3);
+  // Runs of 37 kept, 5 dropped: every output word boundary falls inside a
+  // run, at a different input offset each time.
+  keep_where(frame, [](std::size_t i) { return i % 42 < 37; });
+  expect_sift_matches_reference(frame, 4);
+}
+
+TEST(SiftingEquivalence, AnnouncedSubsetMatchesAFrameOfOnlyThoseClicks) {
+  // Alice's merge path: Bob names only some of her clicks. Her result must
+  // be what she would compute from a frame holding just those clicks.
+  QKD_SEEDED_RNG(rng, 109);
+  for (std::size_t n : {1u, 65u, 129u, 1000u}) {
+    SCOPED_TRACE("clicks=" + std::to_string(n));
+    const qkd::optics::FrameResult frame = frame_with_clicks(rng, n);
+    qkd::optics::FrameResult subset;
+    subset.slots = frame.slots;
+    for (const qkd::optics::Click& click : frame.clicks)
+      if (rng.next_bool(0.3)) subset.clicks.push_back(click);
+    if (subset.clicks.size() == frame.clicks.size()) subset.clicks.pop_back();
+    const wire::SiftAnnounce announce = make_sift_announce(6, subset);
+    const AliceSiftResult merged = alice_sift(frame, announce);
+    const AliceSiftResult alone = alice_sift(subset, announce);
+    EXPECT_EQ(merged.decision, alone.decision);
+    EXPECT_EQ(merged.outcome.bits, alone.outcome.bits);
+    EXPECT_EQ(merged.outcome.slot_indices, alone.outcome.slot_indices);
+    expect_sift_matches_reference(subset, 6);
+  }
+}
+
 // ---- Sift wire-byte pin ---------------------------------------------------
 //
 // The SiftAnnounce payload is fixed by its definition (see

@@ -113,7 +113,7 @@ TEST(Etsi, TrailingBytesAreRejected) {
 }
 
 TEST(Etsi, DecodeEtsiRejectsDistillationFrames) {
-  const Frame frame{PacketType::kSiftAnnounce, {}};
+  const Frame frame{PacketType::kSiftAnnounce, {}, {}};
   EXPECT_EQ(decode_etsi(frame).error, WireError::kMalformedPayload);
 }
 
