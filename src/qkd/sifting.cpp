@@ -3,24 +3,51 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace qkd::proto {
 namespace {
 
-std::uint64_t bit(qkd::optics::Basis basis) {
+std::uint64_t basis_bit(qkd::optics::Basis basis) {
   return static_cast<std::uint64_t>(basis);
 }
+
+/// One side's sifted bits, gathered without a branch on the keep bit:
+/// the outputs are sized for all n clicks, every click is written at the
+/// next free position, and that position advances by the click's keep bit.
+class KeptClicks {
+ public:
+  explicit KeptClicks(std::size_t n)
+      : out_{.bits = qkd::BitVector(n),
+             .slot_indices = std::vector<std::uint32_t>(n)} {}
+
+  void add(std::uint32_t slot, bool value, std::uint64_t keep) {
+    out_.slot_indices[kept_] = slot;
+    out_.bits.words()[kept_ >> 6] |= (std::uint64_t{value} & keep)
+                                     << (kept_ & 63);
+    kept_ += keep;
+  }
+
+  SiftOutcome take() && {
+    out_.bits.resize(kept_);
+    out_.slot_indices.resize(kept_);
+    return std::move(out_);
+  }
+
+ private:
+  SiftOutcome out_;
+  std::size_t kept_ = 0;
+};
 
 }  // namespace
 
 wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
                                       const qkd::optics::FrameResult& frame) {
   const std::size_t n = frame.clicks.size();
-  wire::SiftAnnounce announce;
-  announce.frame_id = frame_id;
-  announce.slots = frame.slots;
-  announce.clicks.resize(n);
-  announce.bob_bases = qkd::BitVector(n);
+  wire::SiftAnnounce announce{.frame_id = frame_id,
+                              .slots = frame.slots,
+                              .clicks = std::vector<std::uint32_t>(n),
+                              .bob_bases = qkd::BitVector(n)};
   const std::span<std::uint64_t> bases = announce.bob_bases.words();
   // One word of Bob's bases per 64 clicks, built in a register.
   for (std::size_t w = 0; w < bases.size(); ++w) {
@@ -28,7 +55,7 @@ wire::SiftAnnounce make_sift_announce(std::uint64_t frame_id,
     for (std::size_t i = w * 64; i < std::min(n, w * 64 + 64); ++i) {
       const qkd::optics::Click& click = frame.clicks[i];
       announce.clicks[i] = click.slot;
-      word |= bit(click.bob_basis) << (i & 63);
+      word |= basis_bit(click.bob_basis) << (i & 63);
     }
     bases[w] = word;
   }
@@ -45,18 +72,12 @@ AliceSiftResult alice_sift(const qkd::optics::FrameResult& frame,
   AliceSiftResult result;
   result.decision.frame_id = announce.frame_id;
   result.decision.keep = qkd::BitVector(n);
-  // Outputs sized for every click kept, trimmed to the kept count after:
-  // each click writes its slot and value at the next free position and
-  // advances it by its keep bit, so a dropped click costs no branch.
-  SiftOutcome& out = result.outcome;
-  out.bits = qkd::BitVector(n);
-  out.slot_indices.resize(n);
   const std::span<const std::uint64_t> bob_bases = announce.bob_bases.words();
   const std::span<std::uint64_t> keep = result.decision.keep.words();
-  const std::span<std::uint64_t> values = out.bits.words();
-  std::size_t kept = 0;
+  KeptClicks kept(n);
   // Both lists are sorted: advance to each announced slot. Bob announces
-  // every click, so the inner walk takes no step but on a subset.
+  // every click, so the inner walk steps once per slot; only an announce
+  // naming a subset of Alice's clicks makes it skip.
   auto mine = frame.clicks.begin();
   for (std::size_t w = 0; w < keep.size(); ++w) {
     std::uint64_t keep_word = 0;
@@ -67,17 +88,13 @@ AliceSiftResult alice_sift(const qkd::optics::FrameResult& frame,
         throw std::invalid_argument(
             "alice_sift: announced slot did not click");
       const std::uint64_t match =
-          1 ^ bit(mine->alice_basis) ^ ((bob_bases[w] >> (i & 63)) & 1);
+          1 ^ basis_bit(mine->alice_basis) ^ ((bob_bases[w] >> (i & 63)) & 1);
       keep_word |= match << (i & 63);
-      out.slot_indices[kept] = slot;
-      values[kept >> 6] |= (std::uint64_t{mine->alice_value} & match)
-                           << (kept & 63);
-      kept += match;
+      kept.add(slot, mine->alice_value, match);
     }
     keep[w] = keep_word;
   }
-  out.bits.resize(kept);
-  out.slot_indices.resize(kept);
+  result.outcome = std::move(kept).take();
   return result;
 }
 
@@ -91,23 +108,12 @@ SiftOutcome bob_apply_response(const qkd::optics::FrameResult& frame,
     throw std::invalid_argument("bob_apply_response: keep length mismatch");
   if (decision.frame_id != announce.frame_id)
     throw std::invalid_argument("bob_apply_response: frame id mismatch");
-  // The same branch-free compaction as Alice's, driven by her keep words.
-  SiftOutcome out;
-  out.bits = qkd::BitVector(n);
-  out.slot_indices.resize(n);
   const std::span<const std::uint64_t> keep = decision.keep.words();
-  const std::span<std::uint64_t> values = out.bits.words();
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const qkd::optics::Click& click = frame.clicks[i];
-    const std::uint64_t match = (keep[i >> 6] >> (i & 63)) & 1;
-    out.slot_indices[kept] = click.slot;
-    values[kept >> 6] |= (std::uint64_t{click.bob_bit} & match) << (kept & 63);
-    kept += match;
-  }
-  out.bits.resize(kept);
-  out.slot_indices.resize(kept);
-  return out;
+  KeptClicks kept(n);
+  for (std::size_t i = 0; i < n; ++i)
+    kept.add(frame.clicks[i].slot, frame.clicks[i].bob_bit,
+             (keep[i >> 6] >> (i & 63)) & 1);
+  return std::move(kept).take();
 }
 
 }  // namespace qkd::proto
