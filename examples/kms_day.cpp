@@ -10,7 +10,8 @@
 // the afternoon she leaves, the pools refill, and the surviving backlog
 // drains. Everything — arrivals, requests, service rounds, shedding,
 // recovery — is an event on one EventScheduler, and the TimelineRecorder
-// charts per-class queue depth, grants and rejections as it happens.
+// charts per-class queue depth, grants and rejections as it happens, from
+// the same metrics registry the health engine reads.
 //
 // Set QKD_TRACE_OUT=/path/trace.json to trace the midday incident window
 // (one minute straddling Eve's arrival) and write it as Chrome trace JSON
@@ -79,13 +80,12 @@ int main() {
   KeyManagementService kms(mesh, runner.scheduler(), kms_config);
   KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
-  runner.recorder().attach_service(kms);
 
-  // The health layer: every signal the rules watch flows through one
-  // registry, and the engine evaluates the rule pack every ten sim
-  // seconds on the same timeline the day runs on.
-  obs::MetricsRegistry registry(kms.shard_count());
-  mesh.bind_metrics(registry, "mesh");
+  // The health layer: every signal the rules watch flows through the
+  // runner's registry (the mesh is bound as "mesh" by attach_mesh), the
+  // recorder samples the same registry, and the engine evaluates the rule
+  // pack every ten sim seconds on the same timeline the day runs on.
+  obs::MetricsRegistry& registry = runner.registry();
   kms.bind_metrics(registry, "kms");
   obs::health::AlertEngine alerts(registry);
   // Eve's fiber is link 6 (alice's head-end); the alice->bob pair's supply

@@ -17,6 +17,39 @@ IkeConfig make_ike_config(const VpnGateway::Config& config) {
   return ike;
 }
 
+constexpr obs::CounterField<VpnGateway::Stats> kStatsFields[] = {
+    {"esp_sent", &VpnGateway::Stats::esp_sent},
+    {"esp_received", &VpnGateway::Stats::esp_received},
+    {"delivered", &VpnGateway::Stats::delivered},
+    {"bypassed", &VpnGateway::Stats::bypassed},
+    {"discarded_policy", &VpnGateway::Stats::discarded_policy},
+    {"dropped_no_policy", &VpnGateway::Stats::dropped_no_policy},
+    {"dropped_queue_full", &VpnGateway::Stats::dropped_queue_full},
+    {"auth_failures", &VpnGateway::Stats::auth_failures},
+    {"replay_drops", &VpnGateway::Stats::replay_drops},
+    {"unknown_spi", &VpnGateway::Stats::unknown_spi},
+    {"otp_exhausted", &VpnGateway::Stats::otp_exhausted},
+    {"sa_rollovers", &VpnGateway::Stats::sa_rollovers},
+    {"supply_low_water", &VpnGateway::Stats::supply_low_water},
+    {"supply_exhausted", &VpnGateway::Stats::supply_exhausted},
+    {"supply_replenished", &VpnGateway::Stats::supply_replenished},
+};
+
+constexpr obs::CounterField<IkeStats> kIkeFields[] = {
+    {"phase1_completed", &IkeStats::phase1_completed},
+    {"phase2_initiated", &IkeStats::phase2_initiated},
+    {"phase2_responded", &IkeStats::phase2_responded},
+    {"phase2_completed", &IkeStats::phase2_completed},
+    {"phase2_timeouts", &IkeStats::phase2_timeouts},
+    {"retransmits", &IkeStats::retransmits},
+    {"qblocks_consumed", &IkeStats::qblocks_consumed},
+    {"qblocks_reserved", &IkeStats::qblocks_reserved},
+    {"reservations_released", &IkeStats::reservations_released},
+    {"degraded_negotiations", &IkeStats::degraded_negotiations},
+    {"failed_otp_negotiations", &IkeStats::failed_otp_negotiations},
+    {"supply_exhausted_events", &IkeStats::supply_exhausted_events},
+};
+
 }  // namespace
 
 VpnGateway::VpnGateway(Config config, std::uint64_t seed)
@@ -27,6 +60,20 @@ VpnGateway::VpnGateway(Config config, std::uint64_t seed)
   key_pool_.set_low_water_bits(config_.supply_low_water_bits);
   key_pool_.subscribe([this](const keystore::SupplyEvent& event) {
     on_supply_event(event);
+  });
+}
+
+void VpnGateway::bind_metrics(obs::MetricsRegistry& registry,
+                              std::string prefix) {
+  registry.add_collector([this, prefix = std::move(prefix)](
+                             obs::MetricsRegistry::Collect& out) {
+    for (const auto& field : kStatsFields)
+      out.counter(prefix + "_" + field.name, stats_.*field.member);
+    for (const auto& field : kIkeFields)
+      out.counter(prefix + "_ike_" + field.name, ike_.stats().*field.member);
+    out.gauge(prefix + "_sas_installed", static_cast<double>(sad_.size()));
+    out.gauge(prefix + "_supply_bits",
+              static_cast<double>(key_pool_.available_bits()));
   });
 }
 

@@ -16,6 +16,7 @@
 #include "src/ipsec/esp.hpp"
 #include "src/ipsec/ike.hpp"
 #include "src/keystore/key_pool.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace qkd::ipsec {
 
@@ -72,6 +73,14 @@ class VpnGateway {
   const IkeDaemon& ike() const { return ike_; }
   const Stats& stats() const { return stats_; }
   const Config& config() const { return config_; }
+
+  /// Registers a collector exporting every Stats field as
+  /// `<prefix>_<field>`, every IkeStats field as `<prefix>_ike_<field>`,
+  /// and the gauges `<prefix>_sas_installed` (SAD entries) and
+  /// `<prefix>_supply_bits` (key reservoir depth): the Sec. 7 rekey
+  /// starvation, readable by alert rules and the scenario timeline. The
+  /// gateway must outlive the binding.
+  void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   /// Starts IKE Phase 1 (call on one side; the responder learns it from the
   /// wire).

@@ -50,8 +50,10 @@ void KeyManagementService::init_shards(std::size_t count) {
   for (auto& class_counters : class_counters_)
     for (std::size_t row = 0; row < std::size(kClassCounters); ++row)
       class_counters.emplace_back(count);
-  for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
+  for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
+    queue_depth_.emplace_back(count);
     grant_latency_.emplace_back(count);
+  }
   if (sharded_ != nullptr)
     sharded_->add_barrier_task(
         [this](qkd::SimTime now) { flush_frames(now); });
@@ -275,6 +277,7 @@ void KeyManagementService::bind_metrics(obs::MetricsRegistry& registry,
       for (std::size_t row = 0; row < std::size(kClassCounters); ++row)
         out.counter(base + kClassCounters[row].name,
                     class_counters_[qos][row].value());
+      out.gauge(base + "queue_depth", static_cast<double>(queue_depth(cls)));
       out.gauge(base + "p99_grant_latency_s", p99_grant_latency_s(cls));
     }
     // Per-pair pooled bits: each cell is a relaxed atomic the owning shard
@@ -314,10 +317,8 @@ KeyManagementService::ClassStats KeyManagementService::shard_class_stats(
 }
 
 std::size_t KeyManagementService::queue_depth(QosClass qos) const {
-  const auto index = static_cast<std::size_t>(qos);
-  std::size_t depth = 0;
-  for (const auto& shard : shards_) depth += shard->queue_depth(index);
-  return depth;
+  return static_cast<std::size_t>(
+      queue_depth_.at(static_cast<std::size_t>(qos)).value());
 }
 
 double KeyManagementService::p99_grant_latency_s(QosClass qos) const {
@@ -349,25 +350,6 @@ KeyManagementService::inspect_pairs() const {
               return std::make_pair(a.src, a.dst) < std::make_pair(b.src, b.dst);
             });
   return out;
-}
-
-std::vector<sim::ClassSample> KeyManagementService::sample_service(
-    qkd::SimTime) {
-  std::vector<sim::ClassSample> samples;
-  samples.reserve(kQosClassCount);
-  for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
-    const auto cls = static_cast<QosClass>(qos);
-    const ClassStats stats = class_stats(cls);
-    sim::ClassSample sample;
-    sample.label = qos_class_name(cls);
-    sample.queue_depth = queue_depth(cls);
-    sample.granted = stats.granted;
-    sample.rejected = stats.rejected_queue_full;
-    sample.shed = stats.shed;
-    sample.p99_grant_latency_s = p99_grant_latency_s(cls);
-    samples.push_back(std::move(sample));
-  }
-  return samples;
 }
 
 }  // namespace qkd::kms

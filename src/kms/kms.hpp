@@ -59,10 +59,11 @@
 //    fixed seed is identical for ANY shard and lane count.
 //
 // The KMS is the topmost layer (src/kms links qkd_sim): it schedules onto
-// the same EventScheduler the scenario engine scripts, implements
-// sim::ServiceSampler so the TimelineRecorder can chart per-class queue
-// depth / grants / rejections / p99 grant latency, and plugs into scripted
-// days through kms::KmsClientFleet (ClientArrival/ClientDeparture actions).
+// the same EventScheduler the scenario engine scripts, exports per-class
+// queue depth / grants / rejections / p99 grant latency through
+// bind_metrics (the registry the TimelineRecorder and the alert engine
+// read), and plugs into scripted days through kms::KmsClientFleet
+// (ClientArrival/ClientDeparture actions).
 // E19 (bench_kms) drives >= 1M requests from >= 1k clients through one
 // scheduled run; the sharded sweep scales grants/s across cores.
 #pragma once
@@ -83,7 +84,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/event_scheduler.hpp"
-#include "src/sim/timeline.hpp"
 
 namespace qkd::sim {
 class ShardedScheduler;
@@ -153,7 +153,7 @@ using GrantCallback = std::function<void(const Grant&)>;
 
 // ---- The service -----------------------------------------------------------
 
-class KeyManagementService final : public sim::ServiceSampler {
+class KeyManagementService final {
  public:
   struct Config {
     /// Fair-share weights by QoS class index; each crediting pass of a
@@ -271,7 +271,7 @@ class KeyManagementService final : public sim::ServiceSampler {
                        sim::ShardedScheduler& sharded, Config config);
   KeyManagementService(network::MeshSimulation& mesh,
                        sim::ShardedScheduler& sharded);
-  ~KeyManagementService() override;
+  ~KeyManagementService();
 
   // ---- Registry -----------------------------------------------------------
   ClientId register_client(ClientConfig config);
@@ -325,17 +325,18 @@ class KeyManagementService final : public sim::ServiceSampler {
   obs::Tracer* tracer() const { return tracer_; }
 
   /// Registers a collector exporting every counter by its table name,
-  /// per-class p99 grant latency and per-pair pooled bits under `prefix`.
+  /// per-class queue depth and p99 grant latency, and per-pair pooled bits
+  /// under `prefix`.
   /// It reads the same cells as the accessors below: safe from any thread
   /// while shard lanes grant.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- Introspection (aggregated across shards) ---------------------------
-  // Counter/latency accessors return values summed from the per-shard
-  // cells of the counters and latency histograms; they write nothing, so
-  // any number of threads may call them concurrently with shard-lane
-  // grants. queue_depth / inspect_pairs still walk shard pair state and
-  // require lanes parked.
+  // Counter, queue-depth and latency accessors return values summed from
+  // the per-shard cells of the counters, gauges and latency histograms;
+  // they write nothing, so any number of threads may call them
+  // concurrently with shard-lane grants. inspect_pairs still walks shard
+  // pair state and requires lanes parked.
   ClassStats class_stats(QosClass qos) const;
   Stats stats() const;
   const Config& config() const { return config_; }
@@ -364,9 +365,6 @@ class KeyManagementService final : public sim::ServiceSampler {
   void set_grant_observer(GrantCallback observer) {
     grant_observer_ = std::move(observer);
   }
-
-  // ---- sim::ServiceSampler ------------------------------------------------
-  std::vector<sim::ClassSample> sample_service(qkd::SimTime now) override;
 
  private:
   friend class KmsShard;
@@ -435,6 +433,9 @@ class KeyManagementService final : public sim::ServiceSampler {
 
   std::vector<obs::Counter> counters_;
   std::array<std::vector<obs::Counter>, kQosClassCount> class_counters_;
+  /// Requests queued per QoS class, one cell per shard: each shard sets
+  /// its own cell after every change to its queues.
+  std::vector<obs::Gauge> queue_depth_;
   /// Request-to-grant latency in ns, one histogram per QoS class with one
   /// cell per shard (each shard records into its own cell).
   std::vector<obs::Histogram> grant_latency_;

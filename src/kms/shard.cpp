@@ -100,6 +100,7 @@ void KmsShard::submit(PairState& pair, unsigned qos, Request request,
     admit_span.attr("result", "queued");
   }
   pair.queues[qos].push_back(std::move(request));
+  queued(qos, 1);
   arm_service(pair, now + service_.config_.batch_window);
 }
 
@@ -164,6 +165,7 @@ void KmsShard::drain_departed(PairState& pair, ClientId id, qkd::SimTime now) {
       if (it->client == id) {
         finish(*it, qos, GrantStatus::kDeparted, now);
         it = queue.erase(it);
+        queued(qos, -1);
       } else {
         ++it;
       }
@@ -229,6 +231,7 @@ std::vector<std::pair<unsigned, Request>> KmsShard::select_round(
         total_bits += queue.front().bits;
         round.emplace_back(qos, std::move(queue.front()));
         queue.pop_front();
+        queued(qos, -1);
       }
       if (queue.empty())
         pair.deficit_bits[qos] = 0;
@@ -246,6 +249,7 @@ void KmsShard::shed_lowest_class(PairState& pair, qkd::SimTime now) {
     if (queue.empty()) continue;
     for (Request& request : queue)
       finish(request, qos, GrantStatus::kShed, now);
+    queued(qos, -static_cast<std::ptrdiff_t>(queue.size()));
     queue.clear();
     pair.deficit_bits[qos] = 0;
     count<&Stats::shed_events>();
@@ -372,6 +376,7 @@ void KmsShard::settle(FrameJob& job, qkd::SimTime now) {
     for (auto it = job.round.rbegin(); it != job.round.rend(); ++it) {
       pair.deficit_bits[it->first] += it->second.bits;
       pair.queues[it->first].push_front(std::move(it->second));
+      queued(it->first, 1);
     }
     job.round.clear();
     if (pair.consecutive_starved >= config.shed_after_starved_rounds)
@@ -411,12 +416,6 @@ void KmsShard::finalize_outbox(qkd::SimTime now) {
 // ---- Introspection ---------------------------------------------------------
 
 obs::Tracer* KmsShard::tracer() const { return service_.tracer_; }
-
-std::size_t KmsShard::queue_depth(std::size_t qos) const {
-  std::size_t depth = 0;
-  for (const auto& pair : pairs_) depth += pair->queues[qos].size();
-  return depth;
-}
 
 void KmsShard::inspect_into(
     std::vector<KeyManagementService::PairInspection>& out) const {

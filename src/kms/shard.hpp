@@ -158,12 +158,11 @@ class KmsShard {
   void finalize_outbox(qkd::SimTime now);
 
   // ---- Introspection -------------------------------------------------------
-  // The shard's counts live in its cells of the service's counters, read
-  // there from any thread. shedding() is a relaxed atomic too;
-  // queue_depth / inspect_into walk pair state and require shard lanes
-  // parked.
+  // The shard's counts and queue depths live in its cells of the service's
+  // counters and gauges, read there from any thread. shedding() is a
+  // relaxed atomic too; inspect_into walks pair state and requires shard
+  // lanes parked.
   bool shedding() const { return shedding_.load(std::memory_order_relaxed); }
-  std::size_t queue_depth(std::size_t qos) const;
   void inspect_into(
       std::vector<KeyManagementService::PairInspection>& out) const;
 
@@ -182,6 +181,12 @@ class KmsShard {
   void count(std::size_t qos, std::uint64_t n = 1) {
     constexpr auto row = obs::counter_row(Service::kClassCounters, Member);
     service_.class_counters_[qos][row].add(n, index_);
+  }
+  /// Moves this shard's `qos` backlog by `delta` requests and publishes it
+  /// in the shard's cell of the service's queue-depth gauge.
+  void queued(std::size_t qos, std::ptrdiff_t delta) {
+    queued_[qos] += delta;
+    service_.queue_depth_[qos].set(queued_[qos], index_);
   }
 
   void arm_service(PairState& pair, qkd::SimTime when);
@@ -211,6 +216,8 @@ class KmsShard {
   std::vector<FrameJob> outbox_;
 
   std::atomic<bool> shedding_{false};
+  /// Requests in this shard's `qos` queues across all its pairs.
+  std::array<std::int64_t, kQosClassCount> queued_{};
 };
 
 }  // namespace qkd::kms

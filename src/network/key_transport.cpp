@@ -295,15 +295,18 @@ void MeshSimulation::bind_metrics(obs::MetricsRegistry& registry,
     double pool_bits = 0.0;
     std::size_t unusable = 0;
     for (const Link& link : topology_.links()) {
-      pool_bits += link_pool_bits(link.id);
+      const double pool = link_pool_bits(link.id);
+      pool_bits += pool;
       if (!link.usable()) ++unusable;
       // Per-link health gauges, the signals the paper's alarms watch:
       // QBER in percent (intercept-resend drives it toward ~25%; the
-      // protocol abandons the link at 11%) and the pooled bits behind it.
+      // protocol abandons the link at 11%), the pooled bits behind it, and
+      // whether routing may use the link (1) or abandoned it (0).
       const std::string id = std::to_string(link.id);
       out.gauge(prefix + "_link" + id + "_qber_percent",
                 100.0 * link_qber(link, eavesdrop_fraction_[link.id]));
-      out.gauge(prefix + "_link" + id + "_pool_bits", link_pool_bits(link.id));
+      out.gauge(prefix + "_link" + id + "_pool_bits", pool);
+      out.gauge(prefix + "_link" + id + "_usable", link.usable() ? 1.0 : 0.0);
     }
     out.gauge(prefix + "_pool_bits_total", pool_bits);
     out.gauge(prefix + "_links_unusable", static_cast<double>(unusable));

@@ -222,8 +222,9 @@ class MeshSimulation {
   /// single scheduler stream), so spans land in cell 0.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// Registers a collector exposing transport Stats plus the summed link
-  /// pool depth under `prefix`. Snapshot with the mesh quiesced (between
+  /// Registers a collector exposing transport Stats, the summed link pool
+  /// depth and each link's `<prefix>_link<id>_{qber_percent,pool_bits,
+  /// usable}` under `prefix`. Snapshot with the mesh quiesced (between
   /// barriers / runs) — the same discipline every mesh read requires.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 

@@ -198,9 +198,11 @@ void AlertEngine::evaluate(qkd::SimTime now) {
   ++stats_.evaluations;
 
   // One snapshot per tick: every rule sees the same instant.
+  const std::vector<MetricSample> samples = registry_.snapshot();
+  require_unique_names(samples, "AlertEngine");
   snapshot_.clear();
   snapshot_p99_.clear();
-  for (const MetricSample& sample : registry_.snapshot()) {
+  for (const MetricSample& sample : samples) {
     snapshot_[sample.name] = sample.value;
     if (sample.kind == MetricKind::kHistogram)
       snapshot_p99_[sample.name] = sample.p99;

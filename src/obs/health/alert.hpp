@@ -186,7 +186,8 @@ class AlertEngine {
   /// One evaluation tick at sim time `now` (monotonically non-decreasing
   /// across calls; going backwards throws). Takes one registry snapshot,
   /// updates metric history, advances every rule's state machine, and
-  /// records/announces transitions.
+  /// records/announces transitions. A snapshot that reports a name twice
+  /// throws std::logic_error naming it.
   void evaluate(qkd::SimTime now);
 
   /// Current lifecycle state of a rule (throws on unknown name).

@@ -84,6 +84,18 @@ double Histogram::quantile(double q) const {
   return 0.0;
 }
 
+void require_unique_names(const std::vector<MetricSample>& samples,
+                          const char* reader) {
+  const auto twice = std::adjacent_find(
+      samples.begin(), samples.end(),
+      [](const MetricSample& a, const MetricSample& b) {
+        return a.name == b.name;
+      });
+  if (twice != samples.end())
+    throw std::logic_error(std::string(reader) + ": metric \"" +
+                           twice->name + "\" is reported twice");
+}
+
 // ---- MetricsRegistry -------------------------------------------------------
 
 MetricsRegistry::MetricsRegistry(std::size_t cells)

@@ -1,20 +1,20 @@
 // One metrics registry for the whole stack.
 //
-// Every layer used to keep its own ad-hoc Stats struct; diagnosing a run
-// meant reading eight of them. The registry gives them one namespace and
-// one export path (a Prometheus-style text dump, plus structured
-// snapshots for tests and the bench tooling): hot paths write the
-// registry's instruments directly, or register a *collector* — a callback
-// run at snapshot time that reports current values (the Prometheus
-// collector pattern).
+// The registry gives every layer one namespace and one export path (a
+// Prometheus-style text dump, plus structured snapshots for tests, the
+// alert engine, the scenario timeline and the bench tooling): hot paths
+// write the registry's instruments directly, or register a *collector* —
+// a callback run at snapshot time that reports current values (the
+// Prometheus collector pattern).
 //
 // Instruments are sharded like the KMS: a family owns `cells` independent
 // cache-line-padded atomic slots (one per shard/lane), written with
 // relaxed operations — no cross-shard locks, no contention on the grant
-// path — and aggregated only when read. Counters and histograms also
-// stand alone: the KMS lists its Stats fields once in a CounterField
-// table whose rows' Counters are the fields' only store; its accessors
-// read_counters() by value and its collector exports the same cells.
+// path — and aggregated only when read. Every instrument also stands
+// alone: the KMS lists its Stats fields once in a CounterField table
+// whose rows' Counters are the fields' only store, keeps its queue depth
+// in a Gauge with one cell per shard, reads both by value in its accessors
+// and exports the same cells from its collector.
 #pragma once
 
 #include <atomic>
@@ -62,6 +62,8 @@ class Counter {
 /// A point-in-time signed value; per-cell set/add, summed on read.
 class Gauge {
  public:
+  explicit Gauge(std::size_t cells);
+
   void set(std::int64_t v, std::size_t cell = 0) {
     slot(cell).store(v, std::memory_order_relaxed);
   }
@@ -72,9 +74,6 @@ class Gauge {
   std::size_t cells() const { return cells_.size(); }
 
  private:
-  friend class MetricsRegistry;
-  explicit Gauge(std::size_t cells);
-
   struct Slot {
     alignas(64) std::atomic<std::int64_t> v{0};
   };
@@ -116,8 +115,9 @@ class Histogram {
   std::vector<std::unique_ptr<Slot>> cells_;
 };
 
-/// One row of a counter table: a field of a Stats struct whose only store
-/// is the Counter kept for this row, and the name it exports under.
+/// One row of a counter table: a field of a Stats struct and the name it
+/// exports under. The KMS keeps the field only in the Counter it holds for
+/// the row; a layer with a plain Stats struct exports the field itself.
 template <typename S>
 struct CounterField {
   const char* name;
@@ -162,6 +162,13 @@ struct MetricSample {
   double p99 = 0.0;    // histograms only (conservative)
 };
 
+/// Throws std::logic_error naming the first metric that appears twice in
+/// `samples` (sorted by name, as snapshot() returns them). Readers that key
+/// samples by name call it on every snapshot: with two samples under one
+/// name, the value they would read depends on collector order.
+void require_unique_names(const std::vector<MetricSample>& samples,
+                          const char* reader);
+
 class MetricsRegistry {
  public:
   /// `cells` is the default sharding degree of newly created instruments
@@ -180,10 +187,10 @@ class MetricsRegistry {
   /// to query arbitrary quantiles beyond the exported p50/p99.
   const Histogram* find_histogram(const std::string& name) const;
 
-  /// Pull-model bridge for layers that keep their own Stats structs: the
-  /// callback runs inside snapshot()/to_prometheus() and reports current
-  /// values through the emit functions. Values it emits appear alongside
-  /// the direct instruments (same name rules).
+  /// Pull-model bridge: the callback runs inside snapshot() /
+  /// to_prometheus() and reports current values through the emit
+  /// functions. Values it emits appear alongside the direct instruments
+  /// (same name rules).
   class Collect {
    public:
     virtual ~Collect() = default;

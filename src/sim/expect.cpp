@@ -13,6 +13,11 @@ std::string time_str(SimTime t) {
   return buffer;
 }
 
+/// The sample name of one mesh link's field, as ScenarioRunner binds it.
+std::string link_metric(network::LinkId link, const char* field) {
+  return "mesh_link" + std::to_string(link) + "_" + field;
+}
+
 }  // namespace
 
 const ScenarioRunner::KeyRequestOutcome* TimelineExpect::request(
@@ -27,18 +32,12 @@ const ScenarioRunner::KeyRequestOutcome* TimelineExpect::request(
   return &outcomes[index];
 }
 
-const ClassSample* TimelineExpect::class_in(const TimelinePoint& point,
-                                            const std::string& label) {
-  for (const ClassSample& cls : point.service)
-    if (cls.label == label) return &cls;
-  return nullptr;
-}
-
 TimelineExpect& TimelineExpect::link_down_by(network::LinkId link,
                                              SimTime deadline) {
+  const std::string usable = link_metric(link, "usable");
   for (const TimelinePoint& point : points()) {
     if (point.t > deadline) break;
-    if (link < point.links.size() && !point.links[link].usable) return *this;
+    if (point.find(usable) == 0.0) return *this;
   }
   fail("link_down_by: link " + std::to_string(link) +
        " never sampled unusable by " + time_str(deadline));
@@ -47,10 +46,11 @@ TimelineExpect& TimelineExpect::link_down_by(network::LinkId link,
 
 TimelineExpect& TimelineExpect::link_up_by(network::LinkId link, SimTime after,
                                            SimTime deadline) {
+  const std::string usable = link_metric(link, "usable");
   for (const TimelinePoint& point : points()) {
     if (point.t <= after) continue;
     if (point.t > deadline) break;
-    if (link < point.links.size() && point.links[link].usable) return *this;
+    if (point.find(usable) == 1.0) return *this;
   }
   fail("link_up_by: link " + std::to_string(link) +
        " never sampled usable in (" + time_str(after) + ", " +
@@ -61,11 +61,11 @@ TimelineExpect& TimelineExpect::link_up_by(network::LinkId link, SimTime after,
 TimelineExpect& TimelineExpect::pool_at_least_by(network::LinkId link,
                                                  double bits,
                                                  SimTime deadline) {
+  const std::string pool = link_metric(link, "pool_bits");
   double best = 0.0;
   for (const TimelinePoint& point : points()) {
     if (point.t > deadline) break;
-    if (link < point.links.size())
-      best = std::max(best, point.links[link].pool_bits);
+    best = std::max(best, point.find(pool).value_or(0.0));
     if (best >= bits) return *this;
   }
   char buffer[160];
@@ -143,26 +143,25 @@ TimelineExpect& TimelineExpect::request_flagged_compromised(
   return *this;
 }
 
-SimTime TimelineExpect::first_shed_time(const std::string& label) const {
+SimTime TimelineExpect::first_shed_time(const std::string& stem) const {
+  const std::string shed = stem + "_shed";
   for (const TimelinePoint& point : points())
-    if (const ClassSample* cls = class_in(point, label);
-        cls != nullptr && cls->shed > 0)
-      return point.t;
+    if (point.find(shed).value_or(0.0) > 0.0) return point.t;
   return -1;
 }
 
-TimelineExpect& TimelineExpect::class_never_shed(const std::string& label) {
-  if (const SimTime t = first_shed_time(label); t >= 0)
-    fail("class_never_shed: class \"" + label + "\" was shed by " +
+TimelineExpect& TimelineExpect::class_never_shed(const std::string& stem) {
+  if (const SimTime t = first_shed_time(stem); t >= 0)
+    fail("class_never_shed: class \"" + stem + "\" was shed by " +
          time_str(t));
   return *this;
 }
 
-TimelineExpect& TimelineExpect::class_shed_by(const std::string& label,
+TimelineExpect& TimelineExpect::class_shed_by(const std::string& stem,
                                               SimTime deadline) {
-  const SimTime t = first_shed_time(label);
+  const SimTime t = first_shed_time(stem);
   if (t < 0 || t > deadline)
-    fail("class_shed_by: class \"" + label + "\" not shed by " +
+    fail("class_shed_by: class \"" + stem + "\" not shed by " +
          time_str(deadline) +
          (t < 0 ? " (never shed)" : " (first shed at " + time_str(t) + ")"));
   return *this;
@@ -180,65 +179,65 @@ TimelineExpect& TimelineExpect::shed_order(const std::string& first,
 }
 
 TimelineExpect& TimelineExpect::class_queue_at_most_by(
-    const std::string& label, std::size_t depth, SimTime deadline) {
-  const ClassSample* last = nullptr;
+    const std::string& stem, std::size_t depth, SimTime deadline) {
+  const std::string name = stem + "_queue_depth";
+  std::optional<double> last;
   SimTime last_t = -1;
   for (const TimelinePoint& point : points()) {
     if (point.t < deadline) continue;
-    if (const ClassSample* cls = class_in(point, label); cls != nullptr) {
-      last = cls;
+    if (const auto queued = point.find(name)) {
+      last = queued;
       last_t = point.t;
     }
   }
-  if (last == nullptr) {
-    fail("class_queue_at_most_by: no \"" + label + "\" sample at or after " +
+  if (!last.has_value()) {
+    fail("class_queue_at_most_by: no \"" + name + "\" sample at or after " +
          time_str(deadline));
-  } else if (last->queue_depth > depth) {
-    fail("class_queue_at_most_by: class \"" + label + "\" still queued " +
-         std::to_string(last->queue_depth) + " at " + time_str(last_t) +
-         ", wanted <= " + std::to_string(depth));
+  } else if (*last > static_cast<double>(depth)) {
+    fail("class_queue_at_most_by: class \"" + stem + "\" still queued " +
+         std::to_string(static_cast<std::size_t>(*last)) + " at " +
+         time_str(last_t) + ", wanted <= " + std::to_string(depth));
   }
   return *this;
 }
 
-double TimelineExpect::grant_rate(const std::string& label,
+double TimelineExpect::grant_rate(const std::string& stem,
                                   SimTime window_start,
                                   SimTime window_end) const {
+  const std::string name = stem + "_granted";
   const TimelinePoint* first = nullptr;
   const TimelinePoint* last = nullptr;
   for (const TimelinePoint& point : points()) {
     if (point.t <= window_start || point.t > window_end) continue;
-    if (class_in(point, label) == nullptr) continue;
+    if (!point.find(name).has_value()) continue;
     if (first == nullptr) first = &point;
     last = &point;
   }
-  if (first == nullptr || last == nullptr || first == last) return -1.0;
-  const auto granted =
-      class_in(*last, label)->granted - class_in(*first, label)->granted;
-  const double seconds = sim_to_seconds(last->t - first->t);
-  return static_cast<double>(granted) / seconds;
+  if (first == nullptr || first == last) return -1.0;
+  const double granted = *last->find(name) - *first->find(name);
+  return granted / sim_to_seconds(last->t - first->t);
 }
 
-TimelineExpect& TimelineExpect::grant_rate_recovers(const std::string& label,
+TimelineExpect& TimelineExpect::grant_rate_recovers(const std::string& stem,
                                                     SimTime baseline_end,
                                                     SimTime recovery_start,
                                                     double factor) {
   const SimTime end = points().empty() ? recovery_start : points().back().t;
-  const double before = grant_rate(label, 0, baseline_end);
-  const double after = grant_rate(label, recovery_start, end);
+  const double before = grant_rate(stem, 0, baseline_end);
+  const double after = grant_rate(stem, recovery_start, end);
   char buffer[200];
   if (before < 0.0 || after < 0.0) {
     std::snprintf(buffer, sizeof(buffer),
                   "grant_rate_recovers: class \"%s\" lacks two samples in the "
                   "%s window",
-                  label.c_str(), before < 0.0 ? "baseline" : "recovery");
+                  stem.c_str(), before < 0.0 ? "baseline" : "recovery");
     fail(buffer);
   } else if (after < factor * before) {
     std::snprintf(buffer, sizeof(buffer),
                   "grant_rate_recovers: class \"%s\" recovered to %.2f "
                   "grants/s after %s, wanted >= %.2f (%.0f%% of the %.2f "
                   "baseline)",
-                  label.c_str(), after, time_str(recovery_start).c_str(),
+                  stem.c_str(), after, time_str(recovery_start).c_str(),
                   factor * before, factor * 100.0, before);
     fail(buffer);
   }

@@ -13,8 +13,8 @@
 //   expect.link_down_by(5, 11 * kSecond)
 //         .request_served(0)
 //         .request_avoids_link(0, 5)
-//         .class_never_shed("realtime")
-//         .shed_order("bulk", "interactive");
+//         .class_never_shed("kms_realtime")
+//         .shed_order("kms_bulk", "kms_interactive");
 //   QKD_EXPECT_TIMELINE(expect);   // gtest: EXPECT_TRUE(ok()) << report()
 #pragma once
 
@@ -29,7 +29,8 @@ namespace qkd::sim {
 class TimelineExpect {
  public:
   /// The runner must have finished run(); only its recorder and request
-  /// outcomes are read.
+  /// outcomes are read. Link checks read the samples of the mesh the
+  /// runner bound as `mesh` (`mesh_link<id>_usable`, `_pool_bits`).
   explicit TimelineExpect(const ScenarioRunner& runner) : runner_(runner) {}
 
   // ---- Link observability ---------------------------------------------------
@@ -59,23 +60,25 @@ class TimelineExpect {
   /// Delivered but flagged: some relay on the route was owned.
   TimelineExpect& request_flagged_compromised(std::size_t index);
 
-  // ---- Service classes (ClassSample series, matched by label) --------------
+  // ---- Service classes -------------------------------------------------------
+  // A class is named by its metric stem ("kms_realtime"): the checks read
+  // `<stem>_shed`, `<stem>_granted` and `<stem>_queue_depth`.
   /// The class's cumulative shed counter stays zero across every sample.
-  TimelineExpect& class_never_shed(const std::string& label);
+  TimelineExpect& class_never_shed(const std::string& stem);
   /// The class was shed at least once by `deadline`.
-  TimelineExpect& class_shed_by(const std::string& label, SimTime deadline);
+  TimelineExpect& class_shed_by(const std::string& stem, SimTime deadline);
   /// Shedding reached `first` no later than it reached `second` (and if
   /// `second` was never shed, any shed of `first` satisfies the order).
   TimelineExpect& shed_order(const std::string& first,
                              const std::string& second);
   /// The class's queue depth is at most `depth` in the last sample at or
   /// after `deadline` (backlog drained in time).
-  TimelineExpect& class_queue_at_most_by(const std::string& label,
+  TimelineExpect& class_queue_at_most_by(const std::string& stem,
                                          std::size_t depth, SimTime deadline);
   /// Grant rate over [recovery_start, end-of-run] is at least `factor` of
   /// the rate over [0, baseline_end] — "recovered to the pre-event grant
   /// rate by T+y" with an explicit tolerance.
-  TimelineExpect& grant_rate_recovers(const std::string& label,
+  TimelineExpect& grant_rate_recovers(const std::string& stem,
                                       SimTime baseline_end,
                                       SimTime recovery_start, double factor);
 
@@ -95,15 +98,12 @@ class TimelineExpect {
   /// The request outcome, or nullptr after recording an index failure.
   const ScenarioRunner::KeyRequestOutcome* request(std::size_t index,
                                                    const char* check);
-  /// The class's sample in `point`, or nullptr (no failure recorded — some
-  /// early samples legitimately predate the service attaching).
-  static const ClassSample* class_in(const TimelinePoint& point,
-                                     const std::string& label);
-  /// First sample time with shed > 0 for the label, or -1.
-  SimTime first_shed_time(const std::string& label) const;
+  /// First sample time with `<stem>_shed` > 0, or -1.
+  SimTime first_shed_time(const std::string& stem) const;
   /// Granted-per-second over (window_start, window_end], from the first and
-  /// last samples inside the window; -1 when under two samples fall inside.
-  double grant_rate(const std::string& label, SimTime window_start,
+  /// last samples inside the window that hold `<stem>_granted` (early
+  /// samples may predate the service's binding); -1 when under two do.
+  double grant_rate(const std::string& stem, SimTime window_start,
                     SimTime window_end) const;
 
   const ScenarioRunner& runner_;

@@ -113,7 +113,7 @@ ScenarioRunner::~ScenarioRunner() {
 
 void ScenarioRunner::attach_mesh(network::MeshSimulation& mesh) {
   mesh_ = &mesh;
-  recorder_.attach_mesh(mesh);
+  mesh.bind_metrics(registry_, "mesh");
 }
 
 void ScenarioRunner::attach_vpn(ipsec::VpnLinkSimulation& vpn) {
@@ -124,8 +124,8 @@ void ScenarioRunner::attach_vpn(ipsec::VpnLinkSimulation& vpn) {
   vpn_ = &vpn;
   clock_ = &vpn.clock();
   scheduler_ = std::make_unique<EventScheduler>(*clock_);
-  recorder_.attach_gateway(vpn.a());
-  recorder_.attach_gateway(vpn.b());
+  vpn.a().bind_metrics(registry_, "gw0");
+  vpn.b().bind_metrics(registry_, "gw1");
   // A replenished supply ends a starvation episode: wake the tunnel
   // immediately instead of waiting for the next scheduled deadline.
   const auto on_event = [this](const keystore::SupplyEvent& event) {

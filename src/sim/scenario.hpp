@@ -21,6 +21,11 @@
 // So one script runs "Eve appears on link B-C at t=100 s, the mesh
 // reroutes, IKE survives on the reserve pool, fiber restored at t=300 s"
 // end to end, with a TimelineRecorder sampling the whole stack as it goes.
+// The runner owns the one MetricsRegistry the recorder samples: attaching
+// the mesh binds it as `mesh`, attaching a VPN binds its gateways as `gw0`
+// and `gw1`, and callers bind further layers (the KMS) into registry() and
+// build their AlertEngine over it, so alerts and timeline read the same
+// samples.
 #pragma once
 
 #include <cstdint>
@@ -197,10 +202,12 @@ class ScenarioRunner {
   ScenarioRunner(Scenario scenario, Config config);
   ~ScenarioRunner();
 
-  /// Attach the stack under test; attached objects must outlive run().
+  /// Attach the stack under test; attached objects must outlive the
+  /// registry's last snapshot. The mesh is bound into registry() as `mesh`.
   void attach_mesh(network::MeshSimulation& mesh);
   /// Attaching a VPN adopts ITS SimClock as the scenario timeline, so the
-  /// gateways' SA lifetimes and IKE deadlines share the scheduler's time.
+  /// gateways' SA lifetimes and IKE deadlines share the scheduler's time,
+  /// and binds its gateways into registry() as `gw0` (A) and `gw1` (B).
   /// Attach before scheduling anything through scheduler().
   void attach_vpn(ipsec::VpnLinkSimulation& vpn);
 
@@ -242,6 +249,9 @@ class ScenarioRunner {
   /// barriers. `sharded` must wrap this runner's scheduler().
   std::size_t run(ShardedScheduler& sharded, SimTime horizon);
 
+  /// The registry the recorder samples and alert engines read.
+  obs::MetricsRegistry& registry() { return registry_; }
+  const obs::MetricsRegistry& registry() const { return registry_; }
   TimelineRecorder& recorder() { return recorder_; }
   const TimelineRecorder& recorder() const { return recorder_; }
   EventScheduler& scheduler() { return *scheduler_; }
@@ -272,7 +282,8 @@ class ScenarioRunner {
   SimClock own_clock_;
   SimClock* clock_ = &own_clock_;  // the VPN's clock once attached
   std::unique_ptr<EventScheduler> scheduler_;  // rebound by attach_vpn
-  TimelineRecorder recorder_;
+  obs::MetricsRegistry registry_;
+  TimelineRecorder recorder_{registry_};
 
   network::MeshSimulation* mesh_ = nullptr;
   SimTime mesh_accrued_to_ = 0;  // analytic mesh: accrual high-water mark

@@ -6,6 +6,14 @@
 
 namespace qkd::sim {
 
+std::optional<double> TimelinePoint::find(std::string_view name) const {
+  const auto it = std::lower_bound(
+      samples.begin(), samples.end(), name,
+      [](const obs::MetricSample& s, std::string_view n) { return s.name < n; });
+  if (it == samples.end() || it->name != name) return std::nullopt;
+  return it->value;
+}
+
 void TimelineRecorder::start(EventScheduler& scheduler, SimTime interval) {
   if (sampling_.valid())
     throw std::logic_error("TimelineRecorder: sampling already armed");
@@ -21,33 +29,8 @@ void TimelineRecorder::stop() {
 }
 
 void TimelineRecorder::sample(SimTime now) {
-  TimelinePoint point;
-  point.t = now;
-  if (mesh_ != nullptr) {
-    const auto& topology = mesh_->topology();
-    point.links.reserve(topology.link_count());
-    for (const network::Link& link : topology.links()) {
-      LinkSample sample;
-      sample.pool_bits = mesh_->link_pool_bits(link.id);
-      sample.usable = link.usable();
-      point.links.push_back(sample);
-    }
-    point.mesh = mesh_->stats();
-  }
-  point.tunnels.reserve(gateways_.size());
-  for (ipsec::VpnGateway* gateway : gateways_) {
-    TunnelSample sample;
-    sample.sas_installed = gateway->sad().size();
-    sample.sa_rollovers = gateway->stats().sa_rollovers;
-    sample.phase2_completed = gateway->ike().stats().phase2_completed;
-    sample.phase2_timeouts = gateway->ike().stats().phase2_timeouts;
-    sample.supply_bits = gateway->key_supply().available_bits();
-    sample.supply_low_water = gateway->stats().supply_low_water;
-    sample.esp_sent = gateway->stats().esp_sent;
-    sample.delivered = gateway->stats().delivered;
-    point.tunnels.push_back(sample);
-  }
-  if (service_ != nullptr) point.service = service_->sample_service(now);
+  TimelinePoint point{now, registry_.snapshot()};
+  obs::require_unique_names(point.samples, "TimelineRecorder");
   points_.push_back(std::move(point));
 }
 
@@ -71,14 +54,12 @@ void TimelineRecorder::annotate_spans(const std::vector<obs::Span>& spans) {
       [](const TimelineNote& a, const TimelineNote& b) { return a.t < b.t; });
 }
 
-std::vector<double> TimelineRecorder::link_pool_series(
-    network::LinkId link) const {
-  std::vector<double> series;
-  series.reserve(points_.size());
+std::vector<double> TimelineRecorder::series(std::string_view name) const {
+  std::vector<double> out;
+  out.reserve(points_.size());
   for (const TimelinePoint& point : points_)
-    series.push_back(link < point.links.size() ? point.links[link].pool_bits
-                                               : 0.0);
-  return series;
+    out.push_back(point.find(name).value_or(0.0));
+  return out;
 }
 
 std::string TimelineRecorder::render() const {
@@ -96,143 +77,59 @@ std::string TimelineRecorder::render() const {
       ++note_idx;
     }
   };
+  const TimelinePoint* previous = nullptr;
   for (const TimelinePoint& point : points_) {
     flush_notes(point.t);
     std::snprintf(line, sizeof(line), "t=%8.1fs ", sim_to_seconds(point.t));
     out += line;
-    for (std::size_t i = 0; i < point.links.size(); ++i) {
-      std::snprintf(line, sizeof(line), " L%zu:%s%.0f", i,
-                    point.links[i].usable ? "" : "x",
-                    point.links[i].pool_bits);
-      out += line;
-    }
-    if (!point.links.empty()) {
-      std::snprintf(line, sizeof(line), "  ok=%llu reroutes=%llu",
-                    static_cast<unsigned long long>(
-                        point.mesh.transports_succeeded),
-                    static_cast<unsigned long long>(point.mesh.reroutes));
-      out += line;
-    }
-    for (std::size_t i = 0; i < point.tunnels.size(); ++i) {
-      const TunnelSample& tunnel = point.tunnels[i];
-      std::snprintf(line, sizeof(line),
-                    "  gw%zu: sas=%zu roll=%llu supply=%zu", i,
-                    tunnel.sas_installed,
-                    static_cast<unsigned long long>(tunnel.sa_rollovers),
-                    tunnel.supply_bits);
-      out += line;
-    }
-    for (const ClassSample& cls : point.service) {
-      std::snprintf(line, sizeof(line), "  %s:q%zu/g%llu/r%llu",
-                    cls.label.c_str(), cls.queue_depth,
-                    static_cast<unsigned long long>(cls.granted),
-                    static_cast<unsigned long long>(cls.rejected));
+    for (const obs::MetricSample& sample : point.samples) {
+      if (previous != nullptr && previous->find(sample.name) == sample.value)
+        continue;
+      std::snprintf(line, sizeof(line), " %s=%.10g", sample.name.c_str(),
+                    sample.value);
       out += line;
     }
     out += '\n';
+    previous = &point;
   }
   flush_notes(notes_.empty() ? 0 : notes_.back().t);
   return out;
 }
 
 std::string TimelineRecorder::to_csv() const {
-  if (points_.empty()) return "t_s\n";
-  std::string out;
-  char cell[256];
-  // The column set is the union over all samples (a source attached
-  // between a stop() and a restart widens later points); short rows are
+  // The column set is the union over all samples (a collector bound
+  // between a stop() and a restart widens later points); rows are
   // zero-padded so every row has the header's arity.
-  std::size_t n_links = 0, n_tunnels = 0;
-  const std::vector<ClassSample>* widest_service = nullptr;
-  for (const TimelinePoint& point : points_) {
-    n_links = std::max(n_links, point.links.size());
-    n_tunnels = std::max(n_tunnels, point.tunnels.size());
-    if (widest_service == nullptr ||
-        point.service.size() > widest_service->size())
-      widest_service = &point.service;
-  }
-  const std::size_t n_classes = widest_service->size();
+  std::vector<std::string> columns;
+  for (const TimelinePoint& point : points_)
+    for (const obs::MetricSample& sample : point.samples)
+      columns.push_back(sample.name);
+  std::sort(columns.begin(), columns.end());
+  columns.erase(std::unique(columns.begin(), columns.end()), columns.end());
 
-  out += "t_s";
-  for (std::size_t i = 0; i < n_links; ++i) {
-    std::snprintf(cell, sizeof(cell), ",link%zu_pool_bits,link%zu_usable", i,
-                  i);
-    out += cell;
-  }
-  if (n_links > 0)
-    out += ",mesh_ok,mesh_starved,mesh_no_route,mesh_reroutes"
-           ",mesh_compromised";
-  for (std::size_t i = 0; i < n_tunnels; ++i) {
-    std::snprintf(cell, sizeof(cell),
-                  ",gw%zu_sas,gw%zu_rollovers,gw%zu_supply_bits"
-                  ",gw%zu_p2_done,gw%zu_p2_timeouts",
-                  i, i, i, i, i);
-    out += cell;
-  }
-  for (const ClassSample& cls : *widest_service) {
-    std::snprintf(cell, sizeof(cell),
-                  ",svc_%s_queue,svc_%s_granted,svc_%s_rejected"
-                  ",svc_%s_shed,svc_%s_p99_s",
-                  cls.label.c_str(), cls.label.c_str(), cls.label.c_str(),
-                  cls.label.c_str(), cls.label.c_str());
-    out += cell;
+  std::string out = "t_s";
+  for (const std::string& name : columns) {
+    // Labelled names (ALERTS{alertname="...",...}) carry commas and quotes:
+    // quote them as RFC 4180 fields.
+    if (name.find_first_of(",\"") == std::string::npos) {
+      out += "," + name;
+      continue;
+    }
+    out += ",\"";
+    for (const char c : name) {
+      if (c == '"') out += '"';
+      out += c;
+    }
+    out += '"';
   }
   out += '\n';
-
+  char cell[64];
   for (const TimelinePoint& point : points_) {
     std::snprintf(cell, sizeof(cell), "%.6f", sim_to_seconds(point.t));
     out += cell;
-    for (std::size_t i = 0; i < n_links; ++i) {
-      if (i < point.links.size()) {
-        std::snprintf(cell, sizeof(cell), ",%.1f,%d",
-                      point.links[i].pool_bits,
-                      point.links[i].usable ? 1 : 0);
-      } else {
-        std::snprintf(cell, sizeof(cell), ",0.0,0");
-      }
-      out += cell;
-    }
-    if (n_links > 0) {
-      std::snprintf(cell, sizeof(cell), ",%llu,%llu,%llu,%llu,%llu",
-                    static_cast<unsigned long long>(
-                        point.mesh.transports_succeeded),
-                    static_cast<unsigned long long>(
-                        point.mesh.transports_starved),
-                    static_cast<unsigned long long>(
-                        point.mesh.transports_no_route),
-                    static_cast<unsigned long long>(point.mesh.reroutes),
-                    static_cast<unsigned long long>(
-                        point.mesh.transports_compromised));
-      out += cell;
-    }
-    for (std::size_t i = 0; i < n_tunnels; ++i) {
-      if (i < point.tunnels.size()) {
-        const TunnelSample& tunnel = point.tunnels[i];
-        std::snprintf(cell, sizeof(cell), ",%zu,%llu,%zu,%llu,%llu",
-                      tunnel.sas_installed,
-                      static_cast<unsigned long long>(tunnel.sa_rollovers),
-                      tunnel.supply_bits,
-                      static_cast<unsigned long long>(
-                          tunnel.phase2_completed),
-                      static_cast<unsigned long long>(
-                          tunnel.phase2_timeouts));
-      } else {
-        std::snprintf(cell, sizeof(cell), ",0,0,0,0,0");
-      }
-      out += cell;
-    }
-    for (std::size_t i = 0; i < n_classes; ++i) {
-      if (i < point.service.size()) {
-        const ClassSample& cls = point.service[i];
-        std::snprintf(cell, sizeof(cell), ",%zu,%llu,%llu,%llu,%.6f",
-                      cls.queue_depth,
-                      static_cast<unsigned long long>(cls.granted),
-                      static_cast<unsigned long long>(cls.rejected),
-                      static_cast<unsigned long long>(cls.shed),
-                      cls.p99_grant_latency_s);
-      } else {
-        std::snprintf(cell, sizeof(cell), ",0,0,0,0,0.000000");
-      }
+    for (const std::string& name : columns) {
+      std::snprintf(cell, sizeof(cell), ",%.10g",
+                    point.find(name).value_or(0.0));
       out += cell;
     }
     out += '\n';

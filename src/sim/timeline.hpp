@@ -1,69 +1,32 @@
 // Time-series recording for scenario runs.
 //
-// A TimelineRecorder periodically samples the observable state of the
-// attached stack — per-link pool depth and usability from a MeshSimulation,
-// mesh transport Stats, and per-gateway tunnel state (installed SAs,
-// rollovers, IKE phase-2 progress, key-supply level and starvation
-// counters) — into an in-memory series that tests assert on and benches and
-// examples print. Scenario actions are recorded alongside as annotations,
-// so a dumped timeline reads as the run's story: what was scheduled, when,
-// and what the stack did about it.
+// A TimelineRecorder periodically takes a snapshot of one MetricsRegistry
+// — whatever the stack bound into it: per-link pool depth, usability and
+// QBER from a MeshSimulation, gateway tunnel and IKE state, per-class KMS
+// queues and grants — into an in-memory series that tests assert on and
+// benches and examples print. The alert engine reads the same registry,
+// so alerts and timeline see the same samples. Scenario actions are
+// recorded alongside as annotations, so a dumped timeline reads as the
+// run's story: what was scheduled, when, and what the stack did about it.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "src/ipsec/gateway.hpp"
-#include "src/network/key_transport.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sim/event_scheduler.hpp"
 
 namespace qkd::sim {
 
-/// One link's state at a sample instant.
-struct LinkSample {
-  double pool_bits = 0.0;
-  bool usable = true;
-};
-
-/// One gateway's tunnel state at a sample instant.
-struct TunnelSample {
-  std::size_t sas_installed = 0;       // live entries in the SAD
-  std::uint64_t sa_rollovers = 0;
-  std::uint64_t phase2_completed = 0;
-  std::uint64_t phase2_timeouts = 0;
-  std::size_t supply_bits = 0;         // key reservoir depth
-  std::uint64_t supply_low_water = 0;  // starvation events seen so far
-  std::uint64_t esp_sent = 0;
-  std::uint64_t delivered = 0;
-};
-
-/// One service class (e.g. a KMS QoS class) at a sample instant.
-struct ClassSample {
-  std::string label;                  // class name ("realtime", ...)
-  std::size_t queue_depth = 0;        // requests waiting right now
-  std::uint64_t granted = 0;          // cumulative grants
-  std::uint64_t rejected = 0;         // cumulative admission rejections + sheds
-  std::uint64_t shed = 0;             // cumulative load-shedding drops alone
-  double p99_grant_latency_s = 0.0;   // request -> grant, 99th percentile
-};
-
-/// A service layer (the KMS lives above src/sim, so it plugs in through
-/// this seam) that can report per-class state for the timeline.
-class ServiceSampler {
- public:
-  virtual ~ServiceSampler() = default;
-  virtual std::vector<ClassSample> sample_service(SimTime now) = 0;
-};
-
 struct TimelinePoint {
   SimTime t = 0;
-  std::vector<LinkSample> links;                // mesh links, by LinkId
-  network::MeshSimulation::Stats mesh;          // copy at sample time
-  std::vector<TunnelSample> tunnels;            // attached gateways, in order
-  std::vector<ClassSample> service;             // attached service's classes
+  std::vector<obs::MetricSample> samples;  // the registry's snapshot, by name
+
+  /// The named sample's value (a histogram's count), or nullopt.
+  std::optional<double> find(std::string_view name) const;
 };
 
 /// A scenario action (or any other notable instant) on the timeline.
@@ -74,14 +37,9 @@ struct TimelineNote {
 
 class TimelineRecorder {
  public:
-  /// Sources are optional and may be attached in any combination; they must
-  /// outlive the recorder's sampling.
-  void attach_mesh(network::MeshSimulation& mesh) { mesh_ = &mesh; }
-  void attach_gateway(ipsec::VpnGateway& gateway) {
-    gateways_.push_back(&gateway);
-  }
-  /// At most one service layer (the KMS) per recorder.
-  void attach_service(ServiceSampler& service) { service_ = &service; }
+  /// `registry` must outlive the recorder's sampling.
+  explicit TimelineRecorder(const obs::MetricsRegistry& registry)
+      : registry_(registry) {}
 
   /// Arms periodic sampling on `scheduler` (first sample after one
   /// interval). Call at most once per run.
@@ -89,6 +47,7 @@ class TimelineRecorder {
   void stop();
 
   /// Takes one sample immediately (also what the periodic event calls).
+  /// Throws std::logic_error if the snapshot reports a name twice.
   void sample(SimTime now);
 
   void note(SimTime t, std::string text);
@@ -103,8 +62,8 @@ class TimelineRecorder {
   const std::vector<TimelineNote>& notes() const { return notes_; }
 
   // ---- Series queries (tests and benches) ---------------------------------
-  /// Pool-depth series of one mesh link, one value per sample.
-  std::vector<double> link_pool_series(network::LinkId link) const;
+  /// One metric's series, one value per sample (0 where a sample lacks it).
+  std::vector<double> series(std::string_view name) const;
   /// First sample time at which `pred(point)` held, or nullopt.
   template <typename Pred>
   std::optional<SimTime> first_time(const Pred& pred) const {
@@ -113,18 +72,20 @@ class TimelineRecorder {
     return std::nullopt;
   }
 
-  /// Renders the annotated series as an ASCII table (examples, bench logs).
+  /// Renders the series as text (examples, bench logs): one line per
+  /// sample with the values that changed since the previous sample, and
+  /// the notes interleaved in time order.
   std::string render() const;
 
-  /// The series as CSV (one row per sample; header from the first point's
-  /// shape), so long load-test timelines can be plotted outside the
-  /// process. Annotations are not included — they live in notes().
+  /// The series as CSV: a `t_s` column plus one column per sample name
+  /// seen in any point, in name order, one row per sample (0 where a
+  /// sample lacks the name), so long load-test timelines can be plotted
+  /// outside the process. Annotations are not included — they live in
+  /// notes().
   std::string to_csv() const;
 
  private:
-  network::MeshSimulation* mesh_ = nullptr;
-  std::vector<ipsec::VpnGateway*> gateways_;
-  ServiceSampler* service_ = nullptr;
+  const obs::MetricsRegistry& registry_;
   std::vector<TimelinePoint> points_;
   std::vector<TimelineNote> notes_;
   EventScheduler* scheduler_ = nullptr;

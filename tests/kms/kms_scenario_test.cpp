@@ -5,15 +5,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "src/kms/client_fleet.hpp"
 #include "src/kms/kms.hpp"
 #include "src/sim/scenario.hpp"
+#include "src/sim/sharded_scheduler.hpp"
 
 namespace qkd::kms {
 namespace {
 
 using network::MeshSimulation;
+using network::NodeId;
 using network::Topology;
 using namespace qkd::sim;
 
@@ -53,7 +59,7 @@ TEST(KmsScenario, FleetRampsShedsUnderEavesdropAndRecovers) {
   KeyManagementService kms(mesh, runner.scheduler(), kms_config);
   KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
-  runner.recorder().attach_service(kms);
+  kms.bind_metrics(runner.registry(), "kms");
 
   runner.run(70 * kSecond);
 
@@ -81,18 +87,83 @@ TEST(KmsScenario, FleetRampsShedsUnderEavesdropAndRecovers) {
   // The recorder charted the service: per-class samples in the points,
   // scenario actions in the notes, and a plottable CSV.
   ASSERT_FALSE(runner.recorder().points().empty());
-  ASSERT_EQ(runner.recorder().points().back().service.size(),
-            kQosClassCount);
+  for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
+    const std::string stem =
+        std::string("kms_") + qos_class_name(static_cast<QosClass>(qos));
+    for (const char* field : {"_queue_depth", "_granted", "_shed"})
+      EXPECT_TRUE(runner.recorder().points().back().find(stem + field))
+          << stem + field;
+  }
   const std::string rendered = runner.recorder().render();
   EXPECT_NE(rendered.find("ClientArrival"), std::string::npos);
   EXPECT_NE(rendered.find("ClientDeparture"), std::string::npos);
 
   const std::string csv = runner.recorder().to_csv();
-  EXPECT_NE(csv.find("svc_realtime_queue"), std::string::npos);
-  EXPECT_NE(csv.find("svc_bulk_granted"), std::string::npos);
+  EXPECT_NE(csv.find("kms_realtime_queue_depth"), std::string::npos);
+  EXPECT_NE(csv.find("kms_bulk_granted"), std::string::npos);
   const std::size_t rows =
       static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
   EXPECT_EQ(rows, runner.recorder().points().size() + 1);  // header + samples
+}
+
+TEST(KmsScenario, QueueDepthGaugeMatchesThePairQueues) {
+  // The per-shard queue-depth cells against the oracle: at every scripted
+  // action and at the horizon, each class's gauge equals the sum of its
+  // inspect_pairs() queue depths, on a sharded KMS whose shards set their
+  // cells concurrently. Eve's drought from t=20 s keeps queues backlogged.
+  MeshSimulation mesh = hot_ring(405);
+  Scenario day;
+  for (const auto& [src, dst] : {std::pair<NodeId, NodeId>{6, 7}, {0, 3},
+                                 {1, 4}, {2, 5}}) {
+    for (unsigned qos = 0; qos < kQosClassCount; ++qos)
+      day.at(kSecond, ClientArrival{src, dst, qos, /*count=*/3,
+                                    /*request_rate_hz=*/4.0, /*bits=*/128});
+  }
+  day.at(12 * kSecond, ClientDeparture{0, 3, /*qos=*/1, /*count=*/2});
+  day.at(20 * kSecond, StartEavesdrop{6, 1.0});
+  day.at(25 * kSecond, CutLink{0});
+  day.at(28 * kSecond, CutLink{3});
+
+  ScenarioRunner runner(day);
+  runner.attach_mesh(mesh);
+  sim::ShardedScheduler sharded(runner.scheduler(), 3,
+                                std::make_shared<common::WorkerPool>(2));
+  KeyManagementService::Config kms_config;
+  kms_config.shed_after_starved_rounds = 1000;  // keep the backlog queued
+  KeyManagementService kms(mesh, sharded, kms_config);
+  KmsClientFleet fleet(kms);
+  runner.attach_client_driver(fleet);
+  kms.bind_metrics(runner.registry(), "kms");
+
+  std::size_t checks = 0;
+  std::size_t deepest = 0;
+  const auto check = [&kms, &checks, &deepest] {
+    std::array<std::size_t, kQosClassCount> oracle{};
+    for (const auto& pair : kms.inspect_pairs())
+      for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
+        oracle[qos] += pair.queue_depths[qos];
+    for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
+      EXPECT_EQ(kms.queue_depth(static_cast<QosClass>(qos)), oracle[qos])
+          << qos_class_name(static_cast<QosClass>(qos));
+      deepest = std::max(deepest, oracle[qos]);
+    }
+    ++checks;
+  };
+  runner.set_action_observer([&check](SimTime, const ScenarioAction&) {
+    check();
+  });
+  runner.run(sharded, 32 * kSecond);
+  check();
+
+  EXPECT_GT(checks, 1u);
+  EXPECT_GT(deepest, 0u) << "the drought must leave requests queued";
+  // The registry path exports the same cells.
+  for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
+    const auto cls = static_cast<QosClass>(qos);
+    EXPECT_EQ(runner.recorder().points().back().find(
+                  std::string("kms_") + qos_class_name(cls) + "_queue_depth"),
+              static_cast<double>(kms.queue_depth(cls)));
+  }
 }
 
 TEST(KmsScenario, ClientActionsWithoutADriverThrow) {

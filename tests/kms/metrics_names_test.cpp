@@ -72,6 +72,7 @@ TEST(KmsMetrics, ExportedNamesArePinned) {
       "kms_bulk_granted",
       "kms_bulk_granted_within_slo",
       "kms_bulk_p99_grant_latency_s",
+      "kms_bulk_queue_depth",
       "kms_bulk_rejected_queue_full",
       "kms_bulk_requests",
       "kms_bulk_shed",
@@ -82,6 +83,7 @@ TEST(KmsMetrics, ExportedNamesArePinned) {
       "kms_interactive_granted",
       "kms_interactive_granted_within_slo",
       "kms_interactive_p99_grant_latency_s",
+      "kms_interactive_queue_depth",
       "kms_interactive_rejected_queue_full",
       "kms_interactive_requests",
       "kms_interactive_shed",
@@ -92,6 +94,7 @@ TEST(KmsMetrics, ExportedNamesArePinned) {
       "kms_realtime_granted",
       "kms_realtime_granted_within_slo",
       "kms_realtime_p99_grant_latency_s",
+      "kms_realtime_queue_depth",
       "kms_realtime_rejected_queue_full",
       "kms_realtime_requests",
       "kms_realtime_shed",

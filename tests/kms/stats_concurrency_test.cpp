@@ -1,10 +1,11 @@
 // Cross-shard stats aggregation under concurrent grants: monitoring
-// threads poll the KMS introspection surface (stats / class_stats /
-// latency quantiles / shedding) and a bound MetricsRegistry while shard
-// lanes are actively granting on a ShardedScheduler. Every counter is a
-// per-shard obs::Counter cell and every read returns a fresh value summed
-// from those cells, so any number of readers must be TSan-clean — the
-// regression test for the observability layer's concurrency contract.
+// threads poll the KMS introspection surface (stats / class_stats / queue
+// depth / latency quantiles / shedding) and a bound MetricsRegistry while
+// shard lanes are actively granting on a ShardedScheduler. Every counter
+// and queue depth is a per-shard obs cell and every read returns a fresh
+// value summed from those cells, so any number of readers must be
+// TSan-clean — the regression test for the observability layer's
+// concurrency contract.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -176,8 +177,11 @@ TEST(KmsStatsConcurrency, TwoReadersWhileShardLanesGrant) {
     while (!done.load(std::memory_order_relaxed)) {
       (void)kms.stats();
       std::uint64_t granted = 0;
-      for (unsigned qos = 0; qos < kQosClassCount; ++qos)
+      for (unsigned qos = 0; qos < kQosClassCount; ++qos) {
         granted += kms.class_stats(static_cast<QosClass>(qos)).granted;
+        // Queue depth is per-shard gauge cells, as safe to read as counters.
+        (void)kms.queue_depth(static_cast<QosClass>(qos));
+      }
       ASSERT_GE(granted, last_granted) << "granted count moved backwards";
       last_granted = granted;
       polls.fetch_add(1, std::memory_order_relaxed);

@@ -79,7 +79,8 @@ TEST(ChromeTraceExport, TracerOverloadExportsRecordedSpans) {
 }
 
 TEST(TimelineBridge, AnnotateSpansInterleavesSpanNotesInTimeOrder) {
-  sim::TimelineRecorder recorder;
+  MetricsRegistry registry;
+  sim::TimelineRecorder recorder(registry);
   recorder.note(1 * kMillisecond, "link cut");
   recorder.note(5 * kMillisecond, "link healed");
 

@@ -49,6 +49,28 @@ TEST(AlertEngine, ThresholdFiresImmediatelyWithoutDebounce) {
   EXPECT_EQ(engine.state("deep_queue"), AlertState::kResolved);
 }
 
+TEST(AlertEngine, ANameReportedTwiceThrowsNamingIt) {
+  // Two layers bound under one prefix report the same name; the engine
+  // keys samples by name, so it refuses to pick one of them silently.
+  MetricsRegistry registry;
+  registry.gauge("mesh_link6_qber_percent").set(2);
+  registry.add_collector([](MetricsRegistry::Collect& out) {
+    out.gauge("mesh_link6_qber_percent", 25.0);
+  });
+  AlertEngine engine(registry);
+  engine.add_rule(
+      threshold_rule("qber_high", "mesh_link6_qber_percent", 11.0));
+  try {
+    engine.evaluate(qkd::kSecond);
+    FAIL() << "a duplicated name must not be evaluated silently";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("mesh_link6_qber_percent"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(engine.transitions().empty());
+}
+
 TEST(AlertEngine, ForDurationDebouncesThePendingPhase) {
   MetricsRegistry registry;
   Gauge& qber = registry.gauge("qber");

@@ -143,7 +143,8 @@ TEST(MetricsRegistry, CollectorReRegistrationUnderTheSameNameAccumulates) {
   // Two layers reporting under one name is a wiring bug the registry
   // surfaces rather than hides: both samples appear in the snapshot (same
   // name, their own values), matching the find-or-create contract of the
-  // direct instruments rather than silently dropping one reporter.
+  // direct instruments rather than silently dropping one reporter. Readers
+  // that key by name (the alert engine, the timeline) throw on it.
   MetricsRegistry registry;
   registry.add_collector([](MetricsRegistry::Collect& out) {
     out.counter("dup_reported", 1);
@@ -163,6 +164,8 @@ TEST(MetricsRegistry, CollectorReRegistrationUnderTheSameNameAccumulates) {
   for (const MetricSample& sample : registry.snapshot())
     if (sample.name == "dup_reported") ++seen;
   EXPECT_EQ(seen, 3u);
+  EXPECT_THROW(require_unique_names(registry.snapshot(), "reader"),
+               std::logic_error);
 }
 
 TEST(MetricsRegistry, FindHistogramNeverCreatesAndChecksKind) {

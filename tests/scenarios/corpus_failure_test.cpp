@@ -119,7 +119,8 @@ TEST(CorpusFailure, EveLeavingACutLinkDoesNotSpliceTheFiber) {
   // The interval (15, 25) — Eve gone, fiber still severed — must read down.
   const auto spliced_early =
       runner.recorder().first_time([](const TimelinePoint& p) {
-        return p.t > 16 * kSecond && p.t < 25 * kSecond && p.links[0].usable;
+        return p.t > 16 * kSecond && p.t < 25 * kSecond &&
+               p.find("mesh_link0_usable") == 1.0;
       });
   EXPECT_FALSE(spliced_early.has_value())
       << "StopEavesdrop must not repair a cut fiber";

@@ -6,6 +6,8 @@
 // much a bug as one that misses it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/kms/client_fleet.hpp"
 #include "src/kms/kms.hpp"
 #include "src/kms/wire_service.hpp"
@@ -33,15 +35,14 @@ MeshSimulation hot_ring(std::uint64_t seed) {
   return MeshSimulation(std::move(topo), seed);
 }
 
-/// The workload harness plus the health layer: one registry fed by mesh
-/// and KMS, the built-in rule pack, engine evaluations every sim second
-/// on the scenario timeline.
+/// The workload harness plus the health layer: the runner's registry fed
+/// by mesh and KMS, read by both the recorder and the built-in rule pack,
+/// engine evaluations every sim second on the scenario timeline.
 struct HealthHarness {
   MeshSimulation mesh;
   ScenarioRunner runner;
   KeyManagementService kms;
   KmsClientFleet fleet;
-  qkd::obs::MetricsRegistry registry;
   health::AlertEngine alerts;
 
   HealthHarness(std::uint64_t seed, Scenario scenario,
@@ -50,13 +51,10 @@ struct HealthHarness {
         runner(std::move(scenario)),
         kms(mesh, runner.scheduler(), kms_config),
         fleet(kms),
-        registry(kms.shard_count()),
-        alerts(registry) {
+        alerts(runner.registry()) {
     runner.attach_mesh(mesh);
     runner.attach_client_driver(fleet);
-    runner.recorder().attach_service(kms);
-    mesh.bind_metrics(registry, "mesh");
-    kms.bind_metrics(registry, "kms");
+    kms.bind_metrics(runner.registry(), "kms");
     // The tail link is Eve's target; link 0 is across the ring and the
     // reroute keeps it clean — its rule is the negative control.
     alerts.add_rule(health::rules::qber_spike("mesh_link6_qber_percent", "6"));
@@ -127,6 +125,23 @@ TEST(ScenarioHealth, EavesdropRaisesTheAlarmsThenResolvesThem) {
       .noted("alert pool_drought:6->7");
   QKD_EXPECT_TIMELINE(timeline);
 
+  // Alerts and timeline read one registry: at the instant the QBER rule
+  // went pending, the sample the recorder took holds the value the engine
+  // saw.
+  const auto pending = std::find_if(
+      h.alerts.transitions().begin(), h.alerts.transitions().end(),
+      [](const health::Transition& t) {
+        return t.rule == "qber_spike:6" && t.to == health::AlertState::kPending;
+      });
+  ASSERT_NE(pending, h.alerts.transitions().end());
+  EXPECT_GT(pending->value, 11.0);
+  const auto& points = h.runner.recorder().points();
+  const auto at = std::find_if(
+      points.begin(), points.end(),
+      [&pending](const TimelinePoint& p) { return p.t == pending->at; });
+  ASSERT_NE(at, points.end()) << "no sample at the evaluation instant";
+  EXPECT_EQ(at->find("mesh_link6_qber_percent"), pending->value);
+
   // And the assembled incidents carry the same story for the report path.
   bool saw_qber_incident = false;
   for (const health::Incident& incident : h.alerts.incidents()) {
@@ -170,13 +185,13 @@ TEST(ScenarioHealth, TheRulePackWatchesOnlyMetricsThatExist) {
   net::PublicChannel channel;
   net::ChannelTransport io(channel, net::ChannelTransport::Side::kA);
   KmsWireClient wire_client(io);
-  wire_client.bind_metrics(h.registry, "wire");
+  wire_client.bind_metrics(h.runner.registry(), "wire");
   h.alerts.add_rule(health::rules::grant_slo_burn(
       "kms_interactive_granted_within_slo", "kms_interactive_granted",
       "interactive"));
   h.alerts.add_rule(health::rules::retransmission_storm("wire_retransmits"));
   h.alerts.add_rule(health::rules::distillation_stalled("kms_transports"));
-  h.alerts.bind_alerts(h.registry);
+  h.alerts.bind_alerts(h.runner.registry());
   ASSERT_EQ(h.alerts.rule_count(), 7u);
 
   // Read the gauge between evaluations (each value stands until the next
@@ -185,7 +200,8 @@ TEST(ScenarioHealth, TheRulePackWatchesOnlyMetricsThatExist) {
   std::size_t reads = 0;
   h.runner.scheduler().every(
       kSecond / 2, kSecond, [&h, &most_unbound, &reads](SimTime) {
-        for (const qkd::obs::MetricSample& sample : h.registry.snapshot()) {
+        for (const qkd::obs::MetricSample& sample :
+             h.runner.registry().snapshot()) {
           if (sample.name != "alerts_unbound_rules") continue;
           most_unbound = std::max(most_unbound, sample.value);
           ++reads;

@@ -74,7 +74,9 @@ TEST(CorpusVpn, ContinuousBurstAcrossSaRolloverLosesNothing) {
 
   // The recorder saw an SA before any rollover could happen.
   const auto sa_up = runner.recorder().first_time(
-      [](const TimelinePoint& p) { return p.tunnels[0].sas_installed > 0; });
+      [](const TimelinePoint& p) {
+        return p.find("gw0_sas_installed").value_or(0.0) > 0.0;
+      });
   ASSERT_TRUE(sa_up.has_value());
   EXPECT_LE(*sa_up, 35 * kSecond);
 }

@@ -26,7 +26,7 @@ MeshSimulation hot_ring(std::uint64_t seed) {
 }
 
 /// The common KMS-on-a-scenario harness: runner + service + fleet wired to
-/// one scheduler, service samples on the recorder.
+/// one scheduler, the service bound into the registry the recorder samples.
 struct KmsHarness {
   MeshSimulation mesh;
   ScenarioRunner runner;
@@ -41,7 +41,7 @@ struct KmsHarness {
         fleet(kms) {
     runner.attach_mesh(mesh);
     runner.attach_client_driver(fleet);
-    runner.recorder().attach_service(kms);
+    kms.bind_metrics(runner.registry(), "kms");
   }
 };
 
@@ -71,9 +71,9 @@ TEST(CorpusWorkload, FlashCrowdHitsAdmissionControlNotCollapse) {
   EXPECT_GT(interactive.granted, 100u) << "...but admitted work is served";
 
   TimelineExpect expect(h.runner);
-  expect.class_never_shed("interactive")  // rejection is not shedding
-      .class_never_shed("realtime")
-      .class_queue_at_most_by("interactive", 2, 29 * kSecond);
+  expect.class_never_shed("kms_interactive")  // rejection is not shedding
+      .class_never_shed("kms_realtime")
+      .class_queue_at_most_by("kms_interactive", 2, 29 * kSecond);
   QKD_EXPECT_TIMELINE(expect);
   EXPECT_EQ(h.fleet.stats().claims_mismatched, 0u);
 }
@@ -97,8 +97,8 @@ TEST(CorpusWorkload, MassDepartureQuiescesTheService) {
   EXPECT_EQ(h.kms.queue_depth(QosClass::kBulk), 0u);
 
   TimelineExpect expect(h.runner);
-  expect.class_queue_at_most_by("realtime", 0, 25 * kSecond)
-      .class_queue_at_most_by("bulk", 0, 25 * kSecond)
+  expect.class_queue_at_most_by("kms_realtime", 0, 25 * kSecond)
+      .class_queue_at_most_by("kms_bulk", 0, 25 * kSecond)
       .noted("ClientDeparture");
   QKD_EXPECT_TIMELINE(expect);
 }
@@ -119,10 +119,10 @@ TEST(CorpusWorkload, DroughtUnderLoadShedsStrictlyUpward) {
   h.runner.run(60 * kSecond);
 
   TimelineExpect expect(h.runner);
-  expect.class_never_shed("realtime")
-      .class_shed_by("bulk", 35 * kSecond)
-      .shed_order("bulk", "interactive")
-      .grant_rate_recovers("realtime", 15 * kSecond, 45 * kSecond, 0.5);
+  expect.class_never_shed("kms_realtime")
+      .class_shed_by("kms_bulk", 35 * kSecond)
+      .shed_order("kms_bulk", "kms_interactive")
+      .grant_rate_recovers("kms_realtime", 15 * kSecond, 45 * kSecond, 0.5);
   QKD_EXPECT_TIMELINE(expect);
   EXPECT_GT(h.kms.stats().starved_rounds, 0u);
   EXPECT_EQ(h.kms.class_stats(QosClass::kRealtime).shed, 0u);
@@ -141,10 +141,10 @@ TEST(CorpusWorkload, RingTapOnlyDegradesServiceNeverDeniesIt) {
   h.runner.run(40 * kSecond);
 
   TimelineExpect expect(h.runner);
-  expect.class_never_shed("realtime")
-      .class_never_shed("interactive")
-      .class_never_shed("bulk")
-      .grant_rate_recovers("realtime", 15 * kSecond, 20 * kSecond, 0.8);
+  expect.class_never_shed("kms_realtime")
+      .class_never_shed("kms_interactive")
+      .class_never_shed("kms_bulk")
+      .grant_rate_recovers("kms_realtime", 15 * kSecond, 20 * kSecond, 0.8);
   QKD_EXPECT_TIMELINE(expect);
   EXPECT_EQ(h.kms.stats().shed_events, 0u);
   EXPECT_EQ(h.fleet.stats().claims_mismatched, 0u);
@@ -167,9 +167,9 @@ TEST(CorpusWorkload, StaggeredCohortsBothMakeProgress) {
   EXPECT_GT(bulk.granted, 50u) << "fair share: bulk is not starved";
 
   TimelineExpect expect(h.runner);
-  expect.class_never_shed("realtime")
-      .class_never_shed("bulk")
-      .class_queue_at_most_by("realtime", 3, 29 * kSecond);
+  expect.class_never_shed("kms_realtime")
+      .class_never_shed("kms_bulk")
+      .class_queue_at_most_by("kms_realtime", 3, 29 * kSecond);
   QKD_EXPECT_TIMELINE(expect);
   EXPECT_EQ(h.fleet.stats().claims_matched, h.fleet.stats().granted);
 }
@@ -192,7 +192,7 @@ TEST(CorpusWorkload, DepartureMidDroughtDrainsTheBacklogAsDeparted) {
   EXPECT_EQ(h.kms.queue_depth(QosClass::kBulk), 0u);
 
   TimelineExpect expect(h.runner);
-  expect.class_queue_at_most_by("bulk", 0, 35 * kSecond);
+  expect.class_queue_at_most_by("kms_bulk", 0, 35 * kSecond);
   QKD_EXPECT_TIMELINE(expect);
 }
 

@@ -55,7 +55,7 @@ inline FuzzRunResult run_fuzz_scenario(const sim::FuzzCase& fuzz_case,
   kms::KeyManagementService kms(mesh, runner.scheduler(), kms_config);
   kms::KmsClientFleet fleet(kms);
   runner.attach_client_driver(fleet);
-  runner.recorder().attach_service(kms);
+  kms.bind_metrics(runner.registry(), "kms");
 
   std::string violation;
   const auto flag = [&violation](std::string message) {

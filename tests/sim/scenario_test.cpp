@@ -63,19 +63,19 @@ TEST(Scenario, EavesdropRerouteRestoreRunsOnTheSchedulerAlone) {
   const TimelineRecorder& recorder = runner.recorder();
   ASSERT_GE(recorder.points().size(), 170u);  // 1 Hz sampling + final
   const auto tapped = recorder.first_time(
-      [](const TimelinePoint& p) { return !p.links[0].usable; });
+      [](const TimelinePoint& p) { return p.find("mesh_link0_usable") == 0.0; });
   ASSERT_TRUE(tapped.has_value());
   EXPECT_GT(*tapped, 60 * kSecond - kSecond);
   EXPECT_LE(*tapped, 61 * kSecond);
   const auto restored = recorder.first_time([&](const TimelinePoint& p) {
-    return p.t > *tapped && p.links[0].usable;
+    return p.t > *tapped && p.find("mesh_link0_usable") == 1.0;
   });
   ASSERT_TRUE(restored.has_value());
   EXPECT_GT(*restored, 130 * kSecond - kSecond);
   EXPECT_LE(*restored, 131 * kSecond);
 
   // Pool depth series: flat zero while abandoned, growing after restore.
-  const auto series = recorder.link_pool_series(0);
+  const auto series = recorder.series("mesh_link0_pool_bits");
   const std::size_t at_120 = 119;  // ~t=120 s with 1 Hz sampling
   EXPECT_DOUBLE_EQ(series.at(at_120), 0.0);
   EXPECT_GT(series.back(), 0.0);
@@ -135,7 +135,7 @@ TEST(Scenario, EngineBackedLinkDistillsViaScheduledBatchCompletions) {
   EXPECT_GT(mesh.link_pool_bits(0), 0.0);
 
   // The pool series is non-decreasing and ends at the live value.
-  const auto series = runner.recorder().link_pool_series(0);
+  const auto series = runner.recorder().series("mesh_link0_pool_bits");
   ASSERT_GE(series.size(), 10u);
   EXPECT_TRUE(std::is_sorted(series.begin(), series.end()));
   EXPECT_DOUBLE_EQ(series.back(), mesh.link_pool_bits(0));

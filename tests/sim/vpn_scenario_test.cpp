@@ -83,9 +83,9 @@ TEST(VpnScenario, TunnelRunsOnScheduledDeadlinesWithEngineFeed) {
   EXPECT_GT(vpn.a().ike().stats().qblocks_consumed, 0u);
   const auto& points = runner.recorder().points();
   ASSERT_GE(points.size(), 80u);
-  EXPECT_GT(points.back().tunnels[0].phase2_completed, 0u);
+  EXPECT_GT(points.back().find("gw0_ike_phase2_completed").value_or(0.0), 0.0);
   const auto sa_up = runner.recorder().first_time([](const TimelinePoint& p) {
-    return p.tunnels[0].sas_installed > 0;
+    return p.find("gw0_sas_installed").value_or(0.0) > 0.0;
   });
   ASSERT_TRUE(sa_up.has_value());
   EXPECT_GT(*sa_up, 30 * kSecond - kSecond)
@@ -141,7 +141,7 @@ TEST(VpnScenario, EveOnTheFeedStarvesIkeUntilSheLeaves) {
 
   // Timeline shows the starvation window: no SA while Eve held the link.
   const auto sa_up = runner.recorder().first_time([](const TimelinePoint& p) {
-    return p.tunnels[0].sas_installed > 0;
+    return p.find("gw0_sas_installed").value_or(0.0) > 0.0;
   });
   ASSERT_TRUE(sa_up.has_value());
   EXPECT_GT(*sa_up, 10 * kSecond) << "no SA while Eve held the link";
