@@ -60,7 +60,7 @@ class TimelineExpect {
   /// Delivered but flagged: some relay on the route was owned.
   TimelineExpect& request_flagged_compromised(std::size_t index);
 
-  // ---- Service classes -------------------------------------------------------
+  // ---- Service classes ------------------------------------------------------
   // A class is named by its metric stem ("kms_realtime"): the checks read
   // `<stem>_shed`, `<stem>_granted` and `<stem>_queue_depth`.
   /// The class's cumulative shed counter stays zero across every sample.

@@ -251,7 +251,6 @@ class ScenarioRunner {
 
   /// The registry the recorder samples and alert engines read.
   obs::MetricsRegistry& registry() { return registry_; }
-  const obs::MetricsRegistry& registry() const { return registry_; }
   TimelineRecorder& recorder() { return recorder_; }
   const TimelineRecorder& recorder() const { return recorder_; }
   EventScheduler& scheduler() { return *scheduler_; }

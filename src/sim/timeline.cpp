@@ -7,9 +7,11 @@
 namespace qkd::sim {
 
 std::optional<double> TimelinePoint::find(std::string_view name) const {
-  const auto it = std::lower_bound(
-      samples.begin(), samples.end(), name,
-      [](const obs::MetricSample& s, std::string_view n) { return s.name < n; });
+  const auto it =
+      std::lower_bound(samples.begin(), samples.end(), name,
+                       [](const obs::MetricSample& s, std::string_view n) {
+                         return s.name < n;
+                       });
   if (it == samples.end() || it->name != name) return std::nullopt;
   return it->value;
 }

@@ -74,7 +74,9 @@ TEST(CorpusAttack, BelowAlarmTapDegradesYieldButKeepsTheLinkInService) {
   QKD_EXPECT_TIMELINE(expect);
   // Below the alarm there is no abandonment: the link never reads down.
   const auto down = runner.recorder().first_time(
-      [](const TimelinePoint& p) { return p.find("mesh_link0_usable") != 1.0; });
+      [](const TimelinePoint& p) {
+        return p.find("mesh_link0_usable") != 1.0;
+      });
   EXPECT_FALSE(down.has_value())
       << "a 5% tap must degrade yield, not trip the alarm";
 }

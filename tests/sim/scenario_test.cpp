@@ -63,7 +63,9 @@ TEST(Scenario, EavesdropRerouteRestoreRunsOnTheSchedulerAlone) {
   const TimelineRecorder& recorder = runner.recorder();
   ASSERT_GE(recorder.points().size(), 170u);  // 1 Hz sampling + final
   const auto tapped = recorder.first_time(
-      [](const TimelinePoint& p) { return p.find("mesh_link0_usable") == 0.0; });
+      [](const TimelinePoint& p) {
+        return p.find("mesh_link0_usable") == 0.0;
+      });
   ASSERT_TRUE(tapped.has_value());
   EXPECT_GT(*tapped, 60 * kSecond - kSecond);
   EXPECT_LE(*tapped, 61 * kSecond);

@@ -216,7 +216,8 @@ TEST(TimelineRecorder, RenderInterleavesNotesWithSamples) {
   // The first sample line prints every value; later lines print only what
   // changed (the mesh never steps here, so nothing does).
   const std::size_t first = out.find("t=     1.0s");
-  const std::string first_line = out.substr(first, out.find('\n', first) - first);
+  const std::string first_line =
+      out.substr(first, out.find('\n', first) - first);
   EXPECT_NE(first_line.find(" mesh_link0_usable=1"), std::string::npos)
       << first_line;
   const std::size_t second = out.find("t=     2.0s");
