@@ -12,6 +12,24 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+namespace detail {
+
+ExpZiggurat::ExpZiggurat() {
+  x[0] = kV / std::exp(-kR);
+  x[1] = kR;
+  for (int i = 1; i < kLayers - 1; ++i)
+    x[i + 1] = -std::log(std::exp(-x[i]) + kV / x[i]);
+  x[kLayers] = 0.0;
+  for (int i = 0; i <= kLayers; ++i) f[i] = std::exp(-x[i]);
+  for (int i = 0; i < kLayers; ++i) {
+    layer[i].accept =
+        static_cast<std::uint64_t>(std::ldexp(x[i + 1] / x[i], 56));
+    layer[i].scale = std::ldexp(x[i], -56);
+  }
+}
+
+}  // namespace detail
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
@@ -20,6 +38,23 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 Rng Rng::fork() { return Rng(next_u64()); }
+
+double Rng::exponential_edge(unsigned i, std::uint64_t x56) {
+  const detail::ExpZiggurat& z = detail::exp_ziggurat();
+  for (;;) {
+    // The base layer past r is the tail, and Exp(1) forgets: r + Exp(1).
+    if (i == 0) return z.kR - std::log(1.0 - next_double());
+    // A wedge: x is under the curve with its height uniform in the layer.
+    const double x = static_cast<double>(x56) * z.layer[i].scale;
+    if (z.f[i] + next_double() * (z.f[i + 1] - z.f[i]) < std::exp(-x))
+      return x;
+    const std::uint64_t word = next_u64();
+    i = static_cast<unsigned>(word & 0xff);
+    x56 = word >> 8;
+    if (x56 < z.layer[i].accept)
+      return static_cast<double>(x56) * z.layer[i].scale;
+  }
+}
 
 unsigned Rng::next_poisson(double mu) {
   if (mu < 0.0) throw std::invalid_argument("Rng::next_poisson: mu < 0");

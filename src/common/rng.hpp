@@ -22,6 +22,35 @@ namespace qkd {
 /// SplitMix64 step; used for seeding and cheap hashing of seed material.
 std::uint64_t splitmix64(std::uint64_t& state);
 
+namespace detail {
+
+/// The 256-layer ziggurat for Exp(1) (Marsaglia & Tsang, 2000). Layer i
+/// spans [0, x[i]) at heights [f[i], f[i+1]], f = e^-x; every layer holds
+/// the same area v. Layer 0 is the base: its width x[0] = v / e^-r stands
+/// for the rectangle under e^-r plus the tail beyond r = x[1].
+struct ExpZiggurat {
+  static constexpr int kLayers = 256;
+  static constexpr double kR = 7.69711747013104972;
+  static constexpr double kV = 0.0039496598225815571993;
+  struct Layer {
+    std::uint64_t accept;  // a 56-bit x below this lies under the curve
+    double scale;          // x[i] / 2^56
+  };
+  Layer layer[kLayers];
+  double x[kLayers + 1];  // x[0] > x[1] = kR > ... > x[256] = 0
+  double f[kLayers + 1];  // e^-x[i]
+
+  ExpZiggurat();
+};
+
+/// The tables, built on first use.
+inline const ExpZiggurat& exp_ziggurat() {
+  static const ExpZiggurat tables;
+  return tables;
+}
+
+}  // namespace detail
+
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -80,6 +109,18 @@ class Rng {
     return next_double() < p;
   }
 
+  /// Exp(1) variate from the ziggurat: one word and no log on ~99 % of
+  /// draws. The low 8 bits pick the layer and the top 56 give x; the two
+  /// share no bits, which keeps layer and x independent (Doornik, 2005).
+  double next_exponential() {
+    const std::uint64_t word = next_u64();
+    const unsigned i = static_cast<unsigned>(word & 0xff);
+    const std::uint64_t x56 = word >> 8;
+    const detail::ExpZiggurat::Layer& layer = detail::exp_ziggurat().layer[i];
+    if (x56 < layer.accept) return static_cast<double>(x56) * layer.scale;
+    return exponential_edge(i, x56);
+  }
+
   /// Poisson-distributed count with mean `mu` (exact inversion for small mu,
   /// PTRS rejection for large mu). QKD sources use mu ~ 0.1.
   unsigned next_poisson(double mu);
@@ -88,6 +129,9 @@ class Rng {
   BitVector next_bits(std::size_t n);
 
  private:
+  /// The rare ziggurat draws: the base layer's tail and the wedges.
+  double exponential_edge(unsigned layer, std::uint64_t x56);
+
   std::uint64_t s_[4];
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace qkd {
@@ -105,6 +107,49 @@ TEST(Rng, PoissonMultiPhotonFractionMatchesTheory) {
   for (int i = 0; i < n; ++i) multi += rng.next_poisson(mu) >= 2;
   const double expected = 1.0 - std::exp(-mu) * (1.0 + mu);
   EXPECT_NEAR(static_cast<double>(multi) / n, expected, 0.0006);
+}
+
+TEST(Rng, ExponentialFillsEquiprobableBins) {
+  // 2^22 Exp(1) draws over 64 bins of equal mass 1/64: bin k holds
+  // x with floor(64 (1 - e^-x)) = k. Chi-square df 63: the bound of 135
+  // fails a correct sampler with probability ~3.7e-7.
+  Rng rng(29);
+  constexpr std::size_t kDraws = std::size_t{1} << 22, kBins = 64;
+  std::array<std::size_t, kBins> counts{};
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double x = rng.next_exponential();
+    ASSERT_GE(x, 0.0);
+    const auto bin = static_cast<std::size_t>(-std::expm1(-x) * kBins);
+    ++counts[std::min(bin, kBins - 1)];
+  }
+  const double expected = static_cast<double>(kDraws) / kBins;
+  double chi_square = 0.0;
+  for (std::size_t n : counts) {
+    const double diff = static_cast<double>(n) - expected;
+    chi_square += diff * diff / expected;
+  }
+  EXPECT_LT(chi_square, 135.0);
+}
+
+TEST(Rng, ExponentialTailBeyondTheZigguratBase) {
+  // Draws past the base layer's edge r ~ 7.697 come only from its tail
+  // branch, r - ln U. Their share is e^-r ~ 4.5e-4: ~1,900 of 2^22, met
+  // within 5 sigma (false-failure ~5.7e-7), and they must reach past
+  // r + 1 as a memoryless tail does (probability of none ~e^-700).
+  Rng rng(31);
+  constexpr std::size_t kDraws = std::size_t{1} << 22;
+  const double r = detail::ExpZiggurat::kR;
+  std::size_t tail = 0, far = 0;
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double x = rng.next_exponential();
+    tail += x > r;
+    far += x > r + 1.0;
+  }
+  const double p = std::exp(-r);
+  const double n = static_cast<double>(kDraws);
+  EXPECT_NEAR(static_cast<double>(tail) / n, p,
+              5.0 * std::sqrt(p * (1.0 - p) / n));
+  EXPECT_GT(far, 0u);
 }
 
 TEST(Rng, NextBitsBalanced) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -180,15 +181,16 @@ TEST(WeakCoherentLink, BasisChoicesAreBalanced) {
 
 TEST(WeakCoherentLink, DarkCountsDominateAtExtremeRange) {
   // Far beyond the ~70 km limit a click is a dark count ~81 % of the time:
-  // a slot clicks dark-only with probability e^-lambda * 2 * dark (at most
-  // one APD fires in a gate with no signal), out of p_single_click. Over
+  // a slot clicks dark-only with probability e^-lambda * 2d(1 - d) (no
+  // photon, one APD dark and the other quiet), out of p_single_click. Over
   // 2^24 slots (~420 clicks, sd of the share ~0.019) the observed share
   // must meet that law within 5 sigma: false-failure rate ~5.7e-7.
   LinkParams params;
   params.fiber_km = 150.0;
   const LinkModel model(params);
-  const double dark_share = std::exp(-model.detected_mean()) * 2.0 *
-                            params.dark_count_prob / model.p_single_click();
+  const double dark = params.dark_count_prob;
+  const double dark_share = std::exp(-model.detected_mean()) * 2.0 * dark *
+                            (1.0 - dark) / model.p_single_click();
   ASSERT_GT(dark_share, 0.8);
   WeakCoherentLink link(params, 13);
   for (int f = 0; f < 16; ++f) link.run_frame(1 << 20);
@@ -197,6 +199,46 @@ TEST(WeakCoherentLink, DarkCountsDominateAtExtremeRange) {
   const double n = static_cast<double>(stats.detections);
   EXPECT_NEAR(static_cast<double>(stats.dark_only_clicks) / n, dark_share,
               5.0 * std::sqrt(dark_share * (1.0 - dark_share) / n));
+}
+
+TEST(WeakCoherentLink, GapsBetweenDarkClicksAreGeometric) {
+  // With no light a slot clicks once with probability q = 2d(1 - d), on
+  // its own, so the gap from one click to the next is Geometric(q) on
+  // {1, 2, ...}: P(gap >= k) = (1 - q)^(k - 1). Chi-square over 32 buckets
+  // of 13 slots out to ~8 / q plus one for the tail (df 32, ~83k gaps,
+  // smallest expected count ~6): the bound of 88 fails a correct
+  // generator with probability ~4e-7.
+  LinkParams params;
+  params.mean_photon_number = 0.0;
+  params.dark_count_prob = 0.01;
+  const double dark = params.dark_count_prob;
+  const double q = 2.0 * dark * (1.0 - dark);
+  constexpr std::size_t kBuckets = 32, kWidth = 13;
+  std::array<std::size_t, kBuckets + 1> counts{};
+  std::size_t gaps = 0;
+  WeakCoherentLink link(params, 61);
+  for (int f = 0; f < 4; ++f) {
+    const FrameResult frame = link.run_frame(1 << 20);
+    for (std::size_t i = 1; i < frame.clicks.size(); ++i) {
+      const std::size_t gap = frame.clicks[i].slot - frame.clicks[i - 1].slot;
+      ++counts[std::min((gap - 1) / kWidth, kBuckets)];
+      ++gaps;
+    }
+  }
+  ASSERT_GT(gaps, 80000u);
+  double chi_square = 0.0;
+  for (std::size_t b = 0; b <= kBuckets; ++b) {
+    // P(gap - 1 >= b * kWidth) less the same past the bucket's end.
+    const double from = std::pow(1.0 - q, static_cast<double>(b * kWidth));
+    const double to =
+        b < kBuckets
+            ? std::pow(1.0 - q, static_cast<double>((b + 1) * kWidth))
+            : 0.0;
+    const double expected = static_cast<double>(gaps) * (from - to);
+    const double diff = static_cast<double>(counts[b]) - expected;
+    chi_square += diff * diff / expected;
+  }
+  EXPECT_LT(chi_square, 88.0) << gaps << " gaps";
 }
 
 TEST(WeakCoherentLink, MisframingLosesSlots) {
