@@ -91,47 +91,45 @@ const std::vector<Case>& clean_cases() {
   // One seed per distance; each corrector runs the same frames.
   static const std::vector<Case> cases = {
       {"10km-classic", at_km(10, EcStrategy::kClassicCascade), 2003, {},
-       {{kNone, "0ba45d530998f6bf41b9b1fcb613d21c045ae14d",
-         1614, 80, 90, 586, 98, 12820},
-        {kNone, "f1572d96d86ff4f78a6fd10b49bbb1c290dc397d",
-         1612, 80, 87, 598, 62, 12430},
-        {kNone, "65fcb5d582fd92bbc71430706818151da8a11000",
-         1570, 78, 103, 667, 42, 12683},
-        {kNone, "3241eed71cd1a069597c2c0e9d306f2cac9b2c0f",
-         1558, 77, 81, 641, 30, 12515}}},
+       {{kNone, "d3d2f7f26e2fdfd7e7c76bb16778efb1a8ece22b",
+         1630, 81, 101, 637, 98, 13131},
+        {kNone, "7ac2bb83d260dd8b3aef1e9710f2c5aba2f514fa",
+         1535, 76, 77, 505, 90, 11810},
+        {kNone, "f8e6ed881e735f94ddadd6cf3655a59cda5c90c9",
+         1662, 83, 89, 626, 42, 12707},
+        {kNone, "0b8a01e11ef6569417abb1512bf0bffad39801c4",
+         1543, 77, 88, 616, 36, 12363}}},
       {"10km-bbn", at_km(10, EcStrategy::kBbnCascade), 2003, {},
-       {{kNone, kNoKey, 1614, 80, 90, 997, 1750, 31733},
-        {kNone, kNoKey, 1612, 80, 87, 960, 1676, 30611},
-        {kEntropyExhausted, kNoKey, 1570, 78, 103, 1117, 1990, 34484},
-        {kNone, kNoKey, 1558, 77, 81, 905, 1566, 29043}}},
+       {{kEntropyExhausted, kNoKey, 1630, 81, 101, 1099, 1954, 34065},
+        {kNone, kNoKey, 1535, 76, 77, 863, 1482, 27854},
+        {kNone, kNoKey, 1662, 83, 89, 997, 1750, 31925},
+        {kNone, kNoKey, 1543, 77, 88, 981, 1718, 31148}}},
       {"10km-naive", at_km(10, EcStrategy::kNaiveParity), 2003, {},
-       {{kVerifyFailed, kNoKey, 1614, 80, 12, 96, 22, 7455},
-        {kVerifyFailed, kNoKey, 1612, 80, 15, 114, 22, 7477},
-        {kVerifyFailed, kNoKey, 1570, 78, 9, 78, 22, 6974},
-        {kVerifyFailed, kNoKey, 1558, 77, 13, 102, 22, 7338}}},
+       {{kVerifyFailed, kNoKey, 1630, 81, 7, 67, 22, 7017},
+        {kVerifyFailed, kNoKey, 1535, 76, 11, 89, 22, 7199},
+        {kVerifyFailed, kNoKey, 1662, 83, 11, 91, 22, 7412},
+        {kVerifyFailed, kNoKey, 1543, 77, 8, 71, 22, 7094}}},
       {"5km-classic", at_km(5, EcStrategy::kClassicCascade), 41, {},
-       {{kNone, "f182a41b51d84dceb7f0f072da4731cafa4a0d9c",
-         1968, 98, 107, 701, 54, 14669},
-        {kNone, "d96e1e22a3f846513fa44475fe1b7e4ddb182f74",
-         2018, 100, 100, 684, 46, 14532}}},
+       {{kNone, "ce061564c819402694073517de2b3c1cc01ae448",
+         2011, 100, 124, 777, 118, 16024},
+        {kNone, "7f9289630baabde09c3daf5ad6a4a1c08fb563aa",
+         2033, 101, 101, 731, 44, 14913}}},
       {"5km-bbn", at_km(5, EcStrategy::kBbnCascade), 41, {},
-       {{kNone, kNoKey, 1968, 98, 107, 1185, 2126, 38124},
-        {kNone, "c703de0e35a06cb1532ded047068f21d33ba3900",
-         2018, 100, 100, 1125, 2006, 36527}}},
+       {{kEntropyExhausted, kNoKey, 2011, 100, 124, 1358, 2472, 42722},
+        {kNone, "cba35c009f2d1c36c062233c1d7528780ab9e822",
+         2033, 101, 101, 1136, 2028, 36844}}},
       {"5km-naive", at_km(5, EcStrategy::kNaiveParity), 41, {},
-       {{kVerifyFailed, kNoKey, 1968, 98, 15, 120, 22, 8791},
-        {kVerifyFailed, kNoKey, 2018, 100, 18, 138, 22, 8986}}},
+       {{kVerifyFailed, kNoKey, 2011, 100, 20, 150, 22, 9151},
+        {kVerifyFailed, kNoKey, 2033, 101, 17, 133, 22, 8951}}},
       {"20km-classic", at_km(20, EcStrategy::kClassicCascade), 43, {},
-       {{kNone, "87d9a179a7d69168321a41d5f61f4b9f63787ec5",
-         935, 46, 35, 287, 46, 7277},
-        {kNone, kNoKey, 1055, 52, 62, 487, 30, 9109}}},
+       {{kNone, kNoKey, 1040, 52, 71, 515, 444, 13214},
+        {kNone, kNoKey, 998, 49, 54, 425, 30, 8510}}},
       {"20km-bbn", at_km(20, EcStrategy::kBbnCascade), 43, {},
-       {{kNone, "bf8b4530d8d246dd74ac53a13471bba17941dff7",
-         935, 46, 35, 439, 634, 13962},
-        {kEntropyExhausted, kNoKey, 1055, 52, 62, 686, 1128, 20803}}},
+       {{kEntropyExhausted, kNoKey, 1040, 52, 71, 762, 1280, 22786},
+        {kNone, kNoKey, 998, 49, 54, 608, 972, 18700}}},
       {"20km-naive", at_km(20, EcStrategy::kNaiveParity), 43, {},
-       {{kVerifyFailed, kNoKey, 935, 46, 3, 32, 22, 4606},
-        {kVerifyFailed, kNoKey, 1055, 52, 6, 52, 22, 5030}}},
+       {{kVerifyFailed, kNoKey, 1040, 52, 7, 57, 22, 5015},
+        {kVerifyFailed, kNoKey, 998, 49, 4, 38, 22, 4817}}},
   };
   return cases;
 }
@@ -140,27 +138,27 @@ const std::vector<Case>& abort_cases() {
   // The forced aborts of abort_reasons_test.cpp, each from its own seed.
   static const std::vector<Case> cases = {
       {"50km-entropy", [](QkdLinkConfig& c) { c.link.fiber_km = 50.0; }, 6, {},
-       {{kQberTooHigh, kNoKey, 238, 11, 27, 143, 48, 2842},
-        {kEntropyExhausted, kNoKey, 240, 12, 19, 121, 38, 2686},
-        {kVerifyFailed, kNoKey, 267, 13, 1, 14, 22, 1636},
-        {kEntropyExhausted, kNoKey, 263, 13, 15, 112, 44, 2638},
-        {kEntropyExhausted, kNoKey, 251, 12, 22, 131, 38, 2701},
-        {kQberTooHigh, kNoKey, 248, 12, 28, 151, 52, 2969},
-        {kVerifyFailed, kNoKey, 233, 11, 4, 36, 40, 1888},
-        {kEntropyExhausted, kNoKey, 258, 12, 27, 179, 20, 2867}}},
+       {{kEntropyExhausted, kNoKey, 240, 12, 11, 131, 14, 2422},
+        {kVerifyFailed, kNoKey, 255, 12, 3, 25, 22, 1687},
+        {kEntropyExhausted, kNoKey, 243, 12, 25, 141, 44, 2812},
+        {kVerifyFailed, kNoKey, 260, 13, 6, 47, 52, 2094},
+        {kEntropyExhausted, kNoKey, 259, 12, 18, 119, 30, 2516},
+        {kVerifyFailed, kNoKey, 254, 12, 3, 26, 24, 1739},
+        {kEntropyExhausted, kNoKey, 281, 14, 15, 142, 24, 2732},
+        {kNone, kNoKey, 249, 12, 13, 97, 24, 2329}}},
       {"naive-verify", at_km(10, EcStrategy::kNaiveParity), 10, {},
-       {{kVerifyFailed, kNoKey, 1590, 79, 16, 120, 22, 7641},
-        {kVerifyFailed, kNoKey, 1576, 78, 12, 95, 22, 7279},
-        {kVerifyFailed, kNoKey, 1511, 75, 12, 95, 22, 7115},
-        {kVerifyFailed, kNoKey, 1546, 77, 15, 113, 22, 7395},
-        {kVerifyFailed, kNoKey, 1662, 83, 10, 85, 22, 7410}}},
+       {{kVerifyFailed, kNoKey, 1546, 77, 15, 113, 22, 7293},
+        {kVerifyFailed, kNoKey, 1556, 77, 13, 99, 22, 7264},
+        {kVerifyFailed, kNoKey, 1553, 77, 15, 114, 22, 7436},
+        {kVerifyFailed, kNoKey, 1613, 80, 16, 120, 22, 7649},
+        {kVerifyFailed, kNoKey, 1598, 79, 14, 108, 22, 7421}}},
       {"tiny-pad",
        [](QkdLinkConfig& c) {
          c.frame_slots = 1 << 16;
          c.preposition_extra_bits = 0;
        },
        1, {},
-       {{kAuthExhausted, kNoKey, 100, 5, 0, 0, 3, 455},
+       {{kAuthExhausted, kNoKey, 100, 5, 0, 0, 3, 448},
         {kAuthExhausted, kNoKey, 0, 0, 0, 0, 1, 9}}},
       {"cut-channel",
        [](QkdLinkConfig& c) {
@@ -171,14 +169,14 @@ const std::vector<Case>& abort_cases() {
        {{kNoSiftedBits, kNoKey, 0, 0, 0, 0, 3, 57}}},
       {"intercept-resend", {}, 5,
        [] { return std::make_unique<qkd::optics::InterceptResendAttack>(1.0); },
-       {{kQberTooHigh, kNoKey, 1489, 74, 0, 0, 5, 6070}}},
+       {{kQberTooHigh, kNoKey, 1559, 77, 0, 0, 5, 6208}}},
       {"bbn-one-round",
        [](QkdLinkConfig& c) {
          c.ec_strategy = EcStrategy::kBbnCascade;
          c.bbn_config.max_rounds = 1;
        },
        16, {},
-       {{kEcNotConverged, kNoKey, 1547, 77, 79, 826, 1532, 27744}}},
+       {{kEcNotConverged, kNoKey, 1548, 77, 102, 1047, 1974, 33932}}},
   };
   return cases;
 }
