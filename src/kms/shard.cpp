@@ -159,11 +159,14 @@ void KmsShard::purge_expired_claims(PairState& pair, qkd::SimTime now) {
 }
 
 void KmsShard::drain_departed(PairState& pair, ClientId id, qkd::SimTime now) {
+  // Take the departed requests out before any callback runs: a callback
+  // may call get_key on this pair, which pushes onto these queues.
+  std::vector<std::pair<std::size_t, Request>> departed;
   for (std::size_t qos = 0; qos < kQosClassCount; ++qos) {
     auto& queue = pair.queues[qos];
     for (auto it = queue.begin(); it != queue.end();) {
       if (it->client == id) {
-        finish(*it, qos, GrantStatus::kDeparted, now);
+        departed.emplace_back(qos, std::move(*it));
         it = queue.erase(it);
         queued(qos, -1);
       } else {
@@ -171,6 +174,8 @@ void KmsShard::drain_departed(PairState& pair, ClientId id, qkd::SimTime now) {
       }
     }
   }
+  for (auto& [qos, request] : departed)
+    finish(request, qos, GrantStatus::kDeparted, now);
 }
 
 // ---- Scheduling ------------------------------------------------------------
@@ -247,13 +252,15 @@ void KmsShard::shed_lowest_class(PairState& pair, qkd::SimTime now) {
   for (unsigned qos = kQosClassCount; qos-- > 1;) {
     auto& queue = pair.queues[qos];
     if (queue.empty()) continue;
-    for (Request& request : queue)
-      finish(request, qos, GrantStatus::kShed, now);
-    queued(qos, -static_cast<std::ptrdiff_t>(queue.size()));
-    queue.clear();
+    // Empty the queue before any callback runs: a callback may call
+    // get_key on this pair, and its request must survive the shed.
+    std::deque<Request> shed;
+    shed.swap(queue);
+    queued(qos, -static_cast<std::ptrdiff_t>(shed.size()));
     pair.deficit_bits[qos] = 0;
     count<&Stats::shed_events>();
     shedding_.store(true, std::memory_order_relaxed);
+    for (Request& request : shed) finish(request, qos, GrantStatus::kShed, now);
     return;
   }
 }

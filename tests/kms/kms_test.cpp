@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <vector>
 
 #include "src/network/key_service.hpp"
@@ -304,6 +306,73 @@ TEST(Kms, DeregisterDrainsQueuedRequestsAsDeparted) {
 
   h.scheduler.run_for(kSecond);
   EXPECT_EQ(stay_granted, 1u) << "the surviving tenant is unaffected";
+}
+
+TEST(Kms, CallbacksThatRequestAgainOnShedAndDepartureGetOneCallbackEach) {
+  // A fleet whose grant callbacks call get_key on the same pair while the
+  // shard is draining a departed client or shedding a class: every request
+  // still gets exactly one callback, none is dropped with the shed queue,
+  // and each class's queue depth equals the sum of the pair queues.
+  KeyManagementService::Config config;
+  config.shed_after_starved_rounds = 2;
+  config.retry_backoff = 100 * kMillisecond;
+  Harness h(config, /*prefill_s=*/0.0);  // pools empty: rounds starve
+  const std::array<ClientId, kQosClassCount> stay = {
+      h.kms.register_client({"rt", 1, 2, QosClass::kRealtime}),
+      h.kms.register_client({"it", 1, 2, QosClass::kInteractive}),
+      h.kms.register_client({"bulk", 1, 2, QosClass::kBulk})};
+  const ClientId leave =
+      h.kms.register_client({"leave", 1, 2, QosClass::kInteractive});
+
+  // callbacks[i] counts the callbacks of request i. A request that is shed
+  // or departed asks again once, through its class's staying client.
+  std::vector<int> callbacks;
+  std::function<void(ClientId, bool)> request = [&](ClientId client,
+                                                    bool retry) {
+    const std::size_t id = callbacks.size();
+    callbacks.push_back(0);
+    h.kms.get_key(client, 128, [&, id, retry](const Grant& g) {
+      ++callbacks[id];
+      if (retry && (g.status == GrantStatus::kShed ||
+                    g.status == GrantStatus::kDeparted))
+        request(stay[static_cast<std::size_t>(h.kms.client(g.client).qos)],
+                false);
+    });
+  };
+  const auto depths_match = [&] {
+    std::array<std::size_t, kQosClassCount> oracle{};
+    for (const auto& pair : h.kms.inspect_pairs())
+      for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
+        oracle[qos] += pair.queue_depths[qos];
+    for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
+      EXPECT_EQ(h.kms.queue_depth(static_cast<QosClass>(qos)), oracle[qos])
+          << qos_class_name(static_cast<QosClass>(qos));
+  };
+  for (int i = 0; i < 4; ++i) {
+    for (const ClientId client : {stay[0], stay[1], stay[2], leave})
+      request(client, true);
+  }
+
+  h.kms.deregister_client(leave);  // four re-requests join "it"'s queue
+  depths_match();
+  EXPECT_EQ(h.kms.queue_depth(QosClass::kInteractive), 8u);
+
+  // The drought sheds bulk, its re-requests, then interactive twice.
+  h.scheduler.run_for(2 * kSecond);
+  depths_match();
+  EXPECT_EQ(h.kms.class_stats(QosClass::kBulk).shed, 8u);
+  EXPECT_EQ(h.kms.class_stats(QosClass::kInteractive).shed, 12u);
+  EXPECT_EQ(h.kms.queue_depth(QosClass::kRealtime), 4u);
+
+  // Supply returns: the realtime backlog drains and nothing is left.
+  h.mesh.step(20.0);
+  h.scheduler.run_for(kSecond);
+  depths_match();
+  ASSERT_EQ(callbacks.size(), 28u);
+  for (std::size_t id = 0; id < callbacks.size(); ++id)
+    EXPECT_EQ(callbacks[id], 1) << "request " << id;
+  for (std::size_t qos = 0; qos < kQosClassCount; ++qos)
+    EXPECT_EQ(h.kms.queue_depth(static_cast<QosClass>(qos)), 0u);
 }
 
 TEST(Kms, UnclaimedPeerCopyExpiresAfterTtl) {
