@@ -45,18 +45,21 @@ TEST(VpnMetrics, ExportedNamesArePinned) {
   for (const obs::MetricSample& sample : registry.snapshot()) {
     names.push_back(sample.name);
     // The export reads the gateway's live state.
-    if (sample.name == "gw0_esp_sent")
+    if (sample.name == "gw0_esp_sent") {
       EXPECT_EQ(sample.value, 1.0);
-    if (sample.name == "gw0_ike_phase2_completed")
+    }
+    if (sample.name == "gw0_ike_phase2_completed") {
       EXPECT_EQ(sample.value, static_cast<double>(
                                   vpn.a().ike().stats().phase2_completed));
+    }
     if (sample.name == "gw0_sas_installed") {
       EXPECT_GT(sample.value, 0.0);
       EXPECT_EQ(sample.value, static_cast<double>(vpn.a().sad().size()));
     }
-    if (sample.name == "gw0_supply_bits")
+    if (sample.name == "gw0_supply_bits") {
       EXPECT_EQ(sample.value,
                 static_cast<double>(vpn.a().key_supply().available_bits()));
+    }
   }
   const std::vector<std::string> expected = {
       "gw0_auth_failures",
