@@ -25,20 +25,20 @@ std::uint64_t splitmix64(std::uint64_t& state);
 namespace detail {
 
 /// The 256-layer ziggurat for Exp(1) (Marsaglia & Tsang, 2000). Layer i
-/// spans [0, x[i]) at heights [f[i], f[i+1]], f = e^-x; every layer holds
-/// the same area v. Layer 0 is the base: its width x[0] = v / e^-r stands
-/// for the rectangle under e^-r plus the tail beyond r = x[1].
+/// spans [0, x_i) at heights [e^-x_i, e^-x_(i+1)], with x_0 > x_1 = r >
+/// ... > x_256 = 0, and every layer holds the same area v. Layer 0 is the
+/// base: its width x_0 = v / e^-r stands for the rectangle under e^-r plus
+/// the tail beyond r.
 struct ExpZiggurat {
   static constexpr int kLayers = 256;
   static constexpr double kR = 7.69711747013104972;
   static constexpr double kV = 0.0039496598225815571993;
   struct Layer {
     std::uint64_t accept;  // a 56-bit x below this lies under the curve
-    double scale;          // x[i] / 2^56
+    double scale;          // x_i / 2^56
   };
   Layer layer[kLayers];
-  double x[kLayers + 1];  // x[0] > x[1] = kR > ... > x[256] = 0
-  double f[kLayers + 1];  // e^-x[i]
+  double f[kLayers + 1];  // e^-x_i
 
   ExpZiggurat();
 };
@@ -109,7 +109,7 @@ class Rng {
     return next_double() < p;
   }
 
-  /// Exp(1) variate from the ziggurat: one word and no log on ~99 % of
+  /// Exp(1) variate from the ziggurat: one word and no log on ~98 % of
   /// draws. The low 8 bits pick the layer and the top 56 give x; the two
   /// share no bits, which keeps layer and x independent (Doornik, 2005).
   double next_exponential() {

@@ -143,6 +143,8 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
   // While an afterpulse is pending, the following gate is an event too.
   std::size_t next_afterpulse =
       afterpulse_pending_[0] || afterpulse_pending_[1] ? 0 : kNever;
+  // The frame's counts stay in locals, where the compiler can keep them in
+  // registers across the loop; stats_ takes them at the end.
   Stats tally;
 
   for (;;) {

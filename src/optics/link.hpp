@@ -9,10 +9,12 @@
 // Each trigger from the OPC produces one slot; the frame is the unit handed
 // to the QKD protocol stack ("Qframes"). The generator is driven by the
 // events that happen: the loop visits only the slots where a photon
-// reaches an APD (under attack: is emitted), a dark count fires in a quiet
-// gate, the framing misses, or an afterpulse is pending, draws the
-// modulator settings there, and returns the frame as its sorted click list
-// (DESIGN.md, "The Qframe generator").
+// reaches an APD (under attack: is emitted), either APD fires on a dark
+// count, the framing misses, or an afterpulse is pending. It reaches them
+// by geometric gaps drawn from a ziggurat exponential, draws one word of
+// modulator settings there (whose low bits also give the photon number),
+// and returns the frame as its sorted click list (DESIGN.md, "The Qframe
+// generator").
 #pragma once
 
 #include <cstdint>
