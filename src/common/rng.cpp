@@ -15,7 +15,7 @@ std::uint64_t splitmix64(std::uint64_t& state) {
 namespace detail {
 
 ExpZiggurat::ExpZiggurat() {
-  double x[kLayers + 1];
+  double x[kLayers + 1] = {};
   x[0] = kV / std::exp(-kR);
   x[1] = kR;
   for (int i = 1; i < kLayers - 1; ++i)

@@ -124,7 +124,7 @@ FrameResult WeakCoherentLink::run_frame(std::size_t n_slots, Attack* attack) {
 
   // P(a photon routes to D1), indexed by the pulse's phase quarter and
   // Bob's: the interference law, evaluated once a frame.
-  std::array<double, 8> route_to_d1;
+  std::array<double, 8> route_to_d1{};
   for (unsigned pulse_q = 0; pulse_q < 4; ++pulse_q)
     for (unsigned bob_q = 0; bob_q < 2; ++bob_q)
       route_to_d1[pulse_q * 2 + bob_q] = p_route_to_d1(
