@@ -1,6 +1,7 @@
 #include "src/qkd/engine.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -48,7 +49,48 @@ void record_ground_truth(const qkd::optics::FrameResult& frame,
                        static_cast<double>(sifted_slots.size());
 }
 
+/// Whether the tail of Binomial(m, p) on k's side of the mean, P[X >= k]
+/// or P[X <= k], holds less than `alpha`. It sums the tail's terms
+/// outward from k and stops as soon as the sum reaches alpha or the terms
+/// no longer matter.
+bool binomial_tail_below(std::size_t k, std::size_t m, double p,
+                         double alpha) {
+  if (p <= 0.0) return k > 0;
+  if (p >= 1.0) return k < m;
+  const bool upper = static_cast<double>(k) >= p * static_cast<double>(m);
+  const double log_p = std::log(p), log_q = std::log1p(-p);
+  const double log_m = std::lgamma(static_cast<double>(m) + 1.0);
+  double sum = 0.0;
+  for (std::size_t j = k;; upper ? ++j : --j) {
+    const auto jd = static_cast<double>(j);
+    const double term =
+        std::exp(log_m - std::lgamma(jd + 1.0) -
+                 std::lgamma(static_cast<double>(m - j) + 1.0) + jd * log_p +
+                 static_cast<double>(m - j) * log_q);
+    sum += term;
+    if (sum >= alpha) return false;
+    if (term < alpha * 1e-9 || (upper ? j == m : j == 0)) return true;
+  }
+}
+
 }  // namespace
+
+void ErrorHistory::record(std::size_t errors, std::size_t bits) {
+  errors_ = kDecay * errors_ + static_cast<double>(errors);
+  bits_ = kDecay * bits_ + static_cast<double>(bits);
+}
+
+double ErrorHistory::estimate(std::size_t sample_errors,
+                              std::size_t sample_bits) {
+  // The sample is judged against what the record alone predicts.
+  if (!empty() && sample_bits > 0 &&
+      binomial_tail_below(sample_errors, sample_bits, errors_ / bits_,
+                          kStepTail))
+    *this = {};
+  const double bits = bits_ + static_cast<double>(sample_bits);
+  return bits > 0.0 ? (errors_ + static_cast<double>(sample_errors)) / bits
+                    : 0.0;
+}
 
 Party::Party(const QkdLinkConfig& config, std::uint64_t seed, bool is_alice)
     : seed(seed),

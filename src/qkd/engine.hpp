@@ -143,15 +143,51 @@ struct QkdLinkConfig {
   std::size_t preposition_extra_bits = 8192;
 };
 
+/// The link's own error record: the exact error counts of its recent
+/// verified batches, each weighted kDecay times the batch after it. The
+/// paper's corrector is "adaptive" to "the historical average" (Sec. 5);
+/// here the record sizes classic Cascade's first pass, pooled with the
+/// batch's own sample, so that a sample that undershoots the link's error
+/// rate no longer buys blocks too large to correct cleanly.
+class ErrorHistory {
+ public:
+  /// Weight of a batch relative to the one after it (~10 batches' memory).
+  static constexpr double kDecay = 0.9;
+  /// A sample this unlikely under the recorded rate, in the tail on its
+  /// side, marks a step in the link's error rate: the record is dropped
+  /// and the sample alone sizes the batch.
+  static constexpr double kStepTail = 1e-3;
+
+  /// Adds one verified batch: `errors` exact errors in `bits` bits.
+  void record(std::size_t errors, std::size_t bits);
+
+  /// The error rate to size a batch from, given its sample of
+  /// `sample_errors` in `sample_bits`: (recorded + sampled errors) /
+  /// (recorded + sampled bits), or the sample alone when nothing is
+  /// recorded or the sample is implausible under the record (which is then
+  /// cleared). 0 when there is neither.
+  double estimate(std::size_t sample_errors, std::size_t sample_bits);
+
+  double errors() const { return errors_; }
+  double bits() const { return bits_; }
+  bool empty() const { return bits_ == 0.0; }
+
+ private:
+  double errors_ = 0.0;
+  double bits_ = 0.0;
+};
+
 /// What one endpoint carries from batch to batch: the seed both endpoints
 /// share (standing in for the couriered pre-QKD secret), from which each
-/// batch keys its own DRBGs (src/qkd/pipeline.hpp), and its
-/// authentication service.
+/// batch keys its own DRBGs (src/qkd/pipeline.hpp), its authentication
+/// service, and (Bob's side, which sizes the correction) the link's error
+/// record.
 struct Party {
   Party(const QkdLinkConfig& config, std::uint64_t seed, bool is_alice);
 
   std::uint64_t seed;
   AuthenticationService auth;
+  ErrorHistory errors;
 };
 
 /// Wall-time and wire traffic attributed to one pipeline stage of one batch.
@@ -281,6 +317,8 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
   const qkd::optics::WeakCoherentLink& link() const { return link_; }
   const AuthenticationService& alice_auth() const { return alice_.auth; }
   const AuthenticationService& bob_auth() const { return bob_.auth; }
+  /// Bob's record of the link's verified error counts.
+  const ErrorHistory& error_history() const { return bob_.errors; }
 
   /// The public channel every control frame of this session crosses.
   /// Install impairments or ClassicalConditions here to attack the framed

@@ -68,9 +68,9 @@ wire::SampleReveal take_sample(Side& s) {
 AbortReason judge_sample(Side& s, const wire::SampleReveal& mine,
                          const wire::SampleReveal& theirs) {
   if (theirs.bits.size() != mine.bits.size()) return kChannelLost;
-  s.qber_sampled =
-      static_cast<double>(mine.bits.hamming_distance(theirs.bits)) /
-      static_cast<double>(s.sampled_bits);
+  s.sample_errors = mine.bits.hamming_distance(theirs.bits);
+  s.qber_sampled = static_cast<double>(s.sample_errors) /
+                   static_cast<double>(s.sampled_bits);
   if (s.qber_sampled > s.config.early_abort_qber) return kQberTooHigh;
   return s.bits.empty() ? kNoSiftedBits : kNone;
 }
@@ -96,6 +96,8 @@ StageHalf bob_sampling(Side& s) {
 // frame, and closes with a sealed summary. -------------------------------
 
 /// The configured corrector over Bob's bits, seeded from his batch DRBG.
+/// Classic Cascade sizes its first pass from the link's verified error
+/// record pooled with this batch's sample; the alarm stays on the sample.
 EcStats correct(Side& s) {
   WireParityClient alice(s.wire, s.wire.pump);
   const auto seed = static_cast<std::uint32_t>(s.drbg.next_u32());
@@ -109,8 +111,9 @@ EcStats correct(Side& s) {
       case EcStrategy::kClassicCascade: {
         ClassicCascadeConfig cfg = s.config.classic_config;
         cfg.seed_base = seed;
-        return classic_cascade_correct(s.bits, alice,
-                                       std::max(s.qber_sampled, 0.01), cfg);
+        const double q =
+            s.party.errors.estimate(s.sample_errors, s.sampled_bits);
+        return classic_cascade_correct(s.bits, alice, std::max(q, 0.01), cfg);
       }
       case EcStrategy::kNaiveParity: {
         NaiveParityConfig cfg = s.config.naive_config;
@@ -182,6 +185,10 @@ StageHalf bob_verify(Side& s) {
   const auto theirs = co_await s.wire.recv<wire::VerifyHash>();
   const wire::VerifyHash mine = hash_of(s);
   co_await s.wire.send(mine);
+  // Only a batch whose strings are shown equal has an exact error count
+  // fit to size the batches after it.
+  if (mine.digest == theirs.digest)
+    s.party.errors.record(s.errors_corrected, s.bits.size());
   co_return co_await s.wire.conclude(judge_hashes(s, mine, theirs));
 }
 

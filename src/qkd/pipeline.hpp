@@ -74,6 +74,7 @@ struct Side {
 
   // What this side saw, for BatchResult and PeerOutcome.
   std::size_t sampled_bits = 0;
+  std::size_t sample_errors = 0;
   double qber_sampled = 0.0;
   std::size_t errors_corrected = 0;  // Alice: as Bob's summary reports
   std::size_t disclosed_bits = 0;    // Alice: parity bits she answered
