@@ -93,12 +93,12 @@ const std::vector<Case>& clean_cases() {
       {"10km-classic", at_km(10, EcStrategy::kClassicCascade), 2003, {},
        {{kNone, "d3d2f7f26e2fdfd7e7c76bb16778efb1a8ece22b",
          1630, 81, 101, 637, 98, 13131},
-        {kNone, "7ac2bb83d260dd8b3aef1e9710f2c5aba2f514fa",
-         1535, 76, 77, 505, 90, 11810},
-        {kNone, "f8e6ed881e735f94ddadd6cf3655a59cda5c90c9",
-         1662, 83, 89, 626, 42, 12707},
-        {kNone, "0b8a01e11ef6569417abb1512bf0bffad39801c4",
-         1543, 77, 88, 616, 36, 12363}}},
+        {kNone, "cf199f3451742e5095143cbde0ace4697241882b",
+         1535, 76, 77, 539, 44, 11693},
+        {kNone, "770d690d201796a556d33b1ac0fa8e377c061c4c",
+         1662, 83, 89, 599, 46, 12537},
+        {kNone, "128923eaedc4d2aae7b3382c0bc68ee828a4bc96",
+         1543, 77, 88, 586, 54, 12271}}},
       {"10km-bbn", at_km(10, EcStrategy::kBbnCascade), 2003, {},
        {{kEntropyExhausted, kNoKey, 1630, 81, 101, 1099, 1954, 34065},
         {kNone, kNoKey, 1535, 76, 77, 863, 1482, 27854},
@@ -112,8 +112,8 @@ const std::vector<Case>& clean_cases() {
       {"5km-classic", at_km(5, EcStrategy::kClassicCascade), 41, {},
        {{kNone, "ce061564c819402694073517de2b3c1cc01ae448",
          2011, 100, 124, 777, 118, 16024},
-        {kNone, "7f9289630baabde09c3daf5ad6a4a1c08fb563aa",
-         2033, 101, 101, 731, 44, 14913}}},
+        {kNone, "905b28498f0e1022819d3b5934c5bce52143d888",
+         2033, 101, 101, 713, 50, 14817}}},
       {"5km-bbn", at_km(5, EcStrategy::kBbnCascade), 41, {},
        {{kEntropyExhausted, kNoKey, 2011, 100, 124, 1358, 2472, 42722},
         {kNone, "cba35c009f2d1c36c062233c1d7528780ab9e822",
@@ -123,7 +123,8 @@ const std::vector<Case>& clean_cases() {
         {kVerifyFailed, kNoKey, 2033, 101, 17, 133, 22, 8951}}},
       {"20km-classic", at_km(20, EcStrategy::kClassicCascade), 43, {},
        {{kNone, kNoKey, 1040, 52, 71, 515, 444, 13214},
-        {kNone, kNoKey, 998, 49, 54, 425, 30, 8510}}},
+        {kNone, "62fb5cb3df2ed6efd7285ef7f2710e644435a1e6",
+         998, 49, 54, 392, 40, 8319}}},
       {"20km-bbn", at_km(20, EcStrategy::kBbnCascade), 43, {},
        {{kEntropyExhausted, kNoKey, 1040, 52, 71, 762, 1280, 22786},
         {kNone, kNoKey, 998, 49, 54, 608, 972, 18700}}},
@@ -139,13 +140,13 @@ const std::vector<Case>& abort_cases() {
   static const std::vector<Case> cases = {
       {"50km-entropy", [](QkdLinkConfig& c) { c.link.fiber_km = 50.0; }, 6, {},
        {{kEntropyExhausted, kNoKey, 240, 12, 11, 131, 14, 2422},
-        {kVerifyFailed, kNoKey, 255, 12, 3, 25, 22, 1687},
-        {kEntropyExhausted, kNoKey, 243, 12, 25, 141, 44, 2812},
-        {kVerifyFailed, kNoKey, 260, 13, 6, 47, 52, 2094},
-        {kEntropyExhausted, kNoKey, 259, 12, 18, 119, 30, 2516},
-        {kVerifyFailed, kNoKey, 254, 12, 3, 26, 24, 1739},
-        {kEntropyExhausted, kNoKey, 281, 14, 15, 142, 24, 2732},
-        {kNone, kNoKey, 249, 12, 13, 97, 24, 2329}}},
+        {kEntropyExhausted, kNoKey, 255, 12, 21, 124, 46, 2691},
+        {kEntropyExhausted, kNoKey, 243, 12, 25, 150, 86, 3288},
+        {kEntropyExhausted, kNoKey, 260, 13, 18, 119, 30, 2481},
+        {kEntropyExhausted, kNoKey, 259, 12, 18, 119, 46, 2667},
+        {kEntropyExhausted, kNoKey, 254, 12, 19, 120, 44, 2672},
+        {kNone, kNoKey, 281, 14, 15, 108, 26, 2551},
+        {kNone, kNoKey, 249, 12, 13, 98, 26, 2348}}},
       {"naive-verify", at_km(10, EcStrategy::kNaiveParity), 10, {},
        {{kVerifyFailed, kNoKey, 1546, 77, 15, 113, 22, 7293},
         {kVerifyFailed, kNoKey, 1556, 77, 13, 99, 22, 7264},
