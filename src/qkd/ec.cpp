@@ -1,7 +1,9 @@
 #include "src/qkd/ec.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/rng.hpp"
 
@@ -24,6 +26,12 @@ std::vector<std::uint32_t> lfsr_members(std::uint32_t seed, std::size_t n) {
 
 namespace {
 
+/// The generator behind seed's shuffle.
+qkd::Rng shuffle_rng(std::uint32_t seed) {
+  return qkd::Rng(0x9e3779b97f4a7c15ULL ^
+                  (static_cast<std::uint64_t>(seed) << 16));
+}
+
 /// The seeded Fisher-Yates shuffle of [0, n), calling settle(i, perm[i])
 /// for each index as its entry becomes final, from n - 1 down to 0.
 template <typename Settle>
@@ -31,7 +39,7 @@ std::vector<std::uint32_t> shuffle(std::uint32_t seed, std::size_t n,
                                    Settle&& settle) {
   std::vector<std::uint32_t> perm(n);
   for (std::size_t i = 0; i < n; ++i) perm[i] = static_cast<std::uint32_t>(i);
-  qkd::Rng rng(0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(seed) << 16));
+  qkd::Rng rng = shuffle_rng(seed);
   for (std::size_t i = n; i > 1; --i) {
     const std::size_t j = rng.next_below(i);
     std::swap(perm[i - 1], perm[j]);
@@ -67,6 +75,42 @@ PermutedView permuted_view(std::uint32_t seed, const qkd::BitVector& bits) {
     }
   });
   return view;
+}
+
+qkd::BitVector permuted_bits(std::uint32_t seed, const qkd::BitVector& bits) {
+  // The shuffle's swaps applied to the bits' values, one byte each, rather
+  // than to their positions: the same draws leave value bits[perm[i]] at
+  // index i, with no position looked up and a quarter of the memory moved.
+  const std::size_t n = bits.size();
+  const std::size_t groups = (n + 7) / 8;
+  std::vector<std::uint8_t> values(8 * groups);
+  const auto in = bits.words();
+  for (std::size_t g = 0; g < groups; ++g) {
+    // Byte g of the string, a bit to a byte: the product puts bit b in
+    // byte b at weight 2^b, and adding 0x7f carries it to the byte's top.
+    const std::uint64_t byte = (in[g / 8] >> (8 * (g % 8))) & 0xff;
+    const std::uint64_t picked =
+        (byte * 0x0101010101010101ULL) & 0x8040201008040201ULL;
+    const std::uint64_t spread =
+        ((picked + 0x7f7f7f7f7f7f7f7fULL) >> 7) & 0x0101010101010101ULL;
+    for (std::size_t b = 0; b < 8; ++b)
+      values[8 * g + b] = static_cast<std::uint8_t>(spread >> (8 * b));
+  }
+  std::fill(values.begin() + static_cast<std::ptrdiff_t>(n), values.end(), 0);
+  qkd::Rng rng = shuffle_rng(seed);
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(values[i - 1], values[rng.next_below(i)]);
+  // Back to bits eight bytes at a time: the product gathers byte b's 0/1
+  // into bit 56 + b.
+  qkd::BitVector out(n);
+  const auto words = out.words();
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::uint64_t group = 0;
+    for (std::size_t b = 0; b < 8; ++b)
+      group |= std::uint64_t{values[8 * g + b]} << (8 * b);
+    words[g / 8] |= ((group * 0x0102040810204080ULL) >> 56) << (8 * (g % 8));
+  }
+  return out;
 }
 
 bool parity_of_members(const qkd::BitVector& bits,
@@ -136,23 +180,32 @@ const qkd::BitVector& LocalParityOracle::gathered(const ParityQuery& query) {
       {query.kind, query.seed,
        query.kind == ParityQuery::Kind::kLfsrSubset
            ? gather_members(bits_, lfsr_members(query.seed, bits_.size()))
-           : permuted_view(query.seed, bits_).bits});
+           : permuted_bits(query.seed, bits_)});
   return cache_.back().bits;
 }
 
-bool LocalParityOracle::in_range(const ParityQuery& query) {
-  return query.begin <= query.end && query.end <= gathered(query).size();
+std::optional<qkd::BitVector> LocalParityOracle::answer(
+    std::span<const ParityQuery> queries) {
+  // Each query's string is looked up once, and its range checked there;
+  // nothing counts as disclosed until every range has passed.
+  qkd::BitVector answers(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const ParityQuery& q = queries[i];
+    const qkd::BitVector& subset = gathered(q);
+    if (q.begin > q.end || q.end > subset.size()) return std::nullopt;
+    if (subset.range_parity(q.begin, q.end)) answers.set(i, true);
+  }
+  disclosed_ += queries.size();
+  ++exchanges_;
+  return answers;
 }
 
 qkd::BitVector LocalParityOracle::parities(
     std::span<const ParityQuery> queries) {
-  qkd::BitVector answers(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    if (gathered(queries[i]).range_parity(queries[i].begin, queries[i].end))
-      answers.set(i, true);
-  disclosed_ += queries.size();
-  ++exchanges_;
-  return answers;
+  auto answers = answer(queries);
+  if (!answers.has_value())
+    throw std::out_of_range("LocalParityOracle: range outside its subset");
+  return std::move(*answers);
 }
 
 }  // namespace qkd::proto

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -62,8 +63,9 @@ class LocalParityOracle final : public ParityOracle {
   /// Throws std::out_of_range if a query's range leaves its subset.
   qkd::BitVector parities(std::span<const ParityQuery> queries) override;
 
-  /// Whether `query`'s range lies inside its subset of the string.
-  bool in_range(const ParityQuery& query);
+  /// Every query's parity, or nullopt, disclosing nothing, when any
+  /// query's range leaves its subset.
+  std::optional<qkd::BitVector> answer(std::span<const ParityQuery> queries);
 
   /// Number of parity bits disclosed so far (the `d` of the entropy
   /// estimate).
@@ -120,6 +122,11 @@ struct PermutedView {
   qkd::BitVector bits;              // bits[perm[i]] at index i
 };
 PermutedView permuted_view(std::uint32_t seed, const qkd::BitVector& bits);
+
+/// permuted_view(seed, bits).bits alone: the same shuffle's draws, moving
+/// the bits' values instead of their positions, with no permutation or
+/// inverse built. Alice's oracle keeps nothing else of a pass.
+qkd::BitVector permuted_bits(std::uint32_t seed, const qkd::BitVector& bits);
 
 /// `bits` at members, in member order.
 qkd::BitVector gather_members(const qkd::BitVector& bits,

@@ -1,6 +1,7 @@
 #include "src/qkd/wire_link.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace qkd::proto {
 
@@ -15,13 +16,13 @@ bool WireParityServer::serve_frame(wire::Transport& io,
   if (last_request_ != request.value) {
     std::vector<ParityQuery> queries;
     queries.reserve(request.value.queries.size());
-    for (const auto& q : request.value.queries) {
+    for (const auto& q : request.value.queries)
       queries.push_back({static_cast<ParityQuery::Kind>(q.kind), q.seed,
                          q.begin, q.end});
-      if (!oracle_.in_range(queries.back())) return false;
-    }
+    auto parities = oracle_.answer(queries);
+    if (!parities.has_value()) return false;
     wire::ParityResponse response;
-    response.parities = oracle_.parities(queries);
+    response.parities = std::move(*parities);
     last_response_ = wire::to_frame(response);
     last_request_ = std::move(request.value);
   }

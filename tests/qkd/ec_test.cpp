@@ -67,6 +67,22 @@ TEST(PermutedView, MatchesThePermutationItsInverseAndTheGather) {
   }
 }
 
+TEST(PermutedView, GatherOnlyBitsMatchTheFullView) {
+  // Alice's oracle keeps only the gathered bits; they must be the view's,
+  // draw for draw, at the word and byte edges and at random n in
+  // [1, 5000].
+  QKD_SEEDED_RNG(rng, 10);
+  const std::size_t edges[] = {0, 1, 7, 8, 9, 63, 64, 65, 127, 128};
+  for (std::size_t trial = 0; trial < 74; ++trial) {
+    const std::size_t n =
+        trial < std::size(edges) ? edges[trial] : 1 + rng.next_below(5000);
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const auto bits = rng.next_bits(n);
+    EXPECT_EQ(permuted_bits(seed, bits), permuted_view(seed, bits).bits)
+        << "n=" << n << " seed=" << seed;
+  }
+}
+
 TEST(ParityOfMembers, MatchesBruteForce) {
   QKD_SEEDED_RNG(rng, 1);
   const auto bits = rng.next_bits(300);
