@@ -141,7 +141,11 @@ TEST(Peers, MatchTheInProcessPipelineBitForBit) {
       config.frame_slots = 1 << 16;
       config.preposition_extra_bits = 0;
     }
-    const std::vector<PeerRun> runs = run_peers(config, c.seed, 3);
+    // Classic cases run long enough for Bob's error record, which sizes
+    // each batch from the verified ones before it, to steer most batches.
+    const std::size_t batches =
+        c.strategy == EcStrategy::kClassicCascade ? 8 : 3;
+    const std::vector<PeerRun> runs = run_peers(config, c.seed, batches);
     QkdLinkSession session(config, c.seed);
     for (std::size_t i = 0; i < runs.size(); ++i) {
       SCOPED_TRACE(i);
