@@ -16,6 +16,10 @@ Typical uses:
     tools/compare_bench.py bench-results --series bm_kms_sharded_sweep \
         --series bm_obs_alert_evaluate_sweep
 
+A series row whose ``shards`` counter exceeds its snapshot's ``num_cpus``
+is marked "unmeasured": its shards shared CPUs, so its time says nothing
+about parallel scaling.
+
 Inputs are files or directories of ``BENCH_*.json`` as written by
 ``--benchmark_out_format=json`` (the CI bench-examples job and the
 "refreshing the snapshots" recipe in DESIGN.md use identical flags).
@@ -103,7 +107,10 @@ def check_stamps(base_contexts, cand_contexts, stems):
 
 
 def load_series(path: Path, prefix: str):
-    """Rows of ``prefix/<arg>`` entries: (arg, real_time ns, items/s)."""
+    """Rows of ``prefix/<arg>`` entries: (arg, real_time ns, items/s,
+    measured). A row is unmeasured when its ``shards`` counter exceeds the
+    snapshot's ``num_cpus``: its shards then shared CPUs, so its time is
+    not the parallel sweep's."""
     files = snapshot_files(path)
     rows = []
     for file in files:
@@ -111,6 +118,7 @@ def load_series(path: Path, prefix: str):
             doc = json.loads(file.read_text())
         except json.JSONDecodeError as err:
             raise SystemExit(f"error: {file}: not valid JSON ({err})")
+        num_cpus = doc.get("context", {}).get("num_cpus")
         for bench in doc.get("benchmarks", []):
             if bench.get("run_type") == "aggregate":
                 continue
@@ -122,8 +130,11 @@ def load_series(path: Path, prefix: str):
             except ValueError:
                 continue
             unit = TIME_UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
+            shards = bench.get("shards")
+            measured = (shards is None or num_cpus is None
+                        or shards <= num_cpus)
             rows.append((arg, bench.get("real_time", 0.0) * unit,
-                         bench.get("items_per_second")))
+                         bench.get("items_per_second"), measured))
     return sorted(rows)
 
 
@@ -138,14 +149,15 @@ def print_series(path: Path, prefix: str) -> int:
     print(f"  {'arg':>6} {'time':>12} {'items/s':>12} {'speedup':>8}")
     base_items = rows[0][2]
     base_time = rows[0][1]
-    for arg, time_ns, items in rows:
+    for arg, time_ns, items, measured in rows:
         if items is not None and base_items:
             speedup = items / base_items
         else:
             speedup = base_time / time_ns if time_ns else float("nan")
         items_text = f"{items:,.0f}" if items is not None else "-"
+        note = "" if measured else "  unmeasured (shards > num_cpus)"
         print(f"  {arg:>6} {time_ns / 1e6:>10.2f}ms {items_text:>12} "
-              f"{speedup:>7.2f}x")
+              f"{speedup:>7.2f}x{note}")
     return 0
 
 
