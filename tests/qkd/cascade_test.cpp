@@ -208,6 +208,30 @@ TEST(ClassicCascade, BlockSizeAdaptsToQberEstimate) {
   EXPECT_LT(low.parity_queries, high.parity_queries);
 }
 
+TEST(ClassicCascade, DisclosureStaysNearTheShannonBound) {
+  // The E5 oracle as a law: at the link's batch size, sized from the exact
+  // error rate, classic Cascade discloses f = d / (n*h2(q)) ~1.21 of the
+  // Shannon bound at 6 % (E5's sizing table). Over 200 batches the pooled
+  // f stays below 1.3, far outside its spread (~0.01); a corrector that
+  // lost its pass-1 sizing or asked every block twice would not.
+  QKD_SEEDED_RNG(rng, 61);
+  constexpr std::size_t kN = 1500, kTrials = 200;
+  constexpr double kRate = 0.06;
+  double disclosed = 0.0, bound = 0.0;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    Corrupted c = make_corrupted(kN, kRate, rng);
+    LocalParityOracle oracle(c.alice);
+    const EcStats stats = classic_cascade_correct(c.bob, oracle, kRate);
+    ASSERT_TRUE(stats.converged);
+    const double q = static_cast<double>(c.errors) / kN;
+    disclosed += static_cast<double>(oracle.disclosed());
+    bound += kN * (-q * std::log2(q) - (1 - q) * std::log2(1 - q));
+  }
+  const double f = disclosed / bound;
+  EXPECT_GT(f, 1.0);  // no corrector beats the bound
+  EXPECT_LT(f, 1.3);
+}
+
 TEST(ClassicCascade, EmptyInputConverges) {
   qkd::BitVector empty;
   LocalParityOracle oracle(empty);
