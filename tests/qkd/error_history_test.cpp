@@ -111,7 +111,7 @@ TEST(ErrorHistory, SizingFromTheRecordCutsCorrectionMessages) {
   // The law: over 600 batches of a 10 km link, classic Cascade sized from
   // the record sends at least 30 % fewer messages per batch than the same
   // link sized from each batch's 5 % sample, and no more batches fail
-  // correction or verification. (Scratch runs read ~40 % fewer.)
+  // correction or verification. (At this seed it reads ~39 % fewer.)
   constexpr std::size_t kBatches = 600;
   const RunTally sample = run_10km(/*sample_only=*/true, kBatches);
   const RunTally record = run_10km(/*sample_only=*/false, kBatches);
