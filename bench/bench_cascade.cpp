@@ -33,15 +33,6 @@ namespace {
 
 using namespace qkd::proto;
 
-struct TrialResult {
-  std::size_t disclosed;
-  std::size_t round_trips;
-  std::size_t corrections;
-  std::size_t residual;
-  bool converged;
-  double f;  // disclosed / (n*h2(q)), q the string's own error rate
-};
-
 struct Corrupted {
   qkd::BitVector alice;
   qkd::BitVector bob;
@@ -63,25 +54,43 @@ double h2(double q) {
   return -q * std::log2(q) - (1.0 - q) * std::log2(1.0 - q);
 }
 
-/// Disclosure over the Shannon bound: d / (n*h2(errors / n)). 0 when the
-/// bound is 0 (a clean string).
-double efficiency(std::size_t disclosed, std::size_t n, std::size_t errors) {
-  const double bound =
-      static_cast<double>(n) *
-      h2(static_cast<double>(errors) / static_cast<double>(n));
-  return bound > 0.0 ? static_cast<double>(disclosed) / bound : 0.0;
+/// The Shannon bound n*h2(errors / n): the least any corrector discloses.
+double shannon_bound(std::size_t n, std::size_t errors) {
+  return static_cast<double>(n) *
+         h2(static_cast<double>(errors) / static_cast<double>(n));
 }
 
+/// One corrector's cells of a row, over its trials.
+struct TrialMeans {
+  double disclosed = 0.0;    // mean d
+  double round_trips = 0.0;  // mean rt
+  double f = 0.0;            // sum of d over sum of n*h2(q)
+  double residual = 0.0;     // mean errors left
+  std::size_t converged = 0;  // trials that converged
+};
+
+/// `trials` strings of `n` bits at error rate `rate` (seeds 1000, 1001,
+/// ...), each corrected by `correct(bob, oracle, rate)`.
 template <typename CorrectFn>
-TrialResult run_trial(std::size_t n, double rate, std::uint64_t seed,
+TrialMeans run_trials(std::size_t n, double rate, std::size_t trials,
                       CorrectFn&& correct) {
-  Corrupted c = make_corrupted(n, rate, seed);
-  LocalParityOracle oracle(c.alice);
-  const std::size_t errors = c.alice.hamming_distance(c.bob);
-  const EcStats stats = correct(c.bob, oracle, rate);
-  return TrialResult{oracle.disclosed(), oracle.exchanges(), stats.corrections,
-                     c.alice.hamming_distance(c.bob), stats.converged,
-                     efficiency(oracle.disclosed(), n, errors)};
+  TrialMeans m;
+  double bound = 0.0;
+  for (std::size_t t = 0; t < trials; ++t) {
+    Corrupted c = make_corrupted(n, rate, 1000 + t);
+    LocalParityOracle oracle(c.alice);
+    bound += shannon_bound(n, c.alice.hamming_distance(c.bob));
+    const EcStats stats = correct(c.bob, oracle, rate);
+    m.disclosed += static_cast<double>(oracle.disclosed());
+    m.round_trips += static_cast<double>(oracle.exchanges());
+    m.residual += static_cast<double>(c.alice.hamming_distance(c.bob));
+    m.converged += stats.converged ? 1 : 0;
+  }
+  m.f = bound > 0.0 ? m.disclosed / bound : 0.0;
+  m.disclosed /= static_cast<double>(trials);
+  m.round_trips /= static_cast<double>(trials);
+  m.residual /= static_cast<double>(trials);
+  return m;
 }
 
 /// One row of the sizing table, over its batches.
@@ -114,8 +123,7 @@ SizingRow run_sizing(std::size_t n, double rate, std::size_t trials,
         c.bob, oracle, std::max(size(sample_errors, sample_bits), 0.01));
     row.messages += static_cast<double>(oracle.exchanges());
     row.disclosed += static_cast<double>(oracle.disclosed());
-    bound += static_cast<double>(n) *
-             h2(static_cast<double>(errors) / static_cast<double>(n));
+    bound += shannon_bound(n, errors);
     if (c.alice == c.bob)
       verified(stats.corrections, n);
     else
@@ -168,37 +176,40 @@ void print_sizing_table() {
 void print_table() {
   qkd::bench::heading(
       "E5", "Sec. 5: error-correction disclosure / residual ablation");
-  const std::size_t n = 4096;
-  qkd::bench::row("block = %zu bits; Shannon bound = n*h2(q)", n);
-  qkd::bench::row("rt = round trips (parity batches) per correction; "
-                  "f = d / (n*h2(q))");
+  const std::size_t n = 4096, trials = 50;
+  qkd::bench::row("block = %zu bits, %zu trials a rate; Shannon bound = "
+                  "n*h2(q)",
+                  n, trials);
+  qkd::bench::row("d, rt (round trips: parity batches) and resid (errors "
+                  "left) are means; f = sum d / sum n*h2(q); conv counts "
+                  "converged trials");
   qkd::bench::row(
-      "%6s | %7s %5s %5s %5s %4s | %9s %5s %5s %5s %4s | %7s %5s %5s %5s %4s",
+      "%6s | %7s %5s %6s %5s %4s | %9s %5s %6s %5s %4s | %7s %5s %6s %5s %4s",
       "QBER%", "bbn:d", "f", "rt", "resid", "conv", "classic:d", "f", "rt",
       "resid", "conv", "naive:d", "f", "rt", "resid", "conv");
   for (double rate : {0.005, 0.01, 0.03, 0.05, 0.07, 0.09, 0.11}) {
-    const auto bbn = run_trial(n, rate, 1000,
-                               [](auto& bob, auto& oracle, double) {
-                                 return bbn_cascade_correct(bob, oracle);
-                               });
-    const auto classic =
-        run_trial(n, rate, 1000, [](auto& bob, auto& oracle, double q) {
+    const TrialMeans bbn =
+        run_trials(n, rate, trials, [](auto& bob, auto& oracle, double) {
+          return bbn_cascade_correct(bob, oracle);
+        });
+    const TrialMeans classic =
+        run_trials(n, rate, trials, [](auto& bob, auto& oracle, double q) {
           return classic_cascade_correct(bob, oracle, std::max(q, 0.01));
         });
-    const auto naive = run_trial(n, rate, 1000,
-                                 [](auto& bob, auto& oracle, double) {
-                                   return naive_parity_correct(bob, oracle);
-                                 });
-    auto cells = [](const TrialResult& r) {
-      return std::tuple(r.disclosed, r.f, r.round_trips, r.residual,
-                        r.converged ? "yes" : "NO");
+    const TrialMeans naive =
+        run_trials(n, rate, trials, [](auto& bob, auto& oracle, double) {
+          return naive_parity_correct(bob, oracle);
+        });
+    auto cells = [](const TrialMeans& m) {
+      return std::tuple(m.disclosed, m.f, m.round_trips, m.residual,
+                        m.converged);
     };
     const auto [bd, bf, brt, bres, bconv] = cells(bbn);
     const auto [cd, cf, crt, cres, cconv] = cells(classic);
     const auto [nd, nf, nrt, nres, nconv] = cells(naive);
     qkd::bench::row(
-        "%6.1f | %7zu %5.2f %5zu %5zu %4s | %9zu %5.2f %5zu %5zu %4s | "
-        "%7zu %5.2f %5zu %5zu %4s",
+        "%6.1f | %7.0f %5.2f %6.1f %5.1f %4zu | %9.0f %5.2f %6.1f %5.1f %4zu "
+        "| %7.0f %5.2f %6.1f %5.1f %4zu",
         100.0 * rate, bd, bf, brt, bres, bconv, cd, cf, crt, cres, cconv, nd,
         nf, nrt, nres, nconv);
   }
@@ -206,11 +217,11 @@ void print_table() {
   qkd::bench::row("");
   qkd::bench::row("adaptivity check (the paper's claim): zero-error blocks");
   for (std::size_t clean_n : {1024u, 4096u, 16384u}) {
-    const auto bbn = run_trial(clean_n, 0.0, 7,
-                               [](auto& bob, auto& oracle, double) {
-                                 return bbn_cascade_correct(bob, oracle);
-                               });
-    qkd::bench::row("  n=%6zu: BBN variant disclosed %zu bits "
+    const TrialMeans bbn =
+        run_trials(clean_n, 0.0, 1, [](auto& bob, auto& oracle, double) {
+          return bbn_cascade_correct(bob, oracle);
+        });
+    qkd::bench::row("  n=%6zu: BBN variant disclosed %.0f bits "
                     "(= one round of 64 subset parities)",
                     clean_n, bbn.disclosed);
   }

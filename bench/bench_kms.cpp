@@ -16,7 +16,9 @@
 #include <memory>
 
 #include "bench/bench_util.hpp"
+#include "src/common/rng.hpp"
 #include "src/common/worker_pool.hpp"
+#include "src/keystore/key_pool.hpp"
 #include "src/kms/client_fleet.hpp"
 #include "src/kms/kms.hpp"
 #include "src/sim/scenario.hpp"
@@ -336,6 +338,30 @@ void bm_kms_admission_rejection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(bm_kms_admission_rejection);
+
+void bm_key_pool_deposit(benchmark::State& state) {
+  // The deposit under every grant: frame keys have arbitrary lengths, so a
+  // pool's size is almost never a multiple of 64 and each append lands at
+  // a bit offset. Blocks of 61-190 bits go into a pool three bits off a
+  // word boundary and are withdrawn linearly behind it, so compaction
+  // runs too. Items processed = bits deposited, so items/s is bits/s.
+  qkd::Rng rng(19);
+  std::vector<qkd::BitVector> blocks;
+  for (std::size_t i = 0; i < 64; ++i)
+    blocks.push_back(rng.next_bits(61 + (37 * i) % 130));
+  qkd::keystore::KeyPool pool("bench");
+  pool.deposit(rng.next_bits(3));
+  std::uint64_t bits = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const qkd::BitVector& block = blocks[next++ % blocks.size()];
+    pool.deposit(block);
+    benchmark::DoNotOptimize(pool.request_bits(block.size()));
+    bits += block.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(bits));
+}
+BENCHMARK(bm_key_pool_deposit);
 
 }  // namespace
 

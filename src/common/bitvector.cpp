@@ -78,17 +78,31 @@ void BitVector::append_bits(std::uint64_t bits, std::size_t count) {
 }
 
 void BitVector::append(const BitVector& other) {
-  // Fast path: word-aligned append.
-  if ((size_ & 63) == 0) {
-    words_.resize(word_count(size_ + other.size_), 0);
-    const std::size_t base = size_ >> 6;
-    for (std::size_t w = 0; w < other.words_.size(); ++w)
-      words_[base + w] = other.words_[w];
-    size_ += other.size_;
-    normalize_tail();
+  // Appending to itself would write the source's last word before reading
+  // it; append a copy instead.
+  if (&other == this) {
+    const BitVector copy(other);
+    append(copy);
     return;
   }
-  for (std::size_t i = 0; i < other.size_; ++i) push_back(other.get(i));
+  // Whole words at any offset: each source word lands in the (zero-tailed)
+  // current word shifted up, and its high part starts the next word. Source
+  // bits past the new size fall into the tail that normalize_tail() clears.
+  const std::size_t shift = size_ & 63;
+  const std::size_t base = size_ >> 6;
+  words_.resize(word_count(size_ + other.size_), 0);
+  if (shift == 0) {
+    for (std::size_t w = 0; w < other.words_.size(); ++w)
+      words_[base + w] = other.words_[w];
+  } else {
+    for (std::size_t w = 0; w < other.words_.size(); ++w) {
+      words_[base + w] |= other.words_[w] << shift;
+      if (base + w + 1 < words_.size())
+        words_[base + w + 1] = other.words_[w] >> (64 - shift);
+    }
+  }
+  size_ += other.size_;
+  normalize_tail();
 }
 
 BitVector BitVector::slice(std::size_t begin, std::size_t len) const {

@@ -202,7 +202,11 @@ void KeyPool::compact() {
   }
   if (keep_from <= base_bits_) return;
   const std::size_t drop = keep_from - base_bits_;
-  if (drop > (1 << 20) && drop > pool_.size() / 2) {
+  // Dropping only when the dead prefix is over half the pool keeps the copy
+  // amortised O(1) a bit. The 64 Kbit floor bounds what a pool holds dead:
+  // the KMS keeps two mirrors per pair, so a 1 Mbit floor left megabytes
+  // of spent key resident across a fleet.
+  if (drop > (1 << 16) && drop > pool_.size() / 2) {
     pool_ = pool_.slice(drop, pool_.size() - drop);
     base_bits_ = keep_from;
   }

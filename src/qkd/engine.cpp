@@ -49,6 +49,13 @@ void record_ground_truth(const qkd::optics::FrameResult& frame,
                        static_cast<double>(sifted_slots.size());
 }
 
+/// ln(n!). lgamma_r, not std::lgamma: std::lgamma writes the global
+/// `signgam`, a data race when links distill on several threads.
+double log_factorial(double n) {
+  int sign = 0;
+  return ::lgamma_r(n + 1.0, &sign);
+}
+
 /// Whether the tail of Binomial(m, p) on k's side of the mean, P[X >= k]
 /// or P[X <= k], holds less than `alpha`. It sums the tail's terms
 /// outward from k and stops as soon as the sum reaches alpha or the terms
@@ -59,13 +66,13 @@ bool binomial_tail_below(std::size_t k, std::size_t m, double p,
   if (p >= 1.0) return k < m;
   const bool upper = static_cast<double>(k) >= p * static_cast<double>(m);
   const double log_p = std::log(p), log_q = std::log1p(-p);
-  const double log_m = std::lgamma(static_cast<double>(m) + 1.0);
+  const double log_m = log_factorial(static_cast<double>(m));
   double sum = 0.0;
   for (std::size_t j = k;; upper ? ++j : --j) {
     const auto jd = static_cast<double>(j);
     const double term =
-        std::exp(log_m - std::lgamma(jd + 1.0) -
-                 std::lgamma(static_cast<double>(m - j) + 1.0) + jd * log_p +
+        std::exp(log_m - log_factorial(jd) -
+                 log_factorial(static_cast<double>(m - j)) + jd * log_p +
                  static_cast<double>(m - j) * log_q);
     sum += term;
     if (sum >= alpha) return false;

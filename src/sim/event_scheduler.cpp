@@ -13,10 +13,37 @@ EventScheduler::Handle EventScheduler::schedule(SimTime when, SimTime period,
         " ns, before now (" + std::to_string(clock_.now()) + " ns)");
   if (!callback)
     throw std::invalid_argument("EventScheduler: empty callback");
-  const std::uint64_t id = next_id_++;
-  events_.emplace(id, Event{std::move(callback), period});
+  std::uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.callback = std::move(callback);
+  slot.period = period;
+  ++live_;
+  const std::uint64_t id =
+      (std::uint64_t{slot.generation} << 32) | (std::uint64_t{index} + 1);
   heap_.push(HeapEntry{when, next_seq_++, id});
   return Handle(id);
+}
+
+bool EventScheduler::is_live(std::uint64_t id) const {
+  const std::uint32_t index = slot_index(id);
+  return index < slots_.size() && slots_[index].generation == (id >> 32);
+}
+
+void EventScheduler::retire(std::uint64_t id) {
+  const std::uint32_t index = slot_index(id);
+  Slot& slot = slots_[index];
+  slot.callback = nullptr;
+  slot.running = slot.cancelled = false;
+  ++slot.generation;
+  free_slots_.push_back(index);
+  --live_;
 }
 
 EventScheduler::Handle EventScheduler::at(SimTime when, Callback callback) {
@@ -44,22 +71,19 @@ EventScheduler::Handle EventScheduler::every(SimTime first_after,
 }
 
 bool EventScheduler::cancel(Handle handle) {
-  if (!handle.valid()) return false;
-  // An event whose callback is on the stack (at any nesting depth) must not
-  // have its Event erased mid-call: mark the frame and let dispatch() erase
-  // on unwind.
-  for (DispatchFrame& frame : dispatch_stack_) {
-    if (frame.id == handle.id_) {
-      const bool was_live = !frame.cancelled;
-      frame.cancelled = true;
-      return was_live;
-    }
+  if (!handle.valid() || !is_live(handle.id_)) return false;
+  Slot& slot = slots_[slot_index(handle.id_)];
+  if (slot.running) {
+    const bool was_live = !slot.cancelled;
+    slot.cancelled = true;
+    return was_live;
   }
-  return events_.erase(handle.id_) > 0;
+  retire(handle.id_);
+  return true;
 }
 
 void EventScheduler::prune_cancelled_top() const {
-  while (!heap_.empty() && events_.count(heap_.top().id) == 0) heap_.pop();
+  while (!heap_.empty() && !is_live(heap_.top().id)) heap_.pop();
 }
 
 std::optional<SimTime> EventScheduler::next_time() const {
@@ -78,27 +102,24 @@ std::optional<EventScheduler::HeapEntry> EventScheduler::pop_live() {
 
 void EventScheduler::dispatch(const HeapEntry& entry) {
   clock_.advance_to(entry.time);
-  auto it = events_.find(entry.id);  // guaranteed live by pop_live()
-  dispatch_stack_.push_back(DispatchFrame{entry.id, false});
+  Slot& slot = slots_[slot_index(entry.id)];  // live: the caller pruned
+  slot.running = true;
   try {
-    it->second.callback(clock_.now());
+    slot.callback(clock_.now());
   } catch (...) {
-    dispatch_stack_.pop_back();
-    events_.erase(entry.id);  // a throwing event does not re-arm
+    retire(entry.id);  // a throwing event does not re-arm
     throw;
   }
-  const bool cancelled = dispatch_stack_.back().cancelled;
-  dispatch_stack_.pop_back();
+  slot.running = false;
   ++dispatched_;
   // The callback may have scheduled or dispatched around us, but this
-  // event's map entry survives (cancellation of an executing event is
-  // deferred above), so the iterator is still valid (std::map: only
-  // erasure invalidates).
-  if (cancelled || it->second.period == 0) {
-    events_.erase(it);
+  // event's slot survives (cancel() of a running event is deferred), and
+  // the deque only grows at its end, so `slot` still refers to it.
+  if (slot.cancelled || slot.period == 0) {
+    retire(entry.id);
     return;
   }
-  heap_.push(HeapEntry{entry.time + it->second.period, next_seq_++, entry.id});
+  heap_.push(HeapEntry{entry.time + slot.period, next_seq_++, entry.id});
 }
 
 std::size_t EventScheduler::run_until(SimTime until) {

@@ -12,7 +12,12 @@
 // Handles returned by the schedule calls cancel events (including periodic
 // timers, including from inside their own callback). Cancellation is lazy:
 // the heap entry stays behind and is skipped when popped, so cancel() is
-// O(log n) map work rather than a heap rebuild.
+// O(1) rather than a heap rebuild.
+//
+// Live events sit in a slot table indexed by their id: an id is
+// `generation << 32 | (slot + 1)`, and a slot's generation moves on when
+// its event ends, so a stale Handle or a cancelled heap entry never matches
+// the slot's next event. Finding an event is one index and one compare.
 //
 // This is the substrate the scenario layer (src/sim/scenario.hpp) scripts
 // against, and what the formerly step-driven layers (LinkKeyService batch
@@ -20,8 +25,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -88,8 +93,8 @@ class EventScheduler {
   // ---- Introspection ------------------------------------------------------
   SimTime now() const { return clock_.now(); }
   SimClock& clock() { return clock_; }
-  std::size_t pending() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
+  std::size_t pending() const { return live_; }
+  bool empty() const { return live_ == 0; }
   /// Due time of the next live event, if any.
   std::optional<SimTime> next_time() const;
   /// Total events dispatched over the scheduler's lifetime (bench counter).
@@ -106,9 +111,16 @@ class EventScheduler {
     }
   };
 
-  struct Event {
+  struct Slot {
     Callback callback;
     SimTime period = 0;  // 0: one-shot
+    std::uint32_t generation = 0;  // of the event the slot holds or will hold
+    // Set while the callback runs (nested run_one()/run_until() from inside
+    // a callback may run others). cancel() of a running event sets
+    // `cancelled` instead of retiring the slot, which would destroy the
+    // std::function mid-call; dispatch() retires it on unwind.
+    bool running = false;
+    bool cancelled = false;
   };
 
   Handle schedule(SimTime when, SimTime period, Callback callback);
@@ -117,27 +129,29 @@ class EventScheduler {
   /// introspection, hence the mutable heap.
   void prune_cancelled_top() const;
   /// Pops heap entries until one refers to a live event; nullopt when the
-  /// heap drains. Keeps `events_` and the heap consistent.
+  /// heap drains.
   std::optional<HeapEntry> pop_live();
   void dispatch(const HeapEntry& entry);
+  static std::uint32_t slot_index(std::uint64_t id) {
+    return static_cast<std::uint32_t>(id) - 1;
+  }
+  /// Whether `id` still names a live event (false once it has ended).
+  bool is_live(std::uint64_t id) const;
+  /// Ends the live event `id`: drops its callback, moves the slot's
+  /// generation on and frees the slot for reuse.
+  void retire(std::uint64_t id);
 
   SimClock& clock_;
   mutable std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                               std::greater<>>
       heap_;
-  std::map<std::uint64_t, Event> events_;  // live (non-cancelled) events
-  std::uint64_t next_id_ = 1;
+  // Live events by slot. A deque keeps each Slot in place while a callback
+  // schedules more events during its own dispatch.
+  std::deque<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;  // live (non-cancelled) events
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  // Dispatch-reentrancy state: one frame per callback on the stack (nested
-  // run_one()/run_until() from inside a callback pushes another). cancel()
-  // of any event currently executing marks its frame instead of erasing the
-  // Event — erasing would destroy the std::function mid-call.
-  struct DispatchFrame {
-    std::uint64_t id = 0;
-    bool cancelled = false;
-  };
-  std::vector<DispatchFrame> dispatch_stack_;
 };
 
 }  // namespace qkd::sim

@@ -113,6 +113,37 @@ TEST(BitVector, AppendAlignedAndUnaligned) {
   }
 }
 
+TEST(BitVector, AppendAtEveryOffsetMatchesBitByBit) {
+  // append() moves whole words at any offset; push_back is the reference.
+  QKD_SEEDED_RNG(rng, 12);
+  for (std::size_t left = 0; left <= 130; ++left) {
+    for (std::size_t right : {0u, 1u, 63u, 64u, 65u, 200u}) {
+      const BitVector a = rng.next_bits(left);
+      const BitVector b = rng.next_bits(right);
+      BitVector joined = a;
+      joined.append(b);
+      BitVector reference = a;
+      for (std::size_t i = 0; i < right; ++i) reference.push_back(b.get(i));
+      ASSERT_EQ(joined, reference) << left << " + " << right;
+      const std::size_t tail = joined.size() & 63;
+      if (tail != 0)
+        ASSERT_EQ(joined.words().back() >> tail, 0u)
+            << "tail word zeroed past bit " << joined.size();
+    }
+  }
+}
+
+TEST(BitVector, AppendToItself) {
+  QKD_SEEDED_RNG(rng, 14);
+  for (std::size_t n : {0u, 3u, 64u, 100u}) {
+    BitVector v = rng.next_bits(n);
+    BitVector reference = v;
+    for (std::size_t i = 0; i < n; ++i) reference.push_back(v.get(i));
+    v.append(v);
+    EXPECT_EQ(v, reference) << n;
+  }
+}
+
 TEST(BitVector, SliceMatchesBitwiseExtraction) {
   QKD_SEEDED_RNG(rng, 13);
   const BitVector v = rng.next_bits(300);

@@ -290,6 +290,32 @@ TEST(KeyPool, CompactionPreservesContentAcrossReservations) {
   EXPECT_GT(cursor, 1000u);  // compaction definitely engaged
 }
 
+TEST(KeyPool, LinearCompactionKeepsTheStreamAtOddCursors) {
+  // Odd-sized deposits and withdrawals leave both the pool's size and its
+  // cursor off word boundaries, so every append and every compaction's
+  // slice shifts words. The live backlog stays under 1 Kbit, so each 64
+  // Kbit withdrawn crosses the compaction floor once: withdrawing 21 x 64
+  // Kbit compacts at least 20 times.
+  QKD_SEEDED_RNG(rng, 29);
+  KeyPool pool;
+  qkd::BitVector deposited;
+  qkd::BitVector withdrawn;
+  const std::size_t sizes[] = {61, 97, 129};
+  for (std::size_t step = 0; withdrawn.size() < 21u << 16; ++step) {
+    const auto bits = rng.next_bits(sizes[step % 3]);
+    pool.deposit(bits);
+    deposited.append(bits);
+    const std::size_t want = sizes[(step + 1) % 3];
+    if (pool.available_bits() < want) continue;
+    const auto block = pool.request_bits(want);
+    ASSERT_TRUE(block.has_value());
+    ASSERT_EQ(block->bits.size(), want);
+    withdrawn.append(block->bits);
+    ASSERT_LT(pool.available_bits(), 1024u);
+  }
+  EXPECT_EQ(withdrawn, deposited.slice(0, withdrawn.size()));
+}
+
 TEST(KeySupply, EventsFireOnCrossingsAndExhaustion) {
   QKD_SEEDED_RNG(rng, 8);
   KeyPool pool;

@@ -198,6 +198,54 @@ TEST(EventScheduler, RunUntilStopsAtHorizonLeavingLaterEventsPending) {
       << "horizons never move backwards";
 }
 
+TEST(EventScheduler, StaleHandleCannotTouchAReusedSlot) {
+  // A slot freed by an ended event goes to the next schedule call. The
+  // handle of the event that ended there, and a cancelled event's heap
+  // entry still queued, must not reach the slot's new event.
+  SimClock clock;
+  EventScheduler sched(clock);
+  const auto fired = sched.at(kSecond, [](SimTime) {});
+  sched.run_until(kSecond);
+  std::vector<SimTime> first_reuse;
+  sched.at(3 * kSecond, [&](SimTime t) { first_reuse.push_back(t); });
+  EXPECT_FALSE(sched.cancel(fired)) << "the one-shot already fired";
+
+  const auto doomed = sched.at(2 * kSecond, [](SimTime) { FAIL(); });
+  EXPECT_TRUE(sched.cancel(doomed));  // its heap entry at 2 s stays queued
+  std::vector<SimTime> second_reuse;
+  sched.at(4 * kSecond, [&](SimTime t) { second_reuse.push_back(t); });
+  EXPECT_FALSE(sched.cancel(doomed)) << "already cancelled";
+
+  EXPECT_EQ(sched.pending(), 2u);
+  ASSERT_TRUE(sched.next_time().has_value());
+  EXPECT_EQ(*sched.next_time(), 3 * kSecond) << "the 2 s entry is dead";
+  EXPECT_EQ(sched.run_until(10 * kSecond), 2u);
+  EXPECT_EQ(first_reuse, (std::vector<SimTime>{3 * kSecond}));
+  EXPECT_EQ(second_reuse, (std::vector<SimTime>{4 * kSecond}));
+  EXPECT_TRUE(sched.empty());
+}
+
+TEST(EventScheduler, CallbackThatSchedulesThousandsStaysValid) {
+  // A periodic callback arms 5,000 one-shots while it runs, so the slot
+  // table grows under it; its own captures and re-arm must survive.
+  SimClock clock;
+  EventScheduler sched(clock);
+  const std::string tag(64, 'p');  // a heap-held capture
+  std::vector<SimTime> ticks;
+  std::size_t shots = 0;
+  sched.every(kSecond, kSecond, [&sched, &ticks, &shots, tag](SimTime t) {
+    for (SimTime i = 1; i <= 5000; ++i)
+      sched.at(t + i, [&shots](SimTime) { ++shots; });
+    EXPECT_EQ(tag, std::string(64, 'p'));
+    ticks.push_back(t);
+  });
+  EXPECT_EQ(sched.run_until(3 * kSecond + kMillisecond), 3u + 15000u);
+  EXPECT_EQ(ticks,
+            (std::vector<SimTime>{kSecond, 2 * kSecond, 3 * kSecond}));
+  EXPECT_EQ(shots, 15000u);
+  EXPECT_EQ(sched.pending(), 1u) << "only the periodic timer is left";
+}
+
 TEST(EventScheduler, TwoPeriodicTimersInterleaveDeterministically) {
   SimClock clock;
   EventScheduler sched(clock);
