@@ -203,9 +203,9 @@ void KeyPool::compact() {
   if (keep_from <= base_bits_) return;
   const std::size_t drop = keep_from - base_bits_;
   // Dropping only when the dead prefix is over half the pool keeps the copy
-  // amortised O(1) a bit. The 64 Kbit floor bounds what a pool holds dead:
-  // the KMS keeps two mirrors per pair, so a 1 Mbit floor left megabytes
-  // of spent key resident across a fleet.
+  // amortised O(1) a bit. The 64 Kbit floor bounds the spent key a pool
+  // keeps resident: the KMS holds two mirror pools per pair, so a fleet's
+  // dead prefixes add up (at a 1 Mbit floor, up to 4 MB over 32 pools).
   if (drop > (1 << 16) && drop > pool_.size() / 2) {
     pool_ = pool_.slice(drop, pool_.size() - drop);
     base_bits_ = keep_from;
