@@ -3,6 +3,12 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "src/crypto/cpu.hpp"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace qkd::crypto {
 namespace {
 
@@ -112,16 +118,31 @@ void add_round_key(std::uint8_t* s, const std::uint8_t* rk) {
   for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
 }
 
+detail::AesKernel encrypt_kernel() {
+#if defined(__x86_64__)
+  if (detail::cpu_has_aes()) return detail::aes_encrypt_aes_ni;
+#endif
+  return detail::aes_encrypt_portable;
+}
+
+detail::AesKernel decrypt_kernel() {
+#if defined(__x86_64__)
+  if (detail::cpu_has_aes()) return detail::aes_decrypt_aes_ni;
+#endif
+  return detail::aes_decrypt_portable;
+}
+
 }  // namespace
 
 Aes::Aes(std::span<const std::uint8_t> key) {
   const std::size_t nk = key.size() / 4;  // key length in 32-bit words
   if (key.size() != 16 && key.size() != 24 && key.size() != 32)
     throw std::invalid_argument("Aes: key must be 16, 24 or 32 bytes");
-  rounds_ = static_cast<unsigned>(nk + 6);
+  const unsigned rounds = static_cast<unsigned>(nk + 6);
+  schedule_.rounds = rounds;
 
-  const std::size_t total_words = 4 * (rounds_ + 1);
-  std::uint8_t* w = round_keys_.data();
+  const std::size_t total_words = 4 * (rounds + 1);
+  std::uint8_t* w = schedule_.enc.data();
   std::memcpy(w, key.data(), key.size());
 
   std::uint8_t rcon = 1;
@@ -141,38 +162,21 @@ Aes::Aes(std::span<const std::uint8_t> key) {
     }
     for (int b = 0; b < 4; ++b) w[4 * i + b] = w[4 * (i - nk) + b] ^ temp[b];
   }
+
+  // The equivalent inverse cipher's keys, for the AES-NI decryption.
+  std::uint8_t* d = schedule_.dec.data();
+  for (unsigned r = 0; r <= rounds; ++r) {
+    std::memcpy(d + 16 * r, w + 16 * (rounds - r), 16);
+    if (r != 0 && r != rounds) inv_mix_columns(d + 16 * r);
+  }
 }
 
 void Aes::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  add_round_key(s, round_keys_.data());
-  for (unsigned round = 1; round < rounds_; ++round) {
-    sub_bytes(s);
-    shift_rows(s);
-    mix_columns(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-  }
-  sub_bytes(s);
-  shift_rows(s);
-  add_round_key(s, round_keys_.data() + 16 * rounds_);
-  std::memcpy(out, s, 16);
+  encrypt_kernel()(schedule_, in, out);
 }
 
 void Aes::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const {
-  std::uint8_t s[16];
-  std::memcpy(s, in, 16);
-  add_round_key(s, round_keys_.data() + 16 * rounds_);
-  for (unsigned round = rounds_ - 1; round >= 1; --round) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, round_keys_.data() + 16 * round);
-    inv_mix_columns(s);
-  }
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  add_round_key(s, round_keys_.data());
-  std::memcpy(out, s, 16);
+  decrypt_kernel()(schedule_, in, out);
 }
 
 Aes::Block Aes::encrypt_block(const Block& in) const {
@@ -189,33 +193,14 @@ Aes::Block Aes::decrypt_block(const Block& in) const {
 
 Bytes aes_cbc_encrypt(const Aes& aes, const Aes::Block& iv,
                       std::span<const std::uint8_t> plaintext) {
-  if (plaintext.size() % Aes::kBlockSize != 0)
-    throw std::invalid_argument("aes_cbc_encrypt: unpadded input");
-  Bytes out(plaintext.size());
-  Aes::Block chain = iv;
-  for (std::size_t off = 0; off < plaintext.size(); off += 16) {
-    Aes::Block block;
-    for (int i = 0; i < 16; ++i) block[i] = plaintext[off + i] ^ chain[i];
-    chain = aes.encrypt_block(block);
-    std::memcpy(out.data() + off, chain.data(), 16);
-  }
-  return out;
+  return detail::aes_cbc_encrypt(encrypt_kernel(), aes.schedule(), iv,
+                                 plaintext);
 }
 
 Bytes aes_cbc_decrypt(const Aes& aes, const Aes::Block& iv,
                       std::span<const std::uint8_t> ciphertext) {
-  if (ciphertext.size() % Aes::kBlockSize != 0)
-    throw std::invalid_argument("aes_cbc_decrypt: truncated input");
-  Bytes out(ciphertext.size());
-  Aes::Block chain = iv;
-  for (std::size_t off = 0; off < ciphertext.size(); off += 16) {
-    Aes::Block block;
-    std::memcpy(block.data(), ciphertext.data() + off, 16);
-    const Aes::Block plain = aes.decrypt_block(block);
-    for (int i = 0; i < 16; ++i) out[off + i] = plain[i] ^ chain[i];
-    chain = block;
-  }
-  return out;
+  return detail::aes_cbc_decrypt(decrypt_kernel(), aes.schedule(), iv,
+                                 ciphertext);
 }
 
 Bytes aes_ctr_crypt(const Aes& aes, const Aes::Block& counter_block,
@@ -233,5 +218,104 @@ Bytes aes_ctr_crypt(const Aes& aes, const Aes::Block& counter_block,
   }
   return out;
 }
+
+namespace detail {
+
+Bytes aes_cbc_encrypt(AesKernel encrypt, const AesSchedule& ks,
+                      const Aes::Block& iv,
+                      std::span<const std::uint8_t> plaintext) {
+  if (plaintext.size() % Aes::kBlockSize != 0)
+    throw std::invalid_argument("aes_cbc_encrypt: unpadded input");
+  Bytes out(plaintext.size());
+  const std::uint8_t* chain = iv.data();
+  for (std::size_t off = 0; off < plaintext.size(); off += 16) {
+    std::uint8_t block[16];
+    for (int i = 0; i < 16; ++i) block[i] = plaintext[off + i] ^ chain[i];
+    encrypt(ks, block, out.data() + off);
+    chain = out.data() + off;
+  }
+  return out;
+}
+
+Bytes aes_cbc_decrypt(AesKernel decrypt, const AesSchedule& ks,
+                      const Aes::Block& iv,
+                      std::span<const std::uint8_t> ciphertext) {
+  if (ciphertext.size() % Aes::kBlockSize != 0)
+    throw std::invalid_argument("aes_cbc_decrypt: truncated input");
+  Bytes out(ciphertext.size());
+  const std::uint8_t* chain = iv.data();
+  for (std::size_t off = 0; off < ciphertext.size(); off += 16) {
+    decrypt(ks, ciphertext.data() + off, out.data() + off);
+    for (int i = 0; i < 16; ++i) out[off + i] ^= chain[i];
+    chain = ciphertext.data() + off;
+  }
+  return out;
+}
+
+void aes_encrypt_portable(const AesSchedule& ks, const std::uint8_t* in,
+                          std::uint8_t* out) {
+  const std::uint8_t* rk = ks.enc.data();
+  std::uint8_t s[16];
+  std::memcpy(s, in, 16);
+  add_round_key(s, rk);
+  for (unsigned round = 1; round < ks.rounds; ++round) {
+    sub_bytes(s);
+    shift_rows(s);
+    mix_columns(s);
+    add_round_key(s, rk + 16 * round);
+  }
+  sub_bytes(s);
+  shift_rows(s);
+  add_round_key(s, rk + 16 * ks.rounds);
+  std::memcpy(out, s, 16);
+}
+
+void aes_decrypt_portable(const AesSchedule& ks, const std::uint8_t* in,
+                          std::uint8_t* out) {
+  const std::uint8_t* rk = ks.enc.data();
+  std::uint8_t s[16];
+  std::memcpy(s, in, 16);
+  add_round_key(s, rk + 16 * ks.rounds);
+  for (unsigned round = ks.rounds - 1; round >= 1; --round) {
+    inv_shift_rows(s);
+    inv_sub_bytes(s);
+    add_round_key(s, rk + 16 * round);
+    inv_mix_columns(s);
+  }
+  inv_shift_rows(s);
+  inv_sub_bytes(s);
+  add_round_key(s, rk);
+  std::memcpy(out, s, 16);
+}
+
+#if defined(__x86_64__)
+// The state and round keys load as they are laid out in memory: AES-NI
+// takes FIPS 197's byte order, so neither needs a shuffle.
+__attribute__((target("aes"))) void aes_encrypt_aes_ni(
+    const AesSchedule& ks, const std::uint8_t* in, std::uint8_t* out) {
+  const auto* rk = reinterpret_cast<const __m128i*>(ks.enc.data());
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      _mm_load_si128(rk));
+  for (unsigned round = 1; round < ks.rounds; ++round)
+    s = _mm_aesenc_si128(s, _mm_load_si128(rk + round));
+  s = _mm_aesenclast_si128(s, _mm_load_si128(rk + ks.rounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+__attribute__((target("aes"))) void aes_decrypt_aes_ni(
+    const AesSchedule& ks, const std::uint8_t* in, std::uint8_t* out) {
+  const auto* rk = reinterpret_cast<const __m128i*>(ks.dec.data());
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)),
+      _mm_load_si128(rk));
+  for (unsigned round = 1; round < ks.rounds; ++round)
+    s = _mm_aesdec_si128(s, _mm_load_si128(rk + round));
+  s = _mm_aesdeclast_si128(s, _mm_load_si128(rk + ks.rounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+#endif
+
+}  // namespace detail
 
 }  // namespace qkd::crypto

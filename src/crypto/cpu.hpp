@@ -1,11 +1,12 @@
 // CPU probes for the crypto kernels' hardware paths.
 //
-// toeplitz_hash and clmul have a PCLMULQDQ path and Sha1 a SHA-NI path,
-// each compiled with a per-function target attribute and chosen at run time
-// from CPUID; there is no build flag or option. Each probe runs once, in a
-// function-local static, because a namespace-scope initializer can run
-// before libgcc's own CPU probe has filled in what __builtin_cpu_supports
-// reads. Other targets build the portable kernels only.
+// toeplitz_hash and clmul have a PCLMULQDQ path, Sha1 a SHA-NI path and
+// Aes an AES-NI path, each compiled with a per-function target attribute
+// and chosen at run time from CPUID; there is no build flag or option.
+// Each probe runs once, in a function-local static, because a
+// namespace-scope initializer can run before libgcc's own CPU probe has
+// filled in what __builtin_cpu_supports reads. Other targets build the
+// portable kernels only.
 #pragma once
 
 namespace qkd::crypto::detail {
@@ -27,6 +28,15 @@ inline bool cpu_has_sha_ni() {
     __builtin_cpu_init();
     return __builtin_cpu_supports("sha") && __builtin_cpu_supports("ssse3") &&
            __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+}
+
+/// AES-NI: one AES round per `aesenc` / `aesdec`.
+inline bool cpu_has_aes() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") != 0;
   }();
   return has;
 }

@@ -5,8 +5,7 @@
 
 namespace qkd::crypto {
 
-Sha1::Digest hmac_sha1(std::span<const std::uint8_t> key,
-                       std::span<const std::uint8_t> data) {
+HmacSha1Key::HmacSha1Key(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > 64) {
     const auto digest = Sha1::hash(key);
@@ -20,20 +19,26 @@ Sha1::Digest hmac_sha1(std::span<const std::uint8_t> key,
     ipad[i] = block[i] ^ 0x36;
     opad[i] = block[i] ^ 0x5c;
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha1 inner;
-  inner.update(ipad);
+Sha1::Digest HmacSha1Key::mac(std::span<const std::uint8_t> data) const {
+  Sha1 inner = inner_;
   inner.update(data);
-  const auto inner_digest = inner.finish();
-
-  Sha1 outer;
-  outer.update(opad);
-  outer.update(inner_digest);
+  Sha1 outer = outer_;
+  outer.update(inner.finish());
   return outer.finish();
+}
+
+Sha1::Digest hmac_sha1(std::span<const std::uint8_t> key,
+                       std::span<const std::uint8_t> data) {
+  return HmacSha1Key(key).mac(data);
 }
 
 Bytes prf_plus(std::span<const std::uint8_t> key,
                std::span<const std::uint8_t> seed, std::size_t out_len) {
+  const HmacSha1Key prf(key);
   Bytes out;
   out.reserve(out_len + Sha1::kDigestSize);
   Bytes block;  // K(i-1) | seed | counter
@@ -45,7 +50,7 @@ Bytes prf_plus(std::span<const std::uint8_t> key,
     if (!first) block.insert(block.end(), prev.begin(), prev.end());
     block.insert(block.end(), seed.begin(), seed.end());
     block.push_back(counter++);
-    prev = hmac_sha1(key, block);
+    prev = prf.mac(block);
     out.insert(out.end(), prev.begin(), prev.end());
     first = false;
   }

@@ -1,4 +1,9 @@
 // HMAC-SHA1 (RFC 2104) and the IKE-style PRF+ key expansion built on it.
+//
+// HmacSha1Key is the one implementation: it hashes the key's ipad and opad
+// blocks once, so a caller that MACs many messages under one key (an ESP
+// SA, PRF+'s iterations) pays for the message blocks and the outer digest
+// only. hmac_sha1 keys one and MACs once.
 #pragma once
 
 #include <span>
@@ -7,6 +12,19 @@
 #include "src/crypto/sha1.hpp"
 
 namespace qkd::crypto {
+
+/// An HMAC-SHA1 key: the SHA-1 states after the ipad and the opad block.
+class HmacSha1Key {
+ public:
+  explicit HmacSha1Key(std::span<const std::uint8_t> key);
+
+  /// HMAC-SHA1 of `data` under this key.
+  Sha1::Digest mac(std::span<const std::uint8_t> data) const;
+
+ private:
+  Sha1 inner_;
+  Sha1 outer_;
+};
 
 /// HMAC-SHA1 of `data` under `key`.
 Sha1::Digest hmac_sha1(std::span<const std::uint8_t> key,

@@ -2,12 +2,17 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <variant>
 
 #include "src/crypto/aes.hpp"
 #include "src/crypto/des.hpp"
 #include "src/crypto/hmac.hpp"
 
 namespace qkd::ipsec {
+
+using qkd::crypto::Aes;
+using qkd::crypto::TripleDes;
+
 namespace {
 
 constexpr std::size_t kIcvBytes = 12;  // HMAC-SHA1-96
@@ -48,48 +53,79 @@ std::optional<Bytes> unpad_payload(const Bytes& padded) {
                padded.end() - static_cast<std::ptrdiff_t>(2 + pad_len));
 }
 
-Bytes encrypt_payload(SecurityAssociation& sa, const Bytes& plain,
-                      const Bytes& iv) {
-  switch (sa.cipher) {
-    case CipherAlgo::kAes128:
-    case CipherAlgo::kAes256: {
-      const qkd::crypto::Aes aes(sa.encryption_key);
-      qkd::crypto::Aes::Block iv_block{};
-      std::memcpy(iv_block.data(), iv.data(), 16);
-      return qkd::crypto::aes_cbc_encrypt(aes, iv_block, plain);
-    }
-    case CipherAlgo::kTripleDes: {
-      const qkd::crypto::TripleDes des(sa.encryption_key);
-      std::uint64_t iv64 = 0;
-      for (int i = 0; i < 8; ++i) iv64 = iv64 << 8 | iv[static_cast<std::size_t>(i)];
-      return qkd::crypto::des3_cbc_encrypt(des, iv64, plain);
-    }
-    case CipherAlgo::kOneTimePad:
-      throw std::logic_error("encrypt_payload: OTP handled separately");
-  }
-  throw std::logic_error("encrypt_payload: unknown cipher");
+std::uint64_t des_iv(const Bytes& iv) {
+  std::uint64_t iv64 = 0;
+  for (int i = 0; i < 8; ++i) iv64 = iv64 << 8 | iv[static_cast<std::size_t>(i)];
+  return iv64;
 }
 
-Bytes decrypt_payload(SecurityAssociation& sa, const Bytes& cipher,
-                      const Bytes& iv) {
-  switch (sa.cipher) {
-    case CipherAlgo::kAes128:
-    case CipherAlgo::kAes256: {
-      const qkd::crypto::Aes aes(sa.encryption_key);
-      qkd::crypto::Aes::Block iv_block{};
-      std::memcpy(iv_block.data(), iv.data(), 16);
-      return qkd::crypto::aes_cbc_decrypt(aes, iv_block, cipher);
+Aes::Block aes_iv(const Bytes& iv) {
+  Aes::Block iv_block{};
+  std::memcpy(iv_block.data(), iv.data(), 16);
+  return iv_block;
+}
+
+}  // namespace
+
+struct EspKeySchedule {
+  explicit EspKeySchedule(const SecurityAssociation& sa)
+      : algo(sa.cipher),
+        encryption_key(sa.encryption_key),
+        authentication_key(sa.authentication_key),
+        mac(authentication_key) {
+    switch (algo) {
+      case CipherAlgo::kAes128:
+      case CipherAlgo::kAes256:
+        cipher.emplace<Aes>(encryption_key);
+        break;
+      case CipherAlgo::kTripleDes:
+        cipher.emplace<TripleDes>(encryption_key);
+        break;
+      case CipherAlgo::kOneTimePad:
+        break;
     }
-    case CipherAlgo::kTripleDes: {
-      const qkd::crypto::TripleDes des(sa.encryption_key);
-      std::uint64_t iv64 = 0;
-      for (int i = 0; i < 8; ++i) iv64 = iv64 << 8 | iv[static_cast<std::size_t>(i)];
-      return qkd::crypto::des3_cbc_decrypt(des, iv64, cipher);
-    }
-    case CipherAlgo::kOneTimePad:
-      throw std::logic_error("decrypt_payload: OTP handled separately");
   }
-  throw std::logic_error("decrypt_payload: unknown cipher");
+
+  bool built_from(const SecurityAssociation& sa) const {
+    return algo == sa.cipher && encryption_key == sa.encryption_key &&
+           authentication_key == sa.authentication_key;
+  }
+
+  // The SA fields the schedule was built from.
+  CipherAlgo algo;
+  Bytes encryption_key;
+  Bytes authentication_key;
+
+  std::variant<std::monostate, Aes, TripleDes> cipher;  // empty for OTP
+  qkd::crypto::HmacSha1Key mac;
+};
+
+namespace {
+
+/// The SA's key schedule, built now if the SA has none or its keys changed
+/// since it was built (a test edit, or a copy rekeyed in place).
+const EspKeySchedule& key_schedule(SecurityAssociation& sa) {
+  if (!sa.key_schedule || !sa.key_schedule->built_from(sa))
+    sa.key_schedule = std::make_shared<const EspKeySchedule>(sa);
+  return *sa.key_schedule;
+}
+
+Bytes encrypt_payload(const EspKeySchedule& keys, const Bytes& plain,
+                      const Bytes& iv) {
+  if (const auto* aes = std::get_if<Aes>(&keys.cipher))
+    return qkd::crypto::aes_cbc_encrypt(*aes, aes_iv(iv), plain);
+  if (const auto* des = std::get_if<TripleDes>(&keys.cipher))
+    return qkd::crypto::des3_cbc_encrypt(*des, des_iv(iv), plain);
+  throw std::logic_error("encrypt_payload: OTP handled separately");
+}
+
+Bytes decrypt_payload(const EspKeySchedule& keys, const Bytes& cipher,
+                      const Bytes& iv) {
+  if (const auto* aes = std::get_if<Aes>(&keys.cipher))
+    return qkd::crypto::aes_cbc_decrypt(*aes, aes_iv(iv), cipher);
+  if (const auto* des = std::get_if<TripleDes>(&keys.cipher))
+    return qkd::crypto::des3_cbc_decrypt(*des, des_iv(iv), cipher);
+  throw std::logic_error("decrypt_payload: OTP handled separately");
 }
 
 /// XORs `data` with the next data.size() * 8 pad bits of the SA.
@@ -104,23 +140,14 @@ std::optional<Bytes> otp_crypt(SecurityAssociation& sa, const Bytes& data) {
   return out;
 }
 
-Bytes compute_icv(const SecurityAssociation& sa, const Bytes& header_and_body) {
-  const auto mac = qkd::crypto::hmac_sha1(sa.authentication_key,
-                                          header_and_body);
+Bytes compute_icv(const EspKeySchedule& keys, const Bytes& header_and_body) {
+  const auto mac = keys.mac.mac(header_and_body);
   return Bytes(mac.begin(), mac.begin() + kIcvBytes);
 }
 
+/// One cipher block of IV; a one-time pad carries none.
 std::size_t iv_bytes_for(CipherAlgo algo) {
-  switch (algo) {
-    case CipherAlgo::kAes128:
-    case CipherAlgo::kAes256:
-      return 16;
-    case CipherAlgo::kTripleDes:
-      return 8;
-    case CipherAlgo::kOneTimePad:
-      return 0;
-  }
-  return 0;
+  return algo == CipherAlgo::kOneTimePad ? 0 : cipher_block_bytes(algo);
 }
 
 }  // namespace
@@ -128,6 +155,7 @@ std::size_t iv_bytes_for(CipherAlgo algo) {
 std::optional<Bytes> esp_encapsulate(SecurityAssociation& sa,
                                      const IpPacket& inner,
                                      std::uint64_t iv_seed) {
+  const EspKeySchedule& keys = key_schedule(sa);
   const Bytes inner_wire = inner.serialize();
   const std::size_t block = cipher_block_bytes(sa.cipher);
   const Bytes padded = pad_payload(inner_wire, block);
@@ -147,7 +175,7 @@ std::optional<Bytes> esp_encapsulate(SecurityAssociation& sa,
     if (!encrypted.has_value()) return std::nullopt;  // pad ran dry
     ciphertext = std::move(*encrypted);
   } else {
-    ciphertext = encrypt_payload(sa, padded, iv);
+    ciphertext = encrypt_payload(keys, padded, iv);
   }
 
   ++sa.send_seq;
@@ -156,7 +184,7 @@ std::optional<Bytes> esp_encapsulate(SecurityAssociation& sa,
   put_u64(out, sa.send_seq);  // first packet carries seq 1
   put_bytes(out, iv);
   put_bytes(out, ciphertext);
-  const Bytes icv = compute_icv(sa, out);
+  const Bytes icv = compute_icv(keys, out);
   put_bytes(out, icv);
   sa.bytes_protected += inner_wire.size();
   return out;
@@ -175,7 +203,8 @@ EspResult esp_decapsulate(SecurityAssociation& sa, const Bytes& wire) {
                    wire.end() - static_cast<std::ptrdiff_t>(kIcvBytes));
   const Bytes icv(wire.end() - static_cast<std::ptrdiff_t>(kIcvBytes),
                   wire.end());
-  if (!qkd::crypto::constant_time_equal(compute_icv(sa, body), icv)) {
+  const EspKeySchedule& keys = key_schedule(sa);
+  if (!qkd::crypto::constant_time_equal(compute_icv(keys, body), icv)) {
     result.error = EspError::kBadIntegrity;
     return result;
   }
@@ -203,7 +232,7 @@ EspResult esp_decapsulate(SecurityAssociation& sa, const Bytes& wire) {
       result.error = EspError::kMalformed;
       return result;
     }
-    padded = decrypt_payload(sa, ciphertext, iv);
+    padded = decrypt_payload(keys, ciphertext, iv);
   }
 
   const auto inner_wire = unpad_payload(padded);

@@ -5,7 +5,8 @@
 // (AES-CBC, 3DES-CBC, or the Vernam/one-time-pad extension drawing pad bits
 // from QKD key material), wrapped in an ESP header (SPI, sequence number,
 // IV) and authenticated with truncated HMAC-SHA1. Inbound reverses the
-// process with anti-replay and integrity checks.
+// process with anti-replay and integrity checks. The SA's cipher and HMAC
+// are keyed on its first packet and reused until its keys change.
 //
 // Wire layout:  spi(4) | seq(8) | iv(0|8|16) | ciphertext | icv(12)
 // For OTP SAs there is no IV; the pad position is implied by lockstep

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "src/common/bitvector.hpp"
@@ -16,6 +17,9 @@
 #include "src/ipsec/spd.hpp"
 
 namespace qkd::ipsec {
+
+/// An SA's keys expanded for ESP (src/ipsec/esp.cpp).
+struct EspKeySchedule;
 
 struct SecurityAssociation {
   std::uint32_t spi = 0;
@@ -26,6 +30,11 @@ struct SecurityAssociation {
   Bytes authentication_key;        // HMAC-SHA1 key (20 bytes)
   qkd::BitVector otp_pool;         // pre-shared pad bits (OTP SAs)
   std::size_t otp_cursor = 0;      // consumed pad bits
+
+  // The cipher's key schedule and the keyed HMAC, built by ESP from the
+  // keys above on first use and rebuilt whenever they differ from the
+  // bytes it was built from; copies share it.
+  std::shared_ptr<const EspKeySchedule> key_schedule;
 
   // Outbound state.
   std::uint64_t send_seq = 0;

@@ -12,6 +12,53 @@ namespace {
 // FIPS 197 Appendix C vectors: plaintext 00112233445566778899aabbccddeeff.
 const Bytes kPlain = from_hex("00112233445566778899aabbccddeeff");
 
+// The public API runs AES-NI where CPUID reports it, so the vectors also run
+// through the portable kernel by name: it is the fallback and the oracle.
+TEST(AesPortable, Fips197Vectors) {
+  const struct {
+    const char* key;
+    const char* cipher;
+  } vectors[] = {
+      {"000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"},
+      {"000102030405060708090a0b0c0d0e0f1011121314151617",
+       "dda97ca4864cdfe06eaf70a0ec0d7191"},
+      {"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+       "8ea2b7ca516745bfeafc49904b496089"},
+  };
+  for (const auto& v : vectors) {
+    const Aes aes(from_hex(v.key));
+    Bytes out(16);
+    detail::aes_encrypt_portable(aes.schedule(), kPlain.data(), out.data());
+    EXPECT_EQ(to_hex(out), v.cipher) << v.key;
+    Bytes back(16);
+    detail::aes_decrypt_portable(aes.schedule(), out.data(), back.data());
+    EXPECT_EQ(back, kPlain) << v.key;
+  }
+}
+
+TEST(AesPortable, NistSp800_38aCbcVector) {
+  // NIST SP 800-38A F.2.1 and F.2.2 (CBC-AES128), all four blocks.
+  const Aes aes(from_hex("2b7e151628aed2a6abf7158809cf4f3c"));
+  Aes::Block iv;
+  const Bytes iv_bytes = from_hex("000102030405060708090a0b0c0d0e0f");
+  std::copy(iv_bytes.begin(), iv_bytes.end(), iv.begin());
+  const Bytes plain = from_hex(
+      "6bc1bee22e409f96e93d7e117393172a"
+      "ae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52ef"
+      "f69f2445df4f9b17ad2b417be66c3710");
+  const Bytes cipher = detail::aes_cbc_encrypt(detail::aes_encrypt_portable,
+                                               aes.schedule(), iv, plain);
+  EXPECT_EQ(to_hex(cipher),
+            "7649abac8119b246cee98e9b12e9197d"
+            "5086cb9b507219ee95db113a917678b2"
+            "73bed6b8e3c1743b7116e69e22229516"
+            "3ff1caa1681fac09120eca307586e1a7");
+  EXPECT_EQ(detail::aes_cbc_decrypt(detail::aes_decrypt_portable,
+                                    aes.schedule(), iv, cipher),
+            plain);
+}
+
 TEST(Aes, Fips197Aes128) {
   const Aes aes(from_hex("000102030405060708090a0b0c0d0e0f"));
   Bytes out(16);

@@ -40,6 +40,31 @@ TEST(HmacSha1, Rfc2202Case6LongKey) {
             "aa4ae5e15272d00e95705637ce8a3b55ed402112");
 }
 
+TEST(HmacSha1Key, Rfc2202VectorsUnderOneKeyingEach) {
+  // Cases 1, 2, 3 and 6, each key MACing its message twice: the keyed
+  // states must not carry one message into the next.
+  const struct {
+    Bytes key;
+    Bytes data;
+    const char* mac;
+  } cases[] = {
+      {Bytes(20, 0x0b), ascii("Hi There"),
+       "b617318655057264e28bc0b6fb378c8ef146be00"},
+      {ascii("Jefe"), ascii("what do ya want for nothing?"),
+       "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "125d7342b9ac11cd91a39af48aa17b4f63f175d3"},
+      {Bytes(80, 0xaa),
+       ascii("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "aa4ae5e15272d00e95705637ce8a3b55ed402112"},
+  };
+  for (const auto& c : cases) {
+    const HmacSha1Key key(c.key);
+    EXPECT_EQ(mac_hex(key.mac(c.data)), c.mac);
+    EXPECT_EQ(mac_hex(key.mac(c.data)), c.mac);
+  }
+}
+
 TEST(HmacSha1, KeySensitivity) {
   const Bytes k1(20, 0x01), k2(20, 0x02);
   const Bytes msg = ascii("same message");

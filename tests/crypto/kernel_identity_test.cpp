@@ -11,6 +11,7 @@
 #include "tests/testing/seeded_rng.hpp"
 
 #include "src/common/bytes.hpp"
+#include "src/crypto/aes.hpp"
 #include "src/crypto/cpu.hpp"
 #include "src/crypto/gf2n.hpp"
 #include "src/crypto/sha1.hpp"
@@ -110,6 +111,48 @@ TEST(KernelIdentity, Sha1ShaNiMatchesPortable) {
     detail::sha1_compress_portable(portable, block.data());
     detail::sha1_compress_sha_ni(state, block.data());
     EXPECT_EQ(state, portable) << "trial " << trial;
+  }
+#endif
+}
+
+TEST(KernelIdentity, AesNiMatchesPortable) {
+  SKIP_WITHOUT(cpu_has_aes, "AES-NI");
+#if defined(__x86_64__)
+  // Random keys of each length and random blocks through both kernels,
+  // then CBC, which the public API runs on AES-NI here, against CBC chained
+  // from the portable kernel.
+  QKD_SEEDED_RNG(rng, 24);
+  for (std::size_t key_len : {16u, 24u, 32u}) {
+    for (int k = 0; k < 20; ++k) {
+      const Aes aes(random_bytes(rng, key_len));
+      for (int trial = 0; trial < 50; ++trial) {
+        const Bytes in = random_bytes(rng, 16);
+        Bytes hw(16), portable(16);
+        detail::aes_encrypt_aes_ni(aes.schedule(), in.data(), hw.data());
+        detail::aes_encrypt_portable(aes.schedule(), in.data(),
+                                     portable.data());
+        EXPECT_EQ(hw, portable) << "encrypt, key_len=" << key_len;
+        detail::aes_decrypt_aes_ni(aes.schedule(), in.data(), hw.data());
+        detail::aes_decrypt_portable(aes.schedule(), in.data(),
+                                     portable.data());
+        EXPECT_EQ(hw, portable) << "decrypt, key_len=" << key_len;
+      }
+    }
+  }
+  for (std::size_t blocks = 1; blocks <= 64; ++blocks) {
+    const std::size_t key_len = 16 + 8 * (blocks % 3);
+    const Aes aes(random_bytes(rng, key_len));
+    Aes::Block iv;
+    for (auto& b : iv) b = static_cast<std::uint8_t>(rng.next_u32());
+    const Bytes plain = random_bytes(rng, 16 * blocks);
+    const Bytes cipher = detail::aes_cbc_encrypt(detail::aes_encrypt_portable,
+                                                 aes.schedule(), iv, plain);
+    EXPECT_EQ(aes_cbc_encrypt(aes, iv, plain), cipher) << blocks << " blocks";
+    EXPECT_EQ(aes_cbc_decrypt(aes, iv, cipher), plain) << blocks << " blocks";
+    EXPECT_EQ(detail::aes_cbc_decrypt(detail::aes_decrypt_portable,
+                                      aes.schedule(), iv, cipher),
+              plain)
+        << blocks << " blocks";
   }
 #endif
 }

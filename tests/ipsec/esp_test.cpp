@@ -41,6 +41,21 @@ SecurityAssociation mirror(const SecurityAssociation& sa) {
   return rx;
 }
 
+std::string cipher_test_name(
+    const ::testing::TestParamInfo<CipherAlgo>& info) {
+  switch (info.param) {
+    case CipherAlgo::kAes128:
+      return "Aes128";
+    case CipherAlgo::kAes256:
+      return "Aes256";
+    case CipherAlgo::kTripleDes:
+      return "TripleDes";
+    case CipherAlgo::kOneTimePad:
+      return "Otp";
+  }
+  return "Unknown";
+}
+
 class EspCipherSweep : public ::testing::TestWithParam<CipherAlgo> {};
 
 TEST_P(EspCipherSweep, EncapDecapRoundTrip) {
@@ -84,16 +99,128 @@ INSTANTIATE_TEST_SUITE_P(Ciphers, EspCipherSweep,
                                            CipherAlgo::kAes256,
                                            CipherAlgo::kTripleDes,
                                            CipherAlgo::kOneTimePad),
-                         [](const auto& info) {
-                           return std::string(cipher_name(info.param)) == "3DES"
-                                      ? "TripleDes"
-                                      : std::string(
-                                            cipher_name(info.param)) == "OTP"
-                                            ? "Otp"
-                                            : cipher_name(info.param)[4] == '1'
-                                                  ? "Aes128"
-                                                  : "Aes256";
-                         });
+                         cipher_test_name);
+
+// An SA carries its key schedule; these hold that a changed or copied key
+// never runs under a schedule built from other bytes.
+class EspKeySchedule : public ::testing::TestWithParam<CipherAlgo> {};
+
+TEST_P(EspKeySchedule, ChangedKeysSealAndOpenUnderTheNewKeysOnly) {
+  SecurityAssociation tx = make_sa(GetParam(), 7);
+  SecurityAssociation old_rx = mirror(tx);
+  const IpPacket inner = sample_packet();
+  const auto first = esp_encapsulate(tx, inner, 1);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(esp_decapsulate(old_rx, *first).ok());
+
+  // Rekey the sender in place, after its schedule was built.
+  const SecurityAssociation fresh = make_sa(GetParam(), 8);
+  tx.encryption_key = fresh.encryption_key;
+  tx.authentication_key = fresh.authentication_key;
+  const auto second = esp_encapsulate(tx, inner, 2);
+  ASSERT_TRUE(second.has_value());
+
+  SecurityAssociation new_rx = mirror(fresh);
+  const EspResult opened = esp_decapsulate(new_rx, *second);
+  ASSERT_TRUE(opened.ok()) << static_cast<int>(*opened.error);
+  EXPECT_EQ(*opened.packet, inner);
+  SecurityAssociation stale_rx = old_rx;
+  const EspResult refused = esp_decapsulate(stale_rx, *second);
+  EXPECT_FALSE(refused.ok());
+
+  // Rekey the receiver in place too: it now opens the second packet.
+  old_rx.encryption_key = fresh.encryption_key;
+  old_rx.authentication_key = fresh.authentication_key;
+  const EspResult reopened = esp_decapsulate(old_rx, *second);
+  ASSERT_TRUE(reopened.ok()) << static_cast<int>(*reopened.error);
+  EXPECT_EQ(*reopened.packet, inner);
+}
+
+TEST_P(EspKeySchedule, ChangingOnlyTheCipherKeyTakesEffect) {
+  // The ICV still verifies under the old authentication key, so only the
+  // cipher's schedule decides whether the payload comes back.
+  SecurityAssociation tx = make_sa(GetParam(), 7);
+  SecurityAssociation rx = mirror(tx);
+  const IpPacket inner = sample_packet();
+  ASSERT_TRUE(esp_decapsulate(rx, *esp_encapsulate(tx, inner, 1)).ok());
+  const Bytes new_key = make_sa(GetParam(), 8).encryption_key;
+  tx.encryption_key = new_key;
+  const auto wire = esp_encapsulate(tx, inner, 2);
+  ASSERT_TRUE(wire.has_value());
+  SecurityAssociation stale_rx = rx;
+  const EspResult garbled = esp_decapsulate(stale_rx, *wire);
+  EXPECT_FALSE(garbled.ok() && *garbled.packet == inner);
+  rx.encryption_key = new_key;
+  const EspResult opened = esp_decapsulate(rx, *wire);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened.packet, inner);
+}
+
+TEST_P(EspKeySchedule, ChangingOnlyTheAuthenticationKeyTakesEffect) {
+  SecurityAssociation tx = make_sa(GetParam(), 7);
+  SecurityAssociation rx = mirror(tx);
+  const IpPacket inner = sample_packet();
+  ASSERT_TRUE(esp_decapsulate(rx, *esp_encapsulate(tx, inner, 1)).ok());
+  const Bytes new_key = make_sa(GetParam(), 8).authentication_key;
+  tx.authentication_key = new_key;
+  const auto wire = esp_encapsulate(tx, inner, 2);
+  ASSERT_TRUE(wire.has_value());
+  SecurityAssociation stale_rx = rx;
+  const EspResult refused = esp_decapsulate(stale_rx, *wire);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(*refused.error, EspError::kBadIntegrity);
+  rx.authentication_key = new_key;
+  const EspResult opened = esp_decapsulate(rx, *wire);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened.packet, inner);
+}
+
+TEST_P(EspKeySchedule, FreshSaUnderTheSameSpiReplacesTheOld) {
+  // A rekey installs a new SA under the SPI; the SAD's copy must seal with
+  // the new keys.
+  SecurityAssociationDatabase sad;
+  sad.install(make_sa(GetParam(), 7));
+  const IpPacket inner = sample_packet();
+  ASSERT_TRUE(esp_encapsulate(*sad.find(0xabcd0001), inner, 1).has_value());
+  const SecurityAssociation fresh = make_sa(GetParam(), 8);
+  sad.install(fresh);
+  const auto wire = esp_encapsulate(*sad.find(0xabcd0001), inner, 2);
+  ASSERT_TRUE(wire.has_value());
+  SecurityAssociation rx = mirror(fresh);
+  const EspResult opened = esp_decapsulate(rx, *wire);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened.packet, inner);
+  SecurityAssociation old_rx = mirror(make_sa(GetParam(), 7));
+  EXPECT_FALSE(esp_decapsulate(old_rx, *wire).ok());
+}
+
+TEST_P(EspKeySchedule, CopiedSaOpensWhatTheOriginalSealed) {
+  SecurityAssociation tx = make_sa(GetParam(), 7);
+  const IpPacket inner = sample_packet();
+  ASSERT_TRUE(esp_encapsulate(tx, inner, 1).has_value());  // builds it
+  SecurityAssociation rx = mirror(tx);  // shares the built schedule
+  const auto wire = esp_encapsulate(tx, inner, 2);
+  ASSERT_TRUE(wire.has_value());
+  const EspResult opened = esp_decapsulate(rx, *wire);
+  ASSERT_TRUE(opened.ok()) << static_cast<int>(*opened.error);
+  EXPECT_EQ(*opened.packet, inner);
+
+  // Rekeying a copy leaves the original on its own keys.
+  SecurityAssociation copy = tx;
+  const SecurityAssociation fresh = make_sa(GetParam(), 8);
+  copy.encryption_key = fresh.encryption_key;
+  copy.authentication_key = fresh.authentication_key;
+  ASSERT_TRUE(esp_encapsulate(copy, inner, 3).has_value());
+  const auto again = esp_encapsulate(tx, inner, 4);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(esp_decapsulate(rx, *again).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Ciphers, EspKeySchedule,
+                         ::testing::Values(CipherAlgo::kAes128,
+                                           CipherAlgo::kAes256,
+                                           CipherAlgo::kTripleDes),
+                         cipher_test_name);
 
 TEST(Esp, TamperedPacketFailsIntegrity) {
   SecurityAssociation tx = make_sa(CipherAlgo::kAes128);

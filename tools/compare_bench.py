@@ -25,6 +25,9 @@ Inputs are files or directories of ``BENCH_*.json`` as written by
 "refreshing the snapshots" recipe in DESIGN.md use identical flags).
 Benchmarks are matched by (file stem, benchmark name); comparison is on
 ``real_time`` normalised to nanoseconds via each entry's ``time_unit``.
+A snapshot run with ``--benchmark_repetitions`` holds one entry per
+repetition under one name: the comparison takes their median, and each
+reported line prints the repetitions' min-max spread beside it.
 
 Only matched names are compared: added or removed benchmarks are listed
 informationally and never fail the run (the corpus is expected to grow).
@@ -41,6 +44,7 @@ stdlib-only on purpose — runs anywhere python3 exists, no installs.
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -62,8 +66,8 @@ def snapshot_files(path: Path):
 
 
 def load_snapshots(path: Path):
-    """(file stem, benchmark name) -> real_time in ns, and file stem ->
-    the snapshot's context object."""
+    """(file stem, benchmark name) -> the real_time of each repetition in
+    ns, in file order, and file stem -> the snapshot's context object."""
     files = snapshot_files(path)
     results = {}
     contexts = {}
@@ -82,8 +86,17 @@ def load_snapshots(path: Path):
             if name is None or real_time is None:
                 continue
             unit = TIME_UNIT_NS.get(bench.get("time_unit", "ns"), 1.0)
-            results[(stem, name)] = real_time * unit
+            results.setdefault((stem, name), []).append(real_time * unit)
     return results, contexts
+
+
+def describe_runs(runs):
+    """The median in ns, then the min-max spread when there are several
+    repetitions."""
+    text = f"{statistics.median(runs):.0f}ns"
+    if len(runs) > 1:
+        text += f" [{min(runs):.0f}-{max(runs):.0f}, n={len(runs)}]"
+    return text
 
 
 def check_stamps(base_contexts, cand_contexts, stems):
@@ -161,7 +174,7 @@ def print_series(path: Path, prefix: str) -> int:
     return 0
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Flag >N%% benchmark real_time regressions "
         "between two snapshot sets."
@@ -181,7 +194,7 @@ def main():
                         "benchmark (rows PREFIX/<arg>) from a single "
                         "snapshot set instead of comparing two; repeatable "
                         "for several curves in one invocation")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.series:
         status = 0
@@ -195,8 +208,10 @@ def main():
     if args.candidate is None:
         parser.error("candidate is required unless --series is given")
 
-    base, base_contexts = load_snapshots(args.baseline)
-    cand, cand_contexts = load_snapshots(args.candidate)
+    base_runs, base_contexts = load_snapshots(args.baseline)
+    cand_runs, cand_contexts = load_snapshots(args.candidate)
+    base = {key: statistics.median(runs) for key, runs in base_runs.items()}
+    cand = {key: statistics.median(runs) for key, runs in cand_runs.items()}
 
     matched = sorted(set(base) & set(cand))
     check_stamps(base_contexts, cand_contexts, {stem for stem, _ in matched})
@@ -220,9 +235,12 @@ def main():
           f"(threshold {args.threshold:.0f}%)")
     for key, delta in sorted(regressions, key=lambda r: -r[1]):
         print(f"  REGRESSED  {describe(key)}  +{delta:.1f}%  "
-              f"({base[key]:.0f}ns -> {cand[key]:.0f}ns)")
+              f"({describe_runs(base_runs[key])} -> "
+              f"{describe_runs(cand_runs[key])})")
     for key, delta in sorted(improvements, key=lambda r: r[1]):
-        print(f"  improved   {describe(key)}  {delta:.1f}%")
+        print(f"  improved   {describe(key)}  {delta:.1f}%  "
+              f"({describe_runs(base_runs[key])} -> "
+              f"{describe_runs(cand_runs[key])})")
     if added:
         print(f"  new (not compared): {len(added)}")
         for key in added:
