@@ -120,12 +120,13 @@ def check_stamps(base_contexts, cand_contexts, stems):
 
 
 def load_series(path: Path, prefix: str):
-    """Rows of ``prefix/<arg>`` entries: (arg, real_time ns, items/s,
-    measured). A row is unmeasured when its ``shards`` counter exceeds the
-    snapshot's ``num_cpus``: its shards then shared CPUs, so its time is
-    not the parallel sweep's."""
+    """One row per ``prefix/<arg>``: (arg, real_time ns, items/s,
+    measured), each the median over the Arg's repetitions. A row is
+    unmeasured when its ``shards`` counter exceeds the snapshot's
+    ``num_cpus``: its shards then shared CPUs, so its time is not the
+    parallel sweep's."""
     files = snapshot_files(path)
-    rows = []
+    runs = {}
     for file in files:
         try:
             doc = json.loads(file.read_text())
@@ -146,9 +147,16 @@ def load_series(path: Path, prefix: str):
             shards = bench.get("shards")
             measured = (shards is None or num_cpus is None
                         or shards <= num_cpus)
-            rows.append((arg, bench.get("real_time", 0.0) * unit,
-                         bench.get("items_per_second"), measured))
-    return sorted(rows)
+            runs.setdefault(arg, []).append(
+                (bench.get("real_time", 0.0) * unit,
+                 bench.get("items_per_second"), measured))
+    rows = []
+    for arg, reps in sorted(runs.items()):
+        items = [rep[1] for rep in reps if rep[1] is not None]
+        rows.append((arg, statistics.median(rep[0] for rep in reps),
+                     statistics.median(items) if items else None,
+                     all(rep[2] for rep in reps)))
+    return rows
 
 
 def print_series(path: Path, prefix: str) -> int:

@@ -81,6 +81,22 @@ class CompareRepetitions(unittest.TestCase):
         self.assertEqual(status, 1, report)
         self.assertIn("(100ns -> 150ns)", report)
 
+    def test_series_takes_each_args_median(self):
+        # Two Args of three repetitions each: one row per Arg, the speedup
+        # taken between medians (100 and 60 ns).
+        runs = []
+        for arg, times in ((1, [100.0, 150.0, 80.0]), (2, [60.0, 90.0, 48.0])):
+            runs += snapshot(times, name=f"bm_sweep/{arg}")["benchmarks"]
+        path = self.root / "BENCH_bench_x.json"
+        path.write_text(json.dumps({"context": {}, "benchmarks": runs}))
+        self.assertEqual(compare_bench.load_series(path, "bm_sweep"),
+                         [(1, 100.0, None, True), (2, 60.0, None, True)])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(compare_bench.print_series(path, "bm_sweep"), 0)
+        self.assertIn("(2 points)", out.getvalue())
+        self.assertIn("1.67x", out.getvalue())
+
 
 if __name__ == "__main__":
     unittest.main()
