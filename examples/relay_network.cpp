@@ -70,7 +70,6 @@ int main() {
               "KeySupply) ==\n");
   LinkKeyService::Config engine;
   engine.proto.frame_slots = 1 << 19;
-  engine.proto.auth_replenish_bits = 64;
   MeshSimulation engine_mesh(Topology::relay_ring(4), 7, engine);
   const auto& session0 = engine_mesh.key_service()->session(0);
   const double frame_s =

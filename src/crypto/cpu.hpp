@@ -1,7 +1,8 @@
 // CPU probes for the crypto kernels' hardware paths.
 //
-// toeplitz_hash and clmul have a PCLMULQDQ path, Sha1 a SHA-NI path and
-// Aes an AES-NI path, each compiled with a per-function target attribute
+// toeplitz_hash, poly_hash64 and clmul have a PCLMULQDQ path, Sha1 a
+// SHA-NI path, Aes an AES-NI path and crc32c an SSE4.2 path, each
+// compiled with a per-function target attribute
 // and chosen at run time from CPUID; there is no build flag or option.
 // Each probe runs once, in a function-local static, because a
 // namespace-scope initializer can run before libgcc's own CPU probe has
@@ -37,6 +38,15 @@ inline bool cpu_has_aes() {
   static const bool has = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("aes") != 0;
+  }();
+  return has;
+}
+
+/// SSE4.2: the `crc32` instruction, CRC-32C eight bytes at a time.
+inline bool cpu_has_sse42() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
   }();
   return has;
 }

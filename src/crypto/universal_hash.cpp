@@ -1,6 +1,8 @@
 #include "src/crypto/universal_hash.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "src/crypto/cpu.hpp"
@@ -110,9 +112,113 @@ __attribute__((target("pclmul"))) qkd::BitVector toeplitz_hash_pclmul(
   tag.normalize_tail();  // rows past tag_bits in the last chunk
   return tag;
 }
+
+namespace {
+
+__attribute__((target("pclmul"))) inline __m128i clmul64(std::uint64_t a,
+                                                        std::uint64_t b) {
+  return _mm_clmulepi64_si128(_mm_cvtsi64_si128(static_cast<long long>(a)),
+                              _mm_cvtsi64_si128(static_cast<long long>(b)),
+                              0x00);
+}
+
+/// A 128-bit carry-less product reduced modulo x^64 + x^4 + x^3 + x + 1:
+/// the high word times x^64 is the high word times x^4 + x^3 + x + 1,
+/// whose (at most four) bits past 63 fold back in the same way.
+std::uint64_t reduce64(__m128i product) {
+  const std::uint64_t hi = high_lane(product);
+  const std::uint64_t over = hi >> 63 ^ hi >> 61 ^ hi >> 60;
+  return low_lane(product) ^ hi ^ hi << 1 ^ hi << 3 ^ hi << 4 ^ over ^
+         over << 1 ^ over << 3 ^ over << 4;
+}
+
+__attribute__((target("pclmul"))) std::uint64_t gf64_multiply_pclmul(
+    std::uint64_t a, std::uint64_t b) {
+  return reduce64(clmul64(a, b));
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t word;
+  std::memcpy(&word, p, 8);  // x86-64 is little-endian
+  return word;
+}
+
+}  // namespace
+#endif
+
+namespace {
+
+/// Block `i` of the message: bytes 8i .. 8i+7, little-endian, the last
+/// one zero-padded.
+std::uint64_t message_block(std::span<const std::uint8_t> message,
+                            std::size_t i) {
+  std::uint64_t block = 0;
+  const std::size_t n = std::min<std::size_t>(8, message.size() - 8 * i);
+  for (std::size_t b = 0; b < n; ++b)
+    block |= static_cast<std::uint64_t>(message[8 * i + b]) << (8 * b);
+  return block;
+}
+
+std::size_t block_count(std::span<const std::uint8_t> message) {
+  return (message.size() + 7) / 8;
+}
+
+/// a b in GF(2^64) mod x^64 + x^4 + x^3 + x + 1, Horner over b's bits,
+/// highest first: double (reducing), then add a where the bit is set.
+std::uint64_t gf64_multiply_portable(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t r = 0;
+  for (int i = 63; i >= 0; --i) {
+    r = r << 1 ^ (0x1Bu & (0 - (r >> 63)));
+    r ^= a & (0 - (b >> i & 1));
+  }
+  return r;
+}
+
+}  // namespace
+
+std::uint64_t poly_hash64_portable(std::uint64_t key,
+                                   std::span<const std::uint8_t> message) {
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < block_count(message); ++i)
+    acc = gf64_multiply_portable(acc, key) ^ message_block(message, i);
+  return gf64_multiply_portable(acc, key) ^ message.size();
+}
+
+#if defined(__x86_64__)
+__attribute__((target("pclmul"))) std::uint64_t poly_hash64_pclmul(
+    std::uint64_t key, std::span<const std::uint8_t> message) {
+  // Four Horner steps at once: acc k^4 + m0 k^3 + m1 k^2 + m2 k + m3, the
+  // four products summed unreduced and reduced once. Only the acc product
+  // waits on the group before.
+  const std::uint64_t k2 = gf64_multiply_pclmul(key, key);
+  const std::uint64_t k3 = gf64_multiply_pclmul(k2, key);
+  const std::uint64_t k4 = gf64_multiply_pclmul(k3, key);
+  const std::uint8_t* p = message.data();
+  const std::size_t full = message.size() / 8;
+  std::uint64_t acc = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= full; i += 4, p += 32) {
+    const __m128i sum = _mm_xor_si128(
+        _mm_xor_si128(clmul64(acc, k4), clmul64(load_le64(p), k3)),
+        _mm_xor_si128(clmul64(load_le64(p + 8), k2),
+                      clmul64(load_le64(p + 16), key)));
+    acc = reduce64(sum) ^ load_le64(p + 24);
+  }
+  for (; i < block_count(message); ++i)
+    acc = gf64_multiply_pclmul(acc, key) ^ message_block(message, i);
+  return gf64_multiply_pclmul(acc, key) ^ message.size();
+}
 #endif
 
 }  // namespace detail
+
+std::uint64_t poly_hash64(std::uint64_t key,
+                          std::span<const std::uint8_t> message) {
+#if defined(__x86_64__)
+  if (detail::cpu_has_pclmul()) return detail::poly_hash64_pclmul(key, message);
+#endif
+  return detail::poly_hash64_portable(key, message);
+}
 
 qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
                              const qkd::BitVector& message,
@@ -127,41 +233,20 @@ qkd::BitVector toeplitz_hash(const qkd::BitVector& key,
   return detail::toeplitz_hash_portable(key, message, tag_bits);
 }
 
-std::uint64_t poly_hash64(std::uint64_t key,
-                          std::span<const std::uint8_t> message) {
-  static const Gf2Field field(64);
-  const qkd::BitVector k = qkd::BitVector::from_uint64(key, 64);
-  qkd::BitVector acc(64);
-  // Horner evaluation over 8-byte chunks (zero-padded tail). The message
-  // length is mixed in as a final chunk so that messages differing only in
-  // trailing zero bytes hash differently.
-  std::size_t off = 0;
-  auto absorb = [&](std::uint64_t chunk) {
-    acc = field.multiply(acc, k);
-    acc ^= qkd::BitVector::from_uint64(chunk, 64);
-  };
-  while (off < message.size()) {
-    std::uint64_t chunk = 0;
-    const std::size_t n = std::min<std::size_t>(8, message.size() - off);
-    for (std::size_t i = 0; i < n; ++i)
-      chunk |= static_cast<std::uint64_t>(message[off + i]) << (8 * i);
-    absorb(chunk);
-    off += n;
-  }
-  absorb(static_cast<std::uint64_t>(message.size()));
-  return acc.to_uint64();
-}
-
 WegmanCarterAuthenticator::WegmanCarterAuthenticator(
     Config config, const qkd::BitVector& initial_secret)
     : config_(config) {
-  const std::size_t key_bits = config_.tag_bits + config_.max_message_bits - 1;
-  if (initial_secret.size() < key_bits)
+  if (config_.tag_bits == 0 || config_.tag_bits > 64)
     throw std::invalid_argument(
-        "WegmanCarterAuthenticator: initial secret shorter than Toeplitz key");
-  toeplitz_key_ = initial_secret.slice(0, key_bits);
+        "WegmanCarterAuthenticator: tags are 1 to 64 bits");
+  const std::size_t keys = key_bits(config_);
+  if (initial_secret.size() < keys)
+    throw std::invalid_argument(
+        "WegmanCarterAuthenticator: initial secret shorter than the hash keys");
+  poly_key_ = initial_secret.slice(0, 64).to_uint64();
+  toeplitz_key_ = initial_secret.slice(64, keys - 64);
   // Whatever remains of the prepositioned secret seeds the pad pool.
-  pad_pool_ = initial_secret.slice(key_bits, initial_secret.size() - key_bits);
+  pad_pool_ = initial_secret.slice(keys, initial_secret.size() - keys);
 }
 
 void WegmanCarterAuthenticator::replenish(const qkd::BitVector& bits) {
@@ -169,66 +254,38 @@ void WegmanCarterAuthenticator::replenish(const qkd::BitVector& bits) {
 }
 
 std::size_t WegmanCarterAuthenticator::pad_bits_available() const {
-  return pad_pool_.size() - pad_cursor_;
+  return dropped_ + pad_pool_.size() - consumed_;
 }
 
-qkd::BitVector WegmanCarterAuthenticator::next_pad() {
-  qkd::BitVector pad = pad_pool_.slice(pad_cursor_, config_.tag_bits);
-  pad_cursor_ += config_.tag_bits;
-  consumed_ += config_.tag_bits;
-  return pad;
+bool WegmanCarterAuthenticator::holds(std::size_t slot) const {
+  return slot * config_.tag_bits >= dropped_ &&
+         (slot + 1) * config_.tag_bits <= dropped_ + pad_pool_.size();
 }
 
-std::optional<qkd::BitVector> WegmanCarterAuthenticator::tag(
-    const Bytes& message) {
-  if (pad_bits_available() < config_.tag_bits) return std::nullopt;
-  if (message.size() * 8 > config_.max_message_bits)
-    throw std::invalid_argument("WegmanCarterAuthenticator: message too long");
-  const qkd::BitVector msg_bits = qkd::BitVector::from_bytes(message);
-  qkd::BitVector t = toeplitz_hash(toeplitz_key_, msg_bits, config_.tag_bits);
-  t ^= next_pad();
-  return t;
-}
-
-bool WegmanCarterAuthenticator::verify(const Bytes& message,
-                                       const qkd::BitVector& tag) {
-  const auto expected = this->tag(message);
-  return expected.has_value() && *expected == tag;
+bool WegmanCarterAuthenticator::reserve(std::size_t slot) {
+  if (!holds(slot)) return false;
+  const std::size_t end = (slot + 1) * config_.tag_bits;
+  if (end <= consumed_) return true;
+  consumed_ = end;
+  // The pad before this slot is spent. It is dropped once it outnumbers
+  // what the pool still holds, so a long-lived association keeps a pool
+  // the size of its runway.
+  const std::size_t spent = slot * config_.tag_bits - dropped_;
+  if (spent > pad_pool_.size() - spent) {
+    pad_pool_ = pad_pool_.slice(spent, pad_pool_.size() - spent);
+    dropped_ += spent;
+  }
+  return true;
 }
 
 std::optional<qkd::BitVector> WegmanCarterAuthenticator::tag_at(
-    const Bytes& message, std::size_t slot) {
-  const std::size_t offset = slot * config_.tag_bits;
-  if (offset + config_.tag_bits > pad_pool_.size()) return std::nullopt;
-  if (message.size() * 8 > config_.max_message_bits)
-    throw std::invalid_argument("WegmanCarterAuthenticator: message too long");
-  const qkd::BitVector msg_bits = qkd::BitVector::from_bytes(message);
-  qkd::BitVector t = toeplitz_hash(toeplitz_key_, msg_bits, config_.tag_bits);
-  t ^= pad_pool_.slice(offset, config_.tag_bits);
-  if (offset + config_.tag_bits > pad_cursor_) {
-    consumed_ += offset + config_.tag_bits - pad_cursor_;
-    pad_cursor_ = offset + config_.tag_bits;
-  }
+    std::span<const std::uint8_t> message, std::size_t slot) const {
+  if (!holds(slot)) return std::nullopt;
+  const qkd::BitVector inner =
+      qkd::BitVector::from_uint64(poly_hash64(poly_key_, message), 64);
+  qkd::BitVector t = toeplitz_hash(toeplitz_key_, inner, config_.tag_bits);
+  t ^= pad_pool_.slice(slot * config_.tag_bits - dropped_, config_.tag_bits);
   return t;
-}
-
-bool WegmanCarterAuthenticator::verify_at(const Bytes& message,
-                                          const qkd::BitVector& tag,
-                                          std::size_t slot) {
-  const std::size_t offset = slot * config_.tag_bits;
-  if (offset + config_.tag_bits > pad_pool_.size()) return false;
-  if (message.size() * 8 > config_.max_message_bits) return false;
-  const qkd::BitVector msg_bits = qkd::BitVector::from_bytes(message);
-  qkd::BitVector expected =
-      toeplitz_hash(toeplitz_key_, msg_bits, config_.tag_bits);
-  expected ^= pad_pool_.slice(offset, config_.tag_bits);
-  if (!(expected == tag)) return false;
-  // Only a SUCCESSFUL verification consumes the slot's pad.
-  if (offset + config_.tag_bits > pad_cursor_) {
-    consumed_ += offset + config_.tag_bits - pad_cursor_;
-    pad_cursor_ = offset + config_.tag_bits;
-  }
-  return true;
 }
 
 }  // namespace qkd::crypto

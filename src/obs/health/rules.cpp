@@ -70,6 +70,19 @@ AlertRule retransmission_storm(const std::string& retransmit_metric,
   return rule;
 }
 
+AlertRule pad_runway_draining(const std::string& pad_metric,
+                              const std::string& link, double bits_per_second,
+                              qkd::SimTime window, qkd::SimTime for_duration) {
+  AlertRule rule;
+  rule.name = "pad_runway_draining:" + link;
+  rule.summary = "authentication pad runway draining on link " + link;
+  rule.condition =
+      RateOfChange{pad_metric, window, Comparison::kLess, -bits_per_second};
+  rule.for_duration = for_duration;
+  rule.labels = {{"severity", "warning"}, {"link", link}};
+  return rule;
+}
+
 AlertRule distillation_stalled(const std::string& transports_metric,
                                qkd::SimTime stale_after) {
   AlertRule rule;

@@ -58,6 +58,19 @@ AlertRule retransmission_storm(const std::string& retransmit_metric,
                                qkd::SimTime window = 10 * qkd::kSecond,
                                qkd::SimTime for_duration = 0);
 
+/// Pad runway draining: the link's authentication pad gauge (bits left,
+/// as QkdLinkSession::bind_metrics exports it) has fallen faster than
+/// `bits_per_second` over `window`. A batch spends 64 pad bits and an
+/// accepted one repays what is owed, so a balanced link's runway only dips
+/// between an aborted batch and the next accepted one; one whose batches
+/// keep aborting (or whose key is too short to repay) drains it toward
+/// the kAuthExhausted stop.
+AlertRule pad_runway_draining(const std::string& pad_metric,
+                              const std::string& link,
+                              double bits_per_second = 16.0,
+                              qkd::SimTime window = 60 * qkd::kSecond,
+                              qkd::SimTime for_duration = 0);
+
 /// Distillation watchdog: the transports counter has not advanced for
 /// `stale_after` — key generation stopped entirely (fiber cut, engine
 /// wedge) even though nothing else alarmed.

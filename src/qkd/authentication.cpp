@@ -9,20 +9,16 @@ qkd::crypto::WegmanCarterAuthenticator make_direction(
     const AuthenticationService::Config& config,
     const qkd::BitVector& shared_secret, std::size_t index) {
   const std::size_t per_direction = shared_secret.size() / 2;
-  const qkd::crypto::WegmanCarterAuthenticator::Config wc{
-      .tag_bits = config.tag_bits,
-      .max_message_bits = config.max_message_bits};
   return qkd::crypto::WegmanCarterAuthenticator(
-      wc, shared_secret.slice(index * per_direction, per_direction));
+      {.tag_bits = config.tag_bits},
+      shared_secret.slice(index * per_direction, per_direction));
 }
 
 }  // namespace
 
 std::size_t AuthenticationService::required_secret_bits(const Config& config) {
-  // Per direction: Toeplitz key plus at least one tag of pad.
-  const std::size_t per_direction =
-      (config.tag_bits + config.max_message_bits - 1) + config.tag_bits;
-  return 2 * per_direction;
+  return 2 * qkd::crypto::WegmanCarterAuthenticator::key_bits(
+                 {.tag_bits = config.tag_bits});
 }
 
 AuthenticationService::AuthenticationService(Config config,
@@ -37,56 +33,35 @@ AuthenticationService::AuthenticationService(Config config,
         "AuthenticationService: prepositioned secret too small");
 }
 
-std::optional<Bytes> AuthenticationService::protect(const Bytes& message) {
-  Bytes framed;
-  put_u64(framed, send_seq_);
-  put_bytes(framed, message);
-  // The pad slot is the sequence number itself, keeping both ends paired
-  // by what the message SAYS it is rather than by how many calls each side
-  // has made — the property that lets a lost envelope be retransmitted
-  // verbatim over a lossy wire.
-  const auto tag = send_auth_.tag_at(framed, send_seq_);
-  if (!tag.has_value()) {
+bool AuthenticationService::open_batch(std::uint64_t frame_id) {
+  // Both pools are checked before either is spent, so a refusal leaves
+  // the two directions in step.
+  const bool fresh = !open_.has_value() || frame_id > *open_;
+  if (!fresh || !send_auth_.holds(frame_id) || !recv_auth_.holds(frame_id)) {
     ++stats_.stalls;
-    return std::nullopt;
+    return false;
   }
-  ++send_seq_;
-  ++stats_.tagged;
-  put_bytes(framed, tag->to_bytes());
-  return framed;
+  send_auth_.reserve(frame_id);
+  recv_auth_.reserve(frame_id);
+  open_ = frame_id;
+  return true;
 }
 
-std::optional<Bytes> AuthenticationService::verify(const Bytes& framed) {
-  const std::size_t tag_bytes = (config_.tag_bits + 7) / 8;
-  if (framed.size() < 8 + tag_bytes) {
-    ++stats_.rejected;
-    return std::nullopt;
-  }
-  const std::size_t body_len = framed.size() - tag_bytes;
-  const Bytes body(framed.begin(),
-                   framed.begin() + static_cast<std::ptrdiff_t>(body_len));
-  qkd::BitVector tag = qkd::BitVector::from_bytes(
-      std::span<const std::uint8_t>(framed.data() + body_len, tag_bytes));
-  tag.resize(config_.tag_bits);
+Bytes AuthenticationService::tag(std::span<const std::uint8_t> transcript) {
+  if (!open_.has_value())
+    throw std::logic_error("AuthenticationService: no batch open");
+  ++stats_.tagged;
+  return send_auth_.tag_at(transcript, *open_)->to_bytes();
+}
 
-  ByteReader reader(body);
-  const std::uint64_t seq = reader.u64();
-  // Strictly increasing, gaps allowed: a replay (seq below the watermark)
-  // is rejected outright; a gap means the peer gave up on an envelope the
-  // impaired wire never delivered, and the pads it consumed are skipped in
-  // lockstep by the slot addressing. A forged high seq fails its tag check
-  // without consuming anything.
-  if (seq < recv_seq_expected_) {
-    ++stats_.rejected;
-    return std::nullopt;
-  }
-  if (!recv_auth_.verify_at(body, tag, seq)) {
-    ++stats_.rejected;
-    return std::nullopt;
-  }
-  recv_seq_expected_ = seq + 1;
-  ++stats_.verified;
-  return reader.bytes(reader.remaining());
+bool AuthenticationService::verify(std::span<const std::uint8_t> transcript,
+                                   std::span<const std::uint8_t> tag) {
+  const bool ok = open_.has_value() &&
+                  transcript.size() <= kMaxTranscriptBytes &&
+                  recv_auth_.tag_at(transcript, *open_)->to_bytes() ==
+                      Bytes(tag.begin(), tag.end());
+  ++(ok ? stats_.verified : stats_.rejected);
+  return ok;
 }
 
 void AuthenticationService::replenish(const qkd::BitVector& bits) {
@@ -103,6 +78,7 @@ void AuthenticationService::replenish(const qkd::BitVector& bits) {
     send_auth_.replenish(second);
     recv_auth_.replenish(first);
   }
+  replenished_ += bits.size();
 }
 
 bool AuthenticationService::needs_replenishment() const {

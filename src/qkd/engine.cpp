@@ -162,6 +162,13 @@ void QkdLinkSession::bind_metrics(obs::MetricsRegistry& registry,
     // The paper's eavesdrop alarm in counter form: batches the protocol
     // itself abandoned for excessive QBER.
     out.counter(prefix + "_aborted_qber", totals_.aborted_qber());
+    // The authentication pads: the runway left (both ends hold the same)
+    // and all the pad spent, repaid or not. A runway that keeps falling is
+    // a link whose batches do not pay their way (rules::pad_runway_draining).
+    out.gauge(prefix + "_auth_pad_bits",
+              static_cast<double>(alice_.auth.pad_bits_available()));
+    out.counter(prefix + "_auth_pad_spent_bits",
+                alice_.auth.pad_bits_consumed());
     out.gauge(prefix + "_link_seconds", totals_.duration_s);
     out.counter(prefix + "_frame_wall_us",
                 static_cast<std::uint64_t>(frame_wall_s_ * 1e6));
@@ -256,6 +263,9 @@ BatchResult QkdLinkSession::run_batch(qkd::optics::Attack* attack) {
   result.disclosed_bits = alice.disclosed_bits;
   record_ground_truth(frame, alice.sifted_slots, result);
   if (reason == AbortReason::kNone) {
+    // Both tags passed: each side repays its pads from the key's end.
+    alice_.auth.replenish(take_pad_share(alice));
+    bob_.auth.replenish(take_pad_share(bob));
     result.key = std::move(alice.key);
     result.distilled_bits = result.key.size();
   }

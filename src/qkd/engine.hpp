@@ -12,10 +12,11 @@
 // the batch was rejected — too much disturbance (eavesdropping alarm),
 // entropy exhausted, or residual error detected.
 //
-// All control traffic is serialized to real wire bytes, carried through the
-// Wegman-Carter authentication service, and accounted (message and byte
-// counts), so protocol overhead experiments read directly off BatchResult —
-// including per-stage wall time and wire bytes (BatchResult::stages).
+// All control traffic is serialized to real wire bytes, checksummed,
+// authenticated by one Wegman-Carter tag per direction on the batch's whole
+// transcript, and accounted (message and byte counts), so protocol overhead
+// experiments read directly off BatchResult — including per-stage wall time
+// and wire bytes (BatchResult::stages).
 #pragma once
 
 #include <array>
@@ -128,18 +129,16 @@ struct QkdLinkConfig {
   /// Eve's expected knowledge of the distilled key <= 2^-s bits).
   std::size_t pa_margin_bits = 30;
 
-  /// Distilled bits per accepted batch diverted to authentication pads.
-  std::size_t auth_replenish_bits = 192;
+  /// Each direction tags its whole batch transcript once with a 32-bit
+  /// tag, so a batch spends 64 pad bits, and an accepted one repays exactly
+  /// what has been spent since the last repayment. A forger passes a tag
+  /// with probability at most 2^-32 + (L + 1) 2^-64 for a transcript of L
+  /// 64-bit blocks, and a forgery only aborts the batch.
+  AuthenticationService::Config auth{.tag_bits = 32, .low_water_bits = 1024};
 
-  /// 32-bit tags keep the per-message pad cost below the replenishment
-  /// budget; 2^-32 forgery probability per control message is ample since a
-  /// single forged message only aborts one batch.
-  AuthenticationService::Config auth{
-      .tag_bits = 32, .max_message_bits = 1 << 17, .low_water_bits = 1024};
-
-  /// Prepositioned pad bits beyond the structural minimum the auth service
-  /// requires. This is the one-time-pad runway before the first replenishment
-  /// lands; 0 exhausts it within the first batch (the kAuthExhausted DoS).
+  /// Prepositioned pad bits beyond the hash keys the auth service requires:
+  /// the one-time-pad runway, 64 bits a batch until an accepted batch
+  /// repays it. 0 refuses the first batch (the kAuthExhausted DoS).
   std::size_t preposition_extra_bits = 8192;
 };
 
@@ -206,7 +205,7 @@ struct BatchResult {
   std::size_t sampled_bits = 0;      // sacrificed for error estimation
   std::size_t errors_corrected = 0;
   std::size_t disclosed_bits = 0;    // EC parity disclosures (d)
-  std::size_t distilled_bits = 0;    // final key bits delivered
+  std::size_t distilled_bits = 0;    // key bits delivered, net of pad repaid
   // Quality measures.
   double qber_sampled = 0.0;
   double qber_actual = 0.0;          // ground truth over all sifted bits
@@ -335,9 +334,10 @@ class QkdLinkSession : public qkd::keystore::KeyProducer {
     trace_cell_ = cell;
   }
 
-  /// Registers a collector exposing SessionTotals plus cumulative Qframe
-  /// and per-stage wall time under `prefix`. The session must outlive the
-  /// registry's snapshots.
+  /// Registers a collector exposing SessionTotals, the authentication
+  /// pads (`<prefix>_auth_pad_bits` left, `<prefix>_auth_pad_spent_bits`
+  /// spent), plus cumulative Qframe and per-stage wall time under `prefix`.
+  /// The session must outlive the registry's snapshots.
   void bind_metrics(obs::MetricsRegistry& registry, std::string prefix);
 
   // ---- keystore::KeyProducer ----------------------------------------------

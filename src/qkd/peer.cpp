@@ -8,16 +8,15 @@
 namespace qkd::proto {
 namespace {
 
-/// The closing handshake: both sides seal a KeyDigest (kept out of the
+/// The closing handshake: both sides send a KeyDigest (kept out of the
 /// control-traffic counts) and check the peer's against their own.
 StageHalf confirm_key(Side& s, wire::Transport& io) {
   wire::KeyDigest mine;
   mine.frame_id = s.frame_id;
   mine.key_bits = s.key.size();
   mine.digest = digest_bytes(s.key);
-  const auto sealed = s.wire.seal(mine);
-  if (!sealed.has_value() || !io.send_frame(*sealed))
-    co_return AbortReason::kAuthExhausted;
+  if (!io.send_frame(wire::to_checked_frame(mine)))
+    co_return AbortReason::kChannelLost;
   const auto theirs = co_await s.wire.recv<wire::KeyDigest>();
   const bool same =
       theirs.key_bits == mine.key_bits && theirs.digest == mine.digest;
@@ -25,7 +24,9 @@ StageHalf confirm_key(Side& s, wire::Transport& io) {
 }
 
 /// Runs this side's half of every stage in order, unless `reason` already
-/// ended the batch, then confirms an accepted key with the peer.
+/// ended the batch, then confirms an accepted key with the peer. The pads
+/// are repaid only once the peer has confirmed the same key: a side cannot
+/// know from its own tag check that the peer's passed too.
 PeerOutcome run_dialogue(Side& s, bool is_alice, wire::Transport& io,
                          AbortReason reason = AbortReason::kNone) {
   for (const StageHalves& stage : fig9_dialogue()) {
@@ -43,9 +44,11 @@ PeerOutcome run_dialogue(Side& s, bool is_alice, wire::Transport& io,
   out.control_messages = s.wire.traffic().messages;
   out.control_bytes = s.wire.traffic().bytes;
   if (out.accepted) {
+    const qkd::BitVector pad_share = take_pad_share(s);
     out.key = s.key;
     StageHalf confirm = confirm_key(s, io);
     out.digest_matched = run_alone(confirm, s.wire) == AbortReason::kNone;
+    if (out.digest_matched) s.party.auth.replenish(pad_share);
   }
   return out;
 }

@@ -21,9 +21,18 @@ using enum AbortReason;
 // it (StageEnd), and co_await conclude(verdict) ends it on a verdict both
 // sides reach from shared data.
 
-// ---- Sifting: Bob announces his clicks, Alice keeps the basis matches. ---
+// ---- Sifting: Bob announces his clicks, Alice keeps the basis matches. A
+// batch whose pads the pools do not hold goes no further, since its
+// dialogue could not be authenticated; both sides read that from their
+// own pools, which agree. --------------------------------------------------
+
+AbortReason open_pads(Side& s) {
+  return s.party.auth.open_batch(s.frame_id) ? kNone : kAuthExhausted;
+}
 
 StageHalf alice_sifting(Side& s) {
+  if (const AbortReason reason = open_pads(s); reason != kNone)
+    co_return co_await s.wire.conclude(reason);
   AliceSiftResult sifted =
       alice_sift(s.frame, co_await s.wire.recv<wire::SiftAnnounce>());
   co_await s.wire.send(sifted.decision);
@@ -33,6 +42,8 @@ StageHalf alice_sifting(Side& s) {
 }
 
 StageHalf bob_sifting(Side& s) {
+  if (const AbortReason reason = open_pads(s); reason != kNone)
+    co_return co_await s.wire.conclude(reason);
   const wire::SiftAnnounce announce = make_sift_announce(s.frame_id, s.frame);
   co_await s.wire.send(announce);
   SiftOutcome kept = bob_apply_response(
@@ -283,16 +294,30 @@ StageHalf bob_privacy_amplification(Side& s) {
       : kNone;
 }
 
-// ---- Auth-replenish (both sides): the configured slice off the key's end
-// goes to this side's Wegman-Carter pads (Sec. 5); the rest is delivered. -
+// ---- Auth-replenish: each side tags everything it sent this batch, Alice
+// first, and checks the peer's tag against everything it received (Sec.
+// 5). Bob answers only a tag that passes, so Alice's passing his means
+// both did. Once the batch is accepted, the pads are repaid from the key
+// (take_pad_share). --------------------------------------------------------
 
-StageHalf auth_replenish(Side& s) {
-  const std::size_t replenish =
-      std::min(s.config.auth_replenish_bits, s.key.size());
-  if (replenish > 0) {
-    s.party.auth.replenish(s.key.slice(s.key.size() - replenish, replenish));
-    s.key.resize(s.key.size() - replenish);
-  }
+wire::TranscriptTag transcript_tag(Side& s) {
+  return {.tag = s.party.auth.tag(s.wire.sent().bytes())};
+}
+
+bool passes(Side& s, const wire::TranscriptTag& theirs) {
+  return s.party.auth.verify(s.wire.received().bytes(), theirs.tag);
+}
+
+StageHalf alice_auth_replenish(Side& s) {
+  co_await s.wire.send(transcript_tag(s));
+  const auto theirs = co_await s.wire.recv<wire::TranscriptTag>();
+  co_return passes(s, theirs) ? kNone : s.wire.abort(kVerifyFailed);
+}
+
+StageHalf bob_auth_replenish(Side& s) {
+  const auto theirs = co_await s.wire.recv<wire::TranscriptTag>();
+  if (!passes(s, theirs)) co_return s.wire.abort(kVerifyFailed);
+  co_await s.wire.send(transcript_tag(s));
   co_return kNone;
 }
 
@@ -304,7 +329,7 @@ constexpr StageHalves kFig9[] = {
     {"entropy", alice_entropy, bob_entropy},
     {"privacy-amplification", alice_privacy_amplification,
      bob_privacy_amplification},
-    {"auth-replenish", auth_replenish, auth_replenish},
+    {"auth-replenish", alice_auth_replenish, bob_auth_replenish},
 };
 
 /// A stage of the in-process session: both halves, interleaved.
@@ -346,6 +371,13 @@ qkd::crypto::Drbg batch_drbg(std::uint64_t seed, std::uint64_t frame_id) {
   put_u64(material, seed ^ 0xD15711ULL);
   put_u64(material, frame_id);
   return qkd::crypto::Drbg(material);
+}
+
+qkd::BitVector take_pad_share(Side& s) {
+  const std::size_t owed = std::min(s.party.auth.pad_bits_owed(), s.key.size());
+  qkd::BitVector share = s.key.slice(s.key.size() - owed, owed);
+  s.key.resize(s.key.size() - owed);
+  return share;
 }
 
 Bytes digest_bytes(const qkd::BitVector& bits) {

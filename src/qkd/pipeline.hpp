@@ -21,6 +21,11 @@
 //   sifting -> sampling -> error-correction -> verify -> entropy
 //     -> privacy-amplification -> auth-replenish
 //
+// Sifting first opens the batch's pads (AuthenticationService::open_batch);
+// auth-replenish last exchanges the two transcript tags, and once the
+// batch is accepted each side repays its pads from the key
+// (take_pad_share).
+//
 // A stage returns AbortReason::kNone to pass control to the next stage, or
 // the reason the batch must be rejected; the runner stops at the first
 // abort. The physical layer (one Qframe through the optics) runs before the
@@ -50,7 +55,7 @@ struct Side {
        std::uint64_t frame_id)
       : config(config),
         party(party),
-        wire(io, party.auth, /*announces=*/is_alice),
+        wire(io, /*announces=*/is_alice),
         frame(frame),
         frame_id(frame_id),
         drbg(batch_drbg(party.seed, frame_id)) {}
@@ -65,8 +70,8 @@ struct Side {
 
   // Sifting fills the bits and the slots they came from; sampling removes
   // the sample; Bob's error correction fixes his copy in place; privacy
-  // amplification turns them into the key, and auth-replenish takes the
-  // pads' share off its end.
+  // amplification turns them into the key, which auth-replenish vouches
+  // for and take_pad_share() cuts the pads' share from.
   qkd::BitVector bits;
   std::vector<std::uint32_t> sifted_slots;
   double usable_bits = 0.0;  // Alice: entropy estimate net of the margin
@@ -133,5 +138,11 @@ void split_by_mask(const qkd::BitVector& bits, const qkd::BitVector& mask,
 /// SHA-1 of the bits' bytes: the verify stage's hash, and the peers'
 /// closing KeyDigest.
 Bytes digest_bytes(const qkd::BitVector& bits);
+
+/// An accepted batch's repayment: cuts what the side's pads are owed (all
+/// of the key, if it is shorter) off the end of its key and returns it, to
+/// be replenish()ed once the peer is known to keep the same key. Both
+/// sides owe the same, so they cut the same bits.
+qkd::BitVector take_pad_share(Side& s);
 
 }  // namespace qkd::proto

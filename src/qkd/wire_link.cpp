@@ -23,7 +23,7 @@ bool WireParityServer::serve_frame(wire::Transport& io,
     if (!parities.has_value()) return false;
     wire::ParityResponse response;
     response.parities = std::move(*parities);
-    last_response_ = wire::to_frame(response);
+    last_response_ = wire::to_checked_frame(response);
     last_request_ = std::move(request.value);
   }
   io.send_frame(last_response_);
@@ -53,15 +53,15 @@ qkd::BitVector WireParityClient::exchange(
   for (const ParityQuery& q : queries)
     request.queries.push_back(
         {static_cast<std::uint8_t>(q.kind), q.seed, q.begin, q.end});
-  const Bytes framed = wire::to_frame(request);
+  const Bytes framed = wire::to_checked_frame(request);
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     io_.send_frame(framed);
     if (pump_) pump_();
     const auto raw = io_.recv_frame();
     if (!raw.has_value()) continue;  // lost in either direction
-    const auto frame = wire::decode_frame(*raw);
+    const auto frame = wire::decode_checked_frame(*raw);
     if (!frame.ok() || frame.value.type != wire::PacketType::kParityResponse)
-      continue;  // corrupted: retransmit, verify will audit the result
+      continue;  // damaged or out of place: retransmit
     auto response = wire::ParityResponse::decode(frame.value.payload);
     if (!response.ok() || response.value.parities.size() != queries.size())
       continue;
@@ -86,6 +86,17 @@ void StageHalf::resume() {
     std::rethrow_exception(std::exchange(handle_.promise().error, {}));
 }
 
+void Transcript::record(std::span<const std::uint8_t> frame) {
+  if (frame.size() > 3 &&
+      frame[3] == static_cast<std::uint8_t>(wire::PacketType::kTranscriptTag))
+    return;
+  const std::span<const std::uint8_t> last =
+      std::span<const std::uint8_t>(bytes_).subspan(last_);
+  if (!bytes_.empty() && std::ranges::equal(frame, last)) return;
+  last_ = bytes_.size();
+  bytes_.insert(bytes_.end(), frame.begin(), frame.end());
+}
+
 void DialogueWire::pair(DialogueWire& a, DialogueWire& b) {
   a.peer_ = &b;
   b.peer_ = &a;
@@ -98,20 +109,26 @@ bool DialogueWire::send_frame(const Bytes& frame) {
   if (peer_ != nullptr) peer_->sent_last_ = false;
   ++traffic_.messages;
   traffic_.bytes += frame.size();
+  sent_.record(frame);
   return io_.send_frame(frame);
 }
 
-bool DialogueWire::next_is(wire::PacketType type) {
-  while (auto raw = recv_frame()) {
-    const auto frame = wire::decode_frame(*raw);
-    if (!frame.ok()) continue;
-    if (frame.value.type != type) {
-      held_ = std::move(raw);
-      return false;
-    }
-    // A replayed or mangled copy is not a further packet.
-    if (auth_.verify(frame.value.payload).has_value()) return true;
+std::optional<Bytes> DialogueWire::recv_frame() {
+  if (held_) return std::exchange(held_, std::nullopt);
+  while (auto raw = io_.recv_frame()) {
+    if (!wire::checksum_ok(*raw)) continue;  // damaged: as good as lost
+    received_.record(*raw);
+    return raw;
   }
+  return std::nullopt;
+}
+
+bool DialogueWire::next_is(wire::PacketType type) {
+  auto raw = recv_frame();
+  if (!raw.has_value()) return false;
+  const auto frame = wire::decode_checked_frame(*raw);
+  if (frame.ok() && frame.value.type == type) return true;
+  held_ = std::move(raw);
   return false;
 }
 
@@ -127,7 +144,7 @@ bool DialogueWire::resend() {
 AbortReason DialogueWire::abort(AbortReason reason) {
   wire::AbortPacket notice;
   notice.reason = static_cast<std::uint8_t>(reason);
-  send_frame(wire::to_frame(notice));
+  send_frame(wire::to_checked_frame(notice));
   return reason;
 }
 
@@ -145,8 +162,8 @@ bool DialogueWire::poll(Waiter& waiter) {
       waiter.reason = AbortReason::kChannelLost;
       return true;
     }
-    const auto frame = wire::decode_frame(*raw);
-    if (!frame.ok()) continue;  // mangled in transit: it will come again
+    const auto frame = wire::decode_checked_frame(*raw);
+    if (!frame.ok()) continue;  // malformed: not a frame its sender sent
     if (frame.value.type == wire::PacketType::kAbort) {
       const auto notice = wire::AbortPacket::decode(frame.value.payload);
       const bool known = notice.ok() && notice.value.reason > 0 &&

@@ -13,17 +13,24 @@
 // over a blocking socket. DESIGN.md ("Stage pipeline") has the abort-notice
 // convention.
 //
+// Every frame of the dialogue is a checked frame (src/wire/frame.hpp): a
+// DialogueWire drops one that fails its CRC-32C as lost, so noise on the
+// channel costs a retransmission and never reaches a stage. Integrity
+// against an adversary is the transcript's: each DialogueWire records
+// every distinct frame it sends and every one it receives (a retransmitted
+// copy, the same bytes again, is recorded once), and the batch ends with
+// each side tagging what it sent (the auth-replenish stage). A frame Eve
+// altered, dropped for good, injected or replayed makes the two records
+// differ, and the batch ends at the tag check without a key.
+//
 // The parity questions of error correction are the one exchange that does
 // not suspend: Bob's corrector is synchronous, and each of its batches is
 // one kParityRequest frame answered by one kParityResponse of packed
 // parity bits from Alice's WireParityServer (in process, the client's pump
-// lets Alice's waiting half serve it between send and receive). Parity
-// frames travel UNAUTHENTICATED by design: Cascade asks hundreds of one-bit
-// questions per batch, and spending Wegman-Carter pad on each frame would
-// eat the very key being distilled. Tampering with them corrupts the
-// correction and is caught by the verify stage's hash exchange, the
-// paper's containment for this surface. A persistently dead channel
-// surfaces as ChannelLostError (-> AbortReason::kChannelLost).
+// lets Alice's waiting half serve it between send and receive). They
+// travel in the same transcript as the rest: Cascade's ~50 frames a batch
+// cost no pad of their own. A persistently dead channel surfaces as
+// ChannelLostError (-> AbortReason::kChannelLost).
 #pragma once
 
 #include <coroutine>
@@ -151,17 +158,32 @@ class StageHalf {
   std::coroutine_handle<promise_type> handle_;
 };
 
+/// One direction's record of a batch's dialogue: every distinct frame, in
+/// the order it went out or came in, each whole (the frame header makes
+/// the concatenation parse one way only). A frame equal to the one
+/// recorded last is a retransmission and is not recorded again; transcript
+/// tags are not part of what they authenticate.
+class Transcript {
+ public:
+  void record(std::span<const std::uint8_t> frame);
+  std::span<const std::uint8_t> bytes() const { return bytes_; }
+
+ private:
+  Bytes bytes_;
+  std::size_t last_ = 0;  // where the frame recorded last starts
+};
+
 /// One side's end of the classical channel, as its stage halves use it.
-/// Every frame sent through it is counted (it is itself the Transport the
-/// parity client and server talk over); frames to be kept out of the
-/// control-traffic counts go straight onto the underlying transport.
+/// Every frame sent through it is counted and recorded (it is itself the
+/// Transport the parity client and server talk over); frames to be kept
+/// out of the control-traffic counts and the transcript go straight onto
+/// the underlying transport.
 class DialogueWire final : public wire::Transport {
  public:
   /// `announces` is Alice's role: she announces the aborts both sides
   /// reach from shared data, and Bob awaits her notice.
-  DialogueWire(wire::Transport& io, AuthenticationService& auth,
-               bool announces)
-      : io_(io), auth_(auth), announces_(announces) {}
+  DialogueWire(wire::Transport& io, bool announces)
+      : io_(io), announces_(announces) {}
 
   DialogueWire(const DialogueWire&) = delete;
   DialogueWire& operator=(const DialogueWire&) = delete;
@@ -170,45 +192,37 @@ class DialogueWire final : public wire::Transport {
   static void pair(DialogueWire& a, DialogueWire& b);
 
   bool send_frame(const Bytes& frame) override;
-  /// The frame next_is() kept back, if any, then the transport's next.
-  std::optional<Bytes> recv_frame() override {
-    return held_ ? std::exchange(held_, std::nullopt) : io_.recv_frame();
-  }
+  /// The frame next_is() kept back, if any, then the transport's next
+  /// frame that passes its checksum (recorded as it comes in); one that
+  /// fails is dropped, as if lost.
+  std::optional<Bytes> recv_frame() override;
   wire::WireError last_error() const override { return io_.last_error(); }
 
-  /// `packet` Wegman-Carter sealed into a frame; nullopt when the pads
-  /// are exhausted.
-  template <typename Packet>
-  std::optional<Bytes> seal(const Packet& packet) {
-    const auto sealed = auth_.protect(packet.encode());
-    if (!sealed.has_value()) return std::nullopt;
-    return wire::encode_frame(Packet::kType, *sealed);
-  }
-
-  /// `co_await send(packet)`: seals and sends it, then yields so the peer
-  /// can take it. Exhausted pads end the half as kAuthExhausted, announced.
+  /// `co_await send(packet)`: sends it as a checked frame, then yields so
+  /// the peer can take it.
   template <typename Packet>
   std::suspend_always send(const Packet& packet) {
-    const auto framed = seal(packet);
-    if (!framed.has_value())
-      throw StageEnd{abort(AbortReason::kAuthExhausted)};
-    send_frame(*framed);
+    send_frame(wire::to_checked_frame(packet));
     return {};
   }
 
-  /// `co_await recv<Packet>()`: the next sealed Packet. Frames that fail
-  /// to decode or verify are dropped (the sender sends them again), and
-  /// so are frames of other types, after `other` (when set) has seen them.
-  /// The peer's notice, or a failed transport, ends the half.
+  /// `co_await recv<Packet>()`: the next Packet. Frames that fail to
+  /// decode are dropped (the sender sends them again), and so are frames
+  /// of other types, after `other` (when set) has seen them. The peer's
+  /// notice, or a failed transport, ends the half.
   template <typename Packet>
   auto recv(std::function<void(const wire::Frame&)> other = {}) {
     return Receive<Packet>(*this, std::move(other));
   }
 
-  /// True when the next frame that decodes and verifies is a `type` (it is
-  /// then consumed); a frame of another type is kept for the next receive.
-  /// A drained in-memory wire answers false; a socket waits for a frame.
+  /// True when the next frame that decodes is a `type` (it is then
+  /// consumed); a frame of another type is kept for the next receive. A
+  /// drained in-memory wire answers false; a socket waits for a frame.
   bool next_is(wire::PacketType type);
+
+  /// What this end has sent and received so far this batch.
+  const Transcript& sent() const { return sent_; }
+  const Transcript& received() const { return received_; }
 
   /// Announces `reason` with one bare notice frame and returns it: the
   /// end of a stage this side reached on its own.
@@ -265,9 +279,7 @@ class DialogueWire final : public wire::Transport {
         if (other) other(frame);
         return false;
       }
-      const auto payload = this->owner.auth_.verify(frame.payload);
-      if (!payload.has_value()) return false;
-      auto decoded = Packet::decode(*payload);
+      auto decoded = Packet::decode(frame.payload);
       if (!decoded.ok()) return false;
       packet = std::move(decoded.value);
       return true;
@@ -303,9 +315,10 @@ class DialogueWire final : public wire::Transport {
   bool poll(Waiter& waiter);
 
   wire::Transport& io_;
-  AuthenticationService& auth_;
   bool announces_;
   WireTraffic traffic_;
+  Transcript sent_;
+  Transcript received_;
   std::optional<Bytes> held_;  // kept back by next_is()
   Waiter* waiter_ = nullptr;
   Bytes last_;

@@ -1,5 +1,7 @@
 #include "src/wire/frame.hpp"
 
+#include "src/crypto/crc32c.hpp"
+
 namespace qkd::wire {
 
 bool packet_type_known(std::uint8_t raw) {
@@ -15,6 +17,7 @@ bool packet_type_known(std::uint8_t raw) {
     case PacketType::kPaParams:
     case PacketType::kAbort:
     case PacketType::kKeyDigest:
+    case PacketType::kTranscriptTag:
     case PacketType::kKmsRegister:
     case PacketType::kKmsRegisterReply:
     case PacketType::kKmsGetKey:
@@ -44,6 +47,7 @@ const char* packet_type_name(PacketType type) {
     case PacketType::kPaParams: return "pa-params";
     case PacketType::kAbort: return "abort";
     case PacketType::kKeyDigest: return "key-digest";
+    case PacketType::kTranscriptTag: return "transcript-tag";
     case PacketType::kKmsRegister: return "kms-register";
     case PacketType::kKmsRegisterReply: return "kms-register-reply";
     case PacketType::kKmsGetKey: return "kms-get-key";
@@ -70,6 +74,7 @@ const char* wire_error_name(WireError error) {
     case WireError::kTrailingBytes: return "trailing-bytes";
     case WireError::kMalformedPayload: return "malformed-payload";
     case WireError::kClosed: return "closed";
+    case WireError::kBadChecksum: return "bad-checksum";
   }
   return "?";
 }
@@ -134,6 +139,34 @@ Result<Frame> decode_frame(std::span<const std::uint8_t> buffer) {
   }
   frame.payload.assign(buffer.begin() + payload_start, buffer.end());
   return Result<Frame>::success(std::move(frame));
+}
+
+Bytes encode_checked_frame(PacketType type, const Bytes& payload) {
+  Bytes out;
+  out.reserve(kHeaderBytes + payload.size() + kChecksumBytes);
+  put_u16(out, kMagic);
+  put_u8(out, kWireVersion);
+  put_u8(out, static_cast<std::uint8_t>(type));
+  put_u32(out, static_cast<std::uint32_t>(payload.size() + kChecksumBytes));
+  out.insert(out.end(), payload.begin(), payload.end());
+  put_u32(out, qkd::crypto::crc32c(out));
+  return out;
+}
+
+bool checksum_ok(std::span<const std::uint8_t> buffer) {
+  if (buffer.size() < kHeaderBytes + kChecksumBytes) return false;
+  const std::size_t body = buffer.size() - kChecksumBytes;
+  ByteReader reader(buffer.subspan(body));
+  return reader.u32() == qkd::crypto::crc32c(buffer.first(body));
+}
+
+Result<Frame> decode_checked_frame(std::span<const std::uint8_t> buffer) {
+  auto frame = decode_frame(buffer);
+  if (!frame.ok()) return frame;
+  if (!checksum_ok(buffer))
+    return Result<Frame>::failure(WireError::kBadChecksum);
+  frame.value.payload.resize(frame.value.payload.size() - kChecksumBytes);
+  return frame;
 }
 
 }  // namespace qkd::wire

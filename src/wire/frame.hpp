@@ -11,6 +11,10 @@
 // always were, bit for bit; encoders only emit version 2 when a caller
 // hands them a valid TraceContext, and decoders accept both strictly.
 //
+// A checked frame (below) ends its payload with a CRC-32C of the frame, so
+// that a receiver can tell a frame the channel damaged from one it sent;
+// the header is the same.
+//
 // The 8-byte header is the whole story: `type` selects a packet codec
 // (src/wire/packets.hpp for the distillation dialogue, src/wire/etsi.hpp
 // for the KMS request/response API), `payload_len` lets a byte-stream
@@ -48,6 +52,7 @@ enum class PacketType : std::uint8_t {
   kPaParams = 0x09,       // Alice -> Bob: multiplier / poly / addend / m
   kAbort = 0x0A,          // either direction: batch rejected, with reason
   kKeyDigest = 0x0B,      // either direction: digest of the distilled key
+  kTranscriptTag = 0x0C,  // either direction: tag on all the batch it sent
   // KMS API (src/wire/etsi.hpp).
   kKmsRegister = 0x20,
   kKmsRegisterReply = 0x21,
@@ -85,6 +90,7 @@ enum class WireError : std::uint8_t {
   kTrailingBytes,     // buffer continues past the declared frame end
   kMalformedPayload,  // frame ok, but the typed payload did not parse
   kClosed,            // transport peer closed mid-frame
+  kBadChecksum,       // a checked frame whose CRC-32C does not match
 };
 
 const char* wire_error_name(WireError error);
@@ -137,6 +143,24 @@ Bytes encode_frame(PacketType type, const Bytes& payload,
 /// Strictly decodes ONE frame occupying the whole buffer (trailing bytes
 /// are an error — the transports deliver exact frames).
 Result<Frame> decode_frame(std::span<const std::uint8_t> buffer);
+
+/// Bytes of the CRC-32C that ends a checked frame's payload.
+inline constexpr std::size_t kChecksumBytes = 4;
+
+/// A frame whose payload is `payload` followed by the CRC-32C (big-endian)
+/// of every byte before it, header included. The distillation dialogue
+/// sends only these: a frame the channel damaged fails the check and is
+/// dropped as if lost, so noise reaches no stage and costs a retransmit.
+Bytes encode_checked_frame(PacketType type, const Bytes& payload);
+
+/// Whether `buffer` ends in the CRC-32C of the bytes before it, past a
+/// header's worth: the checked frame's checksum alone, header unparsed.
+bool checksum_ok(std::span<const std::uint8_t> buffer);
+
+/// decode_frame, then the checksum: kBadChecksum if the payload is too
+/// short to hold one or it does not match. The returned payload stops
+/// before it.
+Result<Frame> decode_checked_frame(std::span<const std::uint8_t> buffer);
 
 /// Stream-assembly helper: given a buffer prefix, how many total bytes the
 /// frame at its head occupies. Needs at least kHeaderBytes; validates

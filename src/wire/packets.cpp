@@ -351,6 +351,26 @@ Result<KeyDigest> KeyDigest::decode(const Bytes& payload) {
   });
 }
 
+// ---- TranscriptTag ---------------------------------------------------------
+
+Bytes TranscriptTag::encode() const {
+  Bytes out;
+  put_varint(out, tag.size());
+  put_bytes(out, tag);
+  return out;
+}
+
+Result<TranscriptTag> TranscriptTag::decode(const Bytes& payload) {
+  return parse_payload<TranscriptTag>(payload, [](ByteReader& reader) {
+    TranscriptTag packet;
+    const std::uint64_t bytes = reader.varint();
+    if (bytes == 0 || bytes > 8)
+      throw std::invalid_argument("TranscriptTag: tag of 1 to 8 bytes");
+    packet.tag = reader.bytes(bytes);
+    return packet;
+  });
+}
+
 // ---- Whole-packet codec ----------------------------------------------------
 
 namespace {
@@ -389,6 +409,8 @@ Result<DistillationPacket> decode_packet(const Frame& frame) {
       return lift(AbortPacket::decode(frame.payload));
     case PacketType::kKeyDigest:
       return lift(KeyDigest::decode(frame.payload));
+    case PacketType::kTranscriptTag:
+      return lift(TranscriptTag::decode(frame.payload));
     default:
       return Result<DistillationPacket>::failure(WireError::kMalformedPayload);
   }

@@ -189,17 +189,36 @@ struct KeyDigest {
   bool operator==(const KeyDigest&) const = default;
 };
 
+/// Each direction's Wegman-Carter tag on every distinct frame it sent in
+/// the batch (src/qkd/authentication.hpp); it closes the dialogue. Its pad
+/// is the batch's own, so it names no batch.
+struct TranscriptTag {
+  static constexpr PacketType kType = PacketType::kTranscriptTag;
+  Bytes tag;  // 1 to 8 bytes
+
+  Bytes encode() const;
+  static Result<TranscriptTag> decode(const Bytes& payload);
+  bool operator==(const TranscriptTag&) const = default;
+};
+
 // ---- Whole-packet codec ----------------------------------------------------
 
 using DistillationPacket =
     std::variant<QframeFeed, SiftAnnounce, SiftDecision, SampleReveal,
                  ParityRequest, ParityResponse, EcSummary, VerifyHash,
-                 PaParamsPacket, AbortPacket, KeyDigest>;
+                 PaParamsPacket, AbortPacket, KeyDigest, TranscriptTag>;
 
 /// Encodes payload + frame header in one step.
 template <typename Packet>
 Bytes to_frame(const Packet& packet) {
   return encode_frame(Packet::kType, packet.encode());
+}
+
+/// The same as a checked frame (encode_checked_frame): how the dialogue
+/// sends every packet.
+template <typename Packet>
+Bytes to_checked_frame(const Packet& packet) {
+  return encode_checked_frame(Packet::kType, packet.encode());
 }
 
 /// Decodes a frame's payload into the typed packet its header names.

@@ -126,9 +126,10 @@ TEST(BitVector, AppendAtEveryOffsetMatchesBitByBit) {
       for (std::size_t i = 0; i < right; ++i) reference.push_back(b.get(i));
       ASSERT_EQ(joined, reference) << left << " + " << right;
       const std::size_t tail = joined.size() & 63;
-      if (tail != 0)
+      if (tail != 0) {
         ASSERT_EQ(joined.words().back() >> tail, 0u)
             << "tail word zeroed past bit " << joined.size();
+      }
     }
   }
 }

@@ -7,12 +7,14 @@
 #include <array>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tests/testing/seeded_rng.hpp"
 
 #include "src/common/bytes.hpp"
 #include "src/crypto/aes.hpp"
 #include "src/crypto/cpu.hpp"
+#include "src/crypto/crc32c.hpp"
 #include "src/crypto/gf2n.hpp"
 #include "src/crypto/sha1.hpp"
 #include "src/crypto/universal_hash.hpp"
@@ -67,6 +69,49 @@ TEST(KernelIdentity, ToeplitzPclmulMatchesPortable) {
     EXPECT_EQ(detail::toeplitz_hash_pclmul(key, message, tag_bits),
               detail::toeplitz_hash_portable(key, message, tag_bits))
         << "msg_bits=" << msg_bits << " tag_bits=" << tag_bits;
+  }
+#endif
+}
+
+TEST(KernelIdentity, PolyHashPclmulMatchesPortable) {
+  SKIP_WITHOUT(cpu_has_pclmul, "PCLMULQDQ");
+#if defined(__x86_64__)
+  // Every length from empty through four four-block groups and a ragged
+  // tail, then the shapes of a batch: a sift announce (5,766 bytes) and a
+  // direction's transcript (~11.5 KB). Keys include 0, 1 and all ones.
+  QKD_SEEDED_RNG(rng, 24);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 140; ++n) lengths.push_back(n);
+  lengths.insert(lengths.end(), {5766, 11534, 65536 + 3});
+  for (const std::uint64_t fixed : {0ull, 1ull, ~0ull}) {
+    const Bytes message = random_bytes(rng, 77);
+    EXPECT_EQ(detail::poly_hash64_pclmul(fixed, message),
+              detail::poly_hash64_portable(fixed, message))
+        << "key=" << fixed;
+  }
+  for (const std::size_t n : lengths) {
+    const Bytes message = random_bytes(rng, n);
+    const std::uint64_t key = rng.next_u64();
+    EXPECT_EQ(detail::poly_hash64_pclmul(key, message),
+              detail::poly_hash64_portable(key, message))
+        << "n=" << n;
+  }
+#endif
+}
+
+TEST(KernelIdentity, Crc32cSse42MatchesPortable) {
+  SKIP_WITHOUT(cpu_has_sse42, "SSE4.2");
+#if defined(__x86_64__)
+  QKD_SEEDED_RNG(rng, 25);
+  for (std::size_t n = 0; n <= 100; ++n) {
+    const Bytes data = random_bytes(rng, n);
+    EXPECT_EQ(detail::crc32c_sse42(data), detail::crc32c_portable(data))
+        << "n=" << n;
+  }
+  for (int trial = 0; trial < 50; ++trial) {
+    const Bytes data = random_bytes(rng, 1 + rng.next_below(20000));
+    EXPECT_EQ(detail::crc32c_sse42(data), detail::crc32c_portable(data))
+        << "n=" << data.size();
   }
 #endif
 }

@@ -5,6 +5,7 @@
 #include "tests/testing/seeded_rng.hpp"
 
 #include "src/common/rng.hpp"
+#include "src/crypto/gf2n.hpp"
 
 namespace qkd::crypto {
 namespace {
@@ -103,105 +104,167 @@ TEST(PolyHash64, LengthIsAuthenticated) {
   EXPECT_NE(poly_hash64(7, a), poly_hash64(7, b));
 }
 
+/// The hash keys a Config takes, followed by `pad_bits` of pad.
+qkd::BitVector secret_for(qkd::Rng& rng, WegmanCarterAuthenticator::Config cfg,
+                          std::size_t pad_bits) {
+  return rng.next_bits(WegmanCarterAuthenticator::key_bits(cfg) + pad_bits);
+}
+
 TEST(WegmanCarter, TagVerifyRoundTrip) {
   QKD_SEEDED_RNG(rng, 5);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 64,
-                                        .max_message_bits = 1024};
-  const auto secret = rng.next_bits(64 + 1024 - 1 + 640);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 64};
+  const auto secret = secret_for(rng, cfg, 640);
   WegmanCarterAuthenticator alice(cfg, secret);
   WegmanCarterAuthenticator bob(cfg, secret);
   const Bytes msg = {'s', 'i', 'f', 't'};
-  const auto tag = alice.tag(msg);
+  ASSERT_TRUE(alice.reserve(0));
+  const auto tag = alice.tag_at(msg, 0);
   ASSERT_TRUE(tag.has_value());
-  EXPECT_TRUE(bob.verify(msg, *tag));
+  EXPECT_EQ(bob.tag_at(msg, 0), tag);
 }
 
 TEST(WegmanCarter, TamperedMessageRejected) {
   QKD_SEEDED_RNG(rng, 6);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 64,
-                                        .max_message_bits = 1024};
-  const auto secret = rng.next_bits(64 + 1024 - 1 + 640);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 64};
+  const auto secret = secret_for(rng, cfg, 640);
   WegmanCarterAuthenticator alice(cfg, secret);
   WegmanCarterAuthenticator bob(cfg, secret);
   Bytes msg = {'s', 'i', 'f', 't'};
-  const auto tag = alice.tag(msg);
+  const auto tag = alice.tag_at(msg, 0);
   ASSERT_TRUE(tag.has_value());
   msg[0] ^= 1;
-  EXPECT_FALSE(bob.verify(msg, *tag));
+  EXPECT_NE(bob.tag_at(msg, 0), tag);
 }
 
 TEST(WegmanCarter, PadExhaustionReturnsNullopt) {
   QKD_SEEDED_RNG(rng, 7);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 64,
-                                        .max_message_bits = 256};
-  // Exactly enough for the Toeplitz key + 2 tags of pad.
-  const auto secret = rng.next_bits((64 + 256 - 1) + 128);
-  WegmanCarterAuthenticator auth(cfg, secret);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 64};
+  // Exactly enough for the hash keys + 2 tags of pad.
+  WegmanCarterAuthenticator auth(cfg, secret_for(rng, cfg, 128));
   const Bytes msg = {1};
-  EXPECT_TRUE(auth.tag(msg).has_value());
-  EXPECT_TRUE(auth.tag(msg).has_value());
-  EXPECT_FALSE(auth.tag(msg).has_value());  // exhausted: the DoS of Sec. 2
+  EXPECT_TRUE(auth.reserve(0));
+  EXPECT_TRUE(auth.reserve(1));
+  EXPECT_FALSE(auth.reserve(2));  // exhausted: the DoS of Sec. 2
+  EXPECT_FALSE(auth.tag_at(msg, 2).has_value());
   EXPECT_EQ(auth.pad_bits_consumed(), 128u);
 }
 
 TEST(WegmanCarter, ReplenishRestoresTagging) {
   QKD_SEEDED_RNG(rng, 8);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 64,
-                                        .max_message_bits = 256};
-  const auto secret = rng.next_bits(64 + 256 - 1);  // zero pad bits
-  WegmanCarterAuthenticator auth(cfg, secret);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 64};
+  WegmanCarterAuthenticator auth(cfg, secret_for(rng, cfg, 0));
   const Bytes msg = {9};
-  EXPECT_FALSE(auth.tag(msg).has_value());
+  EXPECT_FALSE(auth.tag_at(msg, 0).has_value());
   auth.replenish(rng.next_bits(64));
-  EXPECT_TRUE(auth.tag(msg).has_value());
+  EXPECT_TRUE(auth.reserve(0));
+  EXPECT_TRUE(auth.tag_at(msg, 0).has_value());
 }
 
 TEST(WegmanCarter, TagsOfSameMessageDifferAcrossPads) {
   // Fresh pad per message: identical messages must not produce identical
   // tags, or Eve learns hash collisions.
   QKD_SEEDED_RNG(rng, 9);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 64,
-                                        .max_message_bits = 256};
-  const auto secret = rng.next_bits(64 + 256 - 1 + 1280);
-  WegmanCarterAuthenticator auth(cfg, secret);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 64};
+  WegmanCarterAuthenticator auth(cfg, secret_for(rng, cfg, 1280));
   const Bytes msg = {1, 2, 3};
-  const auto t1 = auth.tag(msg);
-  const auto t2 = auth.tag(msg);
+  const auto t1 = auth.tag_at(msg, 0);
+  const auto t2 = auth.tag_at(msg, 1);
   ASSERT_TRUE(t1 && t2);
   EXPECT_NE(*t1, *t2);
 }
 
-TEST(WegmanCarter, OversizeMessageThrows) {
+TEST(WegmanCarter, LongMessagesNeedNoLongerKey) {
+  // The polynomial hash takes a message of any length under its 64-bit
+  // key: a 2^17-bit message, which once needed a 2^17-bit Toeplitz key,
+  // tags under the same ~160 key bits as a one-byte one, and the tag
+  // still catches one flipped bit at its end.
   QKD_SEEDED_RNG(rng, 10);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 32,
-                                        .max_message_bits = 64};
-  const auto secret = rng.next_bits(32 + 64 - 1 + 320);
-  WegmanCarterAuthenticator auth(cfg, secret);
-  EXPECT_THROW(auth.tag(Bytes(9)), std::invalid_argument);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 32};
+  EXPECT_EQ(WegmanCarterAuthenticator::key_bits(cfg), 159u);
+  const auto secret = secret_for(rng, cfg, 320);
+  WegmanCarterAuthenticator alice(cfg, secret);
+  WegmanCarterAuthenticator bob(cfg, secret);
+  Bytes msg = rng.next_bits(1 << 17).to_bytes();
+  const auto tag = alice.tag_at(msg, 0);
+  ASSERT_TRUE(tag.has_value());
+  EXPECT_EQ(bob.tag_at(msg, 0), tag);
+  msg.back() ^= 0x80;
+  EXPECT_NE(bob.tag_at(msg, 0), tag);
 }
 
 TEST(WegmanCarter, ShortInitialSecretThrows) {
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 64,
-                                        .max_message_bits = 1024};
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 64};
   EXPECT_THROW(WegmanCarterAuthenticator(cfg, qkd::BitVector(100)),
+               std::invalid_argument);
+  EXPECT_THROW(WegmanCarterAuthenticator({.tag_bits = 65}, qkd::BitVector(500)),
                std::invalid_argument);
 }
 
 TEST(WegmanCarter, ForgeryProbabilityIsLow) {
   // An attacker without the pad cannot guess a 16-bit tag much better than
-  // 2^-16; try 5000 random forgeries and expect ~0 successes.
+  // 2^-16; try 200 random forgeries and expect ~0 successes.
   QKD_SEEDED_RNG(rng, 11);
-  WegmanCarterAuthenticator::Config cfg{.tag_bits = 16,
-                                        .max_message_bits = 64};
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 16};
   const Bytes msg = {0x42};
   int forged = 0;
   for (int trial = 0; trial < 200; ++trial) {
-    const auto secret = rng.next_bits(16 + 64 - 1 + 16);
-    WegmanCarterAuthenticator verifier(cfg, secret);
+    WegmanCarterAuthenticator verifier(cfg, secret_for(rng, cfg, 16));
     const auto guess = rng.next_bits(16);
-    forged += verifier.verify(msg, guess);
+    forged += verifier.tag_at(msg, 0) == guess;
   }
   EXPECT_LE(forged, 1);
+}
+
+TEST(WegmanCarter, SlotsPairTagsByNumberAndSpendOnlyOnReserve) {
+  // Slot s's pad is pool bits [s t, (s + 1) t): tag_at spends nothing,
+  // reserve spends through the slot (the skipped slots too), and a slot
+  // behind a reserved one is dropped for good.
+  QKD_SEEDED_RNG(rng, 12);
+  const WegmanCarterAuthenticator::Config cfg{.tag_bits = 32};
+  const auto secret = secret_for(rng, cfg, 32 * 8);
+  WegmanCarterAuthenticator alice(cfg, secret);
+  WegmanCarterAuthenticator bob(cfg, secret);
+  const Bytes msg = {7, 7};
+  EXPECT_EQ(alice.tag_at(msg, 3), bob.tag_at(msg, 3));
+  EXPECT_NE(alice.tag_at(msg, 3), alice.tag_at(msg, 4));
+  EXPECT_EQ(alice.pad_bits_consumed(), 0u);
+  EXPECT_FALSE(alice.holds(8));
+  EXPECT_FALSE(alice.reserve(8));
+  ASSERT_TRUE(alice.reserve(5));
+  EXPECT_EQ(alice.pad_bits_consumed(), 6u * 32);
+  EXPECT_EQ(alice.pad_bits_available(), 2u * 32);
+  EXPECT_TRUE(alice.tag_at(msg, 5).has_value());
+  EXPECT_TRUE(alice.reserve(5));  // already spent: spends nothing more
+  EXPECT_EQ(alice.pad_bits_consumed(), 6u * 32);
+  alice.replenish(rng.next_bits(32));
+  EXPECT_TRUE(alice.holds(8));
+  EXPECT_EQ(alice.pad_bits_available(), 3u * 32);
+}
+
+TEST(PolyHash64, MatchesTheFieldArithmeticDefinition) {
+  // H(m) = m_1 k^t + ... + m_t k + len over GF(2^64), checked against the
+  // BitVector field multiply on lengths at and beside the four-block group
+  // edges of the hardware kernel.
+  QKD_SEEDED_RNG(rng, 13);
+  const Gf2Field field(64);
+  for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 31u, 32u, 33u, 40u, 63u, 64u,
+                        65u, 200u}) {
+    const std::uint64_t key = rng.next_u64();
+    Bytes message(n);
+    for (auto& b : message) b = static_cast<std::uint8_t>(rng.next_u32());
+    const qkd::BitVector k = qkd::BitVector::from_uint64(key, 64);
+    qkd::BitVector acc(64);
+    for (std::size_t off = 0; off < n; off += 8) {
+      std::uint64_t block = 0;
+      for (std::size_t i = 0; i < 8 && off + i < n; ++i)
+        block |= static_cast<std::uint64_t>(message[off + i]) << (8 * i);
+      acc = field.multiply(acc, k);
+      acc ^= qkd::BitVector::from_uint64(block, 64);
+    }
+    acc = field.multiply(acc, k);
+    acc ^= qkd::BitVector::from_uint64(n, 64);
+    EXPECT_EQ(poly_hash64(key, message), acc.to_uint64()) << "n=" << n;
+  }
 }
 
 }  // namespace

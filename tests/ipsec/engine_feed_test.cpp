@@ -40,7 +40,6 @@ qkd::proto::QkdLinkConfig feed_config() {
   qkd::proto::QkdLinkConfig config;
   config.frame_slots = 1 << 20;
   config.link.pulse_rate_hz = 0.25e6;
-  config.auth_replenish_bits = 64;
   return config;
 }
 

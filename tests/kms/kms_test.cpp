@@ -237,7 +237,6 @@ TEST(Kms, ReplenishedLinkSupplyWakesStalledQueueBeforeRetryBackoff) {
   topo.add_link(a, b);
   network::LinkKeyService::Config engine;
   engine.proto.frame_slots = 1 << 19;
-  engine.proto.auth_replenish_bits = 64;
   engine.threads = 1;
   MeshSimulation mesh(topo, 5, engine);
 

@@ -387,7 +387,6 @@ TEST(KmsSharded, EpochModeRunsOnEngineBackedMeshWithSharedPool) {
 
   network::LinkKeyService::Config engine;
   engine.proto.frame_slots = 1 << 19;
-  engine.proto.auth_replenish_bits = 64;
   engine.pool = pool;  // one pool serves distillation AND shard execution
   MeshSimulation mesh(topo, 7, engine);
   mesh.step(0.5);  // ten frames of head start on both links

@@ -16,7 +16,6 @@ LinkKeyService::Config test_config(std::uint64_t seed = 7,
                                    std::size_t threads = 0) {
   LinkKeyService::Config config;
   config.proto.frame_slots = 1 << 19;
-  config.proto.auth_replenish_bits = 64;
   config.seed = seed;
   config.threads = threads;
   return config;

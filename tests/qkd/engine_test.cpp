@@ -224,15 +224,21 @@ TEST(QkdLinkSession, ControlTrafficIsAccounted) {
 }
 
 TEST(QkdLinkSession, AuthenticationPadsAreReplenishedFromDistilledKey) {
-  QkdLinkConfig config = fast_config();
-  config.auth_replenish_bits = 512;
-  QkdLinkSession session(config, 14);
-  const std::size_t before = session.alice_auth().pad_bits_available();
+  // An accepted batch spends one 32-bit tag's pad in each direction and
+  // repays exactly those 64 bits from its key, which is delivered net of
+  // them: the runway is where it started.
+  QkdLinkSession session(fast_config(), 14);
+  const AuthenticationService& alice = session.alice_auth();
+  const std::size_t before = alice.pad_bits_available();
   const BatchResult batch = session.run_batch();
   ASSERT_TRUE(batch.accepted);
-  // Replenished 512 minus whatever this batch's control traffic consumed.
-  const std::size_t after = session.alice_auth().pad_bits_available();
-  EXPECT_GT(after + 64 * 8 /*max plausible tags*/, before);
+  EXPECT_EQ(alice.pad_bits_consumed(), 64u);
+  EXPECT_EQ(alice.pad_bits_owed(), 0u);
+  EXPECT_EQ(alice.pad_bits_available(), before);
+  EXPECT_EQ(session.bob_auth().pad_bits_available(), before);
+  EXPECT_EQ(batch.distilled_bits, batch.key.size());
+  EXPECT_EQ(alice.stats().tagged, 1u);
+  EXPECT_EQ(alice.stats().verified, 1u);
 }
 
 TEST(QkdLinkSession, RejectsBadSampleFraction) {

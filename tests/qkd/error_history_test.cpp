@@ -135,11 +135,12 @@ TEST(ErrorHistory, AnUnverifiedBatchLeavesTheRecordUnchanged) {
     ASSERT_TRUE(batch.accepted) << abort_reason_name(batch.reason);
     EXPECT_GT(session.error_history().bits(), bits_before);
   }
-  // Every parity answer flipped in transit: the corrector chases errors
-  // that are not there, and the batch cannot verify.
+  // Every parity answer flipped in transit, its checksum made good: the
+  // corrector chases errors that are not there, and the batch cannot
+  // verify.
   session.channel().set_impairment(
       [](const Bytes& message, bool to_b) -> std::optional<Bytes> {
-        const auto frame = wire::decode_frame(message);
+        const auto frame = wire::decode_checked_frame(message);
         if (!to_b || !frame.ok() ||
             frame.value.type != wire::PacketType::kParityResponse)
           return message;
@@ -147,7 +148,7 @@ TEST(ErrorHistory, AnUnverifiedBatchLeavesTheRecordUnchanged) {
         if (!response.ok()) return message;
         for (std::size_t i = 0; i < response.value.parities.size(); ++i)
           response.value.parities.flip(i);
-        return wire::to_frame(response.value);
+        return wire::to_checked_frame(response.value);
       });
   const double errors = session.error_history().errors();
   const double bits = session.error_history().bits();

@@ -276,7 +276,7 @@ ScriptedPipe::Script notice_instead_of(wire::PacketType type, bool from_alice,
     done = true;
     wire::AbortPacket notice;
     notice.reason = reason;
-    return wire::to_frame(notice);
+    return wire::to_checked_frame(notice);
   };
 }
 

@@ -21,7 +21,7 @@ struct Dialogue {
   void serve_one() {
     const auto raw = alice_io.recv_frame();
     if (!raw.has_value()) return;
-    const auto frame = wire::decode_frame(*raw);
+    const auto frame = wire::decode_checked_frame(*raw);
     if (frame.ok()) server.serve_frame(alice_io, frame.value);
   }
 

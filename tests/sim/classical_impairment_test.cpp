@@ -25,7 +25,6 @@ MeshSimulation engine_pair(std::uint64_t seed) {
   const NodeId b = topo.add_node("b", network::NodeKind::kEndpoint);
   topo.add_link(a, b, {});
   network::LinkKeyService::Config engine;
-  engine.proto.auth_replenish_bits = 0;
   engine.threads = 1;
   return MeshSimulation(std::move(topo), seed, engine);
 }

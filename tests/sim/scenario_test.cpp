@@ -124,7 +124,6 @@ TEST(Scenario, EngineBackedLinkDistillsViaScheduledBatchCompletions) {
   const NodeId b = topo.add_node("b", network::NodeKind::kEndpoint);
   topo.add_link(a, b, {});
   network::LinkKeyService::Config engine;
-  engine.proto.auth_replenish_bits = 0;
   engine.threads = 1;
   MeshSimulation mesh(std::move(topo), 5, engine);
 

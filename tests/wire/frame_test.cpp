@@ -173,7 +173,8 @@ TEST(Frame, EveryNamedTypeIsKnownAndNamed) {
         PacketType::kSiftDecision, PacketType::kSampleReveal,
         PacketType::kParityRequest, PacketType::kParityResponse,
         PacketType::kEcSummary, PacketType::kVerifyHash, PacketType::kPaParams,
-        PacketType::kAbort, PacketType::kKeyDigest, PacketType::kKmsRegister,
+        PacketType::kAbort, PacketType::kKeyDigest,
+        PacketType::kTranscriptTag, PacketType::kKmsRegister,
         PacketType::kKmsRegisterReply, PacketType::kKmsGetKey,
         PacketType::kKmsGrant, PacketType::kKmsGetKeyWithId,
         PacketType::kKmsKeyWithIdReply, PacketType::kKmsStatus,
@@ -182,6 +183,43 @@ TEST(Frame, EveryNamedTypeIsKnownAndNamed) {
     EXPECT_TRUE(packet_type_known(static_cast<std::uint8_t>(type)));
     EXPECT_STRNE(packet_type_name(type), "?");
   }
+}
+
+TEST(Frame, CheckedFrameRoundTripsAndEndsInItsCrc) {
+  const Bytes payload = {1, 2, 3, 4, 5};
+  const Bytes framed = encode_checked_frame(PacketType::kSiftDecision, payload);
+  ASSERT_EQ(framed.size(), kHeaderBytes + payload.size() + kChecksumBytes);
+  // The header counts the checksum as payload, so the frame stays a plain
+  // frame to anything that does not check it.
+  const auto plain = decode_frame(framed);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain.value.payload.size(), payload.size() + kChecksumBytes);
+  const auto checked = decode_checked_frame(framed);
+  ASSERT_TRUE(checked.ok());
+  EXPECT_EQ(checked.value.type, PacketType::kSiftDecision);
+  EXPECT_EQ(checked.value.payload, payload);
+  EXPECT_TRUE(decode_checked_frame(
+                  encode_checked_frame(PacketType::kAbort, Bytes{}))
+                  .ok());
+}
+
+TEST(Frame, CheckedFrameWithAnyByteDamagedIsBadChecksum) {
+  const Bytes framed =
+      encode_checked_frame(PacketType::kParityResponse, Bytes{9, 8, 7, 6});
+  for (std::size_t i = 0; i < framed.size(); ++i) {
+    Bytes damaged = framed;
+    damaged[i] ^= 0x04;
+    const auto decoded = decode_checked_frame(damaged);
+    EXPECT_FALSE(decoded.ok()) << i;
+    // Past the header, where the frame still parses, it is the checksum
+    // that catches it.
+    if (i >= kHeaderBytes) EXPECT_EQ(decoded.error, WireError::kBadChecksum);
+  }
+  // A plain frame with no room for a checksum is not a checked one.
+  EXPECT_EQ(decode_checked_frame(encode_frame(PacketType::kAbort, Bytes{1}))
+                .error,
+            WireError::kBadChecksum);
+  EXPECT_STREQ(wire_error_name(WireError::kBadChecksum), "bad-checksum");
 }
 
 }  // namespace

@@ -261,6 +261,19 @@ TEST(Packets, AbortAndKeyDigestRoundTrip) {
   EXPECT_EQ(round_trip(digest), digest);
 }
 
+TEST(Packets, TranscriptTagRoundTripsAndBoundsItsTag) {
+  TranscriptTag tag;
+  tag.tag = {0xDE, 0xAD, 0xBE, 0xEF};
+  EXPECT_EQ(round_trip(tag), tag);
+  // A tag of no bytes, or of more than 64 bits, is not one.
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{9}}) {
+    tag.tag.assign(bytes, 0x11);
+    EXPECT_EQ(TranscriptTag::decode(tag.encode()).error,
+              WireError::kMalformedPayload)
+        << bytes;
+  }
+}
+
 TEST(Packets, EmptyBitVectorsSurvive) {
   SiftDecision packet;  // zero detections kept
   packet.frame_id = 1;
