@@ -91,46 +91,49 @@ const std::vector<Case>& clean_cases() {
   // One seed per distance; each corrector runs the same frames.
   static const std::vector<Case> cases = {
       {"10km-classic", at_km(10, EcStrategy::kClassicCascade), 2003, {},
-       {{kNone, "d3d2f7f26e2fdfd7e7c76bb16778efb1a8ece22b",
-         1630, 81, 101, 637, 98, 13131},
-        {kNone, "cf199f3451742e5095143cbde0ace4697241882b",
-         1535, 76, 77, 539, 44, 11693},
-        {kNone, "770d690d201796a556d33b1ac0fa8e377c061c4c",
-         1662, 83, 89, 599, 46, 12537},
-        {kNone, "128923eaedc4d2aae7b3382c0bc68ee828a4bc96",
-         1543, 77, 88, 586, 54, 12271}}},
+       {{kNone, "1cbf87108892c8b3f0401a51f0924caf7527225b",
+         1630, 81, 101, 637, 100, 13461},
+        {kNone, "224a8ea4302729ac21d6f7088513d13f3f1a7bb7",
+         1535, 76, 77, 539, 46, 11807},
+        {kNone, "ba8ea0192c7dedb0e0256979bbf90051afa9f2d9",
+         1662, 83, 89, 599, 48, 12659},
+        {kNone, "456c985ecde863c4ac6450d48b53f83ef2ee4788",
+         1543, 77, 88, 586, 56, 12425}}},
       {"10km-bbn", at_km(10, EcStrategy::kBbnCascade), 2003, {},
-       {{kEntropyExhausted, kNoKey, 1630, 81, 101, 1099, 1954, 34065},
-        {kNone, kNoKey, 1535, 76, 77, 863, 1482, 27854},
-        {kNone, kNoKey, 1662, 83, 89, 997, 1750, 31925},
-        {kNone, kNoKey, 1543, 77, 88, 981, 1718, 31148}}},
+       {{kEntropyExhausted, kNoKey, 1630, 81, 101, 1099, 1954, 41797},
+        {kNone, "9f94b960064686d829f4a2fd155e7855542ca9d0",
+         1535, 76, 77, 863, 1484, 33720},
+        {kNone, "89e436311f5cacc1bb2ce06558d4d2b1f14a29ed",
+         1662, 83, 89, 997, 1752, 38863},
+        {kNone, kNoKey, 1543, 77, 88, 981, 1720, 37958}}},
       {"10km-naive", at_km(10, EcStrategy::kNaiveParity), 2003, {},
-       {{kVerifyFailed, kNoKey, 1630, 81, 7, 67, 22, 7017},
-        {kVerifyFailed, kNoKey, 1535, 76, 11, 89, 22, 7199},
-        {kVerifyFailed, kNoKey, 1662, 83, 11, 91, 22, 7412},
-        {kVerifyFailed, kNoKey, 1543, 77, 8, 71, 22, 7094}}},
+       {{kVerifyFailed, kNoKey, 1630, 81, 7, 67, 22, 7021},
+        {kVerifyFailed, kNoKey, 1535, 76, 11, 89, 22, 7203},
+        {kVerifyFailed, kNoKey, 1662, 83, 11, 91, 22, 7416},
+        {kVerifyFailed, kNoKey, 1543, 77, 8, 71, 22, 7098}}},
       {"5km-classic", at_km(5, EcStrategy::kClassicCascade), 41, {},
-       {{kNone, "ce061564c819402694073517de2b3c1cc01ae448",
-         2011, 100, 124, 777, 118, 16024},
-        {kNone, "905b28498f0e1022819d3b5934c5bce52143d888",
-         2033, 101, 101, 713, 50, 14817}}},
+       {{kNone, "07d97e0eb26abaa4cfe283de2a9ca68054ca30f2",
+         2011, 100, 124, 777, 120, 16434},
+        {kNone, "6d040f3d5599623271eb3a0df6760638fe9db182",
+         2033, 101, 101, 713, 52, 14955}}},
       {"5km-bbn", at_km(5, EcStrategy::kBbnCascade), 41, {},
-       {{kEntropyExhausted, kNoKey, 2011, 100, 124, 1358, 2472, 42722},
-        {kNone, "cba35c009f2d1c36c062233c1d7528780ab9e822",
-         2033, 101, 101, 1136, 2028, 36844}}},
+       {{kEntropyExhausted, kNoKey, 2011, 100, 124, 1358, 2472, 52526},
+        {kNone, "11477f6625fc6901b825fdcbde72b8065af9c029",
+         2033, 101, 101, 1136, 2030, 44894}}},
       {"5km-naive", at_km(5, EcStrategy::kNaiveParity), 41, {},
-       {{kVerifyFailed, kNoKey, 2011, 100, 20, 150, 22, 9151},
-        {kVerifyFailed, kNoKey, 2033, 101, 17, 133, 22, 8951}}},
+       {{kVerifyFailed, kNoKey, 2011, 100, 20, 150, 22, 9155},
+        {kVerifyFailed, kNoKey, 2033, 101, 17, 133, 22, 8955}}},
       {"20km-classic", at_km(20, EcStrategy::kClassicCascade), 43, {},
-       {{kNone, kNoKey, 1040, 52, 71, 515, 444, 13214},
-        {kNone, "62fb5cb3df2ed6efd7285ef7f2710e644435a1e6",
-         998, 49, 54, 392, 40, 8319}}},
+       {{kNone, "c14178345f9a27af2a6e61aaf8c1d0e891e2eb44",
+         1040, 52, 71, 515, 446, 14928},
+        {kNone, "41d2c45ba390d7d906913a0aa3a42a4dea4d05db",
+         998, 49, 54, 392, 42, 8417}}},
       {"20km-bbn", at_km(20, EcStrategy::kBbnCascade), 43, {},
-       {{kEntropyExhausted, kNoKey, 1040, 52, 71, 762, 1280, 22786},
-        {kNone, kNoKey, 998, 49, 54, 608, 972, 18700}}},
+       {{kEntropyExhausted, kNoKey, 1040, 52, 71, 762, 1280, 27822},
+        {kNone, kNoKey, 998, 49, 54, 608, 974, 22526}}},
       {"20km-naive", at_km(20, EcStrategy::kNaiveParity), 43, {},
-       {{kVerifyFailed, kNoKey, 1040, 52, 7, 57, 22, 5015},
-        {kVerifyFailed, kNoKey, 998, 49, 4, 38, 22, 4817}}},
+       {{kVerifyFailed, kNoKey, 1040, 52, 7, 57, 22, 5019},
+        {kVerifyFailed, kNoKey, 998, 49, 4, 38, 22, 4821}}},
   };
   return cases;
 }
@@ -139,45 +142,45 @@ const std::vector<Case>& abort_cases() {
   // The forced aborts of abort_reasons_test.cpp, each from its own seed.
   static const std::vector<Case> cases = {
       {"50km-entropy", [](QkdLinkConfig& c) { c.link.fiber_km = 50.0; }, 6, {},
-       {{kEntropyExhausted, kNoKey, 240, 12, 11, 131, 14, 2422},
-        {kEntropyExhausted, kNoKey, 255, 12, 21, 124, 46, 2691},
-        {kEntropyExhausted, kNoKey, 243, 12, 25, 150, 86, 3288},
-        {kEntropyExhausted, kNoKey, 260, 13, 18, 119, 30, 2481},
-        {kEntropyExhausted, kNoKey, 259, 12, 18, 119, 46, 2667},
-        {kEntropyExhausted, kNoKey, 254, 12, 19, 120, 44, 2672},
-        {kNone, kNoKey, 281, 14, 15, 108, 26, 2551},
-        {kNone, kNoKey, 249, 12, 13, 98, 26, 2348}}},
+       {{kEntropyExhausted, kNoKey, 240, 12, 11, 131, 14, 2394},
+        {kEntropyExhausted, kNoKey, 255, 12, 21, 124, 46, 2791},
+        {kEntropyExhausted, kNoKey, 243, 12, 25, 150, 86, 3548},
+        {kEntropyExhausted, kNoKey, 260, 13, 18, 119, 30, 2517},
+        {kEntropyExhausted, kNoKey, 259, 12, 18, 119, 46, 2767},
+        {kEntropyExhausted, kNoKey, 254, 12, 19, 120, 44, 2764},
+        {kNone, kNoKey, 281, 14, 15, 108, 28, 2593},
+        {kNone, kNoKey, 249, 12, 13, 98, 28, 2390}}},
       {"naive-verify", at_km(10, EcStrategy::kNaiveParity), 10, {},
-       {{kVerifyFailed, kNoKey, 1546, 77, 15, 113, 22, 7293},
-        {kVerifyFailed, kNoKey, 1556, 77, 13, 99, 22, 7264},
-        {kVerifyFailed, kNoKey, 1553, 77, 15, 114, 22, 7436},
-        {kVerifyFailed, kNoKey, 1613, 80, 16, 120, 22, 7649},
-        {kVerifyFailed, kNoKey, 1598, 79, 14, 108, 22, 7421}}},
+       {{kVerifyFailed, kNoKey, 1546, 77, 15, 113, 22, 7297},
+        {kVerifyFailed, kNoKey, 1556, 77, 13, 99, 22, 7268},
+        {kVerifyFailed, kNoKey, 1553, 77, 15, 114, 22, 7440},
+        {kVerifyFailed, kNoKey, 1613, 80, 16, 120, 22, 7653},
+        {kVerifyFailed, kNoKey, 1598, 79, 14, 108, 22, 7425}}},
       {"tiny-pad",
        [](QkdLinkConfig& c) {
          c.frame_slots = 1 << 16;
          c.preposition_extra_bits = 0;
        },
        1, {},
-       {{kAuthExhausted, kNoKey, 100, 5, 0, 0, 3, 448},
-        {kAuthExhausted, kNoKey, 0, 0, 0, 0, 1, 9}}},
+       {{kAuthExhausted, kNoKey, 0, 0, 0, 0, 1, 13},
+        {kAuthExhausted, kNoKey, 0, 0, 0, 0, 1, 13}}},
       {"cut-channel",
        [](QkdLinkConfig& c) {
          c.frame_slots = 1 << 16;
          c.link.dark_count_prob = 0.0;
        },
        7, [] { return std::make_unique<qkd::optics::ChannelCutAttack>(); },
-       {{kNoSiftedBits, kNoKey, 0, 0, 0, 0, 3, 57}}},
+       {{kNoSiftedBits, kNoKey, 0, 0, 0, 0, 3, 45}}},
       {"intercept-resend", {}, 5,
        [] { return std::make_unique<qkd::optics::InterceptResendAttack>(1.0); },
-       {{kQberTooHigh, kNoKey, 1559, 77, 0, 0, 5, 6208}}},
+       {{kQberTooHigh, kNoKey, 1559, 77, 0, 0, 5, 6180}}},
       {"bbn-one-round",
        [](QkdLinkConfig& c) {
          c.ec_strategy = EcStrategy::kBbnCascade;
          c.bbn_config.max_rounds = 1;
        },
        16, {},
-       {{kEcNotConverged, kNoKey, 1548, 77, 102, 1047, 1974, 33932}}},
+       {{kEcNotConverged, kNoKey, 1548, 77, 102, 1047, 1974, 41768}}},
   };
   return cases;
 }
