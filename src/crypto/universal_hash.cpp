@@ -187,22 +187,25 @@ std::uint64_t poly_hash64_portable(std::uint64_t key,
 #if defined(__x86_64__)
 __attribute__((target("pclmul"))) std::uint64_t poly_hash64_pclmul(
     std::uint64_t key, std::span<const std::uint8_t> message) {
-  // Four Horner steps at once: acc k^4 + m0 k^3 + m1 k^2 + m2 k + m3, the
-  // four products summed unreduced and reduced once. Only the acc product
-  // waits on the group before.
-  const std::uint64_t k2 = gf64_multiply_pclmul(key, key);
-  const std::uint64_t k3 = gf64_multiply_pclmul(k2, key);
-  const std::uint64_t k4 = gf64_multiply_pclmul(k3, key);
+  // Eight Horner steps at once: acc k^8 + m0 k^7 + ... + m6 k + m7, the
+  // products summed unreduced and reduced once. Only the acc product waits
+  // on the group before, so the chain is one multiply and one reduction
+  // per 64 bytes.
+  constexpr std::size_t kGroup = 8;
+  std::uint64_t powers[kGroup + 1];  // powers[j] = key^j
+  powers[1] = key;
+  for (std::size_t j = 2; j <= kGroup; ++j)
+    powers[j] = gf64_multiply_pclmul(powers[j - 1], key);
   const std::uint8_t* p = message.data();
   const std::size_t full = message.size() / 8;
   std::uint64_t acc = 0;
   std::size_t i = 0;
-  for (; i + 4 <= full; i += 4, p += 32) {
-    const __m128i sum = _mm_xor_si128(
-        _mm_xor_si128(clmul64(acc, k4), clmul64(load_le64(p), k3)),
-        _mm_xor_si128(clmul64(load_le64(p + 8), k2),
-                      clmul64(load_le64(p + 16), key)));
-    acc = reduce64(sum) ^ load_le64(p + 24);
+  for (; i + kGroup <= full; i += kGroup, p += 8 * kGroup) {
+    __m128i sum = clmul64(acc, powers[kGroup]);
+    for (std::size_t j = 0; j + 1 < kGroup; ++j)
+      sum = _mm_xor_si128(sum,
+                          clmul64(load_le64(p + 8 * j), powers[kGroup - 1 - j]));
+    acc = reduce64(sum) ^ load_le64(p + 8 * (kGroup - 1));
   }
   for (; i < block_count(message); ++i)
     acc = gf64_multiply_pclmul(acc, key) ^ message_block(message, i);

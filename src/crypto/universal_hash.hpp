@@ -69,7 +69,7 @@ namespace detail {
 std::uint64_t poly_hash64_portable(std::uint64_t key,
                                    std::span<const std::uint8_t> message);
 #if defined(__x86_64__)
-/// Four Horner steps per reduction, one PCLMULQDQ per block; needs
+/// Eight Horner steps per reduction, one PCLMULQDQ per block; needs
 /// cpu_has_pclmul().
 std::uint64_t poly_hash64_pclmul(std::uint64_t key,
                                  std::span<const std::uint8_t> message);

@@ -126,7 +126,7 @@ std::optional<Bytes> DialogueWire::recv_frame() {
 bool DialogueWire::next_is(wire::PacketType type) {
   auto raw = recv_frame();
   if (!raw.has_value()) return false;
-  const auto frame = wire::decode_checked_frame(*raw);
+  const auto frame = wire::decode_checksummed_frame(*raw);
   if (frame.ok() && frame.value.type == type) return true;
   held_ = std::move(raw);
   return false;
@@ -162,7 +162,7 @@ bool DialogueWire::poll(Waiter& waiter) {
       waiter.reason = AbortReason::kChannelLost;
       return true;
     }
-    const auto frame = wire::decode_checked_frame(*raw);
+    const auto frame = wire::decode_checksummed_frame(*raw);
     if (!frame.ok()) continue;  // malformed: not a frame its sender sent
     if (frame.value.type == wire::PacketType::kAbort) {
       const auto notice = wire::AbortPacket::decode(frame.value.payload);

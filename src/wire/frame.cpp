@@ -161,11 +161,15 @@ bool checksum_ok(std::span<const std::uint8_t> buffer) {
 }
 
 Result<Frame> decode_checked_frame(std::span<const std::uint8_t> buffer) {
-  auto frame = decode_frame(buffer);
-  if (!frame.ok()) return frame;
   if (!checksum_ok(buffer))
     return Result<Frame>::failure(WireError::kBadChecksum);
-  frame.value.payload.resize(frame.value.payload.size() - kChecksumBytes);
+  return decode_checksummed_frame(buffer);
+}
+
+Result<Frame> decode_checksummed_frame(std::span<const std::uint8_t> buffer) {
+  auto frame = decode_frame(buffer);
+  if (frame.ok())
+    frame.value.payload.resize(frame.value.payload.size() - kChecksumBytes);
   return frame;
 }
 

@@ -162,6 +162,10 @@ bool checksum_ok(std::span<const std::uint8_t> buffer);
 /// before it.
 Result<Frame> decode_checked_frame(std::span<const std::uint8_t> buffer);
 
+/// decode_checked_frame for a frame that has passed checksum_ok(), which
+/// it does not test again.
+Result<Frame> decode_checksummed_frame(std::span<const std::uint8_t> buffer);
+
 /// Stream-assembly helper: given a buffer prefix, how many total bytes the
 /// frame at its head occupies. Needs at least kHeaderBytes; validates
 /// magic/version/type/size so a corrupt header fails before any blocking

@@ -76,7 +76,7 @@ TEST(KernelIdentity, ToeplitzPclmulMatchesPortable) {
 TEST(KernelIdentity, PolyHashPclmulMatchesPortable) {
   SKIP_WITHOUT(cpu_has_pclmul, "PCLMULQDQ");
 #if defined(__x86_64__)
-  // Every length from empty through four four-block groups and a ragged
+  // Every length from empty through two eight-block groups and a ragged
   // tail, then the shapes of a batch: a sift announce (5,766 bytes) and a
   // direction's transcript (~11.5 KB). Keys include 0, 1 and all ones.
   QKD_SEEDED_RNG(rng, 24);

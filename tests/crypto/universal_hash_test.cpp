@@ -243,12 +243,12 @@ TEST(WegmanCarter, SlotsPairTagsByNumberAndSpendOnlyOnReserve) {
 
 TEST(PolyHash64, MatchesTheFieldArithmeticDefinition) {
   // H(m) = m_1 k^t + ... + m_t k + len over GF(2^64), checked against the
-  // BitVector field multiply on lengths at and beside the four-block group
-  // edges of the hardware kernel.
+  // BitVector field multiply on lengths at and beside the eight-block
+  // group edges of the hardware kernel.
   QKD_SEEDED_RNG(rng, 13);
   const Gf2Field field(64);
   for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 31u, 32u, 33u, 40u, 63u, 64u,
-                        65u, 200u}) {
+                        65u, 71u, 72u, 127u, 128u, 129u, 200u}) {
     const std::uint64_t key = rng.next_u64();
     Bytes message(n);
     for (auto& b : message) b = static_cast<std::uint8_t>(rng.next_u32());

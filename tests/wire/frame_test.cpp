@@ -206,15 +206,18 @@ TEST(Frame, CheckedFrameRoundTripsAndEndsInItsCrc) {
 TEST(Frame, CheckedFrameWithAnyByteDamagedIsBadChecksum) {
   const Bytes framed =
       encode_checked_frame(PacketType::kParityResponse, Bytes{9, 8, 7, 6});
+  // The checksum covers the header too, so it catches a damaged header
+  // before the header is parsed.
   for (std::size_t i = 0; i < framed.size(); ++i) {
     Bytes damaged = framed;
     damaged[i] ^= 0x04;
-    const auto decoded = decode_checked_frame(damaged);
-    EXPECT_FALSE(decoded.ok()) << i;
-    // Past the header, where the frame still parses, it is the checksum
-    // that catches it.
-    if (i >= kHeaderBytes) EXPECT_EQ(decoded.error, WireError::kBadChecksum);
+    EXPECT_FALSE(checksum_ok(damaged)) << i;
+    EXPECT_EQ(decode_checked_frame(damaged).error, WireError::kBadChecksum)
+        << i;
   }
+  EXPECT_TRUE(checksum_ok(framed));
+  EXPECT_EQ(decode_checksummed_frame(framed).value.payload,
+            (Bytes{9, 8, 7, 6}));
   // A plain frame with no room for a checksum is not a checked one.
   EXPECT_EQ(decode_checked_frame(encode_frame(PacketType::kAbort, Bytes{1}))
                 .error,
