@@ -26,13 +26,9 @@ using enum AbortReason;
 // dialogue could not be authenticated; both sides read that from their
 // own pools, which agree. --------------------------------------------------
 
-AbortReason open_pads(Side& s) {
-  return s.party.auth.open_batch(s.frame_id) ? kNone : kAuthExhausted;
-}
-
 StageHalf alice_sifting(Side& s) {
-  if (const AbortReason reason = open_pads(s); reason != kNone)
-    co_return co_await s.wire.conclude(reason);
+  if (!s.party.auth.open_batch(s.frame_id))
+    co_return co_await s.wire.conclude(kAuthExhausted);
   AliceSiftResult sifted =
       alice_sift(s.frame, co_await s.wire.recv<wire::SiftAnnounce>());
   co_await s.wire.send(sifted.decision);
@@ -42,8 +38,8 @@ StageHalf alice_sifting(Side& s) {
 }
 
 StageHalf bob_sifting(Side& s) {
-  if (const AbortReason reason = open_pads(s); reason != kNone)
-    co_return co_await s.wire.conclude(reason);
+  if (!s.party.auth.open_batch(s.frame_id))
+    co_return co_await s.wire.conclude(kAuthExhausted);
   const wire::SiftAnnounce announce = make_sift_announce(s.frame_id, s.frame);
   co_await s.wire.send(announce);
   SiftOutcome kept = bob_apply_response(
